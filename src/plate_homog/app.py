@@ -67,7 +67,6 @@ THREADS_ENV = "PLATE_HOMOG_THREADS"
 DEFAULT_SETTINGS = {
     "tol": 1e-10,
     "x3_samples": 8,
-    "quadrature": 16,
     "periods": [1, 2, 4, 8, 16, 32],
     "check_tol": 1e-8,
     "oracle_loads": 3,
@@ -76,7 +75,6 @@ DEFAULT_SETTINGS = {
 SETTING_RANGES = {
     "tol": (1e-16, 1e-2),
     "x3_samples": (2, 64),
-    "quadrature": (2, 64),
     "check_tol": (1e-16, 1e-2),
     "oracle_loads": (1, 16),
 }
@@ -150,7 +148,6 @@ def _read_settings(obj: dict, path: str) -> dict:
         raise SpecFormatError(f"{path}: periods must be positive integers")
     settings["periods"] = [int(n) for n in periods]
     settings["x3_samples"] = int(settings["x3_samples"])
-    settings["quadrature"] = int(settings["quadrature"])
     settings["oracle_loads"] = int(settings["oracle_loads"])
     return settings
 
@@ -262,7 +259,6 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if args.tol is not None:
         settings["tol"] = args.tol
     if args.quadrature is not None:
-        settings["quadrature"] = args.quadrature
         settings["x3_samples"] = args.quadrature
     material = scenario.material
     if args.grid is not None:
@@ -326,15 +322,13 @@ def _run_oscillate(scenario: Scenario, out_dir: Path) -> dict:
     )[0]
     rows = []
     for n in scenario.settings["periods"]:
-        qn = oscillation_experiment(profile, n)
-        dev = float(np.linalg.norm(qn.matrix - limit_form.matrix))
-        rows.append((n, dev))
+        final = oscillation_experiment(profile, n)
+        rows.append((n, float(np.linalg.norm(final.matrix - limit_form.matrix))))
     csv_path = out_dir / f"{scenario.name}-oscillation.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["periods", "frobenius_distance_to_average_limit"])
         writer.writerows(rows)
-    final = oscillation_experiment(profile, scenario.settings["periods"][-1])
     report = EffectiveReport(
         form=final, optimal_b=np.zeros((3, 3)), regime="oscillate",
         diagnostics={
@@ -500,7 +494,7 @@ def build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--grid", type=_parse_grid, default=None,
                     help="refine a cell material to n1,n2,n3 (nested multiples only)")
     ap.add_argument("--quadrature", type=int, default=None,
-                    help="override thickness quadrature order / oracle sample count")
+                    help="override x3_samples, the thickness nodes of the regime-1 oracle")
     return ap
 
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import SQRT2
 from .errors import SolverError
-from . import kernels
 
 GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
 
@@ -154,7 +153,7 @@ class ElementOperator:
     """Stiffness operator ``K = sum_c sum_q w_q B_q^T C_c B_q`` plus
     the load/energy helpers built from the same quadrature."""
 
-    def __init__(self, grid: Grid, cellC: np.ndarray, backend: str | None = None):
+    def __init__(self, grid: Grid, cellC: np.ndarray):
         cellC = np.ascontiguousarray(cellC, dtype=float)
         if cellC.shape != (grid.ncells, 6, 6):
             raise ValueError(
@@ -162,13 +161,26 @@ class ElementOperator:
             )
         self.grid = grid
         self.cellC = cellC
-        self.backend = kernels.resolve_backend(backend)
-        self._matvec = kernels.get_matvec(self.backend)
+
+    def _gather(self, x: np.ndarray) -> np.ndarray:
+        """Per-cell local dof vectors (ncells, 24) of a nodal field."""
+        return x.reshape(self.grid.nnodes, 3)[self.grid.idx].reshape(self.grid.ncells, 24)
+
+    def _to_nodes(self, ylocal: np.ndarray) -> np.ndarray:
+        """Scatter-add per-cell local vectors (ncells, 24) into a flat nodal vector."""
+        y = np.zeros((self.grid.nnodes, 3))
+        np.add.at(y, self.grid.idx, ylocal.reshape(self.grid.ncells, 8, 3))
+        return y.ravel()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        x2 = np.ascontiguousarray(x.reshape(self.grid.nnodes, 3))
-        y = self._matvec(x2, self.grid.idx, self.cellC, self.grid.B, self.grid.wq)
-        return y.reshape(x.shape)
+        """``K x``: gather, products per quadrature point, scatter-add."""
+        u = self._gather(x)
+        ylocal = np.zeros((self.grid.ncells, 24))
+        for q in range(8):
+            g = u @ self.grid.B[q].T                 # (ncells, 6)
+            s = np.einsum("cij,cj->ci", self.cellC, g)
+            ylocal += (self.grid.wq[q] * s) @ self.grid.B[q]
+        return self._to_nodes(ylocal).reshape(x.shape)
 
     def _load_field(self, gload) -> np.ndarray:
         """Broadcast a load strain to (ncells, 8, 6)."""
@@ -179,14 +191,14 @@ class ElementOperator:
             return g
         raise ValueError(f"load strain must have shape (6,) or (ncells, 8, 6), got {g.shape}")
 
+    def _assemble(self, cellC, B, g) -> np.ndarray:
+        """Nodal vector ``y[v] = sum w_q (B_q v)^T cellC_c g(c, q)``."""
+        s = np.einsum("cij,cqj->cqi", cellC, g)
+        return self._to_nodes(np.einsum("qij,cqi,q->cj", B, s, self.grid.wq))
+
     def rhs(self, gload) -> np.ndarray:
         """Nodal load vector ``f[v] = sum w_q (B_q v)^T C_c g(c, q)``."""
-        g = self._load_field(gload)
-        s = np.einsum("cij,cqj->cqi", self.cellC, g)
-        ylocal = np.einsum("qij,cqi,q->cj", self.grid.B, s, self.grid.wq)
-        y = np.zeros((self.grid.nnodes, 3))
-        np.add.at(y, self.grid.idx, ylocal.reshape(self.grid.ncells, 8, 3))
-        return y.ravel()
+        return self._assemble(self.cellC, self.grid.B, self._load_field(gload))
 
     def rhs_noise_floor(self, gload) -> float:
         """Norm threshold below which an assembled load is cancellation dust.
@@ -198,17 +210,13 @@ class ElementOperator:
         went into each entry, so anything at 1e-12 of it is noise (the
         true cancellation error sits near 1e-16 of it).
         """
-        g = np.abs(self._load_field(gload))
-        s = np.einsum("cij,cqj->cqi", np.abs(self.cellC), g)
-        ylocal = np.einsum("qij,cqi,q->cj", np.abs(self.grid.B), s, self.grid.wq)
-        y = np.zeros((self.grid.nnodes, 3))
-        np.add.at(y, self.grid.idx, ylocal.reshape(self.grid.ncells, 8, 3))
-        return 1e-12 * float(np.linalg.norm(y.ravel()))
+        y = self._assemble(np.abs(self.cellC), np.abs(self.grid.B),
+                           np.abs(self._load_field(gload)))
+        return 1e-12 * float(np.linalg.norm(y))
 
     def strains(self, x: np.ndarray, gload=None) -> np.ndarray:
         """Total Mandel strain (ncells, 8, 6) of nodal field plus load."""
-        u = x.reshape(self.grid.nnodes, 3)[self.grid.idx].reshape(self.grid.ncells, 24)
-        g = np.einsum("qij,cj->cqi", self.grid.B, u)
+        g = np.einsum("qij,cj->cqi", self.grid.B, self._gather(x))
         if gload is not None:
             g = g + self._load_field(gload)
         return g
@@ -217,15 +225,33 @@ class ElementOperator:
         g = self.strains(x, gload)
         return float(np.einsum("cqi,cij,cqj,q->", g, self.cellC, g, self.grid.wq))
 
-    def energy_bilinear(self, x1, g1, x2, g2) -> float:
-        ga = self.strains(x1, g1)
-        gb = self.strains(x2, g2)
-        return float(np.einsum("cqi,cij,cqj,q->", ga, self.cellC, gb, self.grid.wq))
+    def energy_matrix(self, fields, loads) -> np.ndarray:
+        """Energies ``N_ij = sum w_q g_i^T C g_j`` of total strains ``g_i = B x_i + G_i``.
+
+        Row ``i`` needs only the stress ``s_i = C g_i``:
+        ``N_ij = f_i . x_j + sum w_q s_i . G_j``, where ``f_i`` is the
+        nodal vector of ``s_i``.  Stresses are formed one quadrature
+        point at a time, like in ``matvec``, so no strain field is held
+        whole.  The result is symmetrized.
+        """
+        grid = self.grid
+        G = [self._load_field(g) for g in loads]
+        N = np.zeros((len(loads), len(loads)))
+        for i, x in enumerate(fields):
+            u = self._gather(x)
+            ylocal = np.zeros((grid.ncells, 24))
+            for q in range(8):
+                s = grid.wq[q] * np.einsum("cij,cj->ci", self.cellC, u @ grid.B[q].T + G[i][:, q])
+                ylocal += s @ grid.B[q]
+                N[i] += [np.einsum("ci,ci->", s, Gj[:, q]) for Gj in G]
+            f = self._to_nodes(ylocal)
+            N[i] += [f @ xj for xj in fields]
+        return 0.5 * (N + N.T)
 
 
 def iteration_cap(ndofs: int) -> int:
     """Default conjugate-gradient iteration budget for a problem size."""
-    return max(200, int(50 * ndofs ** (1.0 / 3.0) * 100))
+    return max(200, int(100 * ndofs ** (1.0 / 3.0)))
 
 
 def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float, maxiter=None,
@@ -298,3 +324,21 @@ def subtract_nodal_mean(x: np.ndarray, nnodes: int) -> np.ndarray:
     """Zero-mean gauge: remove the average of each displacement component."""
     x2 = x.reshape(nnodes, 3)
     return (x2 - x2.mean(axis=0)).ravel()
+
+
+def solve_loads(op: ElementOperator, loads, tol: float):
+    """Correctors and energy matrix of a set of load strains.
+
+    Each load (a Mandel 6-vector or an (ncells, 8, 6) strain field) gets
+    the minimizer ``x_i`` of ``op.energy(x, G_i)``: CG on
+    ``K x = -rhs(G_i)`` with the load's noise floor, then the zero-mean
+    gauge.  Returns ``(fields, N, solves)`` with ``N`` from
+    ``op.energy_matrix`` and ``solves[i] = (iterations, residual_history)``.
+    """
+    fields, solves = [], []
+    for gload in loads:
+        b = -op.rhs(gload)
+        x, iters, hist = conjugate_gradient(op, b, tol, noise_floor=op.rhs_noise_floor(gload))
+        fields.append(subtract_nodal_mean(x, op.grid.nnodes))
+        solves.append((iters, hist))
+    return fields, op.energy_matrix(fields, loads), solves

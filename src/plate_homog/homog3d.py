@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import EffectiveReport, MaterialBounds, QuadForm2, QuadForm3, mandel3
 from .errors import AdmissibilityError
-from .fem import ElementOperator, build_cell_grid, conjugate_gradient, subtract_nodal_mean
+from .fem import ElementOperator, build_cell_grid, solve_loads
 from .reduction import plane_stress_reduce
 
 DEFAULT_TOL = 1e-10
@@ -112,12 +112,11 @@ class CorrectorField3:
         return self.values.reshape(-1)
 
 
-def _material_operator(material: CellMaterial3, backend=None):
-    grid = build_cell_grid(*material.grid_shape)
-    return grid, ElementOperator(grid, material.flat(), backend=backend)
+def _material_operator(material: CellMaterial3) -> ElementOperator:
+    return ElementOperator(build_cell_grid(*material.grid_shape), material.flat())
 
 
-def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL, backend=None):
+def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL):
     """Minimize the cell energy at macroscopic strain ``E``.
 
     ``E`` is a Mandel 6-vector or a symmetric 3x3 matrix.  Returns
@@ -130,51 +129,29 @@ def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL, bac
         E = mandel3(E)
     if E.shape != (6,):
         raise ValueError("macroscopic strain must be a Mandel 6-vector or 3x3 matrix")
-    grid, op = _material_operator(material, backend)
-    b = -op.rhs(E)
-    x, iters, hist = conjugate_gradient(op, b, tol, noise_floor=op.rhs_noise_floor(E))
-    x = subtract_nodal_mean(x, grid.nnodes)
-    energy = op.energy(x, E)
+    fields, N, [(iters, hist)] = solve_loads(_material_operator(material), [E], tol)
     n1, n2, n3 = material.grid_shape
-    return CorrectorField3(values=x.reshape(n1, n2, n3, 3), iterations=iters, residuals=hist), energy
+    corr = CorrectorField3(values=fields[0].reshape(n1, n2, n3, 3), iterations=iters, residuals=hist)
+    return corr, float(N[0, 0])
 
 
-def _basis_solves(material: CellMaterial3, tol: float, backend=None):
-    grid, op = _material_operator(material, backend)
-    solves = []
-    for i in range(6):
-        e = np.zeros(6)
-        e[i] = 1.0
-        b = -op.rhs(e)
-        x, iters, hist = conjugate_gradient(op, b, tol, noise_floor=op.rhs_noise_floor(e))
-        x = subtract_nodal_mean(x, grid.nnodes)
-        solves.append((e, x, iters, hist))
-    return grid, op, solves
-
-
-def _homogenize(material: CellMaterial3, tol: float, backend=None):
+def _homogenize(material: CellMaterial3, tol: float):
+    """Energy matrix of the six Mandel basis strains, plus per-solve data."""
     material.check()
-    _, op, solves = _basis_solves(material, tol, backend)
-    C = np.empty((6, 6))
-    for i in range(6):
-        ei, xi = solves[i][0], solves[i][1]
-        for j in range(i, 6):
-            ej, xj = solves[j][0], solves[j][1]
-            C[i, j] = C[j, i] = op.energy_bilinear(xi, ei, xj, ej)
-    return QuadForm3(0.5 * (C + C.T), label="homogenized"), op, solves
+    _, C, solves = solve_loads(_material_operator(material), list(np.eye(6)), tol)
+    return QuadForm3(C, label="homogenized"), solves
 
 
-def homogenized_form_3d(material: CellMaterial3, tol: float = DEFAULT_TOL, backend=None) -> QuadForm3:
+def homogenized_form_3d(material: CellMaterial3, tol: float = DEFAULT_TOL) -> QuadForm3:
     """Effective 3D form from six corrector solves at the basis strains.
 
     Off-diagonal entries come from the bilinear energy of stored
     corrector pairs, so no extra solves are needed.
     """
-    q_hom, _, _ = _homogenize(material, tol, backend)
-    return q_hom
+    return _homogenize(material, tol)[0]
 
 
-def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL, backend=None) -> EffectiveReport:
+def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL) -> EffectiveReport:
     """Effective bending form for fine in-plane oscillation.
 
     Pipeline: homogenize on the unit cell, plane-stress reduce, scale by
@@ -182,17 +159,16 @@ def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL, back
     decomposition and per-solve convergence data.
     """
     t0 = time.perf_counter()
-    q_hom, op, solves = _homogenize(material, tol, backend)
+    q_hom, solves = _homogenize(material, tol)
     q2, dstar = plane_stress_reduce(q_hom)
     q0p = QuadForm2(q2.matrix / 12.0, label="bending-regime1")
     diagnostics = {
         "grid": list(material.grid_shape),
         "tol": tol,
-        "backend": op.backend,
         "quadrature": "gauss-2x2x2",
         "solves": [
             {"load": i, "iterations": it, "residual": hist[-1] if hist else 0.0}
-            for i, (_, _, it, hist) in enumerate(solves)
+            for i, (it, hist) in enumerate(solves)
         ],
         "homogenized_form": q_hom.matrix.tolist(),
         "plane_stress_form": q2.matrix.tolist(),

@@ -39,7 +39,7 @@ from .core import (
     qf_isotropic,
 )
 from .errors import AdmissibilityError, DegenerateMaterialError
-from .fem import ElementOperator, build_slab_grid, conjugate_gradient, subtract_nodal_mean
+from .fem import ElementOperator, build_slab_grid, solve_loads
 
 DEFAULT_TOL = 1e-10
 
@@ -330,12 +330,11 @@ def _load_strain_field(grid, kind, a2):
     return grid.x3q[:, :, None] * g[None, None, :]
 
 
-def _slab_operator(slab: SlabMaterial, backend=None):
-    grid = build_slab_grid(*slab.grid_shape)
-    return grid, ElementOperator(grid, slab.reduced_cells(), backend=backend)
+def _slab_operator(slab: SlabMaterial) -> ElementOperator:
+    return ElementOperator(build_slab_grid(*slab.grid_shape), slab.reduced_cells())
 
 
-def slab_corrector_solve(slab: SlabMaterial, load, tol: float = DEFAULT_TOL, backend=None):
+def slab_corrector_solve(slab: SlabMaterial, load, tol: float = DEFAULT_TOL):
     """Minimize the slab energy under a mid-plane ('B') or curvature ('A') load.
 
     The load strain is ``iota(E)`` for kind 'B' and ``x3 * iota(E)`` for
@@ -344,19 +343,16 @@ def slab_corrector_solve(slab: SlabMaterial, load, tol: float = DEFAULT_TOL, bac
     """
     slab.check()
     kind, a2 = _load_vector(load)
-    grid, op = _slab_operator(slab, backend)
-    gload = _load_strain_field(grid, kind, a2)
-    b = -op.rhs(gload)
-    x, iters, hist = conjugate_gradient(op, b, tol, noise_floor=op.rhs_noise_floor(gload))
-    x = subtract_nodal_mean(x, grid.nnodes)
-    energy = op.energy(x, gload)
+    op = _slab_operator(slab)
+    gload = _load_strain_field(op.grid, kind, a2)
+    fields, N, [(iters, hist)] = solve_loads(op, [gload], tol)
     corr = SlabCorrector(
-        values=x.reshape(*grid.node_shape, 3), iterations=iters, residuals=hist
+        values=fields[0].reshape(*op.grid.node_shape, 3), iterations=iters, residuals=hist
     )
-    return corr, energy
+    return corr, float(N[0, 0])
 
 
-def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL, backend=None) -> EffectiveReport:
+def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL) -> EffectiveReport:
     """Effective bending form for comparable-scale oscillation.
 
     Six slab solves (three curvature loads, three mid-plane loads) give
@@ -365,25 +361,10 @@ def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL, backend=N
     """
     t0 = time.perf_counter()
     slab.check()
-    grid, op = _slab_operator(slab, backend)
-    loads = [("A", i) for i in range(3)] + [("B", i) for i in range(3)]
-    fields = []
-    solves = []
-    for kind, i in loads:
-        _, a2 = _load_vector((kind, i))
-        gload = _load_strain_field(grid, kind, a2)
-        b = -op.rhs(gload)
-        x, iters, hist = conjugate_gradient(op, b, tol, noise_floor=op.rhs_noise_floor(gload))
-        x = subtract_nodal_mean(x, grid.nnodes)
-        fields.append((x, gload))
-        solves.append({"load": f"{kind}{i}", "iterations": iters,
-                       "residual": hist[-1] if hist else 0.0})
-    N = np.empty((6, 6))
-    for i in range(6):
-        xi, gi = fields[i]
-        for j in range(i, 6):
-            xj, gj = fields[j]
-            N[i, j] = N[j, i] = op.energy_bilinear(xi, gi, xj, gj)
+    op = _slab_operator(slab)
+    basis = [("A", i) for i in range(3)] + [("B", i) for i in range(3)]
+    loads = [_load_strain_field(op.grid, *_load_vector(load)) for load in basis]
+    _, N, solves = solve_loads(op, loads, tol)
     Naa = N[:3, :3]
     Nab = N[:3, 3:]
     Nbb = N[3:, 3:]
@@ -401,9 +382,11 @@ def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL, backend=N
         "grid": list(slab.grid_shape),
         "fiber_samples": int(slab.fiber_samples),
         "tol": tol,
-        "backend": op.backend,
         "quadrature": "gauss-2x2x2",
-        "solves": solves,
+        "solves": [
+            {"load": f"{kind}{i}", "iterations": it, "residual": hist[-1] if hist else 0.0}
+            for (kind, i), (it, hist) in zip(basis, solves)
+        ],
         "pair_energy_matrix": N.tolist(),
         "runtime_s": time.perf_counter() - t0,
     }

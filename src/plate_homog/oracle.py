@@ -109,8 +109,8 @@ def assemble_regime1(material: CellMaterial3, A, x3_samples: int) -> DenseProble
                 [np.arange(3), off_d + np.arange(3), off_phi + cell_dofs[c]]
             )
             M = Mcell[c]
-            H[np.ix_(cols, cols)] += wg[i] * M
-            b[cols] += wg[i] * xg[i] * (M[:, :3] @ a2)
+            np.add.at(H, np.ix_(cols, cols), wg[i] * M)
+            np.add.at(b, cols, wg[i] * xg[i] * (M[:, :3] @ a2))
             c0 += wg[i] * xg[i] ** 2 * float(a2 @ M[:3, :3] @ a2)
 
     # Ground the last node of each slice's corrector field.
@@ -174,8 +174,8 @@ def assemble_regime2(slab: SlabMaterial, A) -> DenseProblem:
             cols = np.concatenate(
                 [np.arange(3), 3 + cell_dofs[c], zoff + (c * 8 + q) * nz + np.arange(nz)]
             )
-            H[np.ix_(cols, cols)] += Hloc
-            b[cols] += bloc
+            np.add.at(H, np.ix_(cols, cols), Hloc)
+            np.add.at(b, cols, bloc)
             c0 += grid.wq[q] * float(wf @ np.einsum("i,jik,k->j", gfix, Cf, gfix))
 
     drop = 3 + (ndofs - 3) + np.arange(3)   # ground the last corrector node

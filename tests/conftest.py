@@ -1,7 +1,6 @@
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -12,14 +11,3 @@ FIXTURES = Path(__file__).parent.parent / "fixtures"
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jitted kernels once so timed tests measure algebra, not JIT."""
-    from plate_homog import CellMaterial3, MaterialBounds, corrector_solve_3d
-
-    c = np.broadcast_to(2.0 * np.eye(6), (1, 1, 2, 6, 6)).copy()
-    c = c * np.array([1.0, 2.0]).reshape(1, 1, 2, 1, 1)
-    material = CellMaterial3(c=c, bounds=MaterialBounds(1.9, 4.1))
-    corrector_solve_3d(material, np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), tol=1e-10)

@@ -2,8 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines; every criterion pins its tolerance and (where stated) a runtime
-budget.  Timed criteria measure solve time only; the jitted kernels are
-compiled once by the session fixture in conftest.
+budget.  Timed criteria measure solve time only.
 """
 
 import time

@@ -242,6 +242,18 @@ class TestCommands:
         # stiffness phases 2*mu in {1, 3}: arithmetic in-plane mean is 2
         assert np.allclose(report.form.matrix, (2.0 / 12.0) * np.eye(3), rtol=1e-10)
 
+    def test_quadrature_flag_sets_x3_samples(self, fixtures_dir, tmp_path, capsys):
+        rc = main(["bending", "--spec", str(fixtures_dir / "bending_bilayer.json"),
+                   "--out", str(tmp_path), "--quadrature", "12"])
+        assert rc == EXIT_OK
+        settings = load_json(tmp_path / "bilayer-report.json")["settings"]
+        assert settings["x3_samples"] == 12
+        assert "quadrature" not in settings
+        spec = dict(load_json(fixtures_dir / "bending_bilayer.json"), settings={"quadrature": 16})
+        rc = main(["bending", "--spec", str(write_spec(tmp_path, spec)), "--out", str(tmp_path)])
+        assert rc == EXIT_PARSE
+        assert "unknown setting 'quadrature'" in capsys.readouterr().err
+
     def test_grid_override_needs_nested_multiple(self, fixtures_dir, tmp_path):
         rc = main(["homog-regime1", "--spec", str(fixtures_dir / "homog_regime1_laminate.json"),
                    "--out", str(tmp_path), "--grid", "3,2,2"])

@@ -1,34 +1,21 @@
 import numpy as np
 import pytest
 
-from plate_homog import kernels
-from plate_homog.fem import ElementOperator, build_cell_grid, build_slab_grid
+from plate_homog import SolverError
+from plate_homog.fem import (
+    ElementOperator,
+    build_cell_grid,
+    build_slab_grid,
+    conjugate_gradient,
+    iteration_cap,
+    solve_loads,
+)
 
 from helpers import random_spd
 
 
 def _random_cellC(rng, ncells):
     return np.stack([random_spd(rng, 6, 0.5, 3.0) for _ in range(ncells)])
-
-
-@pytest.mark.parametrize("builder,shape", [
-    (build_cell_grid, (3, 2, 4)),
-    (build_cell_grid, (1, 1, 2)),
-    (build_slab_grid, (2, 3, 2)),
-    (build_slab_grid, (1, 1, 3)),
-])
-def test_backends_agree_on_matvec(builder, shape):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(50)
-    grid = builder(*shape)
-    cellC = _random_cellC(rng, grid.ncells)
-    op_nb = ElementOperator(grid, cellC, backend="numba")
-    op_np = ElementOperator(grid, cellC, backend="numpy")
-    for _ in range(5):
-        x = rng.standard_normal(grid.ndofs)
-        ya, yb = op_nb.matvec(x), op_np.matvec(x)
-        assert np.allclose(ya, yb, rtol=1e-12, atol=1e-13)
 
 
 def test_operator_symmetric_positive_semidefinite():
@@ -53,32 +40,35 @@ def test_energy_expansion_identity():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_energy_bilinear_polarization():
+def test_solve_loads_energy_matrix_is_polarization():
+    # N_ij = (E(x_i + x_j, G_i + G_j) - E(x_i, G_i) - E(x_j, G_j)) / 2, on
+    # random fields (where rhs(g_i) . x_j does not vanish) and on correctors
     rng = np.random.default_rng(53)
+    for grid in (build_cell_grid(2, 2, 2), build_slab_grid(2, 1, 2)):
+        op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
+        loads = [rng.standard_normal(6), rng.standard_normal((grid.ncells, 8, 6)),
+                 rng.standard_normal(6)]
+        random_fields = [rng.standard_normal(grid.ndofs) for _ in loads]
+        fields, N, solves = solve_loads(op, loads, 1e-12)
+        assert len(fields) == len(solves) == 3
+        for xs, M in ((random_fields, op.energy_matrix(random_fields, loads)), (fields, N)):
+            for i in range(3):
+                for j in range(3):
+                    polar = 0.5 * (op.energy(xs[i] + xs[j], loads[i] + loads[j])
+                                   - op.energy(xs[i], loads[i]) - op.energy(xs[j], loads[j]))
+                    assert M[i, j] == pytest.approx(polar, rel=1e-10)
+
+
+def test_iteration_cap_bounds_stalled_solve():
+    rng = np.random.default_rng(54)
     grid = build_cell_grid(2, 2, 2)
     op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
-    g1, g2 = rng.standard_normal(6), rng.standard_normal(6)
-    x1, x2 = rng.standard_normal(grid.ndofs), rng.standard_normal(grid.ndofs)
-    cross = op.energy_bilinear(x1, g1, x2, g2)
-    e_sum = op.energy(x1 + x2, g1 + g2)
-    polar = 0.5 * (e_sum - op.energy(x1, g1) - op.energy(x2, g2))
-    assert cross == pytest.approx(polar, rel=1e-10)
-
-
-def test_resolve_backend_env(monkeypatch):
-    monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-    assert kernels.resolve_backend() in ("numba", "numpy")
-    monkeypatch.setenv(kernels.BACKEND_ENV, "numpy")
-    assert kernels.resolve_backend() == "numpy"
-    if kernels.HAVE_NUMBA:
-        monkeypatch.setenv(kernels.BACKEND_ENV, "numba")
-        assert kernels.resolve_backend() == "numba"
-    monkeypatch.setenv(kernels.BACKEND_ENV, "fortran")
-    with pytest.raises(ValueError):
-        kernels.resolve_backend()
-    # explicit argument beats the environment
-    monkeypatch.setenv(kernels.BACKEND_ENV, "numpy")
-    assert kernels.resolve_backend("numpy") == "numpy"
+    b = -op.rhs(rng.standard_normal(6))
+    assert iteration_cap(3 * 16**3) == 2307
+    assert iteration_cap(3 * 32**3) == 4615
+    with pytest.raises(SolverError) as info:
+        conjugate_gradient(op, b, tol=1e-30)
+    assert 0 < len(info.value.residuals) <= iteration_cap(grid.ndofs)
 
 
 def test_noise_floor_separates_real_loads_from_dust():

@@ -109,6 +109,14 @@ class TestHomogenizedForm:
         assert np.linalg.eigvalsh(voigt - qh.matrix).min() >= -1e-9
         assert np.linalg.eigvalsh(qh.matrix - reuss).min() >= -1e-9
 
+    def test_diagonal_equals_single_load_energy(self):
+        rng = np.random.default_rng(22)
+        mat = random_cell(rng, grid=(2, 2, 2))
+        qh = homogenized_form_3d(mat, tol=1e-11)
+        for i in range(6):
+            _, energy = corrector_solve_3d(mat, E_BASIS[i], tol=1e-11)
+            assert qh.matrix[i, i] == pytest.approx(energy, rel=1e-12)
+
     def test_bounds_inherited(self):
         rng = np.random.default_rng(21)
         mat = random_cell(rng, grid=(2, 2, 2), eta1=1.0, eta2=4.0)

@@ -158,6 +158,14 @@ class TestBendingRegime2:
         rep = bending_form_regime2(slab, tol=1e-12)
         assert np.allclose(rep.form.matrix, (2.0 * 2.0 / 12.0) * np.eye(3), rtol=1e-12)
 
+    def test_pair_energy_diagonal_equals_single_load_energy(self):
+        rng = np.random.default_rng(35)
+        slab = random_slab(rng, grid=(2, 2, 2), nf=2)
+        N = np.array(bending_form_regime2(slab, tol=1e-11).diagnostics["pair_energy_matrix"])
+        for k, load in enumerate([("A", i) for i in range(3)] + [("B", i) for i in range(3)]):
+            _, energy = slab_corrector_solve(slab, load, tol=1e-11)
+            assert N[k, k] == pytest.approx(energy, rel=1e-12)
+
     def test_regime_consistency_for_fiber_materials(self):
         for lam2 in ([1.0, 3.0], [0.5, 1.0, 2.0], [1.0, 1.4, 0.7, 2.2]):
             lam2 = np.array(lam2)

@@ -109,6 +109,16 @@ class TestBruteForceRegime1:
         with pytest.raises(SizeCapError):
             brute_force_regime1(mat, np.eye(2), x3_samples=8)
 
+    def test_one_cell_axes_laminate_closed_form(self):
+        # one cell along y1 and y2: every element lists each periodic node twice
+        lam2 = np.array([1.0, 3.0, 1.0, 3.0, 1.0, 3.0])
+        c = np.stack([(2.0 * l) * np.eye(6) for l in lam2]).reshape(1, 1, 6, 6, 6)
+        mat = CellMaterial3(c=c, bounds=MaterialBounds(2.0, 6.0))
+        arith, _ = laminate_closed_form(lam2)
+        A = np.array([[1.0, 0.4], [0.4, -0.6]])
+        expected = 2.0 * arith * np.sum(A * A) / 12.0
+        assert brute_force_regime1(mat, A, x3_samples=3) == pytest.approx(expected, rel=1e-12)
+
     def test_reduced_matrix_positive_definite(self):
         rng = np.random.default_rng(44)
         mat = random_cell(rng, grid=(2, 2, 2))
@@ -154,6 +164,14 @@ class TestBruteForceRegime2:
         slab = SlabMaterial.homogeneous(qf_isotropic(1.0, 0.0), grid=(8, 8, 8), nf=4)
         with pytest.raises(SizeCapError):
             brute_force_regime2(slab, np.eye(2))
+
+    def test_one_cell_inplane_laminate_closed_form(self):
+        lam2 = np.array([1.0, 3.0])
+        slab = SlabMaterial.separable(1.5, lam2, mu=1.0, grid=(1, 1, 2))
+        arith, _ = laminate_closed_form(lam2)
+        A = np.array([[1.0, 0.4], [0.4, -0.6]])
+        expected = 2.0 * 1.5 * arith * np.sum(A * A) / 12.0
+        assert brute_force_regime2(slab, A) == pytest.approx(expected, rel=1e-12)
 
     def test_reduced_matrix_positive_definite(self):
         rng = np.random.default_rng(46)
