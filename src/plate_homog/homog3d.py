@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import EffectiveReport, MaterialBounds, QuadForm2, QuadForm3, mandel3
 from .errors import AdmissibilityError
-from .fem import ElementOperator, build_cell_grid, solve_loads
+from .fem import PRECONDITIONER, ElementOperator, build_cell_grid, solve_loads
 from .reduction import plane_stress_reduce
 
 DEFAULT_TOL = 1e-10
@@ -166,6 +166,7 @@ def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL) -> E
         "grid": list(material.grid_shape),
         "tol": tol,
         "quadrature": "gauss-2x2x2",
+        "preconditioner": PRECONDITIONER,
         "solves": [
             {"load": i, "iterations": it, "residual": hist[-1] if hist else 0.0}
             for i, (it, hist) in enumerate(solves)

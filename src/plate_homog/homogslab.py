@@ -39,7 +39,7 @@ from .core import (
     qf_isotropic,
 )
 from .errors import AdmissibilityError, DegenerateMaterialError
-from .fem import ElementOperator, build_slab_grid, solve_loads
+from .fem import PRECONDITIONER, ElementOperator, build_slab_grid, solve_loads
 
 DEFAULT_TOL = 1e-10
 
@@ -90,12 +90,13 @@ class FiberMaterial:
             )
 
 
-def fiber_reduce(fiber: FiberMaterial) -> QuadForm3:
-    """Relax a fiber of 3D forms over zero-mean out-of-plane fluctuations.
+def reduce_fibers(c: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Relax fibers of 3D forms over zero-mean out-of-plane fluctuations.
 
-    The result is again a quadratic form on symmetric 3x3 arguments.  In
-    block form (p = in-plane, o = out-of-plane Mandel slots) the reduced
-    matrix is::
+    ``c`` holds ``nfib`` fibers of ``nf`` Mandel samples, (nfib, nf, 6, 6),
+    and ``weights`` the ``nf`` layer fractions.  Each result is again a
+    quadratic form on symmetric 3x3 arguments.  In block form (p =
+    in-plane, o = out-of-plane Mandel slots) the reduced matrix is::
 
         pp: <P> - <T^T S^-1 T> + G^T H^-1 G
         po: G^T H^-1
@@ -104,35 +105,37 @@ def fiber_reduce(fiber: FiberMaterial) -> QuadForm3:
     with ``H = <S^-1>`` and ``G = <S^-1 T>``, where ``T`` maps in-plane
     strain to out-of-plane stress.  A constant fiber is returned
     unchanged (the zero-mean constraint forces the fluctuation to zero).
+    Returns (nfib, 6, 6).
     """
     p, o = list(IN_PLANE), list(OUT_OF_PLANE)
-    w = fiber.weights
-    Pbar = np.zeros((3, 3))
-    H = np.zeros((3, 3))
-    G = np.zeros((3, 3))
-    W = np.zeros((3, 3))
-    for k in range(fiber.nsamples):
-        C = fiber.c[k]
-        S = C[np.ix_(o, o)]
-        Top = C[np.ix_(o, p)]
-        try:
-            np.linalg.cholesky(S)
-            Sinv = np.linalg.inv(S)
-        except np.linalg.LinAlgError:
-            raise DegenerateMaterialError(
-                f"fiber sample {k} has a singular out-of-plane block"
-            ) from None
-        Pbar += w[k] * C[np.ix_(p, p)]
-        H += w[k] * Sinv
-        G += w[k] * (Sinv @ Top)
-        W += w[k] * (Top.T @ Sinv @ Top)
+    S = c[:, :, o][:, :, :, o]
+    Top = c[:, :, o][:, :, :, p]
+    try:
+        np.linalg.cholesky(S)
+        Sinv = np.linalg.inv(S)
+    except np.linalg.LinAlgError:
+        f, k = np.unravel_index(np.linalg.eigvalsh(S)[..., 0].argmin(), S.shape[:2])
+        raise DegenerateMaterialError(
+            f"fiber {f} sample {k} has a singular out-of-plane block"
+        ) from None
+    SinvT = Sinv @ Top
+    Pbar = np.einsum("k,fkij->fij", weights, c[:, :, p][:, :, :, p])
+    H = np.einsum("k,fkij->fij", weights, Sinv)
+    G = np.einsum("k,fkij->fij", weights, SinvT)
+    W = np.einsum("k,fkji,fkjl->fil", weights, Top, SinvT)
     Hinv = np.linalg.inv(H)
-    red = np.zeros((6, 6))
-    red[np.ix_(p, p)] = Pbar - W + G.T @ Hinv @ G
-    red[np.ix_(p, o)] = G.T @ Hinv
-    red[np.ix_(o, p)] = Hinv @ G
-    red[np.ix_(o, o)] = Hinv
-    return QuadForm3(0.5 * (red + red.T), label="fiber-reduced")
+    Gt = G.swapaxes(1, 2)
+    red = np.zeros((c.shape[0], 6, 6))
+    red[(slice(None),) + np.ix_(p, p)] = Pbar - W + Gt @ Hinv @ G
+    red[(slice(None),) + np.ix_(p, o)] = Gt @ Hinv
+    red[(slice(None),) + np.ix_(o, p)] = Hinv @ G
+    red[(slice(None),) + np.ix_(o, o)] = Hinv
+    return 0.5 * (red + red.swapaxes(1, 2))
+
+
+def fiber_reduce(fiber: FiberMaterial) -> QuadForm3:
+    """``reduce_fibers`` on one fiber."""
+    return QuadForm3(reduce_fibers(fiber.c[None], fiber.weights)[0], label="fiber-reduced")
 
 
 def laminate_reduced_form(lambda1: float, lambda2, mu: float, weights=None) -> QuadForm3:
@@ -208,9 +211,6 @@ class SlabMaterial:
     def fiber_samples(self) -> int:
         return self.fibers.shape[1]
 
-    def fiber(self, fid: int) -> FiberMaterial:
-        return FiberMaterial(c=self.fibers[fid], bounds=self.bounds, weights=self.weights)
-
     def cell_fiber_stacks(self) -> np.ndarray:
         """Per-cell fiber sample matrices, (ncells, nf, 6, 6), scale applied."""
         stacks = self.fibers[self.fiber_index.reshape(-1)]
@@ -237,10 +237,7 @@ class SlabMaterial:
 
     def reduced_cells(self) -> np.ndarray:
         """Fiber-reduce each distinct fiber, broadcast and scale per cell."""
-        reduced = np.stack(
-            [fiber_reduce(self.fiber(fid)).matrix for fid in range(self.fibers.shape[0])]
-        )
-        out = reduced[self.fiber_index.reshape(-1)]
+        out = reduce_fibers(self.fibers, self.weights)[self.fiber_index.reshape(-1)]
         return out * self.scale.reshape(-1, 1, 1)
 
     def refine_inplane(self, factor: int = 2) -> "SlabMaterial":
@@ -383,6 +380,7 @@ def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL) -> Effect
         "fiber_samples": int(slab.fiber_samples),
         "tol": tol,
         "quadrature": "gauss-2x2x2",
+        "preconditioner": PRECONDITIONER,
         "solves": [
             {"load": f"{kind}{i}", "iterations": it, "residual": hist[-1] if hist else 0.0}
             for (kind, i), (it, hist) in zip(basis, solves)

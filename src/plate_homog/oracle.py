@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import EMBED_2_TO_3, QuadForm2, mandel2
 from .errors import SizeCapError
@@ -53,6 +52,10 @@ class DenseProblem:
     keep: np.ndarray
 
     def solve(self) -> float:
+        # scipy is imported here, not at module level, so that importing
+        # the package (every CLI command) does not pay for scipy.linalg.
+        from scipy.linalg import cho_factor, cho_solve
+
         Hr = self.H[np.ix_(self.keep, self.keep)]
         br = self.b[self.keep]
         u = cho_solve(cho_factor(Hr, lower=True), -br)

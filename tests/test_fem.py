@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from plate_homog import SolverError
+from plate_homog import SolverError, bending_form_regime1, bending_form_regime2, qf_isotropic
 from plate_homog.fem import (
+    PRECONDITIONER,
+    STALL_ITERATIONS,
     ElementOperator,
     build_cell_grid,
     build_slab_grid,
@@ -11,7 +13,7 @@ from plate_homog.fem import (
     solve_loads,
 )
 
-from helpers import random_spd
+from helpers import random_cell, random_slab, random_spd
 
 
 def _random_cellC(rng, ncells):
@@ -69,6 +71,68 @@ def test_iteration_cap_bounds_stalled_solve():
     with pytest.raises(SolverError) as info:
         conjugate_gradient(op, b, tol=1e-30)
     assert 0 < len(info.value.residuals) <= iteration_cap(grid.ndofs)
+
+
+def test_stalled_solve_stops_long_before_the_cap():
+    # same solve as above: the residual bottoms out near iteration 10
+    rng = np.random.default_rng(54)
+    grid = build_cell_grid(2, 2, 2)
+    op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
+    b = -op.rhs(rng.standard_normal(6))
+    with pytest.raises(SolverError, match="stalled") as info:
+        conjugate_gradient(op, b, tol=1e-30)
+    history = info.value.residuals
+    assert STALL_ITERATIONS < len(history) <= 70
+    assert min(history[-STALL_ITERATIONS:]) >= min(history)
+
+
+@pytest.mark.parametrize("build, shape", [
+    (build_cell_grid, (1, 1, 6)), (build_cell_grid, (3, 4, 5)), (build_cell_grid, (2, 2, 2)),
+    (build_slab_grid, (1, 1, 3)), (build_slab_grid, (2, 3, 2)), (build_slab_grid, (5, 4, 3)),
+])
+def test_preconditioner_inverts_homogeneous_operator(build, shape):
+    # on a constant law the reference law is the law itself: M K = I minus the
+    # nodal mean, and one preconditioned iteration solves any load
+    rng = np.random.default_rng(55)
+    grid = build(*shape)
+    op = ElementOperator(grid, np.broadcast_to(random_spd(rng, 6, 0.5, 3.0), (grid.ncells, 6, 6)))
+    x = rng.standard_normal(grid.ndofs)
+    xm = (x.reshape(-1, 3) - x.reshape(-1, 3).mean(axis=0)).ravel()
+    assert np.abs(op.precondition(op.matvec(x)) - xm).max() <= 1e-12 * np.abs(x).max()
+    gload = rng.standard_normal((grid.ncells, 8, 6))
+    _, iters, _ = conjugate_gradient(op, -op.rhs(gload), 1e-10,
+                                     noise_floor=op.rhs_noise_floor(gload))
+    assert iters == 1
+
+
+def _column_operator(n, n3, slab):
+    """Contrast-30 isotropic column: an in-plane box, a quarter of the cell, through x3."""
+    soft = qf_isotropic(1.0, 1.0).matrix
+    mask = np.zeros((n, n, n3), dtype=bool)
+    mask[: n // 2, : n // 2] = True
+    cellC = np.where(mask[..., None, None], 30.0 * soft, soft).reshape(-1, 6, 6)
+    grid = (build_slab_grid if slab else build_cell_grid)(n, n, n3)
+    return ElementOperator(grid, cellC)
+
+
+@pytest.mark.parametrize("n, n3, slab", [(8, 8, False), (6, 3, True)])
+def test_iterations_do_not_grow_with_the_grid(n, n3, slab):
+    # doubling every axis (8x the unknowns) at most doubles the iterations
+    maxima = []
+    for k in (1, 2):
+        op = _column_operator(k * n, k * n3, slab)
+        loads = list(np.eye(6))
+        if slab:
+            loads = [op.grid.x3q[:, :, None] * g for g in loads[:3]] + loads[:3]
+        _, _, solves = solve_loads(op, loads, 1e-10)
+        maxima.append(max(it for it, _ in solves))
+    assert 0 < maxima[1] <= 2 * maxima[0]
+
+
+def test_regime_reports_name_the_preconditioner():
+    rng = np.random.default_rng(56)
+    for report in (bending_form_regime1(random_cell(rng)), bending_form_regime2(random_slab(rng))):
+        assert report.diagnostics["preconditioner"] == PRECONDITIONER == "fft-reference-mean"
 
 
 def test_noise_floor_separates_real_loads_from_dust():

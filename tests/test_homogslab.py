@@ -15,6 +15,7 @@ from plate_homog import (
     slab_corrector_solve,
 )
 from plate_homog.core import IN_PLANE, OUT_OF_PLANE, embed2to3
+from plate_homog.homogslab import reduce_fibers
 
 from helpers import random_fiber, random_slab, random_spd
 
@@ -99,6 +100,19 @@ class TestFiberReduce:
         )
         with pytest.raises(DegenerateMaterialError):
             fiber_reduce(fiber)
+
+    def test_batched_reduction_matches_one_fiber_at_a_time(self):
+        rng = np.random.default_rng(39)
+        slab = random_slab(rng, nf=3, nfib=4)
+        batched = reduce_fibers(slab.fibers, slab.weights)
+        for fid in range(4):
+            one = fiber_reduce(FiberMaterial(c=slab.fibers[fid], bounds=slab.bounds,
+                                             weights=slab.weights))
+            np.testing.assert_allclose(batched[fid], one.matrix, rtol=0, atol=1e-14)
+        fibers = slab.fibers.copy()
+        fibers[2, 1][np.ix_(list(OUT_OF_PLANE), list(OUT_OF_PLANE))] = 0.0
+        with pytest.raises(DegenerateMaterialError, match="fiber 2 sample 1"):
+            reduce_fibers(fibers, slab.weights)
 
     def test_closed_form_validates_input(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -178,3 +181,13 @@ class TestBruteForceRegime2:
         slab = random_slab(rng, grid=(1, 2, 2), nf=2)
         dense = assemble_regime2(slab, np.eye(2))
         np.linalg.cholesky(dense.H[np.ix_(dense.keep, dense.keep)])
+
+
+def test_package_import_leaves_scipy_linalg_unloaded():
+    # only the dense oracle solve needs scipy; it imports it on first use
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, plate_homog; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
