@@ -28,6 +28,7 @@ from .errors import (
     SizeCapError,
     SolverError,
     SpecFormatError,
+    SweepError,
 )
 from .homog3d import (
     CellMaterial3,
@@ -84,6 +85,7 @@ __all__ = [
     "SolverError",
     "SpecFormatError",
     "SurfaceSpec",
+    "SweepError",
     "ThicknessProfile",
     "bending_form",
     "bending_form_regime1",

@@ -39,6 +39,7 @@ from .errors import (
     PlateHomogError,
     SolverError,
     SpecFormatError,
+    SweepError,
 )
 from .homog3d import CellMaterial3, bending_form_regime1
 from .homogslab import SlabMaterial, bending_form_regime2
@@ -248,10 +249,19 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
 
 
 def parse_material_spec(path, command: str | None = None) -> Scenario:
-    """Load and fully validate a scenario file (admissibility included)."""
+    """Load and fully validate a scenario file (admissibility included).
+
+    A value of the wrong type or shape anywhere in the file (a string for
+    a number, a NaN or asymmetric matrix, ...) surfaces from the readers
+    as ``ValueError`` or ``TypeError``; it is reported as a
+    ``SpecFormatError`` that names the file.
+    """
     obj = iojson.load_json(path)
     iojson.check_convention(obj, str(path))
-    return _scenario_from_dict(obj, str(path), command)
+    try:
+        return _scenario_from_dict(obj, str(path), command)
+    except (ValueError, TypeError) as exc:
+        raise SpecFormatError(f"{path}: malformed value: {exc}") from exc
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -361,21 +371,17 @@ def _run_oracle_check(scenario: Scenario, out_dir: Path) -> dict:
     loads = [mandel2(np.eye(2))]
     for m in rng.standard_normal((nloads - 1, 2, 2)):
         loads.append(mandel2(0.5 * (m + m.T)))
-    diffs = []
     if isinstance(material, CellMaterial3):
         report = bending_form_regime1(material, tol=tol)
-        for a2 in loads:
-            solver_value = report.form.eval_mandel(a2)
-            oracle_value = oracle.brute_force_regime1(
-                material, a2, x3_samples=scenario.settings["x3_samples"]
-            )
-            diffs.append(abs(solver_value - oracle_value) / max(abs(oracle_value), 1e-30))
+        dense = oracle.assemble_regime1(material, scenario.settings["x3_samples"])
     else:
         report = bending_form_regime2(material, tol=tol)
-        for a2 in loads:
-            solver_value = report.form.eval_mandel(a2)
-            oracle_value = oracle.brute_force_regime2(material, a2)
-            diffs.append(abs(solver_value - oracle_value) / max(abs(oracle_value), 1e-30))
+        dense = oracle.assemble_regime2(material)
+    oracle_values = dense.solve(loads)
+    diffs = [
+        abs(report.form.eval_mandel(a2) - value) / max(abs(value), 1e-30)
+        for a2, value in zip(loads, oracle_values)
+    ]
     worst = float(max(diffs))
     out = {
         "convention": iojson.CONVENTION,
@@ -427,19 +433,35 @@ def _max_workers() -> int:
 
 
 def _run_sweep(scenario: Scenario, out_dir: Path) -> dict:
-    results = {}
+    """Run every sub-scenario; a failed one does not stop the others.
+
+    The summary CSV is always written; a failed scenario has an empty
+    artifact.  If any failed, the sweep then raises ``SweepError`` with
+    the worst exit code, naming each failed scenario and its exit code.
+    """
+    results, failures = {}, {}
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
         futures = {
             pool.submit(run_scenario, sub, out_dir): sub.name for sub in scenario.subs
         }
         for future, name in futures.items():
-            results[name] = future.result()
+            try:
+                results[name] = future.result()
+            except PlateHomogError as exc:
+                failures[name] = exc
     csv_path = out_dir / f"{scenario.name}-summary.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "artifact"])
         for sub in scenario.subs:
-            writer.writerow([sub.name, results[sub.name].get("artifact", "")])
+            writer.writerow([sub.name, results.get(sub.name, {}).get("artifact", "")])
+    if failures:
+        raise SweepError(
+            f"{len(failures)} of {len(scenario.subs)} sweep scenarios failed (summary {csv_path}): "
+            + "; ".join(f"{name}: {type(exc).__name__} (exit {exc.exit_code}): {exc}"
+                        for name, exc in failures.items()),
+            exit_code=max(exc.exit_code for exc in failures.values()),
+        )
     return {"artifact": str(csv_path), "scenarios": results}
 
 

@@ -55,3 +55,11 @@ class SizeCapError(PlateHomogError):
     """Dense oracle problem exceeds the unknown-count cap."""
 
     exit_code = EXIT_SIZE_CAP
+
+
+class SweepError(PlateHomogError):
+    """One or more scenarios of a sweep failed; carries the worst exit code."""
+
+    def __init__(self, message, exit_code):
+        super().__init__(message)
+        self.exit_code = exit_code

@@ -28,6 +28,7 @@ then depends on the contrast of C against C0, not on the grid size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -241,9 +242,14 @@ class ElementOperator:
         went into each entry, so anything at 1e-12 of it is noise (the
         true cancellation error sits near 1e-16 of it).
         """
-        y = self._assemble(np.abs(self.cellC), np.abs(self.grid.B),
-                           np.abs(self._load_field(gload)))
+        abs_cellC, abs_B = self._abs_parts
+        y = self._assemble(abs_cellC, abs_B, self._load_field(np.abs(gload)))
         return 1e-12 * float(np.linalg.norm(y))
+
+    @cached_property
+    def _abs_parts(self):
+        """``|cellC|`` and ``|B|`` for ``rhs_noise_floor``, taken once per operator."""
+        return np.abs(self.cellC), np.abs(self.grid.B)
 
     def strains(self, x: np.ndarray, gload=None) -> np.ndarray:
         """Total Mandel strain (ncells, 8, 6) of nodal field plus load."""

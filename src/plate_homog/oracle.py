@@ -37,29 +37,43 @@ _D_MAP[3, 1] = 1.0 / np.sqrt(2.0)
 _D_MAP[4, 0] = 1.0 / np.sqrt(2.0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class DenseProblem:
-    """Assembled joint quadratic: energy(u) = c0 + 2 b^T u + u^T H u.
+    """Joint quadratic of a curvature ``a``: energy(u) = a^T C a + 2 (B a)^T u + u^T H u.
 
-    Periodicity is already built into the node indices; ``keep`` lists
-    the unknowns that survive gauge elimination (one grounded node per
-    corrector field).  On that reduced set H is positive definite.
+    H does not depend on the load, the load vector ``B a`` is linear and
+    the constant ``a^T C a`` quadratic in it.  Periodicity is built into
+    the node indices and the gauge is already eliminated: one grounded
+    node per corrector field is left out of the numbering, so H is
+    positive definite.  ``solve`` factors H in place, so a problem is
+    solved once; afterwards ``H`` is None.
     """
 
-    H: np.ndarray
-    b: np.ndarray
-    c0: float
-    keep: np.ndarray
+    H: np.ndarray | None     # (n, n)
+    B: np.ndarray            # (n, 3) load map
+    C: np.ndarray            # (3, 3)
 
-    def solve(self) -> float:
+    def solve(self, loads) -> np.ndarray:
+        """Minimal energies of the curvatures ``loads`` (k Mandel 3-vectors).
+
+        One Cholesky factorization of H serves every load: the right-hand
+        sides ``-B a_k`` are the columns of one solve.  The factor
+        overwrites H, so no second dense matrix is held: H is symmetric,
+        its transpose is the Fortran-ordered array LAPACK factors without
+        a copy, and its upper triangle is H's lower one.
+        """
+        if self.H is None:
+            raise ValueError("this DenseProblem was solved already: its H holds the factor")
         # scipy is imported here, not at module level, so that importing
         # the package (every CLI command) does not pay for scipy.linalg.
         from scipy.linalg import cho_factor, cho_solve
 
-        Hr = self.H[np.ix_(self.keep, self.keep)]
-        br = self.b[self.keep]
-        u = cho_solve(cho_factor(Hr, lower=True), -br)
-        return float(self.c0 + br @ u)
+        H, self.H = self.H, None
+        factor = cho_factor(H.T, lower=False, overwrite_a=True)
+        a = np.atleast_2d(np.asarray(loads, dtype=float))
+        b = self.B @ a.T
+        u = cho_solve(factor, -b)
+        return np.einsum("ki,ij,kj->k", a, self.C, a) + np.einsum("ik,ik->k", b, u)
 
 
 def _as_mandel2(A) -> np.ndarray:
@@ -71,7 +85,40 @@ def _as_mandel2(A) -> np.ndarray:
     raise ValueError("curvature argument must be a 2x2 matrix or Mandel 3-vector")
 
 
-def assemble_regime1(material: CellMaterial3, A, x3_samples: int) -> DenseProblem:
+def _sum_blocks(blocks, x3, cols, ntotal, drop) -> DenseProblem:
+    """Sum local blocks into the joint quadratic, gauge unknowns dropped.
+
+    Block ``n`` (nloc x nloc, quadrature weight included, its first three
+    local unknowns the mid-plane strain) sits at the global unknowns
+    ``cols[n]``.  Its curvature load is the strain ``x3[n] * iota(a)``,
+    so it adds ``x3[n] * blocks[n][:, :3]`` to the load map and
+    ``x3[n]**2 * blocks[n][:3, :3]`` to C.  The unknowns in ``drop`` are
+    grounded; the others keep their order and are summed straight into
+    that reduced numbering, one ``np.bincount`` each for H and the load
+    map, in block order.  ``blocks`` is consumed: the entries of grounded
+    unknowns are zeroed in place and summed into index 0, which changes
+    no sum and needs no masked copy of the index arrays.
+    """
+    number = np.ones(ntotal, dtype=np.int64)
+    number[drop] = 0
+    n = int(number.sum())
+    number = np.where(number > 0, np.cumsum(number) - 1, -1)
+    rows = number[cols]                                      # (nblocks, nloc)
+    grounded = rows < 0
+    blocks[grounded] = 0.0
+    blocks.transpose(0, 2, 1)[grounded] = 0.0
+    rows[grounded] = 0
+
+    C = np.einsum("n,nij->ij", x3 * x3, blocks[:, :3, :3])
+    B = np.bincount((rows[:, :, None] * 3 + np.arange(3)).ravel(),
+                    weights=(x3[:, None, None] * blocks[:, :, :3]).ravel(),
+                    minlength=3 * n).reshape(n, 3)
+    H = np.bincount((rows[:, :, None] * n + rows[:, None, :]).ravel(),
+                    weights=blocks.ravel(), minlength=n * n).reshape(n, n)
+    return DenseProblem(H=H, B=B, C=C)
+
+
+def assemble_regime1(material: CellMaterial3, x3_samples: int) -> DenseProblem:
     """Joint quadratic over (mid-plane strain, d(x3_i), corrector(x3_i)).
 
     The thickness integral runs over Gauss-Legendre nodes, which
@@ -83,7 +130,6 @@ def assemble_regime1(material: CellMaterial3, A, x3_samples: int) -> DenseProble
     if x3_samples < 2:
         raise ValueError("need at least 2 thickness nodes")
     material.check()
-    a2 = _as_mandel2(A)
     grid = build_cell_grid(*material.grid_shape)
     ndofs = grid.ndofs
     m = int(x3_samples)
@@ -94,42 +140,31 @@ def assemble_regime1(material: CellMaterial3, A, x3_samples: int) -> DenseProble
     xg, wg = np.polynomial.legendre.leggauss(m)
     xg, wg = 0.5 * xg, 0.5 * wg
 
-    cellC = material.flat()
     # Local unknown layout per (slice, cell): [b(3) | d_i(3) | phi cell dofs(24)].
     PD = np.concatenate([EMBED_2_TO_3, _D_MAP], axis=1)      # (6, 6)
     Gq = np.concatenate([np.broadcast_to(PD, (8, 6, 6)), grid.B], axis=2)  # (8,6,30)
-    Mcell = np.einsum("qia,cij,qjb,q->cab", Gq, cellC, Gq, grid.wq)        # (ncells,30,30)
+    Mcell = np.einsum("qia,cij,qjb,q->cab", Gq, material.flat(), Gq, grid.wq,
+                      optimize=True)                          # (ncells,30,30)
 
-    H = np.zeros((ntotal, ntotal))
-    b = np.zeros(ntotal)
-    c0 = 0.0
     cell_dofs = (3 * grid.idx[:, :, None] + np.arange(3)).reshape(grid.ncells, 24)
-    for i in range(m):
-        off_d = 3 + 3 * i
-        off_phi = 3 + 3 * m + i * ndofs
-        for c in range(grid.ncells):
-            cols = np.concatenate(
-                [np.arange(3), off_d + np.arange(3), off_phi + cell_dofs[c]]
-            )
-            M = Mcell[c]
-            np.add.at(H, np.ix_(cols, cols), wg[i] * M)
-            np.add.at(b, cols, wg[i] * xg[i] * (M[:, :3] @ a2))
-            c0 += wg[i] * xg[i] ** 2 * float(a2 @ M[:3, :3] @ a2)
-
+    cols = np.concatenate([
+        np.broadcast_to(np.arange(3), (m, grid.ncells, 3)),
+        np.broadcast_to(3 + 3 * np.arange(m)[:, None, None] + np.arange(3), (m, grid.ncells, 3)),
+        3 + 3 * m + ndofs * np.arange(m)[:, None, None] + cell_dofs,
+    ], axis=2).reshape(m * grid.ncells, 30)
     # Ground the last node of each slice's corrector field.
-    drop = np.concatenate(
-        [3 + 3 * m + i * ndofs + (ndofs - 3) + np.arange(3) for i in range(m)]
-    )
-    keep = np.setdiff1d(np.arange(ntotal), drop)
-    return DenseProblem(H=H, b=b, c0=c0, keep=keep)
+    drop = (3 + 3 * m + ndofs * np.arange(m)[:, None] + (ndofs - 3) + np.arange(3)).ravel()
+    blocks = (wg[:, None, None, None] * Mcell).reshape(m * grid.ncells, 30, 30)
+    return _sum_blocks(blocks, np.repeat(xg, grid.ncells), cols, ntotal, drop)
 
 
 def brute_force_regime1(material: CellMaterial3, A, x3_samples: int = 8) -> float:
     """Minimal joint energy; deterministic dense factorization."""
-    return assemble_regime1(material, A, x3_samples).solve()
+    a2 = _as_mandel2(A)
+    return float(assemble_regime1(material, x3_samples).solve([a2])[0])
 
 
-def assemble_regime2(slab: SlabMaterial, A) -> DenseProblem:
+def assemble_regime2(slab: SlabMaterial) -> DenseProblem:
     """Joint quadratic over (mid-plane strain, corrector, fiber fluctuations).
 
     The zero-mean fluctuation d(y3) at each quadrature point is expanded
@@ -137,7 +172,6 @@ def assemble_regime2(slab: SlabMaterial, A) -> DenseProblem:
     from the solver pipeline is reused.
     """
     slab.check()
-    a2 = _as_mandel2(A)
     grid = build_slab_grid(*slab.grid_shape)
     ndofs = grid.ndofs
     nf = slab.fiber_samples
@@ -153,42 +187,32 @@ def assemble_regime2(slab: SlabMaterial, A) -> DenseProblem:
     Z[: nf - 1, :] = np.eye(nf - 1)
     Z[nf - 1, :] = -wf[: nf - 1] / wf[nf - 1]
 
-    stacks = slab.cell_fiber_stacks()       # (ncells, nf, 6, 6)
+    # Local unknown layout per (cell, quadrature point): [b(3) | cell dofs(24) | z(nz)];
+    # G[q, j] maps it to the strain at fiber sample j.
     nloc = 3 + 24 + nz
-    Gj = np.zeros((nf, 6, nloc))
-    Gj[:, :, :3] = EMBED_2_TO_3
+    G = np.zeros((8, nf, 6, nloc))
+    G[..., :3] = EMBED_2_TO_3
+    G[..., 3:27] = grid.B[:, None]
     for j in range(nf):
-        Gj[j, :, 27:] = np.kron(Z[j], _D_MAP)
+        G[:, j, :, 27:] = np.kron(Z[j], _D_MAP)
+    stacks = slab.cell_fiber_stacks()       # (ncells, nf, 6, 6)
+    CG = stacks[:, None] @ G                # (ncells, 8, nf, 6, nloc)
+    blocks = np.einsum("q,j,qjia,cqjib->cqab", grid.wq, wf, G, CG, optimize=True)
 
-    H = np.zeros((ntotal, ntotal))
-    b = np.zeros(ntotal)
-    c0 = 0.0
     cell_dofs = (3 * grid.idx[:, :, None] + np.arange(3)).reshape(grid.ncells, 24)
-    Pa = EMBED_2_TO_3 @ a2
-    zoff = 3 + ndofs
-    for c in range(grid.ncells):
-        Cf = stacks[c]
-        for q in range(8):
-            Gj[:, :, 3:27] = grid.B[q]
-            CG = np.einsum("jik,jkl->jil", Cf, Gj)
-            Hloc = grid.wq[q] * np.einsum("j,jia,jib->ab", wf, Gj, CG)
-            gfix = grid.x3q[c, q] * Pa
-            bloc = grid.wq[q] * np.einsum("j,jia,ji->a", wf, Gj, Cf @ gfix)
-            cols = np.concatenate(
-                [np.arange(3), 3 + cell_dofs[c], zoff + (c * 8 + q) * nz + np.arange(nz)]
-            )
-            np.add.at(H, np.ix_(cols, cols), Hloc)
-            np.add.at(b, cols, bloc)
-            c0 += grid.wq[q] * float(wf @ np.einsum("i,jik,k->j", gfix, Cf, gfix))
-
+    cols = np.concatenate([
+        np.broadcast_to(np.arange(3), (grid.ncells, 8, 3)),
+        np.broadcast_to(3 + cell_dofs[:, None], (grid.ncells, 8, 24)),
+        3 + ndofs + nz * np.arange(grid.ncells * 8).reshape(grid.ncells, 8, 1) + np.arange(nz),
+    ], axis=2).reshape(-1, nloc)
     drop = 3 + (ndofs - 3) + np.arange(3)   # ground the last corrector node
-    keep = np.setdiff1d(np.arange(ntotal), drop)
-    return DenseProblem(H=H, b=b, c0=c0, keep=keep)
+    return _sum_blocks(blocks.reshape(-1, nloc, nloc), grid.x3q.ravel(), cols, ntotal, drop)
 
 
 def brute_force_regime2(slab: SlabMaterial, A) -> float:
     """Minimal joint energy for the slab scaling; dense factorization."""
-    return assemble_regime2(slab, A).solve()
+    a2 = _as_mandel2(A)
+    return float(assemble_regime2(slab).solve([a2])[0])
 
 
 def bilayer_closed_form(c1: float, c2: float, base: QuadForm2) -> QuadForm2:

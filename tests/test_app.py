@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from plate_homog import QuadForm2, SpecFormatError, parse_material_spec, plate_energy
+from plate_homog import QuadForm2, SolverError, SpecFormatError, parse_material_spec, plate_energy
 from plate_homog.app import SurfaceSpec, main
 from plate_homog.errors import (
     EXIT_ADMISSIBILITY,
@@ -222,6 +222,26 @@ class TestCommands:
         assert out["passed"] is True
         assert out["max_relative_difference"] <= 1e-10
 
+    @pytest.mark.parametrize("fixture", ["oracle_check_cell.json", "homog_regime2_laminate.json"])
+    def test_oracle_check_factors_once(self, fixtures_dir, tmp_path, monkeypatch, fixture):
+        import scipy.linalg
+
+        calls = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        spec = dict(load_json(fixtures_dir / fixture), command="oracle-check", name="probe",
+                    settings={"oracle_loads": 16})
+        rc = main(["oracle-check", "--spec", str(write_spec(tmp_path, spec)),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert len(calls) == 1
+        assert load_json(tmp_path / "probe-oracle-check.json")["max_relative_difference"] <= 1e-10
+
     def test_sweep_with_thread_cap(self, fixtures_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("PLATE_HOMOG_THREADS", "1")
         rc = main(["sweep", "--spec", str(fixtures_dir / "sweep_regimes.json"),
@@ -232,6 +252,32 @@ class TestCommands:
         assert {r["scenario"] for r in rows} == {"laminate-r1", "laminate-r2"}
         for r in rows:
             assert (tmp_path / r["artifact"].split("/")[-1]).exists()
+
+    def test_sweep_survives_a_failed_scenario(self, fixtures_dir, tmp_path, monkeypatch, capsys):
+        from plate_homog import app as app_module
+
+        def fail(*args, **kwargs):
+            raise SolverError("forced failure")
+
+        monkeypatch.setenv("PLATE_HOMOG_THREADS", "2")
+        monkeypatch.setattr(app_module, "bending_form_regime2", fail)
+        rc = main(["sweep", "--spec", str(fixtures_dir / "sweep_regimes.json"),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+        with open(tmp_path / "regimes-summary.csv") as fh:
+            rows = {r["scenario"]: r for r in csv.DictReader(fh)}
+        assert rows["laminate-r1"]["artifact"].endswith("laminate-r1-report.json")
+        assert (tmp_path / "laminate-r1-report.json").exists()
+        assert rows["laminate-r2"]["artifact"] == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["exit_code"] == EXIT_SOLVER
+        assert payload["error"] == "SweepError"
+        assert "laminate-r2: SolverError (exit 4)" in payload["message"]
+        assert "laminate-r1" not in payload["message"]
 
     def test_grid_refinement_override(self, fixtures_dir, tmp_path):
         rc = main(["homog-regime1", "--spec", str(fixtures_dir / "homog_regime1_laminate.json"),
@@ -287,11 +333,37 @@ class TestExitCodes:
     def test_oracle_mismatch_is_solver_error(self, fixtures_dir, tmp_path, monkeypatch):
         from plate_homog import app as app_module
 
-        monkeypatch.setattr(app_module.oracle, "brute_force_regime1",
-                            lambda material, a, x3_samples: 123.0)
+        monkeypatch.setattr(app_module.oracle.DenseProblem, "solve",
+                            lambda self, loads: np.full(len(loads), 123.0))
         rc = main(["oracle-check", "--spec", str(fixtures_dir / "oracle_check_cell.json"),
                    "--out", str(tmp_path)])
         assert rc == EXIT_SOLVER
+
+    @pytest.mark.parametrize("command, material, settings", [
+        pytest.param("reduce", {"kind": "form3", "matrix": [[float("nan")] + [0.0] * 5]
+                                + np.eye(6)[1:].tolist()}, {}, id="form3-nan"),
+        pytest.param("reduce", {"kind": "form3", "matrix": (np.eye(6) + 0.5 * np.eye(6, k=1)).tolist()},
+                     {}, id="form3-asymmetric"),
+        pytest.param("reduce", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, {"tol": "abc"},
+                     id="tol-string"),
+        pytest.param("homog-regime1", {"kind": "isotropic-field", "grid": [1, 1, 2],
+                                       "mu_grid": ["x", 1.5], "lambda_grid": [0.0, 0.0]}, {},
+                     id="mu-grid-string"),
+        pytest.param("homog-regime1", {"kind": "isotropic-field", "grid": "ab",
+                                       "mu_grid": [0.5, 1.5], "lambda_grid": [0.0, 0.0]}, {},
+                     id="grid-string"),
+    ])
+    def test_malformed_value_is_parse_error(self, tmp_path, capsys, command, material, settings):
+        spec = {"convention": CONVENTION, "command": command, "material": material,
+                "settings": settings}
+        path = write_spec(tmp_path, spec)
+        assert main([command, "--spec", str(path), "--out", str(tmp_path)]) == EXIT_PARSE
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "SpecFormatError"
+        assert payload["exit_code"] == EXIT_PARSE
+        assert str(path) in payload["message"]
 
     def test_error_payload_on_stderr(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

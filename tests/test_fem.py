@@ -30,6 +30,17 @@ def test_operator_symmetric_positive_semidefinite():
     assert np.linalg.eigvalsh(0.5 * (K + K.T)).min() >= -1e-10
 
 
+@pytest.mark.parametrize("grid", [build_cell_grid(3, 4, 5), build_slab_grid(4, 3, 2)])
+def test_noise_floor_equals_assembly_of_absolute_values(grid):
+    # bit for bit the formula it replaces: the same assembly run on |C|, |B| and |load|
+    rng = np.random.default_rng(58)
+    op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
+    for g in (rng.standard_normal(6), rng.standard_normal((grid.ncells, 8, 6))):
+        full = np.abs(op._load_field(g))
+        y = op._assemble(np.abs(op.cellC), np.abs(op.grid.B), np.ascontiguousarray(full))
+        assert op.rhs_noise_floor(g) == 1e-12 * float(np.linalg.norm(y))
+
+
 def test_energy_expansion_identity():
     # E(x) = E(0) + 2 rhs(g) . x + x . K x for the quadratic energy
     rng = np.random.default_rng(52)

@@ -19,6 +19,8 @@ from plate_homog import (
     plane_stress_reduce,
     qf_isotropic,
 )
+from plate_homog.core import EMBED_2_TO_3
+from plate_homog.fem import build_cell_grid, build_slab_grid
 from plate_homog.oracle import assemble_regime1, assemble_regime2
 
 from helpers import random_cell, random_slab
@@ -125,8 +127,8 @@ class TestBruteForceRegime1:
     def test_reduced_matrix_positive_definite(self):
         rng = np.random.default_rng(44)
         mat = random_cell(rng, grid=(2, 2, 2))
-        dense = assemble_regime1(mat, np.eye(2), x3_samples=3)
-        np.linalg.cholesky(dense.H[np.ix_(dense.keep, dense.keep)])
+        dense = assemble_regime1(mat, x3_samples=3)
+        np.linalg.cholesky(dense.H)
 
 
 class TestBruteForceRegime2:
@@ -179,8 +181,108 @@ class TestBruteForceRegime2:
     def test_reduced_matrix_positive_definite(self):
         rng = np.random.default_rng(46)
         slab = random_slab(rng, grid=(1, 2, 2), nf=2)
-        dense = assemble_regime2(slab, np.eye(2))
-        np.linalg.cholesky(dense.H[np.ix_(dense.keep, dense.keep)])
+        dense = assemble_regime2(slab)
+        np.linalg.cholesky(dense.H)
+
+
+# Mandel coordinates of the symmetric part of (0|0|d), d = (d1, d2, d3).
+D_MAP = np.zeros((6, 3))
+D_MAP[2, 2] = 1.0
+D_MAP[[3, 4], [1, 0]] = 1.0 / np.sqrt(2.0)
+
+
+def _node_dofs(grid, c):
+    return (3 * grid.idx[c][:, None] + np.arange(3)).ravel()
+
+
+def _reduce(H, B, C, drop):
+    keep = np.setdiff1d(np.arange(H.shape[0]), drop)
+    return H[np.ix_(keep, keep)], B[keep], C
+
+
+def loop_regime1(material, m):
+    """H, B, C of the regime-1 joint quadratic, one element and one quadrature point at a time."""
+    grid = build_cell_grid(*material.grid_shape)
+    n = grid.ndofs
+    ntotal = 3 + 3 * m + m * n
+    xg, wg = np.polynomial.legendre.leggauss(m)
+    xg, wg = 0.5 * xg, 0.5 * wg
+    H, B, C = np.zeros((ntotal, ntotal)), np.zeros((ntotal, 3)), np.zeros((3, 3))
+    for i in range(m):
+        for c, Cc in enumerate(material.flat()):
+            cols = np.concatenate([np.arange(3), 3 + 3 * i + np.arange(3),
+                                   3 + 3 * m + i * n + _node_dofs(grid, c)])
+            M = np.zeros((30, 30))
+            for q in range(8):
+                G = np.concatenate([EMBED_2_TO_3, D_MAP, grid.B[q]], axis=1)
+                M += grid.wq[q] * G.T @ Cc @ G
+            np.add.at(H, np.ix_(cols, cols), wg[i] * M)
+            np.add.at(B, cols, wg[i] * xg[i] * M[:, :3])
+            C += wg[i] * xg[i] ** 2 * M[:3, :3]
+    drop = [3 + 3 * m + i * n + n - 3 + k for i in range(m) for k in range(3)]
+    return _reduce(H, B, C, drop)
+
+
+def loop_regime2(slab):
+    """H, B, C of the regime-2 joint quadratic, one element and one quadrature point at a time."""
+    grid = build_slab_grid(*slab.grid_shape)
+    n = grid.ndofs
+    nf, wf = slab.fiber_samples, slab.weights
+    nz = 3 * (nf - 1)
+    ntotal = 3 + n + grid.ncells * 8 * nz
+    H, B, C = np.zeros((ntotal, ntotal)), np.zeros((ntotal, 3)), np.zeros((3, 3))
+    for c, stack in enumerate(slab.cell_fiber_stacks()):
+        for q in range(8):
+            cols = np.concatenate([np.arange(3), 3 + _node_dofs(grid, c),
+                                   3 + n + (8 * c + q) * nz + np.arange(nz)])
+            M = np.zeros((27 + nz, 27 + nz))
+            for j in range(nf):
+                # fluctuation basis: samples 0..nf-2 free, the last one keeps the weighted mean zero
+                zj = np.eye(nf - 1)[j] if j < nf - 1 else -wf[:-1] / wf[-1]
+                G = np.concatenate([EMBED_2_TO_3, grid.B[q], np.kron(zj, D_MAP)], axis=1)
+                M += grid.wq[q] * wf[j] * G.T @ stack[j] @ G
+            x3 = grid.x3q[c, q]
+            np.add.at(H, np.ix_(cols, cols), M)
+            np.add.at(B, cols, x3 * M[:, :3])
+            C += x3 ** 2 * M[:3, :3]
+    return _reduce(H, B, C, 3 + n - 3 + np.arange(3))
+
+
+def _assert_same_quadratic(dense, expected):
+    for got, ref in zip((dense.H, dense.B, dense.C), expected):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestDenseAssembly:
+    @pytest.mark.parametrize("grid, m", [((4, 4, 4), 3), ((1, 1, 6), 4), ((2, 2, 6), 3)])
+    def test_regime1_equals_element_loop(self, grid, m):
+        # one-cell axes list the same periodic node twice in one element
+        mat = random_cell(np.random.default_rng(47), grid=grid)
+        _assert_same_quadratic(assemble_regime1(mat, m), loop_regime1(mat, m))
+
+    @pytest.mark.parametrize("grid, nf", [((3, 3, 3), 3), ((1, 1, 2), 2)])
+    def test_regime2_equals_element_loop(self, grid, nf):
+        slab = random_slab(np.random.default_rng(48), grid=grid, nf=nf)
+        _assert_same_quadratic(assemble_regime2(slab), loop_regime2(slab))
+
+    @pytest.mark.parametrize("regime", [1, 2])
+    def test_solve_equals_one_minimization_per_load(self, regime):
+        rng = np.random.default_rng(49)
+        if regime == 1:
+            dense = assemble_regime1(random_cell(rng, grid=(2, 2, 2)), x3_samples=3)
+        else:
+            dense = assemble_regime2(random_slab(rng, grid=(2, 2, 2), nf=3))
+        loads = rng.standard_normal((5, 3))
+        expected = []
+        for a in loads:
+            b = dense.B @ a
+            expected.append(a @ dense.C @ a + b @ np.linalg.solve(dense.H, -b))
+        assert dense.solve(loads) == pytest.approx(expected, rel=1e-12)
+        # the factor overwrote H: a second solve is refused, not answered from it
+        assert dense.H is None
+        with pytest.raises(ValueError, match="solved already"):
+            dense.solve(loads)
 
 
 def test_package_import_leaves_scipy_linalg_unloaded():
