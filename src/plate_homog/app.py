@@ -52,17 +52,6 @@ from .reduction import (
     reduce_profile,
 )
 
-COMMANDS = (
-    "reduce",
-    "bending",
-    "homog-regime1",
-    "homog-regime2",
-    "oscillate",
-    "oracle-check",
-    "energy",
-    "sweep",
-)
-
 THREADS_ENV = "PLATE_HOMOG_THREADS"
 
 DEFAULT_SETTINGS = {
@@ -468,13 +457,14 @@ def _run_sweep(scenario: Scenario, out_dir: Path) -> dict:
 _RUNNERS = {
     "reduce": _run_reduce,
     "bending": _run_bending,
-    "oscillate": _run_oscillate,
     "homog-regime1": _run_regime,
     "homog-regime2": _run_regime,
+    "oscillate": _run_oscillate,
     "oracle-check": _run_oracle_check,
     "energy": _run_energy,
     "sweep": _run_sweep,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run_scenario(scenario: Scenario, out_dir) -> dict:

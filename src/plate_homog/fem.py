@@ -13,7 +13,10 @@ for the dense oracles:
   in-plane axes only (slab grids, natural boundary across thickness).
 
 Strains live in Mandel coordinates throughout, so each quadrature point
-contributes ``w_q * (g + B_q u)^T C (g + B_q u)`` to the energy.
+contributes ``w_q * (g + B_q u)^T C (g + B_q u)`` to the energy.  ``K x``
+is grouped, one 24x24 element matrix per distinct cell law, when a law
+covers at least ``LAW_CELLS`` cells on average, and stacked otherwise:
+all 8 quadrature points in 48-row products around one 6x6 law per cell.
 
 Corrector solves run conjugate gradients preconditioned by the exact
 inverse of the stiffness of one constant reference law C0 (the cell mean
@@ -37,6 +40,15 @@ from .core import SQRT2
 from .errors import SolverError
 
 GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
+GAUSS_POINTS = (0.5 - GAUSS_OFFSET, 0.5 + GAUSS_OFFSET)
+
+# ``matvec`` takes the grouped form when a law covers at least this many cells
+# on average: both forms cost the same at 6-8 cells per law on 256-4096 cells.
+LAW_CELLS = 8
+
+_NODE = np.dtype((np.void, 24))      # a node's three components, gathered as one item
+# Odd multipliers of the law hash in ``_distinct_laws`` (products wrap mod 2**64).
+_LAW_HASH = np.arange(1, 73, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
 # Reported as ``diagnostics.preconditioner`` by both regime pipelines.
 PRECONDITIONER = "fft-reference-mean"
@@ -47,10 +59,6 @@ PRECONDITIONER = "fft-reference-mean"
 STALL_ITERATIONS = 50
 
 
-def _gauss_points_1d():
-    return (0.5 - GAUSS_OFFSET, 0.5 + GAUSS_OFFSET)
-
-
 def build_b_matrices(h) -> np.ndarray:
     """Strain-displacement matrices (8, 6, 24) at the 2x2x2 Gauss points.
 
@@ -59,9 +67,8 @@ def build_b_matrices(h) -> np.ndarray:
     Rows are Mandel strain slots (11, 22, 33, s2*23, s2*13, s2*12).
     """
     h = np.asarray(h, dtype=float)
-    pts = _gauss_points_1d()
     B = np.zeros((8, 6, 24))
-    for qi, (x0, x1, x2) in enumerate(product(pts, repeat=3)):
+    for qi, (x0, x1, x2) in enumerate(product(GAUSS_POINTS, repeat=3)):
         for a, (da, db, dc) in enumerate(product((0, 1), repeat=3)):
             f0, d0 = (x0, 1.0) if da else (1.0 - x0, -1.0)
             f1, d1 = (x1, 1.0) if db else (1.0 - x1, -1.0)
@@ -108,28 +115,27 @@ class Grid:
         return 3 * self.nnodes
 
 
-def build_cell_grid(n1: int, n2: int, n3: int) -> Grid:
-    """Fully periodic unit-cell grid with n1*n2*n3 cells (= nodes)."""
+def _build_grid(kind: str, n1: int, n2: int, n3: int) -> Grid:
     if min(n1, n2, n3) < 1:
         raise ValueError("grid sizes must be at least 1 per axis")
     h = (1.0 / n1, 1.0 / n2, 1.0 / n3)
+    m3 = n3 if kind == "cell" else n3 + 1      # node planes across the thickness
     i, j, k = np.meshgrid(np.arange(n1), np.arange(n2), np.arange(n3), indexing="ij")
     idx = np.empty((n1 * n2 * n3, 8), dtype=np.int64)
     for a, (da, db, dc) in enumerate(product((0, 1), repeat=3)):
-        idx[:, a] = (
-            ((i + da) % n1) * n2 * n3 + ((j + db) % n2) * n3 + ((k + dc) % n3)
-        ).ravel()
-    vol = h[0] * h[1] * h[2]
-    wq = np.full(8, vol / 8.0)
-    return Grid(
-        kind="cell",
-        shape=(n1, n2, n3),
-        node_shape=(n1, n2, n3),
-        idx=idx,
-        B=build_b_matrices(h),
-        wq=wq,
-        h=h,
-    )
+        idx[:, a] = (((i + da) % n1) * n2 * m3 + ((j + db) % n2) * m3 + (k + dc) % m3).ravel()
+    x3q = None
+    if kind == "slab":
+        x3q = np.empty((n1 * n2 * n3, 8))
+        for qi, (_, _, x2) in enumerate(product(GAUSS_POINTS, repeat=3)):
+            x3q[:, qi] = -0.5 + (k.ravel() + x2) * h[2]
+    return Grid(kind=kind, shape=(n1, n2, n3), node_shape=(n1, n2, m3), idx=idx,
+                B=build_b_matrices(h), wq=np.full(8, h[0] * h[1] * h[2] / 8.0), h=h, x3q=x3q)
+
+
+def build_cell_grid(n1: int, n2: int, n3: int) -> Grid:
+    """Fully periodic unit-cell grid with n1*n2*n3 cells (= nodes)."""
+    return _build_grid("cell", n1, n2, n3)
 
 
 def build_slab_grid(n1: int, n2: int, n3: int) -> Grid:
@@ -138,33 +144,7 @@ def build_slab_grid(n1: int, n2: int, n3: int) -> Grid:
     Axis order is (y1, y2, x3); the thickness axis has ``n3`` cells and
     ``n3 + 1`` node planes over ``[-1/2, 1/2]``.
     """
-    if min(n1, n2, n3) < 1:
-        raise ValueError("grid sizes must be at least 1 per axis")
-    h = (1.0 / n1, 1.0 / n2, 1.0 / n3)
-    nplanes = n3 + 1
-    i, j, k = np.meshgrid(np.arange(n1), np.arange(n2), np.arange(n3), indexing="ij")
-    idx = np.empty((n1 * n2 * n3, 8), dtype=np.int64)
-    for a, (da, db, dc) in enumerate(product((0, 1), repeat=3)):
-        idx[:, a] = (
-            ((i + da) % n1) * n2 * nplanes + ((j + db) % n2) * nplanes + (k + dc)
-        ).ravel()
-    vol = h[0] * h[1] * h[2]
-    wq = np.full(8, vol / 8.0)
-    pts = _gauss_points_1d()
-    x3q = np.empty((n1 * n2 * n3, 8))
-    kflat = k.ravel()
-    for qi, (_, _, x2) in enumerate(product(pts, repeat=3)):
-        x3q[:, qi] = -0.5 + (kflat + x2) * h[2]
-    return Grid(
-        kind="slab",
-        shape=(n1, n2, n3),
-        node_shape=(n1, n2, nplanes),
-        idx=idx,
-        B=build_b_matrices(h),
-        wq=wq,
-        h=h,
-        x3q=x3q,
-    )
+    return _build_grid("slab", n1, n2, n3)
 
 
 class ElementOperator:
@@ -180,27 +160,43 @@ class ElementOperator:
         self.grid = grid
         self.cellC = cellC
         self._reference = None
+        first, law = _distinct_laws(cellC)
+        self.cell_laws = len(first)
+        self._idx, self._Ke = grid.idx, None
+        if LAW_CELLS * self.cell_laws <= grid.ncells:
+            self._idx = grid.idx[np.argsort(law, kind="stable")]
+            self._cuts = np.concatenate(([0], np.cumsum(np.bincount(law))))
+            self._Ke = _element_matrix(grid, cellC[first])
 
-    def _gather(self, x: np.ndarray) -> np.ndarray:
-        """Per-cell local dof vectors (ncells, 24) of a nodal field."""
-        return x.reshape(self.grid.nnodes, 3)[self.grid.idx].reshape(self.grid.ncells, 24)
+    def _gather(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Per-cell local dof vectors (ncells, 24) of a nodal field, cells as in ``idx``."""
+        nodes = np.ascontiguousarray(x, dtype=float).reshape(-1).view(_NODE)
+        return nodes.take(idx).view(float).reshape(len(idx), 24)
 
-    def _to_nodes(self, ylocal: np.ndarray) -> np.ndarray:
-        """Scatter-add per-cell local vectors (ncells, 24) into a flat nodal vector."""
-        nodes = self.grid.idx.ravel()
+    def _to_nodes(self, ylocal: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Scatter-add per-cell local vectors (ncells, 24), cells as in ``idx``, into nodes."""
+        nodes = idx.ravel()
         y = ylocal.reshape(-1, 3)
         return np.stack([np.bincount(nodes, weights=y[:, m], minlength=self.grid.nnodes)
                          for m in range(3)], axis=1).ravel()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``K x``: gather, products per quadrature point, scatter-add."""
-        u = self._gather(x)
-        ylocal = np.zeros((self.grid.ncells, 24))
-        for q in range(8):
-            g = u @ self.grid.B[q].T                 # (ncells, 6)
-            s = np.einsum("cij,cj->ci", self.cellC, g)
-            ylocal += (self.grid.wq[q] * s) @ self.grid.B[q]
-        return self._to_nodes(ylocal).reshape(x.shape)
+        """``K x``: gather, a few large products, scatter-add.
+
+        Grouped form, taken when ``LAW_CELLS * cell_laws <= ncells``:
+        cells sorted by law, one ``(cells of law l, 24) @ Ke_l`` product
+        per law.  Stacked form otherwise: strains ``u @ B^T`` (24 x 48)
+        at all 8 points at once, one batched ``(8, 6) @ C_c^T`` per
+        cell, then ``@ w B`` (48 x 24).
+        """
+        u = self._gather(x, self._idx)
+        if self._Ke is None:
+            g = (u @ self.grid.B.reshape(48, 24).T).reshape(self.grid.ncells, 8, 6)
+            return self._assemble(self.cellC, self.grid.B, g).reshape(x.shape)
+        y = np.empty_like(u)
+        for Ke, a, b in zip(self._Ke, self._cuts[:-1], self._cuts[1:]):
+            np.matmul(u[a:b], Ke, out=y[a:b])
+        return self._to_nodes(y, self._idx).reshape(x.shape)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """Zero-mean solution of ``K0 z = r`` for the reference law C0.
@@ -226,7 +222,7 @@ class ElementOperator:
         """Nodal vector ``y[v] = sum w_q (B_q v)^T cellC_c g(c, q)``."""
         s = g @ cellC.transpose(0, 2, 1)
         wB = (self.grid.wq[:, None, None] * B).reshape(48, 24)
-        return self._to_nodes(s.reshape(self.grid.ncells, 48) @ wB)
+        return self._to_nodes(s.reshape(self.grid.ncells, 48) @ wB, self.grid.idx)
 
     def rhs(self, gload) -> np.ndarray:
         """Nodal load vector ``f[v] = sum w_q (B_q v)^T C_c g(c, q)``."""
@@ -251,39 +247,50 @@ class ElementOperator:
         """``|cellC|`` and ``|B|`` for ``rhs_noise_floor``, taken once per operator."""
         return np.abs(self.cellC), np.abs(self.grid.B)
 
-    def strains(self, x: np.ndarray, gload=None) -> np.ndarray:
-        """Total Mandel strain (ncells, 8, 6) of nodal field plus load."""
-        g = np.einsum("qij,cj->cqi", self.grid.B, self._gather(x))
-        if gload is not None:
-            g = g + self._load_field(gload)
-        return g
-
-    def energy(self, x: np.ndarray, gload=None) -> float:
-        g = self.strains(x, gload)
-        return float(np.einsum("cqi,cij,cqj,q->", g, self.cellC, g, self.grid.wq))
-
     def energy_matrix(self, fields, loads) -> np.ndarray:
         """Energies ``N_ij = sum w_q g_i^T C g_j`` of total strains ``g_i = B x_i + G_i``.
 
         Row ``i`` needs only the stress ``s_i = C g_i``:
         ``N_ij = f_i . x_j + sum w_q s_i . G_j``, where ``f_i`` is the
         nodal vector of ``s_i``.  Stresses are formed one quadrature
-        point at a time, like in ``matvec``, so no strain field is held
-        whole.  The result is symmetrized.
+        point at a time, so no (ncells, 48) strain field is held whole, as
+        the stacked form of ``matvec`` would.  The result is symmetrized.
         """
         grid = self.grid
         G = [self._load_field(g) for g in loads]
         N = np.zeros((len(loads), len(loads)))
         for i, x in enumerate(fields):
-            u = self._gather(x)
+            u = self._gather(x, grid.idx)
             ylocal = np.zeros((grid.ncells, 24))
             for q in range(8):
                 s = grid.wq[q] * np.einsum("cij,cj->ci", self.cellC, u @ grid.B[q].T + G[i][:, q])
                 ylocal += s @ grid.B[q]
                 N[i] += [np.einsum("ci,ci->", s, Gj[:, q]) for Gj in G]
-            f = self._to_nodes(ylocal)
+            f = self._to_nodes(ylocal, grid.idx)
             N[i] += [f @ xj for xj in fields]
         return 0.5 * (N + N.T)
+
+
+def _distinct_laws(cellC: np.ndarray):
+    """Distinct cell laws, bit for bit: ``cellC[first[law]]`` equals ``cellC``.
+
+    An integer hash of the 36 bit patterns sorts several times faster than the
+    288-byte rows; on a collision the rows themselves are sorted.
+    """
+    bits = cellC.reshape(len(cellC), 36).view(np.uint64)
+    _, first, law = np.unique(bits @ _LAW_HASH, return_index=True, return_inverse=True)
+    if not np.array_equal(bits[first[law.ravel()]], bits):
+        rows = bits.view(np.dtype((np.void, 288))).ravel()
+        _, first, law = np.unique(rows, return_index=True, return_inverse=True)
+    return first, law.ravel()
+
+
+def _element_matrix(grid: Grid, C: np.ndarray) -> np.ndarray:
+    """Element stiffness ``sum_q w_q B_q^T C B_q`` (..., 24, 24) of laws C (..., 6, 6),
+    from the stacked quadrature's products, symmetrized to the last bit."""
+    wB = (grid.wq[:, None, None] * grid.B).reshape(48, 24)
+    Ke = wB.T @ (C[..., None, :, :] @ grid.B).reshape(*C.shape[:-2], 48, 24)
+    return 0.5 * (Ke + Ke.swapaxes(-1, -2))
 
 
 def _offset_phases(ns, ms) -> np.ndarray:
@@ -327,8 +334,7 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     zero wavevector node plane 0 is grounded and the mean is projected
     out of the input and the result.
     """
-    B, wq = grid.B, grid.wq
-    Ke = np.einsum("qia,qib,q->ab", B, np.asarray(C0, dtype=float) @ B, wq)
+    Ke = _element_matrix(grid, np.asarray(C0, dtype=float))
     n1, n2, n3 = grid.shape
     if grid.kind == "cell":
         K = _symbol(Ke, _offset_phases((n1, n2, n3), (n1, n2, n3 // 2 + 1)))

@@ -35,7 +35,7 @@ class CellMaterial3:
     """Cell-centered 6x6 Mandel matrices on a periodic n1 x n2 x n3 grid."""
 
     c: np.ndarray             # (n1, n2, n3, 6, 6)
-    bounds: MaterialBounds
+    bounds: MaterialBounds | None = None   # None: ``inferred_bounds()``
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.c, dtype=float)
@@ -43,6 +43,8 @@ class CellMaterial3:
             raise ValueError(f"cell material must be (n1, n2, n3, 6, 6), got {c.shape}")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
+        if self.bounds is None:
+            object.__setattr__(self, "bounds", self.inferred_bounds())
 
     @property
     def grid_shape(self) -> tuple:
@@ -51,25 +53,34 @@ class CellMaterial3:
     def flat(self) -> np.ndarray:
         return self.c.reshape(-1, 6, 6)
 
+    def _extremes(self):
+        """Smallest and largest eigenvalue of every cell sample."""
+        eig = np.linalg.eigvalsh(self.flat())
+        return eig[:, 0], eig[:, -1]
+
+    def inferred_bounds(self) -> MaterialBounds:
+        """The tightest bounds: the extreme eigenvalues over all samples."""
+        lo, hi = self._extremes()
+        return MaterialBounds(float(lo.min()), float(hi.max()))
+
     def check(self, rtol: float = 1e-9) -> None:
         """Every sample must sit inside the declared eigenvalue interval."""
         flat = self.flat()
         asym = np.abs(flat - flat.transpose(0, 2, 1)).max()
         if asym > 1e-12 * max(1.0, np.abs(flat).max()):
             raise AdmissibilityError(f"cell sample matrices not symmetric (max {asym:.3e})")
-        eig = np.linalg.eigvalsh(flat)
+        lo, hi = self._extremes()
         tol = rtol * max(self.bounds.eta2, 1.0)
-        low = eig[:, 0].argmin()
-        high = eig[:, -1].argmax()
-        if eig[low, 0] < self.bounds.eta1 - tol:
+        low, high = lo.argmin(), hi.argmax()
+        if lo[low] < self.bounds.eta1 - tol:
             raise AdmissibilityError(
                 f"cell sample {low} violates lower bound: eigenvalue "
-                f"{eig[low, 0]:.6g} < eta1={self.bounds.eta1:.6g}"
+                f"{lo[low]:.6g} < eta1={self.bounds.eta1:.6g}"
             )
-        if eig[high, -1] > self.bounds.eta2 + tol:
+        if hi[high] > self.bounds.eta2 + tol:
             raise AdmissibilityError(
                 f"cell sample {high} violates upper bound: eigenvalue "
-                f"{eig[high, -1]:.6g} > eta2={self.bounds.eta2:.6g}"
+                f"{hi[high]:.6g} > eta2={self.bounds.eta2:.6g}"
             )
 
     def refine(self, factor: int = 2) -> "CellMaterial3":
@@ -84,12 +95,7 @@ class CellMaterial3:
 
     @classmethod
     def homogeneous(cls, q3: QuadForm3, grid=(1, 1, 1), bounds: MaterialBounds | None = None):
-        if bounds is None:
-            eig = q3.eigenvalues()
-            bounds = MaterialBounds(float(eig[0]), float(eig[-1]))
-        n1, n2, n3 = grid
-        c = np.broadcast_to(q3.matrix, (n1, n2, n3, 6, 6)).copy()
-        return cls(c=c, bounds=bounds)
+        return cls(c=np.broadcast_to(q3.matrix, (*grid, 6, 6)).copy(), bounds=bounds)
 
     @classmethod
     def from_forms(cls, grid, forms, bounds: MaterialBounds):
@@ -136,10 +142,11 @@ def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL):
 
 
 def _homogenize(material: CellMaterial3, tol: float):
-    """Energy matrix of the six Mandel basis strains, plus per-solve data."""
+    """Energy matrix of the six Mandel basis strains, per-solve data, distinct cell laws."""
     material.check()
-    _, C, solves = solve_loads(_material_operator(material), list(np.eye(6)), tol)
-    return QuadForm3(C, label="homogenized"), solves
+    op = _material_operator(material)
+    _, C, solves = solve_loads(op, list(np.eye(6)), tol)
+    return QuadForm3(C, label="homogenized"), solves, op.cell_laws
 
 
 def homogenized_form_3d(material: CellMaterial3, tol: float = DEFAULT_TOL) -> QuadForm3:
@@ -159,7 +166,7 @@ def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL) -> E
     decomposition and per-solve convergence data.
     """
     t0 = time.perf_counter()
-    q_hom, solves = _homogenize(material, tol)
+    q_hom, solves, cell_laws = _homogenize(material, tol)
     q2, dstar = plane_stress_reduce(q_hom)
     q0p = QuadForm2(q2.matrix / 12.0, label="bending-regime1")
     diagnostics = {
@@ -167,6 +174,7 @@ def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL) -> E
         "tol": tol,
         "quadrature": "gauss-2x2x2",
         "preconditioner": PRECONDITIONER,
+        "cell_laws": cell_laws,
         "solves": [
             {"load": i, "iterations": it, "residual": hist[-1] if hist else 0.0}
             for i, (it, hist) in enumerate(solves)

@@ -73,10 +73,6 @@ class FiberMaterial:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def nsamples(self) -> int:
-        return self.c.shape[0]
-
     def check(self, rtol: float = 1e-9) -> None:
         eig = np.linalg.eigvalsh(self.c)
         tol = rtol * max(self.bounds.eta2, 1.0)
@@ -170,7 +166,7 @@ class SlabMaterial:
 
     fibers: np.ndarray        # (nfib, nf, 6, 6)
     fiber_index: np.ndarray   # (n1, n2, n3) int
-    bounds: MaterialBounds
+    bounds: MaterialBounds | None = None   # None: ``inferred_bounds()``
     weights: np.ndarray | None = None   # (nf,) fiber layer fractions
     scale: np.ndarray | None = None     # (n1, n2, n3) positive per-cell factor
 
@@ -202,6 +198,8 @@ class SlabMaterial:
         for name, arr in (("fibers", fibers), ("fiber_index", idx), ("weights", w), ("scale", s)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.bounds is None:
+            object.__setattr__(self, "bounds", self.inferred_bounds())
 
     @property
     def grid_shape(self) -> tuple:
@@ -216,15 +214,22 @@ class SlabMaterial:
         stacks = self.fibers[self.fiber_index.reshape(-1)]
         return stacks * self.scale.reshape(-1, 1, 1, 1)
 
-    def check(self, rtol: float = 1e-9) -> None:
-        """Every scaled cell sample must respect the declared bounds."""
+    def _extremes(self):
+        """Smallest and largest eigenvalue over all scaled samples."""
         eig = np.linalg.eigvalsh(self.fibers)          # (nfib, nf, 6)
         fiber_lo = eig[:, :, 0].min(axis=1)            # per-fiber extremes
         fiber_hi = eig[:, :, -1].max(axis=1)
         s = self.scale.reshape(-1)
         idx = self.fiber_index.reshape(-1)
-        lo = float((s * fiber_lo[idx]).min())
-        hi = float((s * fiber_hi[idx]).max())
+        return float((s * fiber_lo[idx]).min()), float((s * fiber_hi[idx]).max())
+
+    def inferred_bounds(self) -> MaterialBounds:
+        """The tightest bounds: the extreme eigenvalues over all scaled samples."""
+        return MaterialBounds(*self._extremes())
+
+    def check(self, rtol: float = 1e-9) -> None:
+        """Every scaled cell sample must respect the declared bounds."""
+        lo, hi = self._extremes()
         tol = rtol * max(self.bounds.eta2, 1.0)
         if lo < self.bounds.eta1 - tol:
             raise AdmissibilityError(
@@ -286,9 +291,6 @@ class SlabMaterial:
     @classmethod
     def homogeneous(cls, q3: QuadForm3, grid=(1, 1, 1), nf: int = 1,
                     bounds: MaterialBounds | None = None) -> "SlabMaterial":
-        if bounds is None:
-            eig = q3.eigenvalues()
-            bounds = MaterialBounds(float(eig[0]), float(eig[-1]))
         fibers = np.broadcast_to(q3.matrix, (1, nf, 6, 6)).copy()
         return cls(fibers=fibers, fiber_index=np.zeros(grid, dtype=np.int64), bounds=bounds)
 
@@ -381,6 +383,7 @@ def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL) -> Effect
         "tol": tol,
         "quadrature": "gauss-2x2x2",
         "preconditioner": PRECONDITIONER,
+        "cell_laws": op.cell_laws,
         "solves": [
             {"load": f"{kind}{i}", "iterations": it, "residual": hist[-1] if hist else 0.0}
             for (kind, i), (it, hist) in zip(basis, solves)

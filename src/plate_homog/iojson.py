@@ -167,11 +167,7 @@ def read_cell_material(obj: dict, path: str) -> CellMaterial3:
         ).reshape(*grid, 6, 6)
     else:
         _fail(path, f"unknown cell material kind {kind!r}")
-    bounds = read_bounds(obj.get("bounds"), path)
-    if bounds is None:
-        eig = np.linalg.eigvalsh(c.reshape(-1, 6, 6))
-        bounds = MaterialBounds(float(eig[:, 0].min()), float(eig[:, -1].max()))
-    return CellMaterial3(c=c, bounds=bounds)
+    return CellMaterial3(c=c, bounds=read_bounds(obj.get("bounds"), path))
 
 
 def read_slab_material(obj: dict, path: str) -> SlabMaterial:
@@ -220,12 +216,6 @@ def read_slab_material(obj: dict, path: str) -> SlabMaterial:
         weights = obj.get("weights")
         if weights is not None:
             weights = np.asarray(weights, dtype=float)
-        if bounds is None:
-            eig = np.linalg.eigvalsh(fibers)
-            s = np.ones(ncells) if scale is None else scale.reshape(-1)
-            lo = float((s * eig[:, :, 0].min(axis=1)[index.reshape(-1)]).min())
-            hi = float((s * eig[:, :, -1].max(axis=1)[index.reshape(-1)]).max())
-            bounds = MaterialBounds(lo, hi)
         try:
             return SlabMaterial(
                 fibers=fibers, fiber_index=index, bounds=bounds,
@@ -234,16 +224,6 @@ def read_slab_material(obj: dict, path: str) -> SlabMaterial:
         except ValueError as exc:
             _fail(path, str(exc))
     _fail(path, f"unknown slab material kind {kind!r}")
-
-
-def cell_material_to_dict(material: CellMaterial3) -> dict:
-    return {
-        "convention": CONVENTION,
-        "kind": "cell",
-        "grid": list(material.grid_shape),
-        "forms": [m.tolist() for m in material.flat()],
-        "bounds": {"eta1": material.bounds.eta1, "eta2": material.bounds.eta2},
-    }
 
 
 def report_to_dict(report, settings: dict | None = None) -> dict:

@@ -12,8 +12,8 @@ Two kinds of oracle guard the solver pipelines:
 - closed forms for two-phase thickness profiles and zero-Poisson
   laminates.
 
-The dense route is deliberately unscalable; a hard cap on the unknown
-count keeps it honest.
+The dense route is deliberately unscalable; a hard cap on the bytes of
+its dense Hessian keeps it honest.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .fem import build_cell_grid, build_slab_grid
 from .homog3d import CellMaterial3
 from .homogslab import SlabMaterial
 
-SIZE_CAP = 20_000
+# Budget for the dense Hessian, 8 bytes per entry: 512 MiB admits 8192 unknowns.
+SIZE_CAP_BYTES = 512 * 2**20
 
 # (0|0|d) has sym part with Mandel out-of-plane coords (d3, d2/sqrt2, d1/sqrt2).
 _D_MAP = np.zeros((6, 3))
@@ -74,6 +75,13 @@ class DenseProblem:
         b = self.B @ a.T
         u = cho_solve(factor, -b)
         return np.einsum("ki,ij,kj->k", a, self.C, a) + np.einsum("ik,ik->k", b, u)
+
+
+def _check_size(ntotal: int) -> None:
+    """Refuse, before allocating anything, a problem whose dense Hessian exceeds the cap."""
+    if 8 * ntotal**2 > SIZE_CAP_BYTES:
+        raise SizeCapError(f"dense problem has {ntotal} unknowns: its Hessian needs "
+                           f"{8 * ntotal**2} bytes, over the cap of {SIZE_CAP_BYTES} bytes")
 
 
 def _as_mandel2(A) -> np.ndarray:
@@ -134,8 +142,7 @@ def assemble_regime1(material: CellMaterial3, x3_samples: int) -> DenseProblem:
     ndofs = grid.ndofs
     m = int(x3_samples)
     ntotal = 3 + 3 * m + m * ndofs
-    if ntotal > SIZE_CAP:
-        raise SizeCapError(f"dense problem has {ntotal} unknowns (cap {SIZE_CAP})")
+    _check_size(ntotal)
 
     xg, wg = np.polynomial.legendre.leggauss(m)
     xg, wg = 0.5 * xg, 0.5 * wg
@@ -179,8 +186,7 @@ def assemble_regime2(slab: SlabMaterial) -> DenseProblem:
         raise ValueError("fiber fluctuation needs at least 2 samples")
     nz = 3 * (nf - 1)
     ntotal = 3 + ndofs + grid.ncells * 8 * nz
-    if ntotal > SIZE_CAP:
-        raise SizeCapError(f"dense problem has {ntotal} unknowns (cap {SIZE_CAP})")
+    _check_size(ntotal)
 
     wf = slab.weights
     Z = np.zeros((nf, nf - 1))

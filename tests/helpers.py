@@ -1,4 +1,5 @@
-"""Shared generators for admissible random materials."""
+"""Shared generators for admissible random materials, and reference
+implementations of the stiffness operator written independently of it."""
 
 import numpy as np
 
@@ -64,3 +65,36 @@ def random_profile2(rng, eta1=2.0, eta2=5.0) -> ThicknessProfile:
             return random_profile2(rng, eta1, eta2)
         return ThicknessProfile(forms, rule="layers", breaks=breaks)
     return ThicknessProfile(forms, rule=str(rule))
+
+
+def _gather(grid, x):
+    """Per-cell local dof vectors (ncells, 24) of a nodal field."""
+    return x.reshape(grid.nnodes, 3)[grid.idx].reshape(grid.ncells, 24)
+
+
+def strains(op, x, gload=None) -> np.ndarray:
+    """Total Mandel strain (ncells, 8, 6) of nodal field plus load."""
+    g = np.einsum("qij,cj->cqi", op.grid.B, _gather(op.grid, x))
+    if gload is not None:
+        g = g + op._load_field(gload)
+    return g
+
+
+def energy(op, x, gload=None) -> float:
+    """``sum_c sum_q w_q g^T C_c g`` of the total strain ``g``."""
+    g = strains(op, x, gload)
+    return float(np.einsum("cqi,cij,cqj,q->", g, op.cellC, g, op.grid.wq))
+
+
+def reference_matvec(op, x) -> np.ndarray:
+    """``K x`` one quadrature point at a time, scatter-added with ``np.add.at``."""
+    grid = op.grid
+    u = _gather(grid, x)
+    ylocal = np.zeros((grid.ncells, 24))
+    for q in range(8):
+        g = u @ grid.B[q].T                 # (ncells, 6)
+        s = np.einsum("cij,cj->ci", op.cellC, g)
+        ylocal += (grid.wq[q] * s) @ grid.B[q]
+    y = np.zeros((grid.nnodes, 3))
+    np.add.at(y, grid.idx.ravel(), ylocal.reshape(-1, 3))
+    return y.reshape(x.shape)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from plate_homog import SolverError, bending_form_regime1, bending_form_regime2, qf_isotropic
+from plate_homog import (
+    CellMaterial3,
+    MaterialBounds,
+    SlabMaterial,
+    SolverError,
+    bending_form_regime1,
+    bending_form_regime2,
+    qf_isotropic,
+)
+from plate_homog import fem
 from plate_homog.fem import (
     PRECONDITIONER,
     STALL_ITERATIONS,
@@ -13,7 +22,7 @@ from plate_homog.fem import (
     solve_loads,
 )
 
-from helpers import random_cell, random_slab, random_spd
+from helpers import energy, random_cell, random_slab, random_spd, reference_matvec
 
 
 def _random_cellC(rng, ncells):
@@ -41,6 +50,76 @@ def test_noise_floor_equals_assembly_of_absolute_values(grid):
         assert op.rhs_noise_floor(g) == 1e-12 * float(np.linalg.norm(y))
 
 
+def _two_phase(rng, ncells, layer):
+    """Two random laws, cell c taking the first where ``layer(c)`` holds."""
+    a, b = random_spd(rng, 6, 0.5, 3.0), random_spd(rng, 6, 0.5, 3.0)
+    return np.where(layer(np.arange(ncells))[:, None, None], a, b)
+
+
+def _signed_zero_laws(rng, ncells):
+    # the same law with an off-diagonal 0.0 or -0.0: equal as numbers, not as bits
+    c = random_spd(rng, 6, 0.5, 3.0)
+    c[0, 5] = c[5, 0] = 0.0
+    d = c.copy()
+    d[0, 5] = d[5, 0] = -0.0
+    return np.where((np.arange(ncells) % 2 == 0)[:, None, None], c, d)
+
+
+MATVEC_CASES = {
+    # name: (grid, cell laws from rng, grouped form expected, distinct laws)
+    "one-law cell": (build_cell_grid(2, 2, 4),
+                     lambda rng, n: np.broadcast_to(random_spd(rng, 6, 0.5, 3.0), (n, 6, 6)),
+                     True, 1),
+    "two-phase 6^3 cell": (build_cell_grid(6, 6, 6),
+                           lambda rng, n: _two_phase(rng, n, lambda c: c % 7 < 3), True, 2),
+    "random 3^3 cell": (build_cell_grid(3, 3, 3),
+                        lambda rng, n: random_cell(rng, grid=(3, 3, 3)).flat(), False, 27),
+    "random-fiber slab [3,3,3]": (build_slab_grid(3, 3, 3),
+                                  lambda rng, n: random_slab(rng, grid=(3, 3, 3), nfib=27)
+                                  .reduced_cells(), False, None),
+    "separable slab": (build_slab_grid(4, 4, 2),
+                       lambda rng, n: SlabMaterial.separable(
+                           np.where(rng.random((4, 4, 2)) < 0.5, 1.0, 30.0), [1.0, 3.0, 2.0],
+                           mu=1.0).reduced_cells(), True, 2),
+    "cell [1,1,6]": (build_cell_grid(1, 1, 6),
+                     lambda rng, n: _two_phase(rng, n, lambda c: c < 3), False, 2),
+    "cell [1,1,16]": (build_cell_grid(1, 1, 16),
+                      lambda rng, n: _two_phase(rng, n, lambda c: c % 4 < 2), True, 2),
+    "slab [1,1,2]": (build_slab_grid(1, 1, 2),
+                     lambda rng, n: _two_phase(rng, n, lambda c: c == 0), False, 2),
+    "signed-zero laws": (build_cell_grid(4, 4, 4), _signed_zero_laws, True, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(MATVEC_CASES))
+def test_matvec_equals_reference(case):
+    # the grouped and the stacked form against the 8-point loop, scattered
+    # with np.add.at: grids that list a node twice per element included
+    grid, laws, grouped, nlaws = MATVEC_CASES[case]
+    rng = np.random.default_rng(59)
+    op = ElementOperator(grid, laws(rng, grid.ncells))
+    assert (op._Ke is not None) == grouped
+    if nlaws is not None:
+        assert op.cell_laws == nlaws
+    for x in (rng.standard_normal(grid.ndofs), np.eye(grid.ndofs)[:, 1]):
+        ref = reference_matvec(op, x)
+        assert np.abs(op.matvec(x) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_law_grouping_survives_hash_collisions(monkeypatch):
+    # with every law hashed to 0 the rows themselves are sorted, bit for bit
+    rng = np.random.default_rng(60)
+    grid = build_cell_grid(4, 4, 4)
+    cellC = np.concatenate([_two_phase(rng, 32, lambda c: c % 2 == 0),
+                            _signed_zero_laws(rng, 32)])
+    monkeypatch.setattr(fem, "_LAW_HASH", np.zeros(36, dtype=np.uint64))
+    op = ElementOperator(grid, cellC)
+    assert op.cell_laws == 4 and op._Ke is not None
+    x = rng.standard_normal(grid.ndofs)
+    ref = reference_matvec(op, x)
+    assert np.abs(op.matvec(x) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_energy_expansion_identity():
     # E(x) = E(0) + 2 rhs(g) . x + x . K x for the quadratic energy
     rng = np.random.default_rng(52)
@@ -48,8 +127,8 @@ def test_energy_expansion_identity():
     op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
     g = rng.standard_normal(6)
     x = rng.standard_normal(grid.ndofs)
-    lhs = op.energy(x, g)
-    rhs = op.energy(np.zeros_like(x), g) + 2 * op.rhs(g) @ x + x @ op.matvec(x)
+    lhs = energy(op, x, g)
+    rhs = energy(op, np.zeros_like(x), g) + 2 * op.rhs(g) @ x + x @ op.matvec(x)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -67,8 +146,8 @@ def test_solve_loads_energy_matrix_is_polarization():
         for xs, M in ((random_fields, op.energy_matrix(random_fields, loads)), (fields, N)):
             for i in range(3):
                 for j in range(3):
-                    polar = 0.5 * (op.energy(xs[i] + xs[j], loads[i] + loads[j])
-                                   - op.energy(xs[i], loads[i]) - op.energy(xs[j], loads[j]))
+                    polar = 0.5 * (energy(op, xs[i] + xs[j], loads[i] + loads[j])
+                                   - energy(op, xs[i], loads[i]) - energy(op, xs[j], loads[j]))
                     assert M[i, j] == pytest.approx(polar, rel=1e-10)
 
 
@@ -144,6 +223,16 @@ def test_regime_reports_name_the_preconditioner():
     rng = np.random.default_rng(56)
     for report in (bending_form_regime1(random_cell(rng)), bending_form_regime2(random_slab(rng))):
         assert report.diagnostics["preconditioner"] == PRECONDITIONER == "fft-reference-mean"
+
+
+def test_regime_reports_count_cell_laws():
+    rng = np.random.default_rng(57)
+    two_phase = CellMaterial3.from_forms(
+        (2, 2, 2), [qf_isotropic(1.0 + k % 2, 0.5) for k in range(8)], MaterialBounds(1.0, 10.0))
+    assert bending_form_regime1(two_phase).diagnostics["cell_laws"] == 2
+    assert bending_form_regime1(random_cell(rng)).diagnostics["cell_laws"] == 8
+    slab = SlabMaterial.separable(np.array([1.0, 2.0, 2.0, 1.0]).reshape(2, 2, 1), [1.0, 3.0], 1.0)
+    assert bending_form_regime2(slab).diagnostics["cell_laws"] == 2
 
 
 def test_noise_floor_separates_real_loads_from_dust():

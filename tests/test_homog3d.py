@@ -14,7 +14,7 @@ from plate_homog import (
 )
 from plate_homog.fem import ElementOperator, build_cell_grid, conjugate_gradient
 
-from helpers import random_cell
+from helpers import energy, random_cell
 
 E_BASIS = np.eye(6)
 
@@ -196,9 +196,25 @@ class TestRefinementAndUniqueness:
         b = -op.rhs(E)
         x1, _, _ = conjugate_gradient(op, b, 1e-12)
         x2, _, _ = conjugate_gradient(op, b, 1e-12, x0=rng.standard_normal(b.size))
-        e1 = op.energy(x1, E)
-        e2 = op.energy(x2, E)
+        e1 = energy(op, x1, E)
+        e2 = energy(op, x2, E)
         assert e1 == pytest.approx(e2, rel=1e-10)
+
+
+class TestMaterialBounds:
+    def test_inferred_bounds_are_the_eigenvalue_extremes(self):
+        # the formula the cell reader and CellMaterial3.homogeneous used, bit for bit
+        rng = np.random.default_rng(26)
+        c = random_cell(rng, grid=(2, 3, 2)).c
+        eig = np.linalg.eigvalsh(c.reshape(-1, 6, 6))
+        mat = CellMaterial3(c=c)
+        assert mat.bounds == mat.inferred_bounds() == MaterialBounds(
+            float(eig[:, 0].min()), float(eig[:, -1].max()))
+        mat.check()
+        q3 = qf_isotropic(1.3, 0.4)
+        eig = q3.eigenvalues()
+        assert CellMaterial3.homogeneous(q3, grid=(2, 2, 3)).bounds == MaterialBounds(
+            float(eig[0]), float(eig[-1]))
 
 
 class TestCoupledOscillations:

@@ -270,3 +270,21 @@ class TestSlabMaterialValidation:
         assert slab.bounds.eta1 == pytest.approx(2.0)
         assert slab.bounds.eta2 == pytest.approx(6.0)
         slab.check()
+
+    def test_inferred_bounds_are_the_scaled_eigenvalue_extremes(self):
+        # the formula the slab reader and SlabMaterial.homogeneous used, bit for bit
+        rng = np.random.default_rng(37)
+        fibers = np.stack([np.stack([random_spd(rng, 6, 1.0, 4.0) for _ in range(3)])
+                           for _ in range(2)])
+        index = rng.integers(0, 2, size=(2, 2, 3))
+        scale = rng.uniform(0.5, 2.0, size=(2, 2, 3))
+        eig = np.linalg.eigvalsh(fibers)
+        lo = float((scale.ravel() * eig[:, :, 0].min(axis=1)[index.ravel()]).min())
+        hi = float((scale.ravel() * eig[:, :, -1].max(axis=1)[index.ravel()]).max())
+        slab = SlabMaterial(fibers=fibers, fiber_index=index, scale=scale)
+        assert slab.bounds == slab.inferred_bounds() == MaterialBounds(lo, hi)
+        slab.check()
+        q3 = qf_isotropic(1.3, 0.4)
+        eig = q3.eigenvalues()
+        assert SlabMaterial.homogeneous(q3, grid=(2, 1, 2), nf=3).bounds == MaterialBounds(
+            float(eig[0]), float(eig[-1]))

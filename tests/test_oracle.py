@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,19 @@ class TestBruteForceRegime1:
         mat = CellMaterial3.homogeneous(qf_isotropic(1.0, 0.0), grid=(10, 10, 10))
         with pytest.raises(SizeCapError):
             brute_force_regime1(mat, np.eye(2), x3_samples=8)
+
+    def test_size_cap_counts_bytes_before_allocating(self):
+        # 8^3 with 8 thickness samples: 12,315 unknowns pass a cap of 20,000
+        # unknowns, but the Hessian alone would take 1.2 GB
+        mat = CellMaterial3.homogeneous(qf_isotropic(1.0, 0.0), grid=(8, 8, 8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match="12315 unknowns.*1213273800 bytes"):
+                assemble_regime1(mat, x3_samples=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_one_cell_axes_laminate_closed_form(self):
         # one cell along y1 and y2: every element lists each periodic node twice
