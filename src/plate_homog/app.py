@@ -123,7 +123,9 @@ class Scenario:
     subs: tuple = field(default_factory=tuple)
 
 
-def _read_settings(obj: dict, path: str) -> dict:
+def _read_settings(obj: dict | None, path: str) -> dict:
+    if obj is not None and not isinstance(obj, dict):
+        raise SpecFormatError(f"{path}: settings must be a JSON object, got {type(obj).__name__}")
     settings = dict(DEFAULT_SETTINGS)
     for key, value in (obj or {}).items():
         if key not in DEFAULT_SETTINGS:
@@ -145,8 +147,11 @@ def _read_settings(obj: dict, path: str) -> dict:
 def _read_surface(obj: dict, path: str) -> SurfaceSpec:
     kind = str(iojson._get(obj, "kind", path))
     extent = tuple(float(v) for v in obj.get("extent", (1.0, 1.0)))
-    radius = obj.get("radius")
-    return SurfaceSpec(kind=kind, extent=extent, radius=None if radius is None else float(radius))
+    radius = None if obj.get("radius") is None else float(obj["radius"])
+    try:
+        return SurfaceSpec(kind=kind, extent=extent, radius=radius)
+    except SpecFormatError as exc:
+        raise SpecFormatError(f"{path}: {exc}") from None
 
 
 def _read_material(obj: dict, path: str):
@@ -241,15 +246,18 @@ def parse_material_spec(path, command: str | None = None) -> Scenario:
     """Load and fully validate a scenario file (admissibility included).
 
     A value of the wrong type or shape anywhere in the file (a string for
-    a number, a NaN or asymmetric matrix, ...) surfaces from the readers
-    as ``ValueError`` or ``TypeError``; it is reported as a
-    ``SpecFormatError`` that names the file.
+    a number, an infinite size, a NaN or asymmetric matrix, ...) surfaces
+    from the readers as ``ValueError``, ``TypeError`` or ``OverflowError``;
+    it is reported as a ``SpecFormatError`` that names the file.  Arithmetic
+    on non-finite input values runs silently: the validation that follows
+    rejects what it produces.
     """
     obj = iojson.load_json(path)
     iojson.check_convention(obj, str(path))
     try:
-        return _scenario_from_dict(obj, str(path), command)
-    except (ValueError, TypeError) as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _scenario_from_dict(obj, str(path), command)
+    except (ValueError, TypeError, OverflowError) as exc:
         raise SpecFormatError(f"{path}: malformed value: {exc}") from exc
 
 

@@ -18,13 +18,23 @@ is grouped, one 24x24 element matrix per distinct cell law, when a law
 covers at least ``LAW_CELLS`` cells on average, and stacked otherwise:
 all 8 quadrature points in 48-row products around one 6x6 law per cell.
 
+The energy matrix of solved correctors is ``N_ij = f_i . x_j + T_ij``: the
+true residual ``f_i = K x_i + rhs(G_i)``, one matvec per load, plus a load
+term.  For loads constant per cell the load term needs only the cell-mean
+total strain ``Bbar u_c + v G_i`` (``Bbar = sum_q w_q B_q``, v the cell
+volume), formed per cell before the law is applied, so no quadrature-point
+field is built and no large terms cancel; the right-hand side of such a
+load is ``(C_c G) @ Bbar`` per cell.
+
 Corrector solves run conjugate gradients preconditioned by the exact
 inverse of the stiffness of one constant reference law C0 (the cell mean
 of the material) on the same grid.  Every grid is periodic in plane, so
 that operator is block-circulant and an FFT diagonalizes it: one 3x3
 block per wavevector on a cell grid, one block-tridiagonal system over
 the node planes per in-plane wavevector on a slab grid (Moulinec &
-Suquet 1998; Zeman, Vondrejc, Novak & Marek 2010).  The iteration count
+Suquet 1998; Zeman, Vondrejc, Novak & Marek 2010).  The symbol of that
+operator is built by sum factorization: element blocks summed per node
+offset, then one 1-D phase table per axis.  The iteration count
 then depends on the contrast of C against C0, not on the grid size.
 """
 
@@ -160,13 +170,15 @@ class ElementOperator:
         self.grid = grid
         self.cellC = cellC
         self._reference = None
+        self._Bbar = np.einsum("q,qij->ij", grid.wq, grid.B)   # cell integral of B
         first, law = _distinct_laws(cellC)
         self.cell_laws = len(first)
         self._idx, self._Ke = grid.idx, None
         if LAW_CELLS * self.cell_laws <= grid.ncells:
             self._idx = grid.idx[np.argsort(law, kind="stable")]
             self._cuts = np.concatenate(([0], np.cumsum(np.bincount(law))))
-            self._Ke = _element_matrix(grid, cellC[first])
+            self._laws = cellC[first]
+            self._Ke = _element_matrix(grid, self._laws)
 
     def _gather(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Per-cell local dof vectors (ncells, 24) of a nodal field, cells as in ``idx``."""
@@ -225,8 +237,16 @@ class ElementOperator:
         return self._to_nodes(s.reshape(self.grid.ncells, 48) @ wB, self.grid.idx)
 
     def rhs(self, gload) -> np.ndarray:
-        """Nodal load vector ``f[v] = sum w_q (B_q v)^T C_c g(c, q)``."""
-        return self._assemble(self.cellC, self.grid.B, self._load_field(gload))
+        """Nodal load vector ``f[v] = sum w_q (B_q v)^T C_c g(c, q)``.
+
+        A constant load needs no quadrature: ``f[v] = (Bbar v)^T C_c g``
+        with ``Bbar = sum_q w_q B_q``, one (ncells, 6) @ (6, 24) product.
+        """
+        g = np.asarray(gload, dtype=float)
+        if g.shape == (6,):
+            stress = (self.cellC.reshape(-1, 6) @ g).reshape(-1, 6)
+            return self._to_nodes(stress @ self._Bbar, self.grid.idx)
+        return self._assemble(self.cellC, self.grid.B, self._load_field(g))
 
     def rhs_noise_floor(self, gload) -> float:
         """Norm threshold below which an assembled load is cancellation dust.
@@ -250,11 +270,44 @@ class ElementOperator:
     def energy_matrix(self, fields, loads) -> np.ndarray:
         """Energies ``N_ij = sum w_q g_i^T C g_j`` of total strains ``g_i = B x_i + G_i``.
 
+        ``N_ij = f_i . x_j + T_ij`` with the residual ``f_i = K x_i +
+        rhs(G_i)`` (one matvec per load, tiny at convergence) and the load
+        term ``T_ij = sum_c sum_q w_q (B_q u_i + G_i)^T C_c G_j``.  When
+        every load is a constant Mandel 6-vector, ``T`` collapses to cell
+        means: ``T_ij = sum_c (Bbar u_i + v G_i)^T C_c G_j`` with ``Bbar =
+        sum_q w_q B_q`` and v the cell volume, summed per law in the
+        grouped form.  The total strain is formed per cell before ``C`` is
+        applied: forms that cancel only globally (``x_i . rhs(G_j)`` plus a
+        load term, or ``X^T K X`` plus cross terms) drift well past
+        rounding, most on the small entries.  A set with an (ncells, 8, 6)
+        load field takes ``_pointwise_energy_matrix``.  The result is
+        symmetrized.
+        """
+        G = [np.asarray(g, dtype=float) for g in loads]
+        if any(g.shape != (6,) for g in G):
+            return self._pointwise_energy_matrix(fields, loads)
+        N = np.array([self._stress_sum(x, g) for x, g in zip(fields, G)]) @ np.array(G).T
+        for i, (x, g) in enumerate(zip(fields, G)):
+            f = self.matvec(x) + self.rhs(g)
+            N[i] += [f @ xj for xj in fields]
+        return 0.5 * (N + N.T)
+
+    def _stress_sum(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """``sum_c (Bbar u_c + v g)^T C_c``: the cell-integrated stress of the
+        total strain of nodal field ``x`` under the constant load ``g``."""
+        e = self._gather(x, self._idx) @ self._Bbar.T + self.grid.wq.sum() * g
+        C = self.cellC
+        if self._Ke is not None:
+            e, C = np.add.reduceat(e, self._cuts[:-1]), self._laws
+        return e.ravel() @ C.reshape(-1, 6)
+
+    def _pointwise_energy_matrix(self, fields, loads) -> np.ndarray:
+        """``energy_matrix`` for load fields, one quadrature point at a time.
+
         Row ``i`` needs only the stress ``s_i = C g_i``:
         ``N_ij = f_i . x_j + sum w_q s_i . G_j``, where ``f_i`` is the
-        nodal vector of ``s_i``.  Stresses are formed one quadrature
-        point at a time, so no (ncells, 48) strain field is held whole, as
-        the stacked form of ``matvec`` would.  The result is symmetrized.
+        nodal vector of ``s_i``.  No (ncells, 48) strain field is held
+        whole, as the stacked form of ``matvec`` would.
         """
         grid = self.grid
         G = [self._load_field(g) for g in loads]
@@ -293,27 +346,29 @@ def _element_matrix(grid: Grid, C: np.ndarray) -> np.ndarray:
     return 0.5 * (Ke + Ke.swapaxes(-1, -2))
 
 
-def _offset_phases(ns, ms) -> np.ndarray:
-    """Phases ``exp(2 pi i sum_k xi_k d_k / n_k)`` of the element node offsets ``d``.
-
-    ``ns`` are the periods and ``ms`` the wavevector counts of the axes
-    (``n // 2 + 1`` on a half-spectrum axis).  Returns ``(*ms, 2**len(ns))``,
-    offsets in the local node order of ``build_b_matrices``.
-    """
-    d = np.array(list(product((0, 1), repeat=len(ns))))
-    xi = np.stack(np.meshgrid(*[np.arange(m) / n for n, m in zip(ns, ms)], indexing="ij"), -1)
-    return np.exp(2j * np.pi * (xi @ d.T))
-
-
-def _symbol(Ke: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def _symbol(Ke: np.ndarray, ns, ms) -> np.ndarray:
     """Element matrix summed over node offset pairs with their phases.
 
-    ``phases`` (..., p) covers the periodic axes; each of the p offsets
-    carries a block of 24/p local dofs, so the symbol is (..., 24/p, 24/p).
+    On the k periodic axes (the leading bits of the local node order) two
+    nodes of an element differ by an offset ``delta`` in {-1, 0, 1}^k, and
+    the pair carries the phase ``exp(2 pi i sum_k xi_k delta_k / n_k)``.  The
+    ``Ke`` blocks are summed once per offset, then contracted one axis at a
+    time with a 1-D phase table.  ``ns`` are the periods and ``ms`` the
+    wavevector counts of the axes (``n // 2 + 1`` on a half-spectrum axis).
+    Each of the 2**k node positions carries a block of b = 24 / 2**k local
+    dofs, so the symbol is (*ms, b, b).
     """
-    p = phases.shape[-1]
+    d = np.array(list(product((0, 1), repeat=len(ns))))
+    p = len(d)
     K = Ke.reshape(p, 24 // p, p, 24 // p)
-    return np.einsum("...a,aibj,...b->...ij", phases.conj(), K, phases, optimize=True)
+    S = np.zeros((3,) * len(ns) + (24 // p, 24 // p))
+    for a in range(p):
+        for c in range(p):
+            S[tuple(d[c] - d[a] + 1)] += K[a, :, c]
+    for axis in reversed(range(len(ns))):
+        table = np.exp(2j * np.pi * np.outer(np.arange(ms[axis]), (-1, 0, 1)) / ns[axis])
+        S = np.moveaxis(np.tensordot(table, S, axes=(1, axis)), 0, axis)
+    return S
 
 
 def _bmv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -326,7 +381,11 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
 
     Returns ``apply(r)``, the zero-mean ``z`` with ``K0 z = r`` for any
     ``r`` orthogonal to the rigid translations.  It stores O(ndofs)
-    numbers.  Cell grid: one 3x3 block per ``rfftn`` wavevector, the
+    numbers.  The symbol of ``K0`` per wavevector comes from ``_symbol``
+    by sum factorization: the ``Ke`` blocks are summed once per node
+    offset in {-1, 0, 1}^k, then contracted with a 1-D phase table per
+    periodic axis, O(wavevectors) work with no per-wavevector phase table.
+    Cell grid: one 3x3 block per ``rfftn`` wavevector, the
     zero mode (the translations) mapped to 0.  Slab grid: per ``rfft2``
     wavevector, a Hermitian block-tridiagonal system over the node
     planes, factored once by block elimination (the inverse Schur
@@ -337,7 +396,7 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     Ke = _element_matrix(grid, np.asarray(C0, dtype=float))
     n1, n2, n3 = grid.shape
     if grid.kind == "cell":
-        K = _symbol(Ke, _offset_phases((n1, n2, n3), (n1, n2, n3 // 2 + 1)))
+        K = _symbol(Ke, (n1, n2, n3), (n1, n2, n3 // 2 + 1))
         K[0, 0, 0] = np.eye(3)
         Kinv = np.linalg.inv(K)
         Kinv[0, 0, 0] = 0.0
@@ -349,7 +408,7 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
         return apply
 
     nplanes, m2 = n3 + 1, n2 // 2 + 1
-    E = _symbol(Ke, _offset_phases((n1, n2), (n1, m2))).reshape(n1 * m2, 2, 3, 2, 3)
+    E = _symbol(Ke, (n1, n2), (n1, m2)).reshape(n1 * m2, 2, 3, 2, 3)
     bottom, top = E[:, 0, :, 0], E[:, 1, :, 1]   # a layer's blocks on its two node planes
     U = E[:, 0, :, 1]                            # plane k to plane k + 1, the same in every layer
     Sinv = np.empty((nplanes, n1 * m2, 3, 3), dtype=complex)
@@ -405,13 +464,18 @@ def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float, maxiter=N
     as converged.  Returns ``(x, iterations, residual_history)`` with
     relative residuals; raises SolverError with the history on
     breakdown, divergence, stagnation (no new residual minimum in
-    ``STALL_ITERATIONS`` iterations) or the iteration cap.
+    ``STALL_ITERATIONS`` iterations), the iteration cap, or a load or
+    noise floor that is not finite.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     if maxiter is None:
         maxiter = iteration_cap(b.size)
-    bnorm = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):
+        bnorm = float(np.linalg.norm(b))
+    if not (np.isfinite(bnorm) and np.isfinite(noise_floor)):
+        raise SolverError(f"load is not finite (norm {bnorm:.3e}, noise floor {noise_floor:.3e}): "
+                          "the material or load overflows double precision")
     if bnorm <= noise_floor:
         return np.zeros_like(b), 0, (0.0,)
     if x0 is None:
@@ -482,7 +546,7 @@ def solve_loads(op: ElementOperator, loads, tol: float):
     """Correctors and energy matrix of a set of load strains.
 
     Each load (a Mandel 6-vector or an (ncells, 8, 6) strain field) gets
-    the minimizer ``x_i`` of ``op.energy(x, G_i)``: CG on
+    the minimizer ``x_i`` of the energy of ``B x + G_i``: CG on
     ``K x = -rhs(G_i)`` with the load's noise floor, then the zero-mean
     gauge.  Returns ``(fields, N, solves)`` with ``N`` from
     ``op.energy_matrix`` and ``solves[i] = (iterations, residual_history)``.
@@ -490,7 +554,9 @@ def solve_loads(op: ElementOperator, loads, tol: float):
     fields, solves = [], []
     for gload in loads:
         b = -op.rhs(gload)
-        x, iters, hist = conjugate_gradient(op, b, tol, noise_floor=op.rhs_noise_floor(gload))
+        with np.errstate(over="ignore"):      # an overflowing load is refused by CG
+            floor = op.rhs_noise_floor(gload)
+        x, iters, hist = conjugate_gradient(op, b, tol, noise_floor=floor)
         fields.append(subtract_nodal_mean(x, op.grid.nnodes))
         solves.append((iters, hist))
     return fields, op.energy_matrix(fields, loads), solves

@@ -41,6 +41,8 @@ class CellMaterial3:
         c = np.ascontiguousarray(self.c, dtype=float)
         if c.ndim != 5 or c.shape[3:] != (6, 6):
             raise ValueError(f"cell material must be (n1, n2, n3, 6, 6), got {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("cell material contains non-finite entries")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
         if self.bounds is None:

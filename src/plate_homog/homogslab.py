@@ -174,6 +174,8 @@ class SlabMaterial:
         fibers = np.ascontiguousarray(self.fibers, dtype=float)
         if fibers.ndim != 4 or fibers.shape[2:] != (6, 6):
             raise ValueError(f"fibers must be (nfib, nf, 6, 6), got {fibers.shape}")
+        if not np.isfinite(fibers).all():
+            raise ValueError("fibers contain non-finite entries")
         idx = np.asarray(self.fiber_index, dtype=np.int64)
         if idx.ndim != 3:
             raise ValueError("fiber_index must be a 3D cell grid")
@@ -193,6 +195,8 @@ class SlabMaterial:
             s = np.asarray(self.scale, dtype=float)
             if s.shape != idx.shape:
                 raise ValueError("scale grid must match the cell grid")
+            if not np.isfinite(s).all():
+                raise ValueError("cell scale factors must be finite")
             if np.any(s <= 0.0):
                 raise AdmissibilityError("cell scale factors must be positive")
         for name, arr in (("fibers", fibers), ("fiber_index", idx), ("weights", w), ("scale", s)):

@@ -98,3 +98,14 @@ def reference_matvec(op, x) -> np.ndarray:
     y = np.zeros((grid.nnodes, 3))
     np.add.at(y, grid.idx.ravel(), ylocal.reshape(-1, 3))
     return y.reshape(x.shape)
+
+
+def reference_energy_matrix(op, fields, loads) -> np.ndarray:
+    """``N_ij = sum_c sum_q w_q g_i^T C_c g_j`` in ``np.longdouble``, one total
+    strain ``g_i = B_q u_i + G_i`` per quadrature point, no cancellation."""
+    grid = op.grid
+    B, C, w = (np.asarray(a, dtype=np.longdouble) for a in (grid.B, op.cellC, grid.wq))
+    g = [np.einsum("qij,cj->cqi", B, _gather(grid, x).astype(np.longdouble))
+         + np.asarray(op._load_field(G), dtype=np.longdouble) for x, G in zip(fields, loads)]
+    s = [np.einsum("cij,cqj,q->cqi", C, gi, w) for gi in g]
+    return np.array([[np.sum(si * gj) for gj in g] for si in s])

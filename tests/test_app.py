@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +353,10 @@ class TestExitCodes:
         pytest.param("homog-regime1", {"kind": "isotropic-field", "grid": "ab",
                                        "mu_grid": [0.5, 1.5], "lambda_grid": [0.0, 0.0]}, {},
                      id="grid-string"),
+        pytest.param("reduce", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, [1, 2],
+                     id="settings-list"),
+        pytest.param("reduce", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, "x",
+                     id="settings-string"),
     ])
     def test_malformed_value_is_parse_error(self, tmp_path, capsys, command, material, settings):
         spec = {"convention": CONVENTION, "command": command, "material": material,
@@ -364,6 +369,21 @@ class TestExitCodes:
         assert payload["error"] == "SpecFormatError"
         assert payload["exit_code"] == EXIT_PARSE
         assert str(path) in payload["message"]
+
+    def test_overflowing_load_is_solver_error(self, tmp_path, capsys):
+        # load norm and noise floor overflow to inf: refused, not reported as solved
+        spec = {"convention": CONVENTION, "command": "homog-regime1",
+                "material": {"kind": "isotropic-field", "grid": [2, 2, 2],
+                             "mu_grid": [1e300] + [1.0] * 7, "lambda_grid": [0.0] * 8}}
+        path = write_spec(tmp_path, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["homog-regime1", "--spec", str(path), "--out", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "SolverError" and "not finite" in payload["message"]
 
     def test_error_payload_on_stderr(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,14 @@ from plate_homog.fem import (
     solve_loads,
 )
 
-from helpers import energy, random_cell, random_slab, random_spd, reference_matvec
+from helpers import (
+    energy,
+    random_cell,
+    random_slab,
+    random_spd,
+    reference_energy_matrix,
+    reference_matvec,
+)
 
 
 def _random_cellC(rng, ncells):
@@ -133,13 +142,17 @@ def test_energy_expansion_identity():
 
 
 def test_solve_loads_energy_matrix_is_polarization():
-    # N_ij = (E(x_i + x_j, G_i + G_j) - E(x_i, G_i) - E(x_j, G_j)) / 2, on
-    # random fields (where rhs(g_i) . x_j does not vanish) and on correctors
+    # N_ij = (E(x_i + x_j, G_i + G_j) - E(x_i, G_i) - E(x_j, G_j)) / 2,
+    # on random fields (where rhs(g_i) . x_j does not vanish) and on correctors,
+    # for load sets with a field load and for all-constant ones
     rng = np.random.default_rng(53)
-    for grid in (build_cell_grid(2, 2, 2), build_slab_grid(2, 1, 2)):
+    for grid, constant in ((build_cell_grid(2, 2, 2), False), (build_slab_grid(2, 1, 2), False),
+                           (build_cell_grid(2, 3, 2), True)):
         op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
         loads = [rng.standard_normal(6), rng.standard_normal((grid.ncells, 8, 6)),
                  rng.standard_normal(6)]
+        if constant:
+            loads[1] = rng.standard_normal(6)
         random_fields = [rng.standard_normal(grid.ndofs) for _ in loads]
         fields, N, solves = solve_loads(op, loads, 1e-12)
         assert len(fields) == len(solves) == 3
@@ -149,6 +162,57 @@ def test_solve_loads_energy_matrix_is_polarization():
                     polar = 0.5 * (energy(op, xs[i] + xs[j], loads[i] + loads[j])
                                    - energy(op, xs[i], loads[i]) - energy(op, xs[j], loads[j]))
                     assert M[i, j] == pytest.approx(polar, rel=1e-10)
+
+
+def _box_cell_operator(n, contrast):
+    """Isotropic cell with a stiff box, an eighth of the cell, in one corner."""
+    soft = qf_isotropic(1.0, 1.0).matrix
+    mask = np.zeros((n, n, n), dtype=bool)
+    mask[: n // 2, : n // 2, : n // 2] = True
+    cellC = np.where(mask[..., None, None], contrast * soft, soft).reshape(-1, 6, 6)
+    return ElementOperator(build_cell_grid(n, n, n), cellC)
+
+
+def test_energy_matrix_matches_extended_precision_reference():
+    # solved correctors: constant loads on a contrast-30 box cell (grouped) and a
+    # random cell (stacked), x3-linear and mid-plane load fields on a slab
+    rng = np.random.default_rng(61)
+    cell = _box_cell_operator(8, 30.0)
+    slab = ElementOperator(build_slab_grid(4, 3, 3), _random_cellC(rng, 36))
+    e3 = [np.eye(6)[i] for i in (0, 1, 5)]
+    slab_loads = ([slab.grid.x3q[:, :, None] * g for g in e3]
+                  + [np.broadcast_to(g, (slab.grid.ncells, 8, 6)) for g in e3])
+    stacked = ElementOperator(build_cell_grid(3, 3, 3), _random_cellC(rng, 27))
+    for op, loads in ((cell, list(np.eye(6))), (stacked, list(np.eye(6))), (slab, slab_loads)):
+        fields, N, _ = solve_loads(op, loads, 1e-10)
+        ref = reference_energy_matrix(op, fields, loads)
+        assert np.abs(N - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("grid", [build_cell_grid(3, 4, 5), build_cell_grid(1, 1, 6),
+                                  build_slab_grid(4, 3, 2)])
+def test_constant_load_rhs_equals_pointwise_assembly(grid):
+    rng = np.random.default_rng(62)
+    op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
+    for g in (rng.standard_normal(6), np.eye(6)[3]):
+        ref = op._assemble(op.cellC, grid.B, np.ascontiguousarray(op._load_field(g)))
+        assert np.abs(op.rhs(g) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_overflowing_load_is_a_solver_error():
+    # a law near the top of the double range: load norm and noise floor are inf
+    rng = np.random.default_rng(63)
+    grid = build_cell_grid(2, 2, 2)
+    cellC = _random_cellC(rng, grid.ncells)
+    cellC[0] *= 1e300
+    op = ElementOperator(grid, cellC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="not finite"):
+            solve_loads(op, list(np.eye(6)), 1e-10)
+    b = -op.rhs(np.eye(6)[0])
+    with pytest.raises(SolverError, match="not finite"):
+        conjugate_gradient(op, b, 1e-10, noise_floor=np.inf)
 
 
 def test_iteration_cap_bounds_stalled_solve():
