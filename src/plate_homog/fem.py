@@ -36,6 +36,15 @@ Suquet 1998; Zeman, Vondrejc, Novak & Marek 2010).  The symbol of that
 operator is built by sum factorization: element blocks summed per node
 offset, then one 1-D phase table per axis.  The iteration count
 then depends on the contrast of C against C0, not on the grid size.
+The inverse works component-major: one contiguous scalar field per
+displacement component, FFTs over the trailing axes, and 3x3 blocks
+stored (3, 3, wavevectors).  On a cell grid the symbol is real, because
+the trilinear element is point symmetric, so its inverse is stored real;
+on a slab the two node planes of a layer break that pairing and the
+block-tridiagonal factors stay complex.
+
+Nodal vectors are laid out node-major, dof ``3 * node + m``; a scatter-add
+is one ``bincount`` over ``Grid.dofs`` (or its law-sorted copy).
 """
 
 from __future__ import annotations
@@ -124,6 +133,11 @@ class Grid:
     def ndofs(self) -> int:
         return 3 * self.nnodes
 
+    @cached_property
+    def dofs(self) -> np.ndarray:
+        """(ncells, 24) global dof ``3 * node + m`` of each local dof."""
+        return (3 * self.idx[:, :, None] + np.arange(3)).reshape(self.ncells, 24)
+
 
 def _build_grid(kind: str, n1: int, n2: int, n3: int) -> Grid:
     if min(n1, n2, n3) < 1:
@@ -173,9 +187,10 @@ class ElementOperator:
         self._Bbar = np.einsum("q,qij->ij", grid.wq, grid.B)   # cell integral of B
         first, law = _distinct_laws(cellC)
         self.cell_laws = len(first)
-        self._idx, self._Ke = grid.idx, None
+        self._idx, self._dofs, self._Ke = grid.idx, grid.dofs, None
         if LAW_CELLS * self.cell_laws <= grid.ncells:
-            self._idx = grid.idx[np.argsort(law, kind="stable")]
+            order = np.argsort(law, kind="stable")
+            self._idx, self._dofs = grid.idx[order], grid.dofs[order]
             self._cuts = np.concatenate(([0], np.cumsum(np.bincount(law))))
             self._laws = cellC[first]
             self._Ke = _element_matrix(grid, self._laws)
@@ -185,12 +200,10 @@ class ElementOperator:
         nodes = np.ascontiguousarray(x, dtype=float).reshape(-1).view(_NODE)
         return nodes.take(idx).view(float).reshape(len(idx), 24)
 
-    def _to_nodes(self, ylocal: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Scatter-add per-cell local vectors (ncells, 24), cells as in ``idx``, into nodes."""
-        nodes = idx.ravel()
-        y = ylocal.reshape(-1, 3)
-        return np.stack([np.bincount(nodes, weights=y[:, m], minlength=self.grid.nnodes)
-                         for m in range(3)], axis=1).ravel()
+    def _to_nodes(self, ylocal: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+        """Scatter-add per-cell local vectors (ncells, 24) into a nodal vector, cells
+        as in ``dofs`` (``grid.dofs`` or a reordering), in one ``bincount``."""
+        return np.bincount(dofs.ravel(), weights=ylocal.ravel(), minlength=self.grid.ndofs)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``K x``: gather, a few large products, scatter-add.
@@ -208,7 +221,7 @@ class ElementOperator:
         y = np.empty_like(u)
         for Ke, a, b in zip(self._Ke, self._cuts[:-1], self._cuts[1:]):
             np.matmul(u[a:b], Ke, out=y[a:b])
-        return self._to_nodes(y, self._idx).reshape(x.shape)
+        return self._to_nodes(y, self._dofs).reshape(x.shape)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """Zero-mean solution of ``K0 z = r`` for the reference law C0.
@@ -234,7 +247,7 @@ class ElementOperator:
         """Nodal vector ``y[v] = sum w_q (B_q v)^T cellC_c g(c, q)``."""
         s = g @ cellC.transpose(0, 2, 1)
         wB = (self.grid.wq[:, None, None] * B).reshape(48, 24)
-        return self._to_nodes(s.reshape(self.grid.ncells, 48) @ wB, self.grid.idx)
+        return self._to_nodes(s.reshape(self.grid.ncells, 48) @ wB, self.grid.dofs)
 
     def rhs(self, gload) -> np.ndarray:
         """Nodal load vector ``f[v] = sum w_q (B_q v)^T C_c g(c, q)``.
@@ -245,7 +258,7 @@ class ElementOperator:
         g = np.asarray(gload, dtype=float)
         if g.shape == (6,):
             stress = (self.cellC.reshape(-1, 6) @ g).reshape(-1, 6)
-            return self._to_nodes(stress @ self._Bbar, self.grid.idx)
+            return self._to_nodes(stress @ self._Bbar, self.grid.dofs)
         return self._assemble(self.cellC, self.grid.B, self._load_field(g))
 
     def rhs_noise_floor(self, gload) -> float:
@@ -319,7 +332,7 @@ class ElementOperator:
                 s = grid.wq[q] * np.einsum("cij,cj->ci", self.cellC, u @ grid.B[q].T + G[i][:, q])
                 ylocal += s @ grid.B[q]
                 N[i] += [np.einsum("ci,ci->", s, Gj[:, q]) for Gj in G]
-            f = self._to_nodes(ylocal, grid.idx)
+            f = self._to_nodes(ylocal, grid.dofs)
             N[i] += [f @ xj for xj in fields]
         return 0.5 * (N + N.T)
 
@@ -372,8 +385,9 @@ def _symbol(Ke: np.ndarray, ns, ms) -> np.ndarray:
 
 
 def _bmv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Batched matrix-vector product ``A[f] @ v[f]``."""
-    return (A @ v[..., None])[..., 0]
+    """Component-major batched matrix-vector product: ``A`` (..., 3, 3, F) times
+    ``v`` (..., 3, F), one 3x3 block per trailing index f."""
+    return (A * v[..., None, :, :]).sum(axis=-2)
 
 
 def reference_inverse(grid: Grid, C0: np.ndarray):
@@ -385,25 +399,51 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     by sum factorization: the ``Ke`` blocks are summed once per node
     offset in {-1, 0, 1}^k, then contracted with a 1-D phase table per
     periodic axis, O(wavevectors) work with no per-wavevector phase table.
-    Cell grid: one 3x3 block per ``rfftn`` wavevector, the
-    zero mode (the translations) mapped to 0.  Slab grid: per ``rfft2``
-    wavevector, a Hermitian block-tridiagonal system over the node
-    planes, factored once by block elimination (the inverse Schur
-    complements ``Sinv`` and the multipliers ``W = Sinv U``); at the
-    zero wavevector node plane 0 is grounded and the mean is projected
-    out of the input and the result.
+
+    Both branches work component-major: ``apply`` transposes the nodal
+    vector to one contiguous scalar field per displacement component and
+    runs the FFTs over the trailing, contiguous axes.  Every 3x3 block is
+    stored with its two component axes ahead of the wavevector axis, so a
+    block product is one broadcast multiply and a sum over three columns
+    for all wavevectors at once (``_bmv``).
+
+    Cell grid: one 3x3 block per ``rfftn`` wavevector, the zero mode (the
+    translations) mapped to 0.  The symbol is real symmetric: the trilinear
+    element is point symmetric, ``Ke[7 - a, 7 - b] = Ke[a, b]``, so the
+    blocks summed per node offset are even, equal at ``delta`` and
+    ``-delta``, and the phases pair into cosines.  Its imaginary part is
+    rounding (under 1e-16 of the real part on 8^3 to 32^3 grids), so the
+    inverse is stored real, (3, 3, wavevectors), and applied real by
+    complex.
+
+    Slab grid: per ``rfft2`` wavevector, a Hermitian block-tridiagonal
+    system over the node planes, factored once by block elimination (the
+    inverse Schur complements ``Sinv`` and the multipliers ``W = Sinv U``);
+    at the zero wavevector node plane 0 is grounded and the mean is
+    projected out of the input and the result.  Point symmetry swaps the
+    two node planes of a layer, so within one block it pairs no in-plane
+    offset ``delta`` with ``-delta``: the slab symbol is complex, an
+    isotropic law's included, and the factors stay complex.
+    ``Sinv`` is stored (planes, 3, 3, F), ``W`` and the forward sweep's
+    ``W^H`` (planes - 1, 3, 3, F), and the transformed data (planes, 3,
+    F), with F the in-plane wavevectors.  ``Sinv`` is applied to every
+    plane in one batched product before the back substitution.
     """
     Ke = _element_matrix(grid, np.asarray(C0, dtype=float))
     n1, n2, n3 = grid.shape
     if grid.kind == "cell":
-        K = _symbol(Ke, (n1, n2, n3), (n1, n2, n3 // 2 + 1))
+        K = _symbol(Ke, (n1, n2, n3), (n1, n2, n3 // 2 + 1)).real
         K[0, 0, 0] = np.eye(3)
         Kinv = np.linalg.inv(K)
         Kinv[0, 0, 0] = 0.0
+        Kinv = np.ascontiguousarray(Kinv.reshape(-1, 3, 3).transpose(1, 2, 0))
 
         def apply(r):
-            rh = np.fft.rfftn(r.reshape(n1, n2, n3, 3), axes=(0, 1, 2))
-            return np.fft.irfftn(_bmv(Kinv, rh), s=(n1, n2, n3), axes=(0, 1, 2)).reshape(r.shape)
+            fields = np.ascontiguousarray(r.reshape(-1, 3).T).reshape(3, n1, n2, n3)
+            rh = np.fft.rfftn(fields, axes=(1, 2, 3))
+            zh = _bmv(Kinv, rh.reshape(3, -1)).reshape(rh.shape)
+            z = np.fft.irfftn(zh, s=(n1, n2, n3), axes=(1, 2, 3))
+            return z.reshape(3, -1).T.reshape(r.shape)
 
         return apply
 
@@ -424,20 +464,21 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
             Sinv[0, 0] = 0.0
         if k < n3:
             W[k] = Sinv[k] @ U
+    Sinv, W, Wh = (np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+                   for a in (Sinv, W, W.conj().swapaxes(2, 3)))
 
     def apply(r):
-        rh = np.fft.rfft2(r.reshape(n1, n2, nplanes, 3), axes=(0, 1))
-        y = rh.reshape(n1 * m2, nplanes, 3).transpose(1, 0, 2)
-        y[:, 0] -= y[:, 0].mean(axis=0)          # zero wavevector: drop the translations
+        planes = np.ascontiguousarray(r.reshape(n1, n2, nplanes, 3).transpose(2, 3, 0, 1))
+        y = np.fft.rfft2(planes).reshape(nplanes, 3, n1 * m2)
+        y[:, :, 0] -= y[:, :, 0].mean(axis=0)    # zero wavevector: drop the translations
         for k in range(1, nplanes):
-            y[k] -= np.einsum("fji,fj->fi", W[k - 1].conj(), y[k - 1])
-        z = np.empty_like(y)
-        z[-1] = _bmv(Sinv[-1], y[-1])
+            y[k] -= _bmv(Wh[k - 1], y[k - 1])
+        z = _bmv(Sinv, y)
         for k in range(n3 - 1, -1, -1):
-            z[k] = _bmv(Sinv[k], y[k]) - _bmv(W[k], z[k + 1])
-        z[:, 0] -= z[:, 0].mean(axis=0)
-        zh = z.transpose(1, 0, 2).reshape(n1, m2, nplanes, 3)
-        return np.fft.irfft2(zh, s=(n1, n2), axes=(0, 1)).reshape(r.shape)
+            z[k] -= _bmv(W[k], z[k + 1])
+        z[:, :, 0] -= z[:, :, 0].mean(axis=0)
+        z = np.fft.irfft2(z.reshape(nplanes, 3, n1, m2), s=(n1, n2))
+        return z.transpose(2, 3, 0, 1).reshape(r.shape)
 
     return apply
 
@@ -488,6 +529,7 @@ def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float, maxiter=N
     z = op.precondition(r)
     p = z.copy()
     rz = float(r @ z)
+    step = np.empty_like(r)          # alpha p and alpha Ap, in place
     history = []
     best, best_it = np.inf, 0
     for it in range(1, maxiter + 1):
@@ -505,8 +547,8 @@ def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float, maxiter=N
                 residuals=history,
             )
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, Ap, out=step)
         rnorm = float(np.linalg.norm(r))
         rel = rnorm / bnorm
         history.append(rel)
@@ -527,7 +569,8 @@ def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float, maxiter=N
             )
         z = op.precondition(r)
         rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     raise SolverError(
         f"conjugate gradients did not reach tol={tol:g} in {maxiter} iterations "

@@ -153,11 +153,10 @@ def assemble_regime1(material: CellMaterial3, x3_samples: int) -> DenseProblem:
     Mcell = np.einsum("qia,cij,qjb,q->cab", Gq, material.flat(), Gq, grid.wq,
                       optimize=True)                          # (ncells,30,30)
 
-    cell_dofs = (3 * grid.idx[:, :, None] + np.arange(3)).reshape(grid.ncells, 24)
     cols = np.concatenate([
         np.broadcast_to(np.arange(3), (m, grid.ncells, 3)),
         np.broadcast_to(3 + 3 * np.arange(m)[:, None, None] + np.arange(3), (m, grid.ncells, 3)),
-        3 + 3 * m + ndofs * np.arange(m)[:, None, None] + cell_dofs,
+        3 + 3 * m + ndofs * np.arange(m)[:, None, None] + grid.dofs,
     ], axis=2).reshape(m * grid.ncells, 30)
     # Ground the last node of each slice's corrector field.
     drop = (3 + 3 * m + ndofs * np.arange(m)[:, None] + (ndofs - 3) + np.arange(3)).ravel()
@@ -205,10 +204,9 @@ def assemble_regime2(slab: SlabMaterial) -> DenseProblem:
     CG = stacks[:, None] @ G                # (ncells, 8, nf, 6, nloc)
     blocks = np.einsum("q,j,qjia,cqjib->cqab", grid.wq, wf, G, CG, optimize=True)
 
-    cell_dofs = (3 * grid.idx[:, :, None] + np.arange(3)).reshape(grid.ncells, 24)
     cols = np.concatenate([
         np.broadcast_to(np.arange(3), (grid.ncells, 8, 3)),
-        np.broadcast_to(3 + cell_dofs[:, None], (grid.ncells, 8, 24)),
+        np.broadcast_to(3 + grid.dofs[:, None], (grid.ncells, 8, 24)),
         3 + ndofs + nz * np.arange(grid.ncells * 8).reshape(grid.ncells, 8, 1) + np.arange(nz),
     ], axis=2).reshape(-1, nloc)
     drop = 3 + (ndofs - 3) + np.arange(3)   # ground the last corrector node

@@ -1,5 +1,6 @@
 """Shared generators for admissible random materials, and reference
-implementations of the stiffness operator written independently of it."""
+implementations of the stiffness operator written independently of it,
+and node-major versions of its scatter-add and FFT preconditioner."""
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from plate_homog import (
     SlabMaterial,
     ThicknessProfile,
 )
+from plate_homog import fem
 
 
 def random_spd(rng, n, lo, hi):
@@ -109,3 +111,59 @@ def reference_energy_matrix(op, fields, loads) -> np.ndarray:
          + np.asarray(op._load_field(G), dtype=np.longdouble) for x, G in zip(fields, loads)]
     s = [np.einsum("cij,cqj,q->cqi", C, gi, w) for gi in g]
     return np.array([[np.sum(si * gj) for gj in g] for si in s])
+
+
+def reference_scatter(op, ylocal, idx) -> np.ndarray:
+    """Scatter-add (ncells, 24) local vectors into nodes, cells as in ``idx``: one
+    ``np.bincount`` per displacement component, stacked node-major."""
+    nodes = idx.ravel()
+    y = ylocal.reshape(-1, 3)
+    return np.stack([np.bincount(nodes, weights=y[:, m], minlength=op.grid.nnodes)
+                     for m in range(3)], axis=1).ravel()
+
+
+def reference_precondition(op, r) -> np.ndarray:
+    """``op.precondition(r)`` node-major with complex blocks: ``rfftn``/``rfft2``
+    over the leading node axes of (n1, n2, n3, 3), one complex 3x3 inverse per
+    wavevector (cell), or the block-tridiagonal sweep over the node planes with
+    ``W^H`` conjugated on every plane (slab)."""
+    grid = op.grid
+    Ke = fem._element_matrix(grid, op.cellC.mean(axis=0))
+    n1, n2, n3 = grid.shape
+    if grid.kind == "cell":
+        K = fem._symbol(Ke, (n1, n2, n3), (n1, n2, n3 // 2 + 1))
+        K[0, 0, 0] = np.eye(3)
+        Kinv = np.linalg.inv(K)
+        Kinv[0, 0, 0] = 0.0
+        rh = np.fft.rfftn(r.reshape(n1, n2, n3, 3), axes=(0, 1, 2))
+        zh = (Kinv @ rh[..., None])[..., 0]
+        return np.fft.irfftn(zh, s=(n1, n2, n3), axes=(0, 1, 2)).reshape(r.shape)
+
+    nplanes, m2 = n3 + 1, n2 // 2 + 1
+    E = fem._symbol(Ke, (n1, n2), (n1, m2)).reshape(n1 * m2, 2, 3, 2, 3)
+    bottom, top, U = E[:, 0, :, 0], E[:, 1, :, 1], E[:, 0, :, 1]
+    Sinv = np.empty((nplanes, n1 * m2, 3, 3), dtype=complex)
+    W = np.empty((n3, n1 * m2, 3, 3), dtype=complex)
+    for k in range(nplanes):
+        S = (bottom if k < n3 else 0.0) + (top if k > 0 else 0.0)
+        if k == 0:
+            S[0] = np.eye(3)
+        else:
+            S -= U.conj().swapaxes(1, 2) @ W[k - 1]
+        Sinv[k] = np.linalg.inv(S)
+        if k == 0:
+            Sinv[0, 0] = 0.0
+        if k < n3:
+            W[k] = Sinv[k] @ U
+    rh = np.fft.rfft2(r.reshape(n1, n2, nplanes, 3), axes=(0, 1))
+    y = rh.reshape(n1 * m2, nplanes, 3).transpose(1, 0, 2)
+    y[:, 0] -= y[:, 0].mean(axis=0)
+    for k in range(1, nplanes):
+        y[k] -= np.einsum("fji,fj->fi", W[k - 1].conj(), y[k - 1])
+    z = np.empty_like(y)
+    z[-1] = (Sinv[-1] @ y[-1][..., None])[..., 0]
+    for k in range(n3 - 1, -1, -1):
+        z[k] = (Sinv[k] @ y[k][..., None])[..., 0] - (W[k] @ z[k + 1][..., None])[..., 0]
+    z[:, 0] -= z[:, 0].mean(axis=0)
+    zh = z.transpose(1, 0, 2).reshape(n1, m2, nplanes, 3)
+    return np.fft.irfft2(zh, s=(n1, n2), axes=(0, 1)).reshape(r.shape)

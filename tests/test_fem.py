@@ -31,6 +31,8 @@ from helpers import (
     random_spd,
     reference_energy_matrix,
     reference_matvec,
+    reference_precondition,
+    reference_scatter,
 )
 
 
@@ -113,6 +115,18 @@ def test_matvec_equals_reference(case):
     for x in (rng.standard_normal(grid.ndofs), np.eye(grid.ndofs)[:, 1]):
         ref = reference_matvec(op, x)
         assert np.abs(op.matvec(x) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", list(MATVEC_CASES))
+def test_scatter_equals_per_component_bincounts(case):
+    # one bincount over 3 * node + m adds each dof's entries in the same order
+    # as a bincount per component: bit for bit, in grid and in law order
+    grid, laws, _, _ = MATVEC_CASES[case]
+    rng = np.random.default_rng(61)
+    op = ElementOperator(grid, laws(rng, grid.ncells))
+    ylocal = rng.standard_normal((grid.ncells, 24))
+    for idx, dofs in ((grid.idx, grid.dofs), (op._idx, op._dofs)):
+        assert np.array_equal(op._to_nodes(ylocal, dofs), reference_scatter(op, ylocal, idx))
 
 
 def test_law_grouping_survives_hash_collisions(monkeypatch):
@@ -240,10 +254,47 @@ def test_stalled_solve_stops_long_before_the_cap():
     assert min(history[-STALL_ITERATIONS:]) >= min(history)
 
 
-@pytest.mark.parametrize("build, shape", [
+@pytest.mark.parametrize("shape", [(1, 1, 6), (2, 2, 2), (3, 4, 5), (5, 4, 4)])
+def test_cell_symbol_is_real(shape):
+    # the element is point symmetric, so the blocks summed per node offset are
+    # even in the offset: the precondition stores the cell inverse real
+    rng = np.random.default_rng(62)
+    grid = build_cell_grid(*shape)
+    for _ in range(3):
+        Ke = fem._element_matrix(grid, random_spd(rng, 6, 0.5, 3.0))
+        S = fem._symbol(Ke, shape, shape[:2] + (shape[2] // 2 + 1,))
+        assert np.abs(S.imag).max() <= 1e-15 * np.abs(S.real).max()
+
+
+def test_slab_symbol_is_complex():
+    # across the two node planes of a layer no offset pairs with its negative:
+    # the slab factors must stay complex
+    grid = build_slab_grid(4, 4, 2)
+    C = qf_isotropic(1.0, 0.3).matrix.copy()
+    C[0, 4] = C[4, 0] = 0.3                  # monoclinic: e11 couples to the shear e13
+    S = fem._symbol(fem._element_matrix(grid, C), (4, 4), (4, 3))
+    assert np.abs(S.imag).max() >= 0.05 * np.abs(S.real).max()
+
+
+PRECONDITIONER_GRIDS = [
     (build_cell_grid, (1, 1, 6)), (build_cell_grid, (3, 4, 5)), (build_cell_grid, (2, 2, 2)),
     (build_slab_grid, (1, 1, 3)), (build_slab_grid, (2, 3, 2)), (build_slab_grid, (5, 4, 3)),
-])
+]
+
+
+@pytest.mark.parametrize("build, shape", PRECONDITIONER_GRIDS)
+def test_precondition_equals_node_major_complex_apply(build, shape):
+    # the component-major apply with a real cell inverse against the node-major
+    # complex one, on a law per cell
+    rng = np.random.default_rng(63)
+    grid = build(*shape)
+    op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
+    for r in (op.matvec(rng.standard_normal(grid.ndofs)), rng.standard_normal(grid.ndofs)):
+        ref = reference_precondition(op, r)
+        assert np.abs(op.precondition(r) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("build, shape", PRECONDITIONER_GRIDS)
 def test_preconditioner_inverts_homogeneous_operator(build, shape):
     # on a constant law the reference law is the law itself: M K = I minus the
     # nodal mean, and one preconditioned iteration solves any load
