@@ -18,13 +18,18 @@ is grouped, one 24x24 element matrix per distinct cell law, when a law
 covers at least ``LAW_CELLS`` cells on average, and stacked otherwise:
 all 8 quadrature points in 48-row products around one 6x6 law per cell.
 
-The energy matrix of solved correctors is ``N_ij = f_i . x_j + T_ij``: the
-true residual ``f_i = K x_i + rhs(G_i)``, one matvec per load, plus a load
-term.  For loads constant per cell the load term needs only the cell-mean
-total strain ``Bbar u_c + v G_i`` (``Bbar = sum_q w_q B_q``, v the cell
-volume), formed per cell before the law is applied, so no quadrature-point
-field is built and no large terms cancel; the right-hand side of such a
-load is ``(C_c G) @ Bbar`` per cell.
+A load strain is constant or x3-linear per cell: a Mandel 6-vector G, or
+on a slab a pair (G, A) for ``G + x3 A``.  With ``x3_q = x3_c + d_q`` (x3_c
+the cell centre, ``d_q = +-h3 / (2 sqrt 3)`` in every cell), two constant
+6x24 matrices carry all the quadrature a load needs, ``Bbar = sum_q w_q
+B_q`` and ``Btilde = sum_q w_q d_q B_q``, since ``sum_q w_q d_q = 0`` and
+``sum_q w_q d_q^2 = v h3^2 / 12`` (v the cell volume).  The energy matrix
+of solved correctors is ``N_ij = f_i . x_j + T_ij``: the true residual
+``f_i = K x_i + rhs(G_i)``, one matvec per load, plus a load term from the
+cell integrals of the total strain, ``e = Bbar u_c + v (G + x3_c A)``, and
+of its first x3 moment, ``m = x3_c e + Btilde u_c + v (h3^2 / 12) A``,
+formed per cell before the law is applied: no quadrature-point field is
+built and no large terms cancel.
 
 Corrector solves run conjugate gradients preconditioned by the exact
 inverse of the stiffness of one constant reference law C0 (the cell mean
@@ -119,6 +124,7 @@ class Grid:
     B: np.ndarray             # (8, 6, 24)
     wq: np.ndarray            # (8,) quadrature weights including cell volume
     h: tuple
+    x3c: np.ndarray           # (ncells,) x3 of the cell centres, over [-1/2, 1/2]
     x3q: np.ndarray | None = None   # (ncells, 8) thickness coordinate, slab only
 
     @property
@@ -154,7 +160,8 @@ def _build_grid(kind: str, n1: int, n2: int, n3: int) -> Grid:
         for qi, (_, _, x2) in enumerate(product(GAUSS_POINTS, repeat=3)):
             x3q[:, qi] = -0.5 + (k.ravel() + x2) * h[2]
     return Grid(kind=kind, shape=(n1, n2, n3), node_shape=(n1, n2, m3), idx=idx,
-                B=build_b_matrices(h), wq=np.full(8, h[0] * h[1] * h[2] / 8.0), h=h, x3q=x3q)
+                B=build_b_matrices(h), wq=np.full(8, h[0] * h[1] * h[2] / 8.0), h=h,
+                x3c=-0.5 + (k.ravel() + 0.5) * h[2], x3q=x3q)
 
 
 def build_cell_grid(n1: int, n2: int, n3: int) -> Grid:
@@ -184,13 +191,16 @@ class ElementOperator:
         self.grid = grid
         self.cellC = cellC
         self._reference = None
-        self._Bbar = np.einsum("q,qij->ij", grid.wq, grid.B)   # cell integral of B
+        # cell integrals of B and of (x3 - x3_c) B; x3 - x3_c is the same in every cell
+        self._Bbar = np.einsum("q,qij->ij", grid.wq, grid.B)
+        d3 = (np.array(GAUSS_POINTS * 4) - 0.5) * grid.h[2]
+        self._Btilde = np.einsum("q,qij->ij", grid.wq * d3, grid.B)
         first, law = _distinct_laws(cellC)
         self.cell_laws = len(first)
-        self._idx, self._dofs, self._Ke = grid.idx, grid.dofs, None
+        self._idx, self._dofs, self._x3c, self._Ke = grid.idx, grid.dofs, grid.x3c, None
         if LAW_CELLS * self.cell_laws <= grid.ncells:
             order = np.argsort(law, kind="stable")
-            self._idx, self._dofs = grid.idx[order], grid.dofs[order]
+            self._idx, self._dofs, self._x3c = grid.idx[order], grid.dofs[order], grid.x3c[order]
             self._cuts = np.concatenate(([0], np.cumsum(np.bincount(law))))
             self._laws = cellC[first]
             self._Ke = _element_matrix(grid, self._laws)
@@ -234,14 +244,15 @@ class ElementOperator:
             self._reference = reference_inverse(self.grid, self.cellC.mean(axis=0))
         return self._reference(r)
 
-    def _load_field(self, gload) -> np.ndarray:
-        """Broadcast a load strain to (ncells, 8, 6)."""
+    def _load_parts(self, gload):
+        """``(G, A)`` of a load ``G + x3 A``: a 6-vector (A None) or a slab's (2, 6) pair."""
         g = np.asarray(gload, dtype=float)
         if g.shape == (6,):
-            return np.broadcast_to(g, (self.grid.ncells, 8, 6))
-        if g.shape == (self.grid.ncells, 8, 6):
-            return g
-        raise ValueError(f"load strain must have shape (6,) or (ncells, 8, 6), got {g.shape}")
+            return g, None
+        if g.shape == (2, 6) and self.grid.kind == "slab":
+            return g[0], g[1]
+        raise ValueError("load strain must be a Mandel 6-vector or, on a slab grid, "
+                         f"a (2, 6) pair (G, A) for G + x3 A; got shape {g.shape}")
 
     def _assemble(self, cellC, B, g) -> np.ndarray:
         """Nodal vector ``y[v] = sum w_q (B_q v)^T cellC_c g(c, q)``."""
@@ -250,16 +261,17 @@ class ElementOperator:
         return self._to_nodes(s.reshape(self.grid.ncells, 48) @ wB, self.grid.dofs)
 
     def rhs(self, gload) -> np.ndarray:
-        """Nodal load vector ``f[v] = sum w_q (B_q v)^T C_c g(c, q)``.
-
-        A constant load needs no quadrature: ``f[v] = (Bbar v)^T C_c g``
-        with ``Bbar = sum_q w_q B_q``, one (ncells, 6) @ (6, 24) product.
-        """
-        g = np.asarray(gload, dtype=float)
-        if g.shape == (6,):
-            stress = (self.cellC.reshape(-1, 6) @ g).reshape(-1, 6)
+        """Nodal load vector ``f[v] = sum_c sum_q w_q (B_q v)^T C_c (G + x3_q A)``,
+        per cell ``(C_c (G + x3_c A)) @ Bbar + (C_c A) @ Btilde``: one or two
+        (ncells, 6) @ (6, 24) products and no quadrature."""
+        G, A = self._load_parts(gload)
+        C = self.cellC.reshape(-1, 6)
+        stress = (C @ G).reshape(-1, 6)
+        if A is None:
             return self._to_nodes(stress @ self._Bbar, self.grid.dofs)
-        return self._assemble(self.cellC, self.grid.B, self._load_field(g))
+        stress_a = (C @ A).reshape(-1, 6)
+        stress += self.grid.x3c[:, None] * stress_a
+        return self._to_nodes(stress @ self._Bbar + stress_a @ self._Btilde, self.grid.dofs)
 
     def rhs_noise_floor(self, gload) -> float:
         """Norm threshold below which an assembled load is cancellation dust.
@@ -267,13 +279,16 @@ class ElementOperator:
         Materials with no coupling between the load strain and some
         displacement components produce load entries that are exact
         zeros up to rounding; iterating CG on such noise diverges.  The
-        same assembly run on absolute values bounds the magnitude that
+        same assembly run on absolute values, ``|C|``, ``|B|`` and ``|G +
+        x3_q A|`` at every quadrature point, bounds the magnitude that
         went into each entry, so anything at 1e-12 of it is noise (the
         true cancellation error sits near 1e-16 of it).
         """
+        G, A = self._load_parts(gload)
+        g = np.abs(G if A is None else G + self.grid.x3q[:, :, None] * A)
+        g = np.broadcast_to(g, (self.grid.ncells, 8, 6))
         abs_cellC, abs_B = self._abs_parts
-        y = self._assemble(abs_cellC, abs_B, self._load_field(np.abs(gload)))
-        return 1e-12 * float(np.linalg.norm(y))
+        return 1e-12 * float(np.linalg.norm(self._assemble(abs_cellC, abs_B, g)))
 
     @cached_property
     def _abs_parts(self):
@@ -281,60 +296,46 @@ class ElementOperator:
         return np.abs(self.cellC), np.abs(self.grid.B)
 
     def energy_matrix(self, fields, loads) -> np.ndarray:
-        """Energies ``N_ij = sum w_q g_i^T C g_j`` of total strains ``g_i = B x_i + G_i``.
+        """Energies ``N_ij = sum w_q g_i^T C g_j`` of total strains ``g_i = B x_i + G_i
+        + x3 A_i``.
 
         ``N_ij = f_i . x_j + T_ij`` with the residual ``f_i = K x_i +
         rhs(G_i)`` (one matvec per load, tiny at convergence) and the load
-        term ``T_ij = sum_c sum_q w_q (B_q u_i + G_i)^T C_c G_j``.  When
-        every load is a constant Mandel 6-vector, ``T`` collapses to cell
-        means: ``T_ij = sum_c (Bbar u_i + v G_i)^T C_c G_j`` with ``Bbar =
-        sum_q w_q B_q`` and v the cell volume, summed per law in the
-        grouped form.  The total strain is formed per cell before ``C`` is
-        applied: forms that cancel only globally (``x_i . rhs(G_j)`` plus a
-        load term, or ``X^T K X`` plus cross terms) drift well past
-        rounding, most on the small entries.  A set with an (ncells, 8, 6)
-        load field takes ``_pointwise_energy_matrix``.  The result is
-        symmetrized.
+        term ``T_ij = sum_c sum_q w_q g_i^T C_c (G_j + x3_q A_j) = sum_c (e_ic
+        . C_c G_j + m_ic . C_c A_j)``, with the cell integrals ``e = Bbar u +
+        v (G + x3_c A)`` and ``m = x3_c e + Btilde u + v (h3^2 / 12) A`` (the
+        moment only when some load has an A) formed per cell before ``C`` is
+        applied and summed per law in the grouped form: forms that cancel
+        only globally (``x_i . rhs(G_j)`` plus a load term, or ``X^T K X``
+        plus cross terms) drift well past rounding, most on the small
+        entries.  The result is symmetrized.
         """
-        G = [np.asarray(g, dtype=float) for g in loads]
-        if any(g.shape != (6,) for g in G):
-            return self._pointwise_energy_matrix(fields, loads)
-        N = np.array([self._stress_sum(x, g) for x, g in zip(fields, G)]) @ np.array(G).T
-        for i, (x, g) in enumerate(zip(fields, G)):
+        parts = [self._load_parts(g) for g in loads]
+        if any(A is not None for _, A in parts):      # every load takes the moment
+            parts = [(G, np.zeros(6) if A is None else A) for G, A in parts]
+        L = np.array([np.hstack([G] if A is None else [G, A]) for G, A in parts])
+        N = np.array([self._stress_sum(x, G, A) for x, (G, A) in zip(fields, parts)]) @ L.T
+        for i, (x, g) in enumerate(zip(fields, loads)):
             f = self.matvec(x) + self.rhs(g)
             N[i] += [f @ xj for xj in fields]
         return 0.5 * (N + N.T)
 
-    def _stress_sum(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """``sum_c (Bbar u_c + v g)^T C_c``: the cell-integrated stress of the
-        total strain of nodal field ``x`` under the constant load ``g``."""
-        e = self._gather(x, self._idx) @ self._Bbar.T + self.grid.wq.sum() * g
+    def _stress_sum(self, x: np.ndarray, G: np.ndarray, A=None) -> np.ndarray:
+        """``sum_c e_c^T C_c``, then with ``A`` also ``sum_c m_c^T C_c``: the cell
+        integrals of the stress of nodal field ``x`` under ``G + x3 A`` and of
+        its first x3 moment (see ``energy_matrix``)."""
+        u = self._gather(x, self._idx)
+        v = self.grid.wq.sum()
+        e = u @ self._Bbar.T + v * G
+        moments = [e]
+        if A is not None:
+            x3c = self._x3c[:, None]
+            e += (v * x3c) * A
+            moments.append(x3c * e + u @ self._Btilde.T + (v * self.grid.h[2] ** 2 / 12) * A)
         C = self.cellC
         if self._Ke is not None:
-            e, C = np.add.reduceat(e, self._cuts[:-1]), self._laws
-        return e.ravel() @ C.reshape(-1, 6)
-
-    def _pointwise_energy_matrix(self, fields, loads) -> np.ndarray:
-        """``energy_matrix`` for load fields, one quadrature point at a time.
-
-        Row ``i`` needs only the stress ``s_i = C g_i``:
-        ``N_ij = f_i . x_j + sum w_q s_i . G_j``, where ``f_i`` is the
-        nodal vector of ``s_i``.  No (ncells, 48) strain field is held
-        whole, as the stacked form of ``matvec`` would.
-        """
-        grid = self.grid
-        G = [self._load_field(g) for g in loads]
-        N = np.zeros((len(loads), len(loads)))
-        for i, x in enumerate(fields):
-            u = self._gather(x, grid.idx)
-            ylocal = np.zeros((grid.ncells, 24))
-            for q in range(8):
-                s = grid.wq[q] * np.einsum("cij,cj->ci", self.cellC, u @ grid.B[q].T + G[i][:, q])
-                ylocal += s @ grid.B[q]
-                N[i] += [np.einsum("ci,ci->", s, Gj[:, q]) for Gj in G]
-            f = self._to_nodes(ylocal, grid.dofs)
-            N[i] += [f @ xj for xj in fields]
-        return 0.5 * (N + N.T)
+            moments, C = [np.add.reduceat(m, self._cuts[:-1]) for m in moments], self._laws
+        return np.concatenate([m.ravel() @ C.reshape(-1, 6) for m in moments])
 
 
 def _distinct_laws(cellC: np.ndarray):
@@ -488,8 +489,8 @@ def iteration_cap(ndofs: int) -> int:
     return max(200, int(100 * ndofs ** (1.0 / 3.0)))
 
 
-def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float, maxiter=None,
-                       noise_floor: float = 0.0, x0: np.ndarray | None = None):
+def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float,
+                       noise_floor: float = 0.0):
     """CG on the singular-consistent stiffness system, preconditioned by
     ``op.precondition``.
 
@@ -505,13 +506,12 @@ def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float, maxiter=N
     as converged.  Returns ``(x, iterations, residual_history)`` with
     relative residuals; raises SolverError with the history on
     breakdown, divergence, stagnation (no new residual minimum in
-    ``STALL_ITERATIONS`` iterations), the iteration cap, or a load or
-    noise floor that is not finite.
+    ``STALL_ITERATIONS`` iterations), the iteration cap
+    (``iteration_cap``), or a load or noise floor that is not finite.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    if maxiter is None:
-        maxiter = iteration_cap(b.size)
+    maxiter = iteration_cap(b.size)
     with np.errstate(over="ignore"):
         bnorm = float(np.linalg.norm(b))
     if not (np.isfinite(bnorm) and np.isfinite(noise_floor)):
@@ -519,12 +519,8 @@ def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float, maxiter=N
                           "the material or load overflows double precision")
     if bnorm <= noise_floor:
         return np.zeros_like(b), 0, (0.0,)
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        r = b - op.matvec(x)
+    x = np.zeros_like(b)
+    r = b.copy()
     rnorm = float(np.linalg.norm(r))
     z = op.precondition(r)
     p = z.copy()
@@ -588,11 +584,11 @@ def subtract_nodal_mean(x: np.ndarray, nnodes: int) -> np.ndarray:
 def solve_loads(op: ElementOperator, loads, tol: float):
     """Correctors and energy matrix of a set of load strains.
 
-    Each load (a Mandel 6-vector or an (ncells, 8, 6) strain field) gets
-    the minimizer ``x_i`` of the energy of ``B x + G_i``: CG on
-    ``K x = -rhs(G_i)`` with the load's noise floor, then the zero-mean
-    gauge.  Returns ``(fields, N, solves)`` with ``N`` from
-    ``op.energy_matrix`` and ``solves[i] = (iterations, residual_history)``.
+    Each load (a Mandel 6-vector G, or on a slab a (2, 6) pair (G, A) for
+    the strain ``G + x3 A``) gets the minimizer ``x_i`` of the energy of
+    ``B x + G_i + x3 A_i``: CG on ``K x = -rhs(load_i)`` with the load's
+    noise floor, then the zero-mean gauge.  Returns ``(fields, N,
+    solves)`` with ``N`` from ``op.energy_matrix`` and ``solves[i] = (iterations, residual_history)``.
     """
     fields, solves = [], []
     for gload in loads:

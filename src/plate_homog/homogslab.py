@@ -2,7 +2,8 @@
 
 Pipeline for this scaling:
 
-1. ``fiber_reduce``: at each material point, relax the out-of-plane
+1. ``reduce_fibers`` (through ``SlabMaterial.reduced_cells``, once per
+   distinct fiber): at each material point, relax the out-of-plane
    response over zero-mean through-fiber fluctuations ``d(y3)``.  The
    stationarity condition makes the out-of-plane stress constant along
    the fiber, which gives a closed form built from the fiber averages
@@ -10,8 +11,9 @@ Pipeline for this scaling:
    in-plane / out-of-plane / coupling blocks.
 2. Solve six corrector problems on the slab ``I x Y^2`` (periodic
    in-plane, traction-free thickness faces) with the reduced material:
-   three constant mid-plane loads and three thickness-linear curvature
-   loads.
+   three constant mid-plane loads ``iota(B)`` and three thickness-linear
+   curvature loads ``x3 iota(A)``, passed to ``fem.solve_loads`` as
+   Mandel 6-vectors and (2, 6) pairs ``(0, iota(A))``.
 3. Assemble the 6x6 energy matrix of the (curvature, mid-plane) pair
    from the stored correctors and eliminate the mid-plane block by a
    Schur complement.
@@ -311,26 +313,23 @@ class SlabCorrector:
         return self.values.reshape(-1)
 
 
-def _load_vector(load):
-    """Normalize a load spec ('A'|'B', basis index or Mandel 3-vector)."""
+def _load_strain(load):
+    """The ``fem`` load of a load spec ('A'|'B', basis index 0-2 or Mandel
+    3-vector E): ``iota(E)`` for 'B' as a 6-vector, ``x3 iota(E)`` for 'A'
+    as the pair ``(0, iota(E))``."""
     kind, payload = load
     if kind not in ("A", "B"):
         raise ValueError(f"load kind must be 'A' or 'B', got {kind!r}")
-    if np.isscalar(payload):
-        a = np.zeros(3)
-        a[int(payload)] = 1.0
-    else:
-        a = np.asarray(payload, dtype=float)
-        if a.shape != (3,):
-            raise ValueError("load payload must be a basis index or Mandel 3-vector")
-    return kind, a
-
-
-def _load_strain_field(grid, kind, a2):
-    g = EMBED_2_TO_3 @ a2
-    if kind == "B":
-        return np.broadcast_to(g, (grid.ncells, 8, 6))
-    return grid.x3q[:, :, None] * g[None, None, :]
+    if np.ndim(payload) == 0:
+        is_int = isinstance(payload, (int, np.integer)) and not isinstance(payload, bool)
+        if not (is_int and 0 <= payload <= 2):
+            raise ValueError(f"load basis index must be an integer 0, 1 or 2, got {payload!r}")
+        payload = np.eye(3)[payload]
+    a = np.asarray(payload, dtype=float)
+    if a.shape != (3,):
+        raise ValueError("load payload must be a basis index or Mandel 3-vector")
+    g = EMBED_2_TO_3 @ a
+    return g if kind == "B" else np.stack([np.zeros(6), g])
 
 
 def _slab_operator(slab: SlabMaterial) -> ElementOperator:
@@ -345,10 +344,8 @@ def slab_corrector_solve(slab: SlabMaterial, load, tol: float = DEFAULT_TOL):
     coordinates.  Returns ``(SlabCorrector, energy)``.
     """
     slab.check()
-    kind, a2 = _load_vector(load)
     op = _slab_operator(slab)
-    gload = _load_strain_field(op.grid, kind, a2)
-    fields, N, [(iters, hist)] = solve_loads(op, [gload], tol)
+    fields, N, [(iters, hist)] = solve_loads(op, [_load_strain(load)], tol)
     corr = SlabCorrector(
         values=fields[0].reshape(*op.grid.node_shape, 3), iterations=iters, residuals=hist
     )
@@ -366,8 +363,7 @@ def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL) -> Effect
     slab.check()
     op = _slab_operator(slab)
     basis = [("A", i) for i in range(3)] + [("B", i) for i in range(3)]
-    loads = [_load_strain_field(op.grid, *_load_vector(load)) for load in basis]
-    _, N, solves = solve_loads(op, loads, tol)
+    _, N, solves = solve_loads(op, [_load_strain(load) for load in basis], tol)
     Naa = N[:3, :3]
     Nab = N[:3, 3:]
     Nbb = N[3:, 3:]

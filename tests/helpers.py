@@ -74,11 +74,21 @@ def _gather(grid, x):
     return x.reshape(grid.nnodes, 3)[grid.idx].reshape(grid.ncells, 24)
 
 
+def load_field(grid, gload) -> np.ndarray:
+    """A load at every quadrature point, (ncells, 8, 6): a Mandel 6-vector G
+    broadcast, or the slab pair (G, A) as ``G + x3q A``."""
+    g = np.asarray(gload, dtype=float)
+    if g.shape == (6,):
+        return np.broadcast_to(g, (grid.ncells, 8, 6))
+    assert g.shape == (2, 6) and grid.kind == "slab", g.shape
+    return g[0] + grid.x3q[:, :, None] * g[1]
+
+
 def strains(op, x, gload=None) -> np.ndarray:
     """Total Mandel strain (ncells, 8, 6) of nodal field plus load."""
     g = np.einsum("qij,cj->cqi", op.grid.B, _gather(op.grid, x))
     if gload is not None:
-        g = g + op._load_field(gload)
+        g = g + load_field(op.grid, gload)
     return g
 
 
@@ -108,7 +118,7 @@ def reference_energy_matrix(op, fields, loads) -> np.ndarray:
     grid = op.grid
     B, C, w = (np.asarray(a, dtype=np.longdouble) for a in (grid.B, op.cellC, grid.wq))
     g = [np.einsum("qij,cj->cqi", B, _gather(grid, x).astype(np.longdouble))
-         + np.asarray(op._load_field(G), dtype=np.longdouble) for x, G in zip(fields, loads)]
+         + load_field(grid, G).astype(np.longdouble) for x, G in zip(fields, loads)]
     s = [np.einsum("cij,cqj,q->cqi", C, gi, w) for gi in g]
     return np.array([[np.sum(si * gj) for gj in g] for si in s])
 

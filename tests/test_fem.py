@@ -26,6 +26,7 @@ from plate_homog.fem import (
 
 from helpers import (
     energy,
+    load_field,
     random_cell,
     random_slab,
     random_spd,
@@ -50,15 +51,39 @@ def test_operator_symmetric_positive_semidefinite():
     assert np.linalg.eigvalsh(0.5 * (K + K.T)).min() >= -1e-10
 
 
+def _slab_pairs(rng):
+    """A pure-curvature, a pure mid-plane and a mixed slab load (G, A)."""
+    curvature, midplane = np.zeros((2, 6)), np.zeros((2, 6))
+    curvature[1] = rng.standard_normal(6)
+    midplane[0] = rng.standard_normal(6)
+    return [curvature, midplane, rng.standard_normal((2, 6))]
+
+
 @pytest.mark.parametrize("grid", [build_cell_grid(3, 4, 5), build_slab_grid(4, 3, 2)])
 def test_noise_floor_equals_assembly_of_absolute_values(grid):
-    # bit for bit the formula it replaces: the same assembly run on |C|, |B| and |load|
+    # bit for bit the formula it replaces: the same assembly run on |C|, |B| and
+    # |G + x3q A| at every quadrature point
     rng = np.random.default_rng(58)
     op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
-    for g in (rng.standard_normal(6), rng.standard_normal((grid.ncells, 8, 6))):
-        full = np.abs(op._load_field(g))
+    loads = [rng.standard_normal(6)] + (_slab_pairs(rng) if grid.kind == "slab" else [])
+    for g in loads:
+        full = np.abs(load_field(grid, g))
         y = op._assemble(np.abs(op.cellC), np.abs(op.grid.B), np.ascontiguousarray(full))
         assert op.rhs_noise_floor(g) == 1e-12 * float(np.linalg.norm(y))
+
+
+def test_load_shapes_other_than_vector_or_slab_pair_are_refused():
+    rng = np.random.default_rng(64)
+    cell, slab = build_cell_grid(2, 2, 2), build_slab_grid(2, 2, 2)
+    for grid, g in ((cell, np.ones((2, 6))), (cell, np.ones((cell.ncells, 8, 6))),
+                    (slab, np.ones((slab.ncells, 8, 6))), (slab, np.ones(3))):
+        op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
+        with pytest.raises(ValueError, match="load strain"):
+            op.rhs(g)
+        with pytest.raises(ValueError, match="load strain"):
+            op.rhs_noise_floor(g)
+        with pytest.raises(ValueError, match="load strain"):
+            op.energy_matrix([np.zeros(grid.ndofs)], [g])
 
 
 def _two_phase(rng, ncells, layer):
@@ -158,24 +183,37 @@ def test_energy_expansion_identity():
 def test_solve_loads_energy_matrix_is_polarization():
     # N_ij = (E(x_i + x_j, G_i + G_j) - E(x_i, G_i) - E(x_j, G_j)) / 2,
     # on random fields (where rhs(g_i) . x_j does not vanish) and on correctors,
-    # for load sets with a field load and for all-constant ones
+    # for 6-vectors on cells (grouped and stacked) and for a 6-vector and
+    # x3-linear pairs on slabs (stacked and grouped)
     rng = np.random.default_rng(53)
-    for grid, constant in ((build_cell_grid(2, 2, 2), False), (build_slab_grid(2, 1, 2), False),
-                           (build_cell_grid(2, 3, 2), True)):
-        op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
-        loads = [rng.standard_normal(6), rng.standard_normal((grid.ncells, 8, 6)),
-                 rng.standard_normal(6)]
-        if constant:
-            loads[1] = rng.standard_normal(6)
+    for grid, grouped in ((build_cell_grid(2, 2, 2), False), (build_slab_grid(2, 1, 2), False),
+                          (build_cell_grid(2, 3, 2), False), (build_cell_grid(4, 4, 2), True),
+                          (build_slab_grid(4, 4, 2), True)):
+        if grouped:
+            op = ElementOperator(grid, _two_phase(rng, grid.ncells, lambda c: c % 3 == 0))
+            assert op._Ke is not None
+        else:
+            op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
+        loads = [rng.standard_normal(6) for _ in range(3)]
+        if grid.kind == "slab":
+            # a 6-vector G, a pair (G, A) and a pure-curvature pair (0, A)
+            loads[1:] = [rng.standard_normal((2, 6)), np.stack([np.zeros(6), loads[2]])]
         random_fields = [rng.standard_normal(grid.ndofs) for _ in loads]
         fields, N, solves = solve_loads(op, loads, 1e-12)
         assert len(fields) == len(solves) == 3
         for xs, M in ((random_fields, op.energy_matrix(random_fields, loads)), (fields, N)):
             for i in range(3):
                 for j in range(3):
-                    polar = 0.5 * (energy(op, xs[i] + xs[j], loads[i] + loads[j])
+                    polar = 0.5 * (energy(op, xs[i] + xs[j], _load_sum(loads[i], loads[j]))
                                    - energy(op, xs[i], loads[i]) - energy(op, xs[j], loads[j]))
                     assert M[i, j] == pytest.approx(polar, rel=1e-10)
+
+
+def _load_sum(g, h):
+    """The load of the summed strains, as a pair when either load is one."""
+    if g.shape == h.shape:
+        return g + h
+    return sum(a if a.shape == (2, 6) else np.stack([a, np.zeros(6)]) for a in (g, h))
 
 
 def _box_cell_operator(n, contrast):
@@ -189,15 +227,20 @@ def _box_cell_operator(n, contrast):
 
 def test_energy_matrix_matches_extended_precision_reference():
     # solved correctors: constant loads on a contrast-30 box cell (grouped) and a
-    # random cell (stacked), x3-linear and mid-plane load fields on a slab
+    # random cell (stacked); on a random slab (stacked) and a contrast-30 column
+    # slab (grouped), pure-curvature pairs (0, A), pure mid-plane loads as
+    # 6-vectors and as a pair (G, 0), and a mixed pair (G, A)
     rng = np.random.default_rng(61)
     cell = _box_cell_operator(8, 30.0)
-    slab = ElementOperator(build_slab_grid(4, 3, 3), _random_cellC(rng, 36))
-    e3 = [np.eye(6)[i] for i in (0, 1, 5)]
-    slab_loads = ([slab.grid.x3q[:, :, None] * g for g in e3]
-                  + [np.broadcast_to(g, (slab.grid.ncells, 8, 6)) for g in e3])
     stacked = ElementOperator(build_cell_grid(3, 3, 3), _random_cellC(rng, 27))
-    for op, loads in ((cell, list(np.eye(6))), (stacked, list(np.eye(6))), (slab, slab_loads)):
+    slab = ElementOperator(build_slab_grid(4, 3, 3), _random_cellC(rng, 36))
+    column = _column_operator(6, 3, slab=True)
+    assert slab._Ke is None and column._Ke is not None
+    e3 = [np.eye(6)[i] for i in (0, 1, 5)]
+    slab_loads = ([np.stack([np.zeros(6), g]) for g in e3] + e3[:2]
+                  + [np.stack([e3[2], np.zeros(6)]), rng.standard_normal((2, 6))])
+    for op, loads in ((cell, list(np.eye(6))), (stacked, list(np.eye(6))), (slab, slab_loads),
+                      (column, slab_loads)):
         fields, N, _ = solve_loads(op, loads, 1e-10)
         ref = reference_energy_matrix(op, fields, loads)
         assert np.abs(N - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -206,10 +249,15 @@ def test_energy_matrix_matches_extended_precision_reference():
 @pytest.mark.parametrize("grid", [build_cell_grid(3, 4, 5), build_cell_grid(1, 1, 6),
                                   build_slab_grid(4, 3, 2)])
 def test_constant_load_rhs_equals_pointwise_assembly(grid):
+    # 6-vectors everywhere; on the slab also x3-linear pairs, both parts non-zero
+    # in the mixed one: Bbar and Btilde carry the quadrature
     rng = np.random.default_rng(62)
     op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
-    for g in (rng.standard_normal(6), np.eye(6)[3]):
-        ref = op._assemble(op.cellC, grid.B, np.ascontiguousarray(op._load_field(g)))
+    loads = [rng.standard_normal(6), np.eye(6)[3]]
+    if grid.kind == "slab":
+        loads += _slab_pairs(rng)
+    for g in loads:
+        ref = op._assemble(op.cellC, grid.B, np.ascontiguousarray(load_field(grid, g)))
         assert np.abs(op.rhs(g) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -304,10 +352,15 @@ def test_preconditioner_inverts_homogeneous_operator(build, shape):
     x = rng.standard_normal(grid.ndofs)
     xm = (x.reshape(-1, 3) - x.reshape(-1, 3).mean(axis=0)).ravel()
     assert np.abs(op.precondition(op.matvec(x)) - xm).max() <= 1e-12 * np.abs(x).max()
-    gload = rng.standard_normal((grid.ncells, 8, 6))
-    _, iters, _ = conjugate_gradient(op, -op.rhs(gload), 1e-10,
-                                     noise_floor=op.rhs_noise_floor(gload))
+    # a constant load on a constant law is already in equilibrium on a cell:
+    # there a random stiffness image is the right-hand side
+    _, iters, _ = conjugate_gradient(op, op.matvec(rng.standard_normal(grid.ndofs)), 1e-10)
     assert iters == 1
+    if grid.kind == "slab":
+        for gload in [rng.standard_normal(6)] + _slab_pairs(rng):
+            _, iters, _ = conjugate_gradient(op, -op.rhs(gload), 1e-10,
+                                             noise_floor=op.rhs_noise_floor(gload))
+            assert iters == 1
 
 
 def _column_operator(n, n3, slab):
@@ -328,7 +381,7 @@ def test_iterations_do_not_grow_with_the_grid(n, n3, slab):
         op = _column_operator(k * n, k * n3, slab)
         loads = list(np.eye(6))
         if slab:
-            loads = [op.grid.x3q[:, :, None] * g for g in loads[:3]] + loads[:3]
+            loads = [np.stack([np.zeros(6), g]) for g in loads[:3]] + loads[:3]
         _, _, solves = solve_loads(op, loads, 1e-10)
         maxima.append(max(it for it, _ in solves))
     assert 0 < maxima[1] <= 2 * maxima[0]

@@ -156,6 +156,21 @@ class TestSlabSolve:
         with pytest.raises(ValueError):
             slab_corrector_solve(slab, ("C", 0), tol=1e-10)
 
+    @pytest.mark.parametrize("index", [-1, 1.7, 3, True, "0", np.float64(1.0)])
+    def test_load_basis_index_must_be_an_integer_0_to_2(self, index):
+        # no wrap-around (-1), truncation (1.7) or IndexError (3): a ValueError
+        slab = SlabMaterial.homogeneous(qf_isotropic(1.0, 0.0), grid=(1, 1, 1), nf=2)
+        for kind in ("A", "B"):
+            with pytest.raises(ValueError, match="basis index"):
+                slab_corrector_solve(slab, (kind, index), tol=1e-10)
+
+    def test_load_basis_index_accepts_numpy_integers(self):
+        slab = SlabMaterial.homogeneous(qf_isotropic(1.0, 0.0), grid=(1, 1, 1), nf=2)
+        for kind in ("A", "B"):
+            _, energy = slab_corrector_solve(slab, (kind, np.int64(2)), tol=1e-10)
+            _, ref = slab_corrector_solve(slab, (kind, [0.0, 0.0, 1.0]), tol=1e-10)
+            assert energy == ref
+
 
 class TestBendingRegime2:
     def test_homogeneous_isotropic_sixth(self):
