@@ -29,7 +29,17 @@ of solved correctors is ``N_ij = f_i . x_j + T_ij``: the true residual
 cell integrals of the total strain, ``e = Bbar u_c + v (G + x3_c A)``, and
 of its first x3 moment, ``m = x3_c e + Btilde u_c + v (h3^2 / 12) A``,
 formed per cell before the law is applied: no quadrature-point field is
-built and no large terms cancel.
+built and no large terms cancel.  The noise floor of a load is its
+assembly on absolute values, from cell integrals too: ``|G + x3 A|`` is
+constant on each of a cell's two Gauss planes in x3, so ``sum_q w_q |B_q|``
+splits into a lower and an upper plane sum.
+
+Every operator keeps its cells in one order, sorted by law in the grouped
+form and the grid's order in the stacked form, with one dof index in that
+order.  Load, floor and stiffness local vectors are all built in it: in
+the grouped form a load's ``(C_l G) @ Bbar`` once per law, repeated over
+the law's cells.  A residual ``K x + rhs(G)`` is the sum of the two local
+vectors, scattered once.
 
 Corrector solves run conjugate gradients preconditioned by the exact
 inverse of the stiffness of one constant reference law C0 (the cell mean
@@ -49,7 +59,9 @@ on a slab the two node planes of a layer break that pairing and the
 block-tridiagonal factors stay complex.
 
 Nodal vectors are laid out node-major, dof ``3 * node + m``; a scatter-add
-is one ``bincount`` over ``Grid.dofs`` (or its law-sorted copy).
+is one ``bincount`` over the operator's dof index: ``Grid.dofs`` in the
+stacked form, a law-sorted index built directly from the sorted node
+index in the grouped form, which never builds ``Grid.dofs``.
 """
 
 from __future__ import annotations
@@ -125,24 +137,37 @@ class Grid:
     wq: np.ndarray            # (8,) quadrature weights including cell volume
     h: tuple
     x3c: np.ndarray           # (ncells,) x3 of the cell centres, over [-1/2, 1/2]
-    x3q: np.ndarray | None = None   # (ncells, 8) thickness coordinate, slab only
 
     @property
     def ncells(self) -> int:
         return self.idx.shape[0]
 
-    @property
+    @cached_property
     def nnodes(self) -> int:
         return int(np.prod(self.node_shape))
 
-    @property
+    @cached_property
     def ndofs(self) -> int:
         return 3 * self.nnodes
 
     @cached_property
     def dofs(self) -> np.ndarray:
         """(ncells, 24) global dof ``3 * node + m`` of each local dof."""
-        return (3 * self.idx[:, :, None] + np.arange(3)).reshape(self.ncells, 24)
+        return _dof_index(self.idx)
+
+    @cached_property
+    def x3q(self) -> np.ndarray | None:
+        """(ncells, 8) thickness coordinate of the quadrature points on a slab
+        grid, None on a cell grid.  Only the dense oracle reads it."""
+        if self.kind == "cell":
+            return None
+        k = np.arange(self.ncells)[:, None] % self.shape[2]
+        return -0.5 + (k + np.array(GAUSS_POINTS * 4)) * self.h[2]
+
+
+def _dof_index(idx: np.ndarray) -> np.ndarray:
+    """(cells, 24) global dof ``3 * node + m`` of each local dof of node index ``idx``."""
+    return (3 * idx[:, :, None] + np.arange(3)).reshape(len(idx), 24)
 
 
 def _build_grid(kind: str, n1: int, n2: int, n3: int) -> Grid:
@@ -154,14 +179,9 @@ def _build_grid(kind: str, n1: int, n2: int, n3: int) -> Grid:
     idx = np.empty((n1 * n2 * n3, 8), dtype=np.int64)
     for a, (da, db, dc) in enumerate(product((0, 1), repeat=3)):
         idx[:, a] = (((i + da) % n1) * n2 * m3 + ((j + db) % n2) * m3 + (k + dc) % m3).ravel()
-    x3q = None
-    if kind == "slab":
-        x3q = np.empty((n1 * n2 * n3, 8))
-        for qi, (_, _, x2) in enumerate(product(GAUSS_POINTS, repeat=3)):
-            x3q[:, qi] = -0.5 + (k.ravel() + x2) * h[2]
     return Grid(kind=kind, shape=(n1, n2, n3), node_shape=(n1, n2, m3), idx=idx,
                 B=build_b_matrices(h), wq=np.full(8, h[0] * h[1] * h[2] / 8.0), h=h,
-                x3c=-0.5 + (k.ravel() + 0.5) * h[2], x3q=x3q)
+                x3c=-0.5 + (k.ravel() + 0.5) * h[2])
 
 
 def build_cell_grid(n1: int, n2: int, n3: int) -> Grid:
@@ -180,9 +200,16 @@ def build_slab_grid(n1: int, n2: int, n3: int) -> Grid:
 
 class ElementOperator:
     """Stiffness operator ``K = sum_c sum_q w_q B_q^T C_c B_q`` plus
-    the load/energy helpers built from the same quadrature."""
+    the load/energy helpers built from the same quadrature.
 
-    def __init__(self, grid: Grid, cellC: np.ndarray):
+    Cells are kept in the operator's own order: sorted by law in the
+    grouped form, the grid's order in the stacked form.  Every per-cell
+    local vector (stiffness, load, noise floor) is built in that order and
+    scattered with the one dof index ``_dofs``.  ``laws``, when given, is
+    ``_distinct_laws(cellC)`` as the caller already computed it.
+    """
+
+    def __init__(self, grid: Grid, cellC: np.ndarray, laws=None):
         cellC = np.ascontiguousarray(cellC, dtype=float)
         if cellC.shape != (grid.ncells, 6, 6):
             raise ValueError(
@@ -191,29 +218,39 @@ class ElementOperator:
         self.grid = grid
         self.cellC = cellC
         self._reference = None
+        self._wB = (grid.wq[:, None, None] * grid.B).reshape(48, 24)
         # cell integrals of B and of (x3 - x3_c) B; x3 - x3_c is the same in every cell
         self._Bbar = np.einsum("q,qij->ij", grid.wq, grid.B)
         d3 = (np.array(GAUSS_POINTS * 4) - 0.5) * grid.h[2]
         self._Btilde = np.einsum("q,qij->ij", grid.wq * d3, grid.B)
-        first, law = _distinct_laws(cellC)
+        first, law = _distinct_laws(cellC) if laws is None else laws
         self.cell_laws = len(first)
-        self._idx, self._dofs, self._x3c, self._Ke = grid.idx, grid.dofs, grid.x3c, None
         if LAW_CELLS * self.cell_laws <= grid.ncells:
             order = np.argsort(law, kind="stable")
-            self._idx, self._dofs, self._x3c = grid.idx[order], grid.dofs[order], grid.x3c[order]
-            self._cuts = np.concatenate(([0], np.cumsum(np.bincount(law))))
+            self._idx, self._x3c = grid.idx[order], grid.x3c[order]
+            self._dofs = _dof_index(self._idx)
+            self._counts = np.bincount(law)
+            self._cuts = np.concatenate(([0], np.cumsum(self._counts)))
             self._laws = cellC[first]
             self._Ke = _element_matrix(grid, self._laws)
+        else:
+            self._idx, self._dofs, self._x3c = grid.idx, grid.dofs, grid.x3c
+            self._laws, self._Ke = cellC, None     # a law per cell
 
-    def _gather(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Per-cell local dof vectors (ncells, 24) of a nodal field, cells as in ``idx``."""
+    def _gather(self, x: np.ndarray) -> np.ndarray:
+        """Per-cell local dof vectors (ncells, 24) of a nodal field, in operator order."""
         nodes = np.ascontiguousarray(x, dtype=float).reshape(-1).view(_NODE)
-        return nodes.take(idx).view(float).reshape(len(idx), 24)
+        return nodes.take(self._idx).view(float).reshape(self.grid.ncells, 24)
 
-    def _to_nodes(self, ylocal: np.ndarray, dofs: np.ndarray) -> np.ndarray:
-        """Scatter-add per-cell local vectors (ncells, 24) into a nodal vector, cells
-        as in ``dofs`` (``grid.dofs`` or a reordering), in one ``bincount``."""
-        return np.bincount(dofs.ravel(), weights=ylocal.ravel(), minlength=self.grid.ndofs)
+    def _to_nodes(self, ylocal: np.ndarray) -> np.ndarray:
+        """Scatter-add per-cell local vectors (ncells, 24), in operator order, into a
+        nodal vector: one ``bincount`` over ``_dofs``."""
+        return np.bincount(self._dofs.ravel(), weights=ylocal.ravel(), minlength=self.grid.ndofs)
+
+    def _spread(self, rows: np.ndarray) -> np.ndarray:
+        """Rows computed once per law (grouped) repeated over the law's cells;
+        in the stacked form every cell is its own law and ``rows`` is returned."""
+        return rows if self._Ke is None else np.repeat(rows, self._counts, axis=0)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``K x``: gather, a few large products, scatter-add.
@@ -224,14 +261,17 @@ class ElementOperator:
         at all 8 points at once, one batched ``(8, 6) @ C_c^T`` per
         cell, then ``@ w B`` (48 x 24).
         """
-        u = self._gather(x, self._idx)
+        return self._to_nodes(self._stiffness_local(self._gather(x))).reshape(x.shape)
+
+    def _stiffness_local(self, u: np.ndarray) -> np.ndarray:
+        """Per-cell local vectors (ncells, 24) of ``K x`` from its gathered ``u``."""
         if self._Ke is None:
-            g = (u @ self.grid.B.reshape(48, 24).T).reshape(self.grid.ncells, 8, 6)
-            return self._assemble(self.cellC, self.grid.B, g).reshape(x.shape)
+            g = (u @ self.grid.B.reshape(48, 24).T).reshape(-1, 8, 6)
+            return (g @ self.cellC.transpose(0, 2, 1)).reshape(-1, 48) @ self._wB
         y = np.empty_like(u)
         for Ke, a, b in zip(self._Ke, self._cuts[:-1], self._cuts[1:]):
             np.matmul(u[a:b], Ke, out=y[a:b])
-        return self._to_nodes(y, self._dofs).reshape(x.shape)
+        return y
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """Zero-mean solution of ``K0 z = r`` for the reference law C0.
@@ -254,24 +294,31 @@ class ElementOperator:
         raise ValueError("load strain must be a Mandel 6-vector or, on a slab grid, "
                          f"a (2, 6) pair (G, A) for G + x3 A; got shape {g.shape}")
 
-    def _assemble(self, cellC, B, g) -> np.ndarray:
-        """Nodal vector ``y[v] = sum w_q (B_q v)^T cellC_c g(c, q)``."""
-        s = g @ cellC.transpose(0, 2, 1)
-        wB = (self.grid.wq[:, None, None] * B).reshape(48, 24)
-        return self._to_nodes(s.reshape(self.grid.ncells, 48) @ wB, self.grid.dofs)
-
-    def rhs(self, gload) -> np.ndarray:
-        """Nodal load vector ``f[v] = sum_c sum_q w_q (B_q v)^T C_c (G + x3_q A)``,
-        per cell ``(C_c (G + x3_c A)) @ Bbar + (C_c A) @ Btilde``: one or two
-        (ncells, 6) @ (6, 24) products and no quadrature."""
-        G, A = self._load_parts(gload)
-        C = self.cellC.reshape(-1, 6)
+    def _load_local(self, G: np.ndarray, A=None) -> np.ndarray:
+        """Per-cell local load vectors (ncells, 24) of ``G + x3 A``: ``(C_l G) @ Bbar``
+        once per law and spread over its cells, with ``A`` plus ``(C_l A) @ Btilde``
+        and ``x3_c (C_l A) @ Bbar``."""
+        C = self._laws.reshape(-1, 6)
         stress = (C @ G).reshape(-1, 6)
         if A is None:
-            return self._to_nodes(stress @ self._Bbar, self.grid.dofs)
+            return self._spread(stress @ self._Bbar)
         stress_a = (C @ A).reshape(-1, 6)
-        stress += self.grid.x3c[:, None] * stress_a
-        return self._to_nodes(stress @ self._Bbar + stress_a @ self._Btilde, self.grid.dofs)
+        local = self._spread(stress @ self._Bbar + stress_a @ self._Btilde)
+        moment = self._spread(stress_a @ self._Bbar)
+        moment *= self._x3c[:, None]
+        local += moment
+        return local
+
+    def rhs(self, gload) -> np.ndarray:
+        """Nodal load vector ``f[v] = sum_c sum_q w_q (B_q v)^T C_c (G + x3_q A)``.
+
+        Per cell it is ``(C_c G) @ Bbar``, plus ``x3_c (C_c A) @ Bbar + (C_c
+        A) @ Btilde`` for a pair, so it needs no quadrature: in the grouped
+        form these rows are formed once per law and repeated over the law's
+        cells, in the stacked form once per cell.  The local vectors are in
+        the operator's cell order and scattered with its one dof index.
+        """
+        return self._to_nodes(self._load_local(*self._load_parts(gload)))
 
     def rhs_noise_floor(self, gload) -> float:
         """Norm threshold below which an assembled load is cancellation dust.
@@ -283,48 +330,79 @@ class ElementOperator:
         x3_q A|`` at every quadrature point, bounds the magnitude that
         went into each entry, so anything at 1e-12 of it is noise (the
         true cancellation error sits near 1e-16 of it).
+
+        It is taken from cell integrals: ``|G + x3_q A|`` is constant on
+        each of a cell's two Gauss planes in x3, ``x3_c -+ d`` with ``d = h3
+        / (2 sqrt 3)``, so ``sum_q w_q |B_q|`` splits into a lower and an
+        upper plane sum, each applied to ``|C_c| |G + (x3_c -+ d) A|`` (one
+        sum and ``|C_l| |G|`` once per law for a 6-vector).  The local
+        vectors are scattered like ``rhs``.
         """
         G, A = self._load_parts(gload)
-        g = np.abs(G if A is None else G + self.grid.x3q[:, :, None] * A)
-        g = np.broadcast_to(g, (self.grid.ncells, 8, 6))
-        abs_cellC, abs_B = self._abs_parts
-        return 1e-12 * float(np.linalg.norm(self._assemble(abs_cellC, abs_B, g)))
+        absC, absB, absB_planes = self._floor_parts
+        if A is None:
+            local = self._spread((absC.reshape(-1, 6) @ np.abs(G)).reshape(-1, 6) @ absB)
+        else:
+            d = GAUSS_OFFSET * self.grid.h[2]
+            g = np.abs(G + (self._x3c[:, None, None] + np.array([[-d], [d]])) * A)
+            if self._Ke is None:
+                s = g @ absC.transpose(0, 2, 1)
+            else:
+                s = np.empty_like(g)
+                for C, a, b in zip(absC, self._cuts[:-1], self._cuts[1:]):
+                    np.matmul(g[a:b], C.T, out=s[a:b])
+            local = s.reshape(-1, 12) @ absB_planes
+        return 1e-12 * float(np.linalg.norm(self._to_nodes(local)))
 
     @cached_property
-    def _abs_parts(self):
-        """``|cellC|`` and ``|B|`` for ``rhs_noise_floor``, taken once per operator."""
-        return np.abs(self.cellC), np.abs(self.grid.B)
+    def _floor_parts(self):
+        """``|C|`` per law (or cell), ``sum_q w_q |B_q|`` and its lower and upper
+        Gauss-plane parts stacked (12, 24), for ``rhs_noise_floor``."""
+        wabsB = self.grid.wq[:, None, None] * np.abs(self.grid.B)
+        return np.abs(self._laws), wabsB.sum(axis=0), np.vstack([wabsB[0::2].sum(axis=0),
+                                                                 wabsB[1::2].sum(axis=0)])
 
     def energy_matrix(self, fields, loads) -> np.ndarray:
         """Energies ``N_ij = sum w_q g_i^T C g_j`` of total strains ``g_i = B x_i + G_i
         + x3 A_i``.
 
         ``N_ij = f_i . x_j + T_ij`` with the residual ``f_i = K x_i +
-        rhs(G_i)`` (one matvec per load, tiny at convergence) and the load
-        term ``T_ij = sum_c sum_q w_q g_i^T C_c (G_j + x3_q A_j) = sum_c (e_ic
-        . C_c G_j + m_ic . C_c A_j)``, with the cell integrals ``e = Bbar u +
-        v (G + x3_c A)`` and ``m = x3_c e + Btilde u + v (h3^2 / 12) A`` (the
-        moment only when some load has an A) formed per cell before ``C`` is
-        applied and summed per law in the grouped form: forms that cancel
-        only globally (``x_i . rhs(G_j)`` plus a load term, or ``X^T K X``
-        plus cross terms) drift well past rounding, most on the small
-        entries.  The result is symmetrized.
+        rhs(G_i)`` (tiny at convergence): the stiffness and the load local
+        vectors of load i added per cell in the operator's order and
+        scattered in one ``bincount``.  The load term is ``T_ij = sum_c sum_q
+        w_q g_i^T C_c (G_j + x3_q A_j) = sum_c (e_ic . C_c G_j + m_ic . C_c
+        A_j)``, with the cell integrals ``e = Bbar u + v (G + x3_c A)`` and ``m
+        = x3_c e + Btilde u + v (h3^2 / 12) A`` (the moment only when some
+        load has an A) formed per cell before ``C`` is applied and summed
+        per law in the grouped form: forms that cancel only globally (``x_i
+        . rhs(G_j)`` plus a load term, or ``X^T K X`` plus cross terms) drift
+        well past rounding, most on the small entries.  The result is
+        symmetrized.
         """
-        parts = [self._load_parts(g) for g in loads]
+        parts = padded = [self._load_parts(g) for g in loads]
         if any(A is not None for _, A in parts):      # every load takes the moment
-            parts = [(G, np.zeros(6) if A is None else A) for G, A in parts]
-        L = np.array([np.hstack([G] if A is None else [G, A]) for G, A in parts])
-        N = np.array([self._stress_sum(x, G, A) for x, (G, A) in zip(fields, parts)]) @ L.T
-        for i, (x, g) in enumerate(zip(fields, loads)):
-            f = self.matvec(x) + self.rhs(g)
-            N[i] += [f @ xj for xj in fields]
+            padded = [(G, np.zeros(6) if A is None else A) for G, A in parts]
+        L = np.array([np.hstack([G] if A is None else [G, A]) for G, A in padded])
+        sums, dots = [], []
+        for x, (G, A), (_, A_moment) in zip(fields, parts, padded):
+            u = self._gather(x)
+            sums.append(self._stress_sum(u, G, A_moment))
+            f = self._residual(u, G, A)
+            dots.append([f @ xj for xj in fields])
+        N = np.array(sums) @ L.T + np.array(dots)
         return 0.5 * (N + N.T)
 
-    def _stress_sum(self, x: np.ndarray, G: np.ndarray, A=None) -> np.ndarray:
+    def _residual(self, u: np.ndarray, G: np.ndarray, A=None) -> np.ndarray:
+        """``K x + rhs(G + x3 A)`` from the gathered ``u`` of ``x``: the stiffness and
+        the load local vectors added per cell, then one scatter."""
+        f = self._stiffness_local(u)
+        f += self._load_local(G, A)
+        return self._to_nodes(f)
+
+    def _stress_sum(self, u: np.ndarray, G: np.ndarray, A=None) -> np.ndarray:
         """``sum_c e_c^T C_c``, then with ``A`` also ``sum_c m_c^T C_c``: the cell
-        integrals of the stress of nodal field ``x`` under ``G + x3 A`` and of
-        its first x3 moment (see ``energy_matrix``)."""
-        u = self._gather(x, self._idx)
+        integrals of the stress of the gathered field ``u`` under ``G + x3 A`` and
+        of its first x3 moment (see ``energy_matrix``)."""
         v = self.grid.wq.sum()
         e = u @ self._Bbar.T + v * G
         moments = [e]
@@ -332,10 +410,9 @@ class ElementOperator:
             x3c = self._x3c[:, None]
             e += (v * x3c) * A
             moments.append(x3c * e + u @ self._Btilde.T + (v * self.grid.h[2] ** 2 / 12) * A)
-        C = self.cellC
         if self._Ke is not None:
-            moments, C = [np.add.reduceat(m, self._cuts[:-1]) for m in moments], self._laws
-        return np.concatenate([m.ravel() @ C.reshape(-1, 6) for m in moments])
+            moments = [np.add.reduceat(m, self._cuts[:-1]) for m in moments]
+        return np.concatenate([m.ravel() @ self._laws.reshape(-1, 6) for m in moments])
 
 
 def _distinct_laws(cellC: np.ndarray):

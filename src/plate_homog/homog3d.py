@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import EffectiveReport, MaterialBounds, QuadForm2, QuadForm3, mandel3
 from .errors import AdmissibilityError
-from .fem import PRECONDITIONER, ElementOperator, build_cell_grid, solve_loads
+from .fem import PRECONDITIONER, ElementOperator, _distinct_laws, build_cell_grid, solve_loads
 from .reduction import plane_stress_reduce
 
 DEFAULT_TOL = 1e-10
@@ -55,23 +55,31 @@ class CellMaterial3:
     def flat(self) -> np.ndarray:
         return self.c.reshape(-1, 6, 6)
 
-    def _extremes(self):
-        """Smallest and largest eigenvalue of every cell sample."""
-        eig = np.linalg.eigvalsh(self.flat())
-        return eig[:, 0], eig[:, -1]
+    def _law_matrices(self):
+        """The distinct laws (laws, 6, 6) and ``(first, law)`` of ``fem._distinct_laws``:
+        cell ``first[l]`` is the first cell of law l, ``law[c]`` the law of cell c."""
+        first, law = _distinct_laws(self.flat())
+        return self.flat()[first], (first, law)
 
     def inferred_bounds(self) -> MaterialBounds:
         """The tightest bounds: the extreme eigenvalues over all samples."""
-        lo, hi = self._extremes()
-        return MaterialBounds(float(lo.min()), float(hi.max()))
+        eig = np.linalg.eigvalsh(self._law_matrices()[0])
+        return MaterialBounds(float(eig[:, 0].min()), float(eig[:, -1].max()))
 
-    def check(self, rtol: float = 1e-9) -> None:
-        """Every sample must sit inside the declared eigenvalue interval."""
-        flat = self.flat()
-        asym = np.abs(flat - flat.transpose(0, 2, 1)).max()
-        if asym > 1e-12 * max(1.0, np.abs(flat).max()):
+    def check(self, rtol: float = 1e-9):
+        """Every sample must sit inside the declared eigenvalue interval.
+
+        The symmetry test and the eigenvalues are taken once per distinct law;
+        the extremes are spread back to the cells, so an error names the first
+        offending cell.  Returns the law index ``(first, law)`` it checked, for
+        the stiffness operator of the same task.
+        """
+        laws, (first, law) = self._law_matrices()
+        asym = np.abs(laws - laws.transpose(0, 2, 1)).max()
+        if asym > 1e-12 * max(1.0, np.abs(laws).max()):
             raise AdmissibilityError(f"cell sample matrices not symmetric (max {asym:.3e})")
-        lo, hi = self._extremes()
+        eig = np.linalg.eigvalsh(laws)
+        lo, hi = eig[law, 0], eig[law, -1]
         tol = rtol * max(self.bounds.eta2, 1.0)
         low, high = lo.argmin(), hi.argmax()
         if lo[low] < self.bounds.eta1 - tol:
@@ -84,6 +92,7 @@ class CellMaterial3:
                 f"cell sample {high} violates upper bound: eigenvalue "
                 f"{hi[high]:.6g} > eta2={self.bounds.eta2:.6g}"
             )
+        return first, law
 
     def refine(self, factor: int = 2) -> "CellMaterial3":
         """Nested subdivision: each cell becomes factor^3 identical cells."""
@@ -120,8 +129,10 @@ class CorrectorField3:
         return self.values.reshape(-1)
 
 
-def _material_operator(material: CellMaterial3) -> ElementOperator:
-    return ElementOperator(build_cell_grid(*material.grid_shape), material.flat())
+def _checked_operator(material: CellMaterial3) -> ElementOperator:
+    """Check the material, then build its operator on the law index the check took."""
+    laws = material.check()
+    return ElementOperator(build_cell_grid(*material.grid_shape), material.flat(), laws=laws)
 
 
 def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL):
@@ -131,13 +142,13 @@ def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL):
     ``(CorrectorField3, energy)`` where the energy is the attained
     minimum of ``int Q(y, E + sym grad phi)`` over the periodic grid.
     """
-    material.check()
+    op = _checked_operator(material)
     E = np.asarray(E, dtype=float)
     if E.shape == (3, 3):
         E = mandel3(E)
     if E.shape != (6,):
         raise ValueError("macroscopic strain must be a Mandel 6-vector or 3x3 matrix")
-    fields, N, [(iters, hist)] = solve_loads(_material_operator(material), [E], tol)
+    fields, N, [(iters, hist)] = solve_loads(op, [E], tol)
     n1, n2, n3 = material.grid_shape
     corr = CorrectorField3(values=fields[0].reshape(n1, n2, n3, 3), iterations=iters, residuals=hist)
     return corr, float(N[0, 0])
@@ -145,8 +156,7 @@ def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL):
 
 def _homogenize(material: CellMaterial3, tol: float):
     """Energy matrix of the six Mandel basis strains, per-solve data, distinct cell laws."""
-    material.check()
-    op = _material_operator(material)
+    op = _checked_operator(material)
     _, C, solves = solve_loads(op, list(np.eye(6)), tol)
     return QuadForm3(C, label="homogenized"), solves, op.cell_laws
 

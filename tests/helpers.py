@@ -123,6 +123,32 @@ def reference_energy_matrix(op, fields, loads) -> np.ndarray:
     return np.array([[np.sum(si * gj) for gj in g] for si in s])
 
 
+def pointwise_load_vector(op, gload, absolute=False) -> np.ndarray:
+    """``sum_c sum_q w_q B_q^T C_c g(c, q)`` with the load at every quadrature
+    point (``load_field``), in grid order; with ``absolute`` the same assembly
+    on ``|C|``, ``|B|`` and ``|g|``, which the noise floor bounds loads by."""
+    grid = op.grid
+    C, B, g = op.cellC, grid.B, load_field(grid, gload)
+    if absolute:
+        C, B, g = np.abs(C), np.abs(B), np.abs(g)
+    ylocal = np.einsum("q,qij,cik,cqk->cj", grid.wq, B, C, g)
+    return reference_scatter(op, ylocal, grid.idx)
+
+
+def grid_order_rhs(op, gload) -> np.ndarray:
+    """The load vector from the cell integrals one cell at a time in grid order:
+    ``(C_c (G + x3_c A)) @ Bbar + (C_c A) @ Btilde``."""
+    grid = op.grid
+    g = np.asarray(gload, dtype=float)
+    G, A = (g, np.zeros(6)) if g.shape == (6,) else g
+    d3 = (np.array(fem.GAUSS_POINTS * 4) - 0.5) * grid.h[2]
+    Bbar = np.einsum("q,qij->ij", grid.wq, grid.B)
+    Btilde = np.einsum("q,qij->ij", grid.wq * d3, grid.B)
+    stress_a = op.cellC @ A
+    ylocal = (op.cellC @ G + grid.x3c[:, None] * stress_a) @ Bbar + stress_a @ Btilde
+    return reference_scatter(op, ylocal, grid.idx)
+
+
 def reference_scatter(op, ylocal, idx) -> np.ndarray:
     """Scatter-add (ncells, 24) local vectors into nodes, cells as in ``idx``: one
     ``np.bincount`` per displacement component, stacked node-major."""

@@ -26,7 +26,8 @@ from plate_homog.fem import (
 
 from helpers import (
     energy,
-    load_field,
+    grid_order_rhs,
+    pointwise_load_vector,
     random_cell,
     random_slab,
     random_spd,
@@ -61,15 +62,14 @@ def _slab_pairs(rng):
 
 @pytest.mark.parametrize("grid", [build_cell_grid(3, 4, 5), build_slab_grid(4, 3, 2)])
 def test_noise_floor_equals_assembly_of_absolute_values(grid):
-    # bit for bit the formula it replaces: the same assembly run on |C|, |B| and
-    # |G + x3q A| at every quadrature point
+    # the same assembly run on |C|, |B| and |G + x3q A| at every quadrature
+    # point; the floor sums cell integrals in another order, so to rounding
     rng = np.random.default_rng(58)
     op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
     loads = [rng.standard_normal(6)] + (_slab_pairs(rng) if grid.kind == "slab" else [])
     for g in loads:
-        full = np.abs(load_field(grid, g))
-        y = op._assemble(np.abs(op.cellC), np.abs(op.grid.B), np.ascontiguousarray(full))
-        assert op.rhs_noise_floor(g) == 1e-12 * float(np.linalg.norm(y))
+        ref = 1e-12 * float(np.linalg.norm(pointwise_load_vector(op, g, absolute=True)))
+        assert abs(op.rhs_noise_floor(g) - ref) <= 1e-15 * ref
 
 
 def test_load_shapes_other_than_vector_or_slab_pair_are_refused():
@@ -150,8 +150,7 @@ def test_scatter_equals_per_component_bincounts(case):
     rng = np.random.default_rng(61)
     op = ElementOperator(grid, laws(rng, grid.ncells))
     ylocal = rng.standard_normal((grid.ncells, 24))
-    for idx, dofs in ((grid.idx, grid.dofs), (op._idx, op._dofs)):
-        assert np.array_equal(op._to_nodes(ylocal, dofs), reference_scatter(op, ylocal, idx))
+    assert np.array_equal(op._to_nodes(ylocal), reference_scatter(op, ylocal, op._idx))
 
 
 def test_law_grouping_survives_hash_collisions(monkeypatch):
@@ -257,8 +256,58 @@ def test_constant_load_rhs_equals_pointwise_assembly(grid):
     if grid.kind == "slab":
         loads += _slab_pairs(rng)
     for g in loads:
-        ref = op._assemble(op.cellC, grid.B, np.ascontiguousarray(load_field(grid, g)))
+        ref = pointwise_load_vector(op, g)
         assert np.abs(op.rhs(g) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+LOAD_SIDE_OPERATORS = {
+    # name: (grid, cell laws from rng); grouped names take the per-law form
+    "grouped cell": (build_cell_grid(4, 4, 4),
+                     lambda rng, n: _two_phase(rng, n, lambda c: c % 3 == 0)),
+    "stacked cell": (build_cell_grid(3, 4, 5), _random_cellC),
+    "grouped slab": (build_slab_grid(4, 4, 3),
+                     lambda rng, n: _two_phase(rng, n, lambda c: c % 5 < 2)),
+    "stacked slab": (build_slab_grid(4, 3, 2), _random_cellC),
+}
+
+
+@pytest.mark.parametrize("case", list(LOAD_SIDE_OPERATORS))
+def test_law_order_load_side_matches_grid_order_and_pointwise(case):
+    # rhs, noise floor and residual K x + rhs, built per law (or per cell) in the
+    # operator's order and scattered once, against the per-cell grid-order rhs
+    # and the quadrature-point references, for a 6-vector and, on slabs, the
+    # pure-curvature, pure mid-plane and mixed pairs (G, A)
+    grid, laws = LOAD_SIDE_OPERATORS[case]
+    rng = np.random.default_rng(65)
+    op = ElementOperator(grid, laws(rng, grid.ncells))
+    assert (op._Ke is not None) == case.startswith("grouped")
+    x = rng.standard_normal(grid.ndofs)
+    Kx = reference_matvec(op, x)
+    for g in [rng.standard_normal(6)] + (_slab_pairs(rng) if grid.kind == "slab" else []):
+        ref = pointwise_load_vector(op, g)
+        scale = np.abs(ref).max()
+        assert np.abs(op.rhs(g) - ref).max() <= 1e-14 * scale
+        assert np.abs(op.rhs(g) - grid_order_rhs(op, g)).max() <= 1e-14 * scale
+        floor = 1e-12 * float(np.linalg.norm(pointwise_load_vector(op, g, absolute=True)))
+        assert abs(op.rhs_noise_floor(g) - floor) <= 1e-14 * floor
+        residual = op._residual(op._gather(x), *op._load_parts(g))
+        assert np.abs(residual - (Kx + ref)).max() <= 1e-14 * np.abs(Kx + ref).max()
+
+
+@pytest.mark.parametrize("slab", [False, True])
+def test_grouped_operator_never_builds_grid_order_dofs(slab):
+    # a grouped operator scatters every load, floor and residual in law order;
+    # a stacked one takes the grid's own index
+    op = _column_operator(6, 4, slab)
+    assert op._Ke is not None
+    loads = list(np.eye(6))
+    if slab:
+        loads = [np.stack([np.zeros(6), g]) for g in loads[:3]] + loads[:3]
+    solve_loads(op, loads, 1e-10)
+    assert "dofs" not in op.grid.__dict__
+    rng = np.random.default_rng(66)
+    stacked = ElementOperator(op.grid, _random_cellC(rng, op.grid.ncells))
+    assert stacked._Ke is None and "dofs" in op.grid.__dict__
 
 
 def test_overflowing_load_is_a_solver_error():
@@ -423,5 +472,6 @@ def test_grid_shapes():
     assert grid.ncells == 24 and grid.nnodes == 24
     slab = build_slab_grid(2, 3, 4)
     assert slab.ncells == 24 and slab.nnodes == 2 * 3 * 5
+    assert "x3q" not in slab.__dict__ and grid.x3q is None    # built on first use
     assert slab.x3q.shape == (24, 8)
     assert slab.x3q.min() > -0.5 and slab.x3q.max() < 0.5

@@ -13,7 +13,7 @@ from plate_homog import (
     qf_isotropic,
 )
 
-from helpers import random_cell
+from helpers import random_cell, random_spd
 
 E_BASIS = np.eye(6)
 
@@ -201,6 +201,46 @@ class TestMaterialBounds:
         eig = q3.eigenvalues()
         assert CellMaterial3.homogeneous(q3, grid=(2, 2, 3)).bounds == MaterialBounds(
             float(eig[0]), float(eig[-1]))
+
+
+class TestCheckOverDistinctLaws:
+    @staticmethod
+    def _two_laws_and(rng, bad, cells=(5, 17)):
+        """27 cells alternating two admissible laws, ``bad`` at ``cells``."""
+        good = [random_spd(rng, 6, 1.0, 4.0) for _ in range(2)]
+        c = np.stack([good[k % 2] for k in range(27)])
+        c[list(cells)] = bad
+        return c.reshape(3, 3, 3, 6, 6)
+
+    def test_violating_law_names_its_first_cell(self):
+        rng = np.random.default_rng(27)
+        bounds = MaterialBounds(1.0 - 1e-9, 4.0 + 1e-9)
+        for bad, side in ((random_spd(rng, 6, 0.3, 0.6), "lower"),
+                          (random_spd(rng, 6, 5.0, 8.0), "upper")):
+            mat = CellMaterial3(c=self._two_laws_and(rng, bad), bounds=bounds)
+            with pytest.raises(AdmissibilityError, match=f"cell sample 5 violates {side} bound"):
+                mat.check()
+
+    def test_asymmetric_law_in_one_cell_is_refused(self):
+        rng = np.random.default_rng(28)
+        bad = random_spd(rng, 6, 1.0, 4.0)
+        bad[0, 1] += 1e-6
+        mat = CellMaterial3(c=self._two_laws_and(rng, bad, cells=(13,)),
+                            bounds=MaterialBounds(0.5, 5.0))
+        with pytest.raises(AdmissibilityError, match="not symmetric"):
+            mat.check()
+
+    def test_inferred_bounds_equal_per_cell_eigenvalues(self):
+        # five random laws over 64 cells: the per-law extremes, bit for bit
+        rng = np.random.default_rng(29)
+        laws = np.stack([random_spd(rng, 6, 0.5, 6.0) for _ in range(5)])
+        c = laws[rng.integers(0, 5, size=64)].reshape(4, 4, 4, 6, 6)
+        eig = np.linalg.eigvalsh(c.reshape(-1, 6, 6))
+        mat = CellMaterial3(c=c)
+        assert mat.inferred_bounds() == MaterialBounds(float(eig[:, 0].min()),
+                                                       float(eig[:, -1].max()))
+        first, law = mat.check()
+        assert np.array_equal(mat.flat()[first][law], mat.flat())
 
 
 class TestCoupledOscillations:
