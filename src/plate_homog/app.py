@@ -124,6 +124,7 @@ class Scenario:
 
 
 def _read_settings(obj: dict | None, path: str) -> dict:
+    path += ".settings"
     if obj is not None and not isinstance(obj, dict):
         raise SpecFormatError(f"{path}: settings must be a JSON object, got {type(obj).__name__}")
     settings = dict(DEFAULT_SETTINGS)
@@ -133,10 +134,14 @@ def _read_settings(obj: dict | None, path: str) -> dict:
         settings[key] = value
     for key, (lo, hi) in SETTING_RANGES.items():
         v = settings[key]
-        if not (lo <= v <= hi):
+        with iojson.at_key(f"{path}.{key}"):
+            in_range = lo <= v <= hi
+        if not in_range:
             raise SpecFormatError(f"{path}: setting {key}={v} outside [{lo}, {hi}]")
     periods = settings["periods"]
-    if not periods or any(int(n) != n or n < 1 for n in periods):
+    with iojson.at_key(path + ".periods"):
+        valid = periods and all(int(n) == n and n >= 1 for n in periods)
+    if not valid:
         raise SpecFormatError(f"{path}: periods must be positive integers")
     settings["periods"] = [int(n) for n in periods]
     settings["x3_samples"] = int(settings["x3_samples"])
@@ -146,8 +151,9 @@ def _read_settings(obj: dict | None, path: str) -> dict:
 
 def _read_surface(obj: dict, path: str) -> SurfaceSpec:
     kind = str(iojson._get(obj, "kind", path))
-    extent = tuple(float(v) for v in obj.get("extent", (1.0, 1.0)))
-    radius = None if obj.get("radius") is None else float(obj["radius"])
+    extent = iojson._get(obj, "extent", path, required=False, default=(1.0, 1.0),
+                         convert=lambda v: tuple(float(x) for x in v))
+    radius = None if obj.get("radius") is None else iojson._get(obj, "radius", path, convert=float)
     try:
         return SurfaceSpec(kind=kind, extent=extent, radius=radius)
     except SpecFormatError as exc:
@@ -248,7 +254,9 @@ def parse_material_spec(path, command: str | None = None) -> Scenario:
     A value of the wrong type or shape anywhere in the file (a string for
     a number, an infinite size, a NaN or asymmetric matrix, ...) surfaces
     from the readers as ``ValueError``, ``TypeError`` or ``OverflowError``;
-    it is reported as a ``SpecFormatError`` that names the file.  Arithmetic
+    it is reported as a ``SpecFormatError`` that names the key path of the
+    value in the file, as in ``spec.json.material.mu_grid``, where a reader
+    converts the value under ``iojson.at_key``, and the file otherwise.  Arithmetic
     on non-finite input values runs silently: the validation that follows
     rejects what it produces.
     """

@@ -14,9 +14,23 @@ for the dense oracles:
 
 Strains live in Mandel coordinates throughout, so each quadrature point
 contributes ``w_q * (g + B_q u)^T C (g + B_q u)`` to the energy.  ``K x``
-is grouped, one 24x24 element matrix per distinct cell law, when a law
-covers at least ``LAW_CELLS`` cells on average, and stacked otherwise:
-all 8 quadrature points in 48-row products around one 6x6 law per cell.
+takes one of three forms, picked from the cell laws alone:
+
+- grouped, one 24x24 element matrix per distinct cell law, when a law
+  covers at least ``LAW_CELLS`` cells on average;
+- law-basis, when the laws span few directions of law space: with r basis
+  laws ``C_k`` and per-cell coefficients, ``C_c = sum_k a_ck C_k``, so
+  ``K u = sum_k a_ck (u_c @ Ke_k)``, r products with a 24x24 matrix and a
+  per-cell scale (the affine decomposition of reduced-basis methods,
+  applied in law space).  It is taken when the numerical rank r is at most
+  ``LAW_RANK`` and the basis rebuilds every cell's own law to 1e-14 of its
+  largest entry;
+- stacked otherwise: all 8 quadrature points in 48-row products around
+  one 6x6 law per cell.
+
+Only the stiffness uses the law basis: loads, noise floors, the stress
+sums of the energy matrix and the preconditioner's reference law read
+the exact cell laws.
 
 A load strain is constant or x3-linear per cell: a Mandel 6-vector G, or
 on a slab a pair (G, A) for ``G + x3 A``.  With ``x3_q = x3_c + d_q`` (x3_c
@@ -81,6 +95,14 @@ GAUSS_POINTS = (0.5 - GAUSS_OFFSET, 0.5 + GAUSS_OFFSET)
 # ``matvec`` takes the grouped form when a law covers at least this many cells
 # on average: both forms cost the same at 6-8 cells per law on 256-4096 cells.
 LAW_CELLS = 8
+
+# Otherwise it takes the law-basis form when the cell laws span at most this
+# many directions of law space.  Isotropic laws span 2, and so do the fiber
+# reductions of one isotropic law scaled by a scalar per sample.
+# Against the stacked form, one BLAS thread, a matvec at r = 2 costs 0.45-0.8x
+# on 27 to 16,384 cells; at r = 3 it costs 1.0-1.05x on 27-32 cells, and at
+# r = 6 1.7x on 27 cells and 1.1x on 864.
+LAW_RANK = 2
 
 _NODE = np.dtype((np.void, 24))      # a node's three components, gathered as one item
 # Odd multipliers of the law hash in ``_distinct_laws`` (products wrap mod 2**64).
@@ -202,11 +224,14 @@ class ElementOperator:
     """Stiffness operator ``K = sum_c sum_q w_q B_q^T C_c B_q`` plus
     the load/energy helpers built from the same quadrature.
 
-    Cells are kept in the operator's own order: sorted by law in the
-    grouped form, the grid's order in the stacked form.  Every per-cell
-    local vector (stiffness, load, noise floor) is built in that order and
-    scattered with the one dof index ``_dofs``.  ``laws``, when given, is
-    ``_distinct_laws(cellC)`` as the caller already computed it.
+    ``stiffness`` names the form of ``K x`` (see ``matvec``): "grouped",
+    "law-basis" or "stacked"; ``law_rank`` is the number r of basis laws in
+    the law-basis form and None otherwise.  Cells are kept in the
+    operator's own order: sorted by law in the grouped form, the grid's
+    order in the other two.  Every per-cell local vector (stiffness, load,
+    noise floor) is built in that order and scattered with the one dof
+    index ``_dofs``.  ``laws``, when given, is ``_distinct_laws(cellC)``
+    as the caller already computed it.
     """
 
     def __init__(self, grid: Grid, cellC: np.ndarray, laws=None):
@@ -225,6 +250,7 @@ class ElementOperator:
         self._Btilde = np.einsum("q,qij->ij", grid.wq * d3, grid.B)
         first, law = _distinct_laws(cellC) if laws is None else laws
         self.cell_laws = len(first)
+        self.stiffness, self.law_rank = "grouped", None
         if LAW_CELLS * self.cell_laws <= grid.ncells:
             order = np.argsort(law, kind="stable")
             self._idx, self._x3c = grid.idx[order], grid.x3c[order]
@@ -236,6 +262,14 @@ class ElementOperator:
         else:
             self._idx, self._dofs, self._x3c = grid.idx, grid.dofs, grid.x3c
             self._laws, self._Ke = cellC, None     # a law per cell
+            basis = _law_basis(cellC)
+            if basis is None:
+                self.stiffness = "stacked"
+            else:
+                coeffs, basis_laws = basis
+                self.stiffness, self.law_rank = "law-basis", len(basis_laws)
+                self._coeffs = np.ascontiguousarray(coeffs.T)[:, :, None]   # (r, ncells, 1)
+                self._basis_Ke = _element_matrix(grid, basis_laws)
 
     def _gather(self, x: np.ndarray) -> np.ndarray:
         """Per-cell local dof vectors (ncells, 24) of a nodal field, in operator order."""
@@ -255,16 +289,35 @@ class ElementOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``K x``: gather, a few large products, scatter-add.
 
-        Grouped form, taken when ``LAW_CELLS * cell_laws <= ncells``:
-        cells sorted by law, one ``(cells of law l, 24) @ Ke_l`` product
-        per law.  Stacked form otherwise: strains ``u @ B^T`` (24 x 48)
-        at all 8 points at once, one batched ``(8, 6) @ C_c^T`` per
-        cell, then ``@ w B`` (48 x 24).
+        The form (``stiffness``) is picked once, from the laws alone:
+
+        - grouped, when ``LAW_CELLS * cell_laws <= ncells``: cells sorted
+          by law, one ``(cells of law l, 24) @ Ke_l`` product per law;
+        - law-basis, else when the laws have numerical rank ``r <=
+          LAW_RANK`` (see ``_law_basis``): ``sum_k a_k * (u @ Ke_k)``, r
+          products of (ncells, 24) @ 24x24 each scaled per cell by the
+          coefficient ``a_ck`` of basis law k, with no temporary larger
+          than (ncells, 24);
+        - stacked otherwise: strains ``u @ B^T`` (24 x 48) at all 8
+          points at once, one batched ``(8, 6) @ C_c^T`` per cell, then
+          ``@ w B`` (48 x 24).
+
+        The three agree to rounding on the same laws.
         """
         return self._to_nodes(self._stiffness_local(self._gather(x))).reshape(x.shape)
 
-    def _stiffness_local(self, u: np.ndarray) -> np.ndarray:
-        """Per-cell local vectors (ncells, 24) of ``K x`` from its gathered ``u``."""
+    def _stiffness_local(self, u: np.ndarray, exact: bool = False) -> np.ndarray:
+        """Per-cell local vectors (ncells, 24) of ``K x`` from its gathered ``u``;
+        ``exact`` takes the stacked form on the cell laws in place of the law basis."""
+        if self.stiffness == "law-basis" and not exact:
+            y = u @ self._basis_Ke[0]
+            y *= self._coeffs[0]
+            term = np.empty_like(u)
+            for Ke, a in zip(self._basis_Ke[1:], self._coeffs[1:]):
+                np.matmul(u, Ke, out=term)
+                term *= a
+                y += term
+            return y
         if self._Ke is None:
             g = (u @ self.grid.B.reshape(48, 24).T).reshape(-1, 8, 6)
             return (g @ self.cellC.transpose(0, 2, 1)).reshape(-1, 48) @ self._wB
@@ -394,8 +447,11 @@ class ElementOperator:
 
     def _residual(self, u: np.ndarray, G: np.ndarray, A=None) -> np.ndarray:
         """``K x + rhs(G + x3 A)`` from the gathered ``u`` of ``x``: the stiffness and
-        the load local vectors added per cell, then one scatter."""
-        f = self._stiffness_local(u)
+        the load local vectors added per cell, then one scatter.  The stiffness
+        is the stacked one on the exact laws in the law-basis form: with the
+        basis, ``energy_matrix`` drifted from it by up to 1.1e-14 of its largest
+        entry on slabs with a fiber per cell."""
+        f = self._stiffness_local(u, exact=True)
         f += self._load_local(G, A)
         return self._to_nodes(f)
 
@@ -427,6 +483,46 @@ def _distinct_laws(cellC: np.ndarray):
         rows = bits.view(np.dtype((np.void, 288))).ravel()
         _, first, law = np.unique(rows, return_index=True, return_inverse=True)
     return first, law.ravel()
+
+
+def _law_basis(cellC: np.ndarray):
+    """Coefficients (ncells, r) and basis laws (r, 6, 6) with ``cellC = a @ basis``,
+    or None when the laws need more than ``LAW_RANK`` of them.
+
+    The basis is an orthonormal one of the row space of the (ncells, 36) law
+    matrix, built by Gram-Schmidt with pivoting: each step takes the law
+    with the largest remainder, orthogonalizes it once more against the
+    basis and projects it out of every law (a QR factorization of the
+    transpose with column pivoting).  The rank r counts the steps whose
+    pivot exceeds 1e-13 of the first, an estimate of the singular values
+    above that cut that does not depend on the data's scale.  The basis is
+    taken only if it rebuilds every cell's law to 1e-14 of that cell's own
+    largest entry, which guards the soft cells of a high-contrast material.
+    It needs only BLAS: a LAPACK QR and SVD of the law matrix gave the same
+    ranks but raised the peak memory of a process by about 0.5 MiB, the
+    first use of their code.
+    """
+    flat = cellC.reshape(len(cellC), 36)
+    top = np.abs(flat).max()
+    if not (np.isfinite(top) and top > 0.0):
+        return None
+    rest = flat / top                     # unit scale: no squared norm overflows
+    V = np.empty((0, 36))
+    norms = np.einsum("ij,ij->i", rest, rest)
+    cut = 1e-26 * norms.max()             # pivots under 1e-13 of the first
+    while norms.max() > cut:
+        if len(V) == LAW_RANK:
+            return None
+        q = rest[np.argmax(norms)]
+        q = q - (V @ q) @ V
+        q /= np.sqrt(q @ q)
+        rest -= np.outer(rest @ q, q)
+        V = np.vstack([V, q])
+        norms = np.einsum("ij,ij->i", rest, rest)
+    a = flat @ V.T
+    if np.any(np.abs(a @ V - flat).max(axis=1) > 1e-14 * np.abs(flat).max(axis=1)):
+        return None
+    return a, V.reshape(-1, 6, 6)
 
 
 def _element_matrix(grid: Grid, C: np.ndarray) -> np.ndarray:

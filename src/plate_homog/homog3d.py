@@ -155,10 +155,10 @@ def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL):
 
 
 def _homogenize(material: CellMaterial3, tol: float):
-    """Energy matrix of the six Mandel basis strains, per-solve data, distinct cell laws."""
+    """Energy matrix of the six Mandel basis strains, per-solve data, the operator."""
     op = _checked_operator(material)
     _, C, solves = solve_loads(op, list(np.eye(6)), tol)
-    return QuadForm3(C, label="homogenized"), solves, op.cell_laws
+    return QuadForm3(C, label="homogenized"), solves, op
 
 
 def homogenized_form_3d(material: CellMaterial3, tol: float = DEFAULT_TOL) -> QuadForm3:
@@ -178,7 +178,7 @@ def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL) -> E
     decomposition and per-solve convergence data.
     """
     t0 = time.perf_counter()
-    q_hom, solves, cell_laws = _homogenize(material, tol)
+    q_hom, solves, op = _homogenize(material, tol)
     q2, dstar = plane_stress_reduce(q_hom)
     q0p = QuadForm2(q2.matrix / 12.0, label="bending-regime1")
     diagnostics = {
@@ -186,7 +186,9 @@ def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL) -> E
         "tol": tol,
         "quadrature": "gauss-2x2x2",
         "preconditioner": PRECONDITIONER,
-        "cell_laws": cell_laws,
+        "cell_laws": op.cell_laws,
+        "stiffness": op.stiffness,
+        "law_rank": op.law_rank,
         "solves": [
             {"load": i, "iterations": it, "residual": hist[-1] if hist else 0.0}
             for i, (it, hist) in enumerate(solves)

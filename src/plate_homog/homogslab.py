@@ -384,6 +384,8 @@ def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL) -> Effect
         "quadrature": "gauss-2x2x2",
         "preconditioner": PRECONDITIONER,
         "cell_laws": op.cell_laws,
+        "stiffness": op.stiffness,
+        "law_rank": op.law_rank,
         "solves": [
             {"load": f"{kind}{i}", "iterations": it, "residual": hist[-1] if hist else 0.0}
             for (kind, i), (it, hist) in zip(basis, solves)

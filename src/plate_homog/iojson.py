@@ -11,6 +11,7 @@ fixture each under ``fixtures/``.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,12 +28,35 @@ def _fail(path: str, message: str):
     raise SpecFormatError(f"{path}: {message}")
 
 
-def _get(obj: dict, key: str, path: str, required=True, default=None):
+@contextmanager
+def at_key(path: str):
+    """Report a value that the code inside refuses (``ValueError``, ``TypeError``,
+    ``OverflowError``) as a malformed value at the key path ``path``."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise SpecFormatError(f"{path}: malformed value: {exc}") from exc
+
+
+def _get(obj: dict, key: str, path: str, required=True, default=None, convert=None):
+    """``obj[key]``, passed through ``convert`` when given, which names the key
+    path ``path.key`` when it refuses the value."""
     if key not in obj:
         if required:
             _fail(path, f"missing required field {key!r}")
         return default
-    return obj[key]
+    if convert is None:
+        return obj[key]
+    with at_key(f"{path}.{key}"):
+        return convert(obj[key])
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _ints(value) -> tuple:
+    return tuple(int(v) for v in value)
 
 
 def _matrix(value, n: int, path: str) -> np.ndarray:
@@ -54,22 +78,22 @@ def check_convention(obj: dict, path: str):
 def read_bounds(obj, path: str) -> MaterialBounds | None:
     if obj is None:
         return None
-    eta1 = _get(obj, "eta1", path + ".bounds")
-    eta2 = _get(obj, "eta2", path + ".bounds")
-    return MaterialBounds(float(eta1), float(eta2))
+    eta1 = _get(obj, "eta1", path + ".bounds", convert=float)
+    eta2 = _get(obj, "eta2", path + ".bounds", convert=float)
+    return MaterialBounds(eta1, eta2)
 
 
 def read_form(obj: dict, path: str):
     """A single quadratic form: kinds form3, form2, isotropic."""
     kind = _get(obj, "kind", path)
     label = str(obj.get("label", ""))
-    if kind == "form3":
-        return QuadForm3(_matrix(_get(obj, "matrix", path), 6, path), label=label)
-    if kind == "form2":
-        return QuadForm2(_matrix(_get(obj, "matrix", path), 3, path), label=label)
+    if kind in ("form3", "form2"):
+        form, n = (QuadForm3, 6) if kind == "form3" else (QuadForm2, 3)
+        with at_key(path + ".matrix"):
+            return form(_matrix(_get(obj, "matrix", path), n, path + ".matrix"), label=label)
     if kind == "isotropic":
-        mu = float(_get(obj, "mu", path))
-        lam = float(_get(obj, "lambda", path))
+        mu = _get(obj, "mu", path, convert=float)
+        lam = _get(obj, "lambda", path, convert=float)
         try:
             return qf_isotropic(mu, lam, label=label)
         except ValueError as exc:
@@ -99,12 +123,12 @@ def read_profile(obj: dict, path: str) -> ThicknessProfile:
         layers = obj["layers"]
         if not isinstance(layers, list) or not layers:
             _fail(path, "layers must be a non-empty list")
-        breaks = [float(_get(layers[0], "from", path + ".layers[0]"))]
+        breaks = [_get(layers[0], "from", path + ".layers[0]", convert=float)]
         forms = []
         for i, layer in enumerate(layers):
             lp = f"{path}.layers[{i}]"
-            lo = float(_get(layer, "from", lp))
-            hi = float(_get(layer, "to", lp))
+            lo = _get(layer, "from", lp, convert=float)
+            hi = _get(layer, "to", lp, convert=float)
             if abs(lo - breaks[-1]) > 1e-12:
                 _fail(lp, f"layer does not start where the previous one ends ({lo} vs {breaks[-1]})")
             breaks.append(hi)
@@ -142,7 +166,7 @@ def profile_to_dict(profile: ThicknessProfile) -> dict:
 
 def read_cell_material(obj: dict, path: str) -> CellMaterial3:
     kind = _get(obj, "kind", path)
-    grid = tuple(int(v) for v in _get(obj, "grid", path))
+    grid = _get(obj, "grid", path, convert=_ints)
     if len(grid) != 3 or min(grid) < 1:
         _fail(path, f"grid must be three sizes >= 1, got {grid}")
     n = grid[0] * grid[1] * grid[2]
@@ -153,8 +177,8 @@ def read_cell_material(obj: dict, path: str) -> CellMaterial3:
         c = np.stack([_matrix(f, 6, f"{path}.forms[{i}]") for i, f in enumerate(forms)])
         c = c.reshape(*grid, 6, 6)
     elif kind == "isotropic-field":
-        mu = np.asarray(_get(obj, "mu_grid", path), dtype=float).reshape(-1)
-        lam = np.asarray(_get(obj, "lambda_grid", path), dtype=float).reshape(-1)
+        mu = _get(obj, "mu_grid", path, convert=_floats).reshape(-1)
+        lam = _get(obj, "lambda_grid", path, convert=_floats).reshape(-1)
         if mu.size != n or lam.size != n:
             _fail(path, f"mu_grid and lambda_grid must each hold {n} values")
         if np.any(mu <= 0.0) or np.any(lam < 0.0):
@@ -172,27 +196,27 @@ def read_cell_material(obj: dict, path: str) -> CellMaterial3:
 
 def read_slab_material(obj: dict, path: str) -> SlabMaterial:
     kind = _get(obj, "kind", path)
-    nx3 = int(_get(obj, "x3_grid", path))
-    n1, n2 = (int(v) for v in _get(obj, "inplane_grid", path))
-    nf = int(_get(obj, "fiber_grid", path))
+    nx3 = _get(obj, "x3_grid", path, convert=int)
+    with at_key(path + ".inplane_grid"):
+        n1, n2 = _get(obj, "inplane_grid", path, convert=_ints)
+    nf = _get(obj, "fiber_grid", path, convert=int)
     if min(nx3, n1, n2, nf) < 1:
         _fail(path, "grid sizes must be >= 1")
     shape = (n1, n2, nx3)
     ncells = n1 * n2 * nx3
     bounds = read_bounds(obj.get("bounds"), path)
     if kind == "slab":
-        lam2 = np.asarray(_get(obj, "lambda2", path), dtype=float)
+        lam2 = _get(obj, "lambda2", path, convert=_floats)
         if lam2.size != nf:
             _fail(path, f"lambda2 must hold {nf} samples")
-        lam1 = _get(obj, "lambda1", path)
-        lam1 = np.asarray(lam1, dtype=float)
+        lam1 = _get(obj, "lambda1", path, convert=_floats)
         if lam1.ndim == 0:
             lam1 = np.full(shape, float(lam1))
         elif lam1.size == ncells:
             lam1 = lam1.reshape(shape)
         else:
             _fail(path, f"lambda1 must be a scalar or {ncells} values")
-        mu = float(_get(obj, "mu", path))
+        mu = _get(obj, "mu", path, convert=float)
         if mu <= 0.0 or np.any(lam1 <= 0.0) or np.any(lam2 <= 0.0):
             _fail(path, "mu, lambda1, lambda2 must be positive")
         return SlabMaterial.separable(lam1, lam2, mu, bounds=bounds)
@@ -206,16 +230,17 @@ def read_slab_material(obj: dict, path: str) -> SlabMaterial:
         )
         if fibers.shape[1] != nf:
             _fail(path, f"each fiber must hold {nf} samples")
-        index = np.asarray(_get(obj, "fiber_index", path), dtype=np.int64)
+        index = _get(obj, "fiber_index", path,
+                     convert=lambda v: np.asarray(v, dtype=np.int64))
         if index.size != ncells:
             _fail(path, f"fiber_index must hold {ncells} entries")
         index = index.reshape(shape)
         scale = obj.get("scale")
         if scale is not None:
-            scale = np.asarray(scale, dtype=float).reshape(shape)
+            scale = _get(obj, "scale", path, convert=lambda v: _floats(v).reshape(shape))
         weights = obj.get("weights")
         if weights is not None:
-            weights = np.asarray(weights, dtype=float)
+            weights = _get(obj, "weights", path, convert=_floats)
         try:
             return SlabMaterial(
                 fibers=fibers, fiber_index=index, bounds=bounds,

@@ -12,6 +12,7 @@ from plate_homog import (
     QuadForm3,
     SlabMaterial,
     ThicknessProfile,
+    qf_isotropic,
 )
 from plate_homog import fem
 
@@ -53,6 +54,17 @@ def random_slab(rng, grid=(2, 2, 2), nf=2, nfib=3, eta1=1.0, eta2=4.0) -> SlabMa
     return SlabMaterial(
         fibers=fibers, fiber_index=idx, bounds=MaterialBounds(eta1 - margin, eta2 + margin)
     )
+
+
+def fiber_per_cell_slab(rng, grid, nf=3, nu=0.0, contrast=30.0) -> SlabMaterial:
+    """Isotropic slab (mu = 1, Poisson ratio ``nu``) with one fiber of random
+    ``lambda2`` in [1, 2] per cell, scaled per cell by 1 or ``contrast`` at
+    random: a law per cell, and laws that span two directions of law space."""
+    ncells = int(np.prod(grid))
+    lam2 = rng.uniform(1.0, 2.0, (ncells, nf))
+    fibers = lam2[:, :, None, None] * qf_isotropic(1.0, 2.0 * nu / (1.0 - 2.0 * nu)).matrix
+    scale = np.where(rng.random(grid) < 0.5, contrast, 1.0)
+    return SlabMaterial(fibers=fibers, fiber_index=np.arange(ncells).reshape(grid), scale=scale)
 
 
 def random_profile2(rng, eta1=2.0, eta2=5.0) -> ThicknessProfile:

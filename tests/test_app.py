@@ -340,25 +340,33 @@ class TestExitCodes:
                    "--out", str(tmp_path)])
         assert rc == EXIT_SOLVER
 
-    @pytest.mark.parametrize("command, material, settings", [
+    @pytest.mark.parametrize("command, material, settings, key", [
         pytest.param("reduce", {"kind": "form3", "matrix": [[float("nan")] + [0.0] * 5]
-                                + np.eye(6)[1:].tolist()}, {}, id="form3-nan"),
+                                + np.eye(6)[1:].tolist()}, {}, "material.matrix", id="form3-nan"),
         pytest.param("reduce", {"kind": "form3", "matrix": (np.eye(6) + 0.5 * np.eye(6, k=1)).tolist()},
-                     {}, id="form3-asymmetric"),
+                     {}, "material.matrix", id="form3-asymmetric"),
         pytest.param("reduce", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, {"tol": "abc"},
-                     id="tol-string"),
+                     "settings.tol", id="tol-string"),
         pytest.param("homog-regime1", {"kind": "isotropic-field", "grid": [1, 1, 2],
                                        "mu_grid": ["x", 1.5], "lambda_grid": [0.0, 0.0]}, {},
-                     id="mu-grid-string"),
+                     "material.mu_grid", id="mu-grid-string"),
         pytest.param("homog-regime1", {"kind": "isotropic-field", "grid": "ab",
                                        "mu_grid": [0.5, 1.5], "lambda_grid": [0.0, 0.0]}, {},
-                     id="grid-string"),
+                     "material.grid", id="grid-string"),
+        pytest.param("homog-regime2", {"kind": "slab", "x3_grid": 2, "inplane_grid": [1, 1, 1],
+                                       "fiber_grid": 2, "lambda1": 1.0, "lambda2": [1.0, 2.0],
+                                       "mu": 1.0}, {}, "material.inplane_grid", id="inplane-grid-3"),
+        pytest.param("homog-regime2", {"kind": "slab", "x3_grid": 2, "inplane_grid": [1, 1],
+                                       "fiber_grid": 2, "lambda1": 1.0, "lambda2": [1.0, 2.0],
+                                       "mu": "soft"}, {}, "material.mu", id="slab-mu-string"),
         pytest.param("reduce", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, [1, 2],
-                     id="settings-list"),
+                     "settings", id="settings-list"),
         pytest.param("reduce", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, "x",
-                     id="settings-string"),
+                     "settings", id="settings-string"),
     ])
-    def test_malformed_value_is_parse_error(self, tmp_path, capsys, command, material, settings):
+    def test_malformed_value_is_parse_error(self, tmp_path, capsys, command, material, settings,
+                                            key):
+        # the message names the file and the key path of the value inside it
         spec = {"convention": CONVENTION, "command": command, "material": material,
                 "settings": settings}
         path = write_spec(tmp_path, spec)
@@ -368,7 +376,7 @@ class TestExitCodes:
         payload = json.loads(lines[0])
         assert payload["error"] == "SpecFormatError"
         assert payload["exit_code"] == EXIT_PARSE
-        assert str(path) in payload["message"]
+        assert payload["message"].startswith(f"{path}.{key}: ")
 
     def test_overflowing_load_is_solver_error(self, tmp_path, capsys):
         # load norm and noise floor overflow to inf: refused, not reported as solved

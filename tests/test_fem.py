@@ -26,6 +26,7 @@ from plate_homog.fem import (
 
 from helpers import (
     energy,
+    fiber_per_cell_slab,
     grid_order_rhs,
     pointwise_load_vector,
     random_cell,
@@ -101,40 +102,77 @@ def _signed_zero_laws(rng, ncells):
     return np.where((np.arange(ncells) % 2 == 0)[:, None, None], c, d)
 
 
+def _rank_laws(rng, ncells, r):
+    """Positive random combinations of r random SPD laws: law-space rank r."""
+    basis = np.stack([random_spd(rng, 6, 0.5, 3.0) for _ in range(r)])
+    return np.einsum("ck,kij->cij", rng.uniform(0.1, 1.0, (ncells, r)), basis)
+
+
+def _unrebuilt_soft_cell(rng, ncells):
+    # rank-2 laws and one soft cell outside their span, at 1e-15 of them: its
+    # remainder falls under the rank cut, and the basis cannot rebuild it
+    cellC = _rank_laws(rng, ncells, 2)
+    cellC[0] = 1e-15 * random_spd(rng, 6, 0.5, 3.0)
+    return cellC
+
+
+def _anisotropic_fiber_slab(rng, grid):
+    """A random anisotropic fiber of 2 samples in every cell."""
+    ncells = int(np.prod(grid))
+    fibers = np.stack([[random_spd(rng, 6, 0.5, 3.0) for _ in range(2)] for _ in range(ncells)])
+    return SlabMaterial(fibers=fibers, fiber_index=np.arange(ncells).reshape(grid))
+
+
 MATVEC_CASES = {
-    # name: (grid, cell laws from rng, grouped form expected, distinct laws)
+    # name: (grid, cell laws from rng, stiffness form expected, distinct laws)
     "one-law cell": (build_cell_grid(2, 2, 4),
                      lambda rng, n: np.broadcast_to(random_spd(rng, 6, 0.5, 3.0), (n, 6, 6)),
-                     True, 1),
+                     "grouped", 1),
     "two-phase 6^3 cell": (build_cell_grid(6, 6, 6),
-                           lambda rng, n: _two_phase(rng, n, lambda c: c % 7 < 3), True, 2),
+                           lambda rng, n: _two_phase(rng, n, lambda c: c % 7 < 3), "grouped", 2),
     "random 3^3 cell": (build_cell_grid(3, 3, 3),
-                        lambda rng, n: random_cell(rng, grid=(3, 3, 3)).flat(), False, 27),
+                        lambda rng, n: random_cell(rng, grid=(3, 3, 3)).flat(), "stacked", 27),
     "random-fiber slab [3,3,3]": (build_slab_grid(3, 3, 3),
                                   lambda rng, n: random_slab(rng, grid=(3, 3, 3), nfib=27)
-                                  .reduced_cells(), False, None),
+                                  .reduced_cells(), "stacked", None),
     "separable slab": (build_slab_grid(4, 4, 2),
                        lambda rng, n: SlabMaterial.separable(
                            np.where(rng.random((4, 4, 2)) < 0.5, 1.0, 30.0), [1.0, 3.0, 2.0],
-                           mu=1.0).reduced_cells(), True, 2),
+                           mu=1.0).reduced_cells(), "grouped", 2),
     "cell [1,1,6]": (build_cell_grid(1, 1, 6),
-                     lambda rng, n: _two_phase(rng, n, lambda c: c < 3), False, 2),
+                     lambda rng, n: _two_phase(rng, n, lambda c: c < 3), "law-basis", 2),
     "cell [1,1,16]": (build_cell_grid(1, 1, 16),
-                      lambda rng, n: _two_phase(rng, n, lambda c: c % 4 < 2), True, 2),
+                      lambda rng, n: _two_phase(rng, n, lambda c: c % 4 < 2), "grouped", 2),
     "slab [1,1,2]": (build_slab_grid(1, 1, 2),
-                     lambda rng, n: _two_phase(rng, n, lambda c: c == 0), False, 2),
-    "signed-zero laws": (build_cell_grid(4, 4, 4), _signed_zero_laws, True, 2),
+                     lambda rng, n: _two_phase(rng, n, lambda c: c == 0), "law-basis", 2),
+    "signed-zero laws": (build_cell_grid(4, 4, 4), _signed_zero_laws, "grouped", 2),
+    "zero-Poisson fiber slab": (build_slab_grid(4, 4, 3),
+                                lambda rng, n: fiber_per_cell_slab(rng, (4, 4, 3))
+                                .reduced_cells(), "law-basis", 48),
+    "nu=0.3 fiber slab": (build_slab_grid(4, 4, 3),
+                          lambda rng, n: fiber_per_cell_slab(rng, (4, 4, 3), nu=0.3)
+                          .reduced_cells(), "law-basis", 48),
+    "contrast-1e6 fiber slab": (build_slab_grid(4, 4, 3),
+                                lambda rng, n: fiber_per_cell_slab(rng, (4, 4, 3), contrast=1e6)
+                                .reduced_cells(), "law-basis", 48),
+    "anisotropic fiber slab": (build_slab_grid(4, 4, 2),
+                               lambda rng, n: _anisotropic_fiber_slab(rng, (4, 4, 2))
+                               .reduced_cells(), "stacked", 32),
+    "rank above the cap": (build_slab_grid(4, 4, 2),
+                           lambda rng, n: _rank_laws(rng, n, fem.LAW_RANK + 1), "stacked", 32),
+    "unrebuilt soft cell": (build_cell_grid(3, 3, 3), _unrebuilt_soft_cell, "stacked", 27),
 }
 
 
 @pytest.mark.parametrize("case", list(MATVEC_CASES))
 def test_matvec_equals_reference(case):
-    # the grouped and the stacked form against the 8-point loop, scattered
-    # with np.add.at: grids that list a node twice per element included
-    grid, laws, grouped, nlaws = MATVEC_CASES[case]
+    # the grouped, law-basis and stacked forms against the 8-point loop,
+    # scattered with np.add.at: grids that list a node twice per element included
+    grid, laws, form, nlaws = MATVEC_CASES[case]
     rng = np.random.default_rng(59)
     op = ElementOperator(grid, laws(rng, grid.ncells))
-    assert (op._Ke is not None) == grouped
+    assert op.stiffness == form
+    assert op.law_rank == (2 if form == "law-basis" else None)
     if nlaws is not None:
         assert op.cell_laws == nlaws
     for x in (rng.standard_normal(grid.ndofs), np.eye(grid.ndofs)[:, 1]):
@@ -226,20 +264,24 @@ def _box_cell_operator(n, contrast):
 
 def test_energy_matrix_matches_extended_precision_reference():
     # solved correctors: constant loads on a contrast-30 box cell (grouped) and a
-    # random cell (stacked); on a random slab (stacked) and a contrast-30 column
-    # slab (grouped), pure-curvature pairs (0, A), pure mid-plane loads as
-    # 6-vectors and as a pair (G, 0), and a mixed pair (G, A)
+    # random cell (stacked); on a random slab (stacked), a contrast-30 column
+    # slab (grouped) and a slab with a fiber per cell at nu = 0.3 (law-basis),
+    # pure-curvature pairs (0, A), pure mid-plane loads as 6-vectors and as a
+    # pair (G, 0), and a mixed pair (G, A)
     rng = np.random.default_rng(61)
     cell = _box_cell_operator(8, 30.0)
     stacked = ElementOperator(build_cell_grid(3, 3, 3), _random_cellC(rng, 27))
     slab = ElementOperator(build_slab_grid(4, 3, 3), _random_cellC(rng, 36))
     column = _column_operator(6, 3, slab=True)
-    assert slab._Ke is None and column._Ke is not None
+    fibers = ElementOperator(build_slab_grid(8, 8, 4),
+                             fiber_per_cell_slab(rng, (8, 8, 4), nu=0.3).reduced_cells())
+    assert [op.stiffness for op in (cell, stacked, slab, column, fibers)] == [
+        "grouped", "stacked", "stacked", "grouped", "law-basis"]
     e3 = [np.eye(6)[i] for i in (0, 1, 5)]
     slab_loads = ([np.stack([np.zeros(6), g]) for g in e3] + e3[:2]
                   + [np.stack([e3[2], np.zeros(6)]), rng.standard_normal((2, 6))])
     for op, loads in ((cell, list(np.eye(6))), (stacked, list(np.eye(6))), (slab, slab_loads),
-                      (column, slab_loads)):
+                      (column, slab_loads), (fibers, slab_loads)):
         fields, N, _ = solve_loads(op, loads, 1e-10)
         ref = reference_energy_matrix(op, fields, loads)
         assert np.abs(N - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -261,13 +303,16 @@ def test_constant_load_rhs_equals_pointwise_assembly(grid):
 
 
 LOAD_SIDE_OPERATORS = {
-    # name: (grid, cell laws from rng); grouped names take the per-law form
+    # name: (grid, cell laws from rng); the first word names the stiffness form,
+    # and only grouped operators take the per-law load side
     "grouped cell": (build_cell_grid(4, 4, 4),
                      lambda rng, n: _two_phase(rng, n, lambda c: c % 3 == 0)),
     "stacked cell": (build_cell_grid(3, 4, 5), _random_cellC),
     "grouped slab": (build_slab_grid(4, 4, 3),
                      lambda rng, n: _two_phase(rng, n, lambda c: c % 5 < 2)),
     "stacked slab": (build_slab_grid(4, 3, 2), _random_cellC),
+    "law-basis slab": (build_slab_grid(4, 4, 3),
+                       lambda rng, n: fiber_per_cell_slab(rng, (4, 4, 3), nu=0.3).reduced_cells()),
 }
 
 
@@ -280,7 +325,7 @@ def test_law_order_load_side_matches_grid_order_and_pointwise(case):
     grid, laws = LOAD_SIDE_OPERATORS[case]
     rng = np.random.default_rng(65)
     op = ElementOperator(grid, laws(rng, grid.ncells))
-    assert (op._Ke is not None) == case.startswith("grouped")
+    assert op.stiffness == case.split()[0]
     x = rng.standard_normal(grid.ndofs)
     Kx = reference_matvec(op, x)
     for g in [rng.standard_normal(6)] + (_slab_pairs(rng) if grid.kind == "slab" else []):
@@ -440,6 +485,31 @@ def test_regime_reports_name_the_preconditioner():
     rng = np.random.default_rng(56)
     for report in (bending_form_regime1(random_cell(rng)), bending_form_regime2(random_slab(rng))):
         assert report.diagnostics["preconditioner"] == PRECONDITIONER == "fft-reference-mean"
+
+
+def test_regime_reports_name_the_stiffness_form():
+    rng = np.random.default_rng(67)
+    grouped = SlabMaterial.separable(np.where(rng.random((4, 4, 1)) < 0.5, 1.0, 2.0), [1.0, 3.0], 1.0)
+    for report, form, rank in ((bending_form_regime1(random_cell(rng, grid=(3, 3, 3))), "stacked", None),
+                               (bending_form_regime2(fiber_per_cell_slab(rng, (3, 3, 2))), "law-basis", 2),
+                               (bending_form_regime2(grouped), "grouped", None)):
+        assert report.diagnostics["stiffness"] == form
+        assert report.diagnostics["law_rank"] == rank
+
+
+@pytest.mark.parametrize("r", [1, fem.LAW_RANK])
+def test_law_rank_is_independent_of_scale(r):
+    # the rank cut and the rebuild check are relative: the same laws at any scale
+    # take the same form and rank, and the law-basis product matches the 8-point loop
+    rng = np.random.default_rng(68)
+    grid = build_slab_grid(4, 4, 2)
+    cellC = _rank_laws(rng, grid.ncells, r)
+    x = rng.standard_normal(grid.ndofs)
+    for scale in (1e-200, 1.0, 1e200):
+        op = ElementOperator(grid, scale * cellC)
+        assert (op.stiffness, op.law_rank) == ("law-basis", r)
+        ref = reference_matvec(op, x)
+        assert np.abs(op.matvec(x) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_regime_reports_count_cell_laws():

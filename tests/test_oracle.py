@@ -24,7 +24,7 @@ from plate_homog.core import EMBED_2_TO_3
 from plate_homog.fem import build_cell_grid, build_slab_grid
 from plate_homog.oracle import assemble_regime1, assemble_regime2
 
-from helpers import random_cell, random_slab
+from helpers import fiber_per_cell_slab, random_cell, random_slab
 
 
 class TestClosedForms:
@@ -178,6 +178,17 @@ class TestBruteForceRegime2:
             A = rng.standard_normal((2, 2))
             ov = brute_force_regime2(slab, A)
             assert rep.form.eval(A) == pytest.approx(ov, rel=1e-11)
+
+    def test_matches_pipeline_on_law_basis_slab(self):
+        # zero-Poisson slab with random lambda2 per cell: the pipeline's stiffness
+        # takes the law-basis form, the oracle assembles every cell's own law
+        rng = np.random.default_rng(47)
+        slab = fiber_per_cell_slab(rng, (3, 3, 3))
+        rep = bending_form_regime2(slab, tol=1e-13)
+        assert (rep.diagnostics["stiffness"], rep.diagnostics["law_rank"]) == ("law-basis", 2)
+        loads = np.vstack([np.eye(3), rng.standard_normal((3, 3))])
+        energies = assemble_regime2(slab).solve(loads)
+        assert [rep.form.eval_mandel(a) for a in loads] == pytest.approx(energies, rel=1e-11)
 
     def test_size_cap(self):
         slab = SlabMaterial.homogeneous(qf_isotropic(1.0, 0.0), grid=(8, 8, 8), nf=4)
