@@ -2,7 +2,9 @@
 
 ``plate-homog <command> --spec <file> --out <dir>`` reads a JSON
 scenario, validates the material eagerly, runs the requested pipeline
-and writes reports (JSON) and tables (CSV).  Commands:
+and writes reports (JSON) and tables (CSV).  A cell or slab material is
+checked against its bounds once, while the file is read; the pipelines
+reuse that check.  Commands:
 
 - ``reduce``         plane-stress reduction of a form or 3D profile
 - ``bending``        bending form of a thickness profile
@@ -14,8 +16,8 @@ and writes reports (JSON) and tables (CSV).  Commands:
 - ``sweep``          fan out a list of scenarios (PLATE_HOMOG_THREADS caps workers)
 
 Exit codes: 0 ok, 2 parse/schema, 3 admissibility, 4 solver or oracle
-mismatch, 5 dense-size cap.  Errors are also emitted as one JSON object
-on stderr.
+mismatch, 5 dense-size cap or out of memory.  Errors are also emitted as
+one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ from .core import EffectiveReport, QuadForm2, QuadForm3, mandel2
 from .errors import (
     EXIT_OK,
     PlateHomogError,
+    SizeCapError,
     SolverError,
     SpecFormatError,
     SweepError,
@@ -112,7 +115,12 @@ def plate_energy(q0: QuadForm2, surface: SurfaceSpec) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Validated unit of work for one CLI invocation."""
+    """Validated unit of work for one CLI invocation.
+
+    A cell or slab ``material`` has passed its check; ``laws`` is the law
+    index that check returned for a cell material, which its operator
+    reuses (None when the material was replaced after the check).
+    """
 
     command: str
     name: str
@@ -121,6 +129,7 @@ class Scenario:
     form: QuadForm2 | None = None
     surface: SurfaceSpec | None = None
     subs: tuple = field(default_factory=tuple)
+    laws: tuple | None = None
 
 
 def _read_settings(obj: dict | None, path: str) -> dict:
@@ -161,19 +170,19 @@ def _read_surface(obj: dict, path: str) -> SurfaceSpec:
 
 
 def _read_material(obj: dict, path: str):
+    """The material of ``obj`` and the law index of its check (cells only)."""
     kind = iojson._get(obj, "kind", path)
     if kind in ("form3", "form2", "isotropic"):
-        return iojson.read_form(obj, path)
+        return iojson.read_form(obj, path), None
     if kind == "profile":
-        return iojson.read_profile(obj, path)
+        return iojson.read_profile(obj, path), None
     if kind in ("cell", "isotropic-field"):
         material = iojson.read_cell_material(obj, path)
-        material.check()
-        return material
+        return material, material.check()
     if kind in ("slab", "slab-cells"):
         material = iojson.read_slab_material(obj, path)
         material.check()
-        return material
+        return material, None
     raise SpecFormatError(f"{path}: unknown material kind {kind!r}")
 
 
@@ -205,11 +214,7 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
                 raise SpecFormatError(f"{sp}: sweeps cannot nest")
             sub_sc = _scenario_from_dict(sub, sp)
             if sub_sc.name == sub_sc.command:
-                sub_sc = Scenario(
-                    command=sub_sc.command, name=f"{sub_sc.command}-{i}",
-                    settings=sub_sc.settings, material=sub_sc.material,
-                    form=sub_sc.form, surface=sub_sc.surface,
-                )
+                sub_sc = replace(sub_sc, name=f"{sub_sc.command}-{i}")
             subs.append(sub_sc)
         names = [s.name for s in subs]
         if len(set(names)) != len(names):
@@ -226,7 +231,7 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
         surface = _read_surface(iojson._get(obj, "surface", path), path + ".surface")
         return Scenario(command=command, name=name, settings=settings, form=form, surface=surface)
 
-    material = _read_material(iojson._get(obj, "material", path), path + ".material")
+    material, laws = _read_material(iojson._get(obj, "material", path), path + ".material")
 
     wants = {
         "reduce": (QuadForm3, ThicknessProfile),
@@ -245,7 +250,7 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
         raise SpecFormatError(
             f"{path}.material: oscillate needs a piecewise-constant profile (layers or midpoint)"
         )
-    return Scenario(command=command, name=name, settings=settings, material=material)
+    return Scenario(command=command, name=name, settings=settings, material=material, laws=laws)
 
 
 def parse_material_spec(path, command: str | None = None) -> Scenario:
@@ -275,7 +280,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         settings["tol"] = args.tol
     if args.quadrature is not None:
         settings["x3_samples"] = args.quadrature
-    material = scenario.material
+    material, laws = scenario.material, scenario.laws
     if args.grid is not None:
         if not isinstance(material, CellMaterial3):
             raise SpecFormatError("--grid refinement only applies to cell materials")
@@ -288,13 +293,9 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
             )
         factor = factors.pop()
         if factor > 1:
-            material = material.refine(factor)
+            material, laws = material.refine(factor), None
     _read_settings({k: v for k, v in settings.items()}, "overrides")
-    return Scenario(
-        command=scenario.command, name=scenario.name, settings=settings,
-        material=material, form=scenario.form, surface=scenario.surface,
-        subs=scenario.subs,
-    )
+    return replace(scenario, settings=settings, material=material, laws=laws)
 
 
 def _write_report(report: EffectiveReport, settings: dict, out_path: Path):
@@ -359,9 +360,9 @@ def _run_oscillate(scenario: Scenario, out_dir: Path) -> dict:
 def _run_regime(scenario: Scenario, out_dir: Path) -> dict:
     tol = float(scenario.settings["tol"])
     if scenario.command == "homog-regime1":
-        report = bending_form_regime1(scenario.material, tol=tol)
+        report = bending_form_regime1(scenario.material, tol=tol, laws=scenario.laws)
     else:
-        report = bending_form_regime2(scenario.material, tol=tol)
+        report = bending_form_regime2(scenario.material, tol=tol, checked=True)
     path = out_dir / f"{scenario.name}-report.json"
     _write_report(report, scenario.settings, path)
     return {"artifact": str(path)}
@@ -377,11 +378,11 @@ def _run_oracle_check(scenario: Scenario, out_dir: Path) -> dict:
     for m in rng.standard_normal((nloads - 1, 2, 2)):
         loads.append(mandel2(0.5 * (m + m.T)))
     if isinstance(material, CellMaterial3):
-        report = bending_form_regime1(material, tol=tol)
-        dense = oracle.assemble_regime1(material, scenario.settings["x3_samples"])
+        report = bending_form_regime1(material, tol=tol, laws=scenario.laws)
+        dense = oracle.assemble_regime1(material, scenario.settings["x3_samples"], checked=True)
     else:
-        report = bending_form_regime2(material, tol=tol)
-        dense = oracle.assemble_regime2(material)
+        report = bending_form_regime2(material, tol=tol, checked=True)
+        dense = oracle.assemble_regime2(material, checked=True)
     oracle_values = dense.solve(loads)
     diffs = [
         abs(report.form.eval_mandel(a2) - value) / max(abs(value), 1e-30)
@@ -454,6 +455,8 @@ def _run_sweep(scenario: Scenario, out_dir: Path) -> dict:
                 results[name] = future.result()
             except PlateHomogError as exc:
                 failures[name] = exc
+            except MemoryError as exc:
+                failures[name] = _out_of_memory(exc)
     csv_path = out_dir / f"{scenario.name}-summary.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -490,6 +493,11 @@ def run_scenario(scenario: Scenario, out_dir) -> dict:
     result = _RUNNERS[scenario.command](scenario, out_dir)
     result["runtime_s"] = time.perf_counter() - t0
     return result
+
+
+def _out_of_memory(exc: MemoryError) -> SizeCapError:
+    """An allocation the host refused, reported like the dense-size cap."""
+    return SizeCapError(f"out of memory: {str(exc) or 'allocation failed'}")
 
 
 def _emit_error(exc: PlateHomogError):
@@ -532,6 +540,10 @@ def main(argv=None) -> int:
         scenario = parse_material_spec(args.spec, args.command)
         scenario = _apply_overrides(scenario, args)
         result = run_scenario(scenario, args.out)
+    except MemoryError as exc:
+        err = _out_of_memory(exc)
+        _emit_error(err)
+        return err.exit_code
     except PlateHomogError as exc:
         _emit_error(exc)
         return exc.exit_code

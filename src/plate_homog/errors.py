@@ -52,7 +52,8 @@ class SolverError(PlateHomogError):
 
 
 class SizeCapError(PlateHomogError):
-    """Dense oracle problem exceeds the unknown-count cap."""
+    """Dense oracle problem exceeds the unknown-count cap, or an input needs
+    more memory than the host grants."""
 
     exit_code = EXIT_SIZE_CAP
 

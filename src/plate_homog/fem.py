@@ -70,7 +70,10 @@ displacement component, FFTs over the trailing axes, and 3x3 blocks
 stored (3, 3, wavevectors).  On a cell grid the symbol is real, because
 the trilinear element is point symmetric, so its inverse is stored real;
 on a slab the two node planes of a layer break that pairing and the
-block-tridiagonal factors stay complex.
+block-tridiagonal factors stay complex.  A slab's in-plane transform runs
+both passes along the contiguous last axis, ``rfft`` over n2, then ``fft``
+over n1 after swapping the two axes, so its wavevectors come in (m2, n1)
+order, m2 = n2 // 2 + 1.
 
 Nodal vectors are laid out node-major, dof ``3 * node + m``; a scatter-add
 is one ``bincount`` over the operator's dof index: ``Grid.dofs`` in the
@@ -590,14 +593,21 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     inverse is stored real, (3, 3, wavevectors), and applied real by
     complex.
 
-    Slab grid: per ``rfft2`` wavevector, a Hermitian block-tridiagonal
+    Slab grid: per in-plane wavevector, a Hermitian block-tridiagonal
     system over the node planes, factored once by block elimination (the
     inverse Schur complements ``Sinv`` and the multipliers ``W = Sinv U``);
     at the zero wavevector node plane 0 is grounded and the mean is
-    projected out of the input and the result.  Point symmetry swaps the
-    two node planes of a layer, so within one block it pairs no in-plane
-    offset ``delta`` with ``-delta``: the slab symbol is complex, an
-    isotropic law's included, and the factors stay complex.
+    projected out of the input and the result.  The in-plane transform is
+    two passes along the contiguous last axis: forward, ``rfft`` over n2,
+    swap the two in-plane axes, ``fft`` over n1; inverse, ``ifft`` over
+    n1, swap back, ``irfft`` over n2.  That is the transform of ``rfft2``
+    and ``irfft2`` without their strided second pass, with the
+    wavevectors in (m2, n1) order; the symbol is permuted to that order
+    once, before the factors are built, and the zero wavevector stays at
+    index 0.  Point symmetry swaps the two node planes of a layer, so
+    within one block it pairs no in-plane offset ``delta`` with
+    ``-delta``: the slab symbol is complex, an isotropic law's included,
+    and the factors stay complex.
     ``Sinv`` is stored (planes, 3, 3, F), ``W`` and the forward sweep's
     ``W^H`` (planes - 1, 3, 3, F), and the transformed data (planes, 3,
     F), with F the in-plane wavevectors.  ``Sinv`` is applied to every
@@ -622,11 +632,11 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
         return apply
 
     nplanes, m2 = n3 + 1, n2 // 2 + 1
-    E = _symbol(Ke, (n1, n2), (n1, m2)).reshape(n1 * m2, 2, 3, 2, 3)
+    E = _symbol(Ke, (n1, n2), (n1, m2)).swapaxes(0, 1).reshape(m2 * n1, 2, 3, 2, 3)
     bottom, top = E[:, 0, :, 0], E[:, 1, :, 1]   # a layer's blocks on its two node planes
     U = E[:, 0, :, 1]                            # plane k to plane k + 1, the same in every layer
-    Sinv = np.empty((nplanes, n1 * m2, 3, 3), dtype=complex)
-    W = np.empty((n3, n1 * m2, 3, 3), dtype=complex)
+    Sinv = np.empty((nplanes, m2 * n1, 3, 3), dtype=complex)
+    W = np.empty((n3, m2 * n1, 3, 3), dtype=complex)
     for k in range(nplanes):
         S = (bottom if k < n3 else 0.0) + (top if k > 0 else 0.0)
         if k == 0:
@@ -643,7 +653,8 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
 
     def apply(r):
         planes = np.ascontiguousarray(r.reshape(n1, n2, nplanes, 3).transpose(2, 3, 0, 1))
-        y = np.fft.rfft2(planes).reshape(nplanes, 3, n1 * m2)
+        y = np.ascontiguousarray(np.fft.rfft(planes).swapaxes(2, 3))
+        y = np.fft.fft(y).reshape(nplanes, 3, m2 * n1)
         y[:, :, 0] -= y[:, :, 0].mean(axis=0)    # zero wavevector: drop the translations
         for k in range(1, nplanes):
             y[k] -= _bmv(Wh[k - 1], y[k - 1])
@@ -651,7 +662,8 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
         for k in range(n3 - 1, -1, -1):
             z[k] -= _bmv(W[k], z[k + 1])
         z[:, :, 0] -= z[:, :, 0].mean(axis=0)
-        z = np.fft.irfft2(z.reshape(nplanes, 3, n1, m2), s=(n1, n2))
+        z = np.fft.ifft(z.reshape(nplanes, 3, m2, n1))
+        z = np.fft.irfft(np.ascontiguousarray(z.swapaxes(2, 3)), n2)
         return z.transpose(2, 3, 0, 1).reshape(r.shape)
 
     return apply

@@ -129,9 +129,11 @@ class CorrectorField3:
         return self.values.reshape(-1)
 
 
-def _checked_operator(material: CellMaterial3) -> ElementOperator:
-    """Check the material, then build its operator on the law index the check took."""
-    laws = material.check()
+def _checked_operator(material: CellMaterial3, laws=None) -> ElementOperator:
+    """The operator of a checked material, built on the law index its check
+    returned: ``laws`` when the caller has checked it, else a check made here."""
+    if laws is None:
+        laws = material.check()
     return ElementOperator(build_cell_grid(*material.grid_shape), material.flat(), laws=laws)
 
 
@@ -154,9 +156,9 @@ def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL):
     return corr, float(N[0, 0])
 
 
-def _homogenize(material: CellMaterial3, tol: float):
+def _homogenize(material: CellMaterial3, tol: float, laws=None):
     """Energy matrix of the six Mandel basis strains, per-solve data, the operator."""
-    op = _checked_operator(material)
+    op = _checked_operator(material, laws)
     _, C, solves = solve_loads(op, list(np.eye(6)), tol)
     return QuadForm3(C, label="homogenized"), solves, op
 
@@ -170,15 +172,18 @@ def homogenized_form_3d(material: CellMaterial3, tol: float = DEFAULT_TOL) -> Qu
     return _homogenize(material, tol)[0]
 
 
-def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL) -> EffectiveReport:
+def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL,
+                         laws=None) -> EffectiveReport:
     """Effective bending form for fine in-plane oscillation.
 
     Pipeline: homogenize on the unit cell, plane-stress reduce, scale by
     the second thickness moment 1/12.  The report records the
-    decomposition and per-solve convergence data.
+    decomposition and per-solve convergence data.  ``laws`` is the law
+    index ``material.check()`` returned, when the caller has checked the
+    material already; by default the material is checked here.
     """
     t0 = time.perf_counter()
-    q_hom, solves, op = _homogenize(material, tol)
+    q_hom, solves, op = _homogenize(material, tol, laws)
     q2, dstar = plane_stress_reduce(q_hom)
     q0p = QuadForm2(q2.matrix / 12.0, label="bending-regime1")
     diagnostics = {

@@ -59,6 +59,16 @@ def _ints(value) -> tuple:
     return tuple(int(v) for v in value)
 
 
+def _index_array(value) -> np.ndarray:
+    """Integer array of JSON numbers; booleans and non-integral numbers are refused."""
+    a = np.asarray(value, dtype=float)
+    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).flat):
+        raise ValueError("entries must be integers, got a boolean")
+    if not ((np.abs(a) < 2.0 ** 63).all() and np.array_equal(a, np.round(a))):
+        raise ValueError("entries must be integers in the int64 range")
+    return a.astype(np.int64)
+
+
 def _matrix(value, n: int, path: str) -> np.ndarray:
     try:
         m = np.array(value, dtype=float)
@@ -230,8 +240,7 @@ def read_slab_material(obj: dict, path: str) -> SlabMaterial:
         )
         if fibers.shape[1] != nf:
             _fail(path, f"each fiber must hold {nf} samples")
-        index = _get(obj, "fiber_index", path,
-                     convert=lambda v: np.asarray(v, dtype=np.int64))
+        index = _get(obj, "fiber_index", path, convert=_index_array)
         if index.size != ncells:
             _fail(path, f"fiber_index must hold {ncells} entries")
         index = index.reshape(shape)

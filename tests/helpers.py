@@ -1,6 +1,7 @@
 """Shared generators for admissible random materials, and reference
 implementations of the stiffness operator written independently of it,
-and node-major versions of its scatter-add and FFT preconditioner."""
+node-major versions of its scatter-add and FFT preconditioner, and the
+fiber reduction on LAPACK inverses."""
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from plate_homog import (
     qf_isotropic,
 )
 from plate_homog import fem
+from plate_homog.core import IN_PLANE, OUT_OF_PLANE
 
 
 def random_spd(rng, n, lo, hi):
@@ -215,3 +217,23 @@ def reference_precondition(op, r) -> np.ndarray:
     z[:, 0] -= z[:, 0].mean(axis=0)
     zh = z.transpose(1, 0, 2).reshape(n1, m2, nplanes, 3)
     return np.fft.irfft2(zh, s=(n1, n2), axes=(0, 1)).reshape(r.shape)
+
+
+def reference_reduce_fibers(c, weights) -> np.ndarray:
+    """``homogslab.reduce_fibers`` with ``np.linalg.inv`` for the out-of-plane
+    blocks ``S`` and their mean compliance ``H = <S^-1>``, on fibers ``c``
+    (nfib, nf, 6, 6)."""
+    p, o = list(IN_PLANE), list(OUT_OF_PLANE)
+    S, T, P = (c[:, :, rows][:, :, :, cols] for rows, cols in ((o, o), (o, p), (p, p)))
+    Sinv = np.linalg.inv(S)
+    H = np.einsum("k,fkij->fij", weights, Sinv)
+    G = np.einsum("k,fkij->fij", weights, Sinv @ T)
+    Hinv = np.linalg.inv(H)
+    Gt = G.swapaxes(1, 2)
+    red = np.empty((c.shape[0], 6, 6))
+    for rows, cols, block in (
+        (p, p, np.einsum("k,fkij->fij", weights, P - T.swapaxes(2, 3) @ Sinv @ T) + Gt @ Hinv @ G),
+        (p, o, Gt @ Hinv), (o, p, Hinv @ G), (o, o, Hinv),
+    ):
+        red[(slice(None),) + np.ix_(rows, cols)] = block
+    return 0.5 * (red + red.swapaxes(1, 2))

@@ -3,11 +3,20 @@ import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plate_homog import QuadForm2, SolverError, SpecFormatError, parse_material_spec, plate_energy
+from plate_homog import (
+    CellMaterial3,
+    QuadForm2,
+    SlabMaterial,
+    SolverError,
+    SpecFormatError,
+    parse_material_spec,
+    plate_energy,
+)
 from plate_homog.app import SurfaceSpec, main
 from plate_homog.errors import (
     EXIT_ADMISSIBILITY,
@@ -18,6 +27,11 @@ from plate_homog.errors import (
 )
 from plate_homog.iojson import CONVENTION, load_json, read_report
 from plate_homog.reduction import ThicknessProfile
+
+
+SLAB_CELLS = json.loads(
+    (Path(__file__).parent.parent / "fixtures" / "homog_regime2_cells.json").read_text()
+)["material"]
 
 
 def write_spec(tmp_path, obj, name="spec.json"):
@@ -243,6 +257,25 @@ class TestCommands:
         assert len(calls) == 1
         assert load_json(tmp_path / "probe-oracle-check.json")["max_relative_difference"] <= 1e-10
 
+    @pytest.mark.parametrize("command, fixture", [
+        ("homog-regime1", "homog_regime1_laminate.json"),
+        ("homog-regime2", "homog_regime2_cells.json"),
+        ("oracle-check", "oracle_check_cell.json"),
+        ("oracle-check", "homog_regime2_laminate.json"),
+    ])
+    def test_material_checked_once(self, fixtures_dir, tmp_path, monkeypatch, command, fixture):
+        calls = []
+        for cls in (CellMaterial3, SlabMaterial):
+            def counted(self, *args, _check=cls.check, **kwargs):
+                calls.append(type(self).__name__)
+                return _check(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "check", counted)
+        spec = dict(load_json(fixtures_dir / fixture), command=command)
+        rc = main([command, "--spec", str(write_spec(tmp_path, spec)), "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert len(calls) == 1
+
     def test_sweep_with_thread_cap(self, fixtures_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("PLATE_HOMOG_THREADS", "1")
         rc = main(["sweep", "--spec", str(fixtures_dir / "sweep_regimes.json"),
@@ -279,6 +312,25 @@ class TestCommands:
         assert payload["error"] == "SweepError"
         assert "laminate-r2: SolverError (exit 4)" in payload["message"]
         assert "laminate-r1" not in payload["message"]
+
+    def test_sweep_reports_a_scenario_out_of_memory(self, fixtures_dir, tmp_path, monkeypatch,
+                                                    capsys):
+        from plate_homog import app as app_module
+
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 80.0 GiB")
+
+        monkeypatch.setenv("PLATE_HOMOG_THREADS", "2")
+        monkeypatch.setattr(app_module, "bending_form_regime2", fail)
+        rc = main(["sweep", "--spec", str(fixtures_dir / "sweep_regimes.json"),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_SIZE_CAP
+        assert (tmp_path / "laminate-r1-report.json").exists()
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "SweepError" and payload["exit_code"] == EXIT_SIZE_CAP
+        assert "laminate-r2: SizeCapError (exit 5): out of memory" in payload["message"]
 
     def test_grid_refinement_override(self, fixtures_dir, tmp_path):
         rc = main(["homog-regime1", "--spec", str(fixtures_dir / "homog_regime1_laminate.json"),
@@ -359,6 +411,10 @@ class TestExitCodes:
         pytest.param("homog-regime2", {"kind": "slab", "x3_grid": 2, "inplane_grid": [1, 1],
                                        "fiber_grid": 2, "lambda1": 1.0, "lambda2": [1.0, 2.0],
                                        "mu": "soft"}, {}, "material.mu", id="slab-mu-string"),
+        pytest.param("homog-regime2", dict(SLAB_CELLS, fiber_index=[0.5] * 8), {},
+                     "material.fiber_index", id="fiber-index-half"),
+        pytest.param("homog-regime2", dict(SLAB_CELLS, fiber_index=[True] + [0] * 7), {},
+                     "material.fiber_index", id="fiber-index-bool"),
         pytest.param("reduce", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, [1, 2],
                      "settings", id="settings-list"),
         pytest.param("reduce", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, "x",
@@ -377,6 +433,26 @@ class TestExitCodes:
         assert payload["error"] == "SpecFormatError"
         assert payload["exit_code"] == EXIT_PARSE
         assert payload["message"].startswith(f"{path}.{key}: ")
+
+    def test_out_of_memory_is_size_cap_error(self, fixtures_dir, tmp_path, monkeypatch, capsys):
+        # a stand-in for an input too large to allocate: a real one may be
+        # granted by an overcommitting host and then killed
+        from plate_homog import iojson
+
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(iojson, "read_slab_material", fail)
+        rc = main(["homog-regime2", "--spec", str(fixtures_dir / "homog_regime2_cells.json"),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_SIZE_CAP
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload == {"error": "SizeCapError", "exit_code": EXIT_SIZE_CAP,
+                           "message": "out of memory: Unable to allocate 74.5 GiB for an array"}
 
     def test_overflowing_load_is_solver_error(self, tmp_path, capsys):
         # load norm and noise floor overflow to inf: refused, not reported as solved

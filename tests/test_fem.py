@@ -421,6 +421,7 @@ def test_slab_symbol_is_complex():
 PRECONDITIONER_GRIDS = [
     (build_cell_grid, (1, 1, 6)), (build_cell_grid, (3, 4, 5)), (build_cell_grid, (2, 2, 2)),
     (build_slab_grid, (1, 1, 3)), (build_slab_grid, (2, 3, 2)), (build_slab_grid, (5, 4, 3)),
+    (build_slab_grid, (4, 6, 2)),
 ]
 
 

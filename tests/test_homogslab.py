@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from plate_homog import (
 from plate_homog.core import IN_PLANE, OUT_OF_PLANE, embed2to3
 from plate_homog.homogslab import reduce_fibers
 
-from helpers import random_fiber, random_slab, random_spd
+from helpers import random_fiber, random_slab, random_spd, reference_reduce_fibers
 
 from test_homog3d import laminate_cell
 
@@ -113,6 +115,57 @@ class TestFiberReduce:
         fibers[2, 1][np.ix_(list(OUT_OF_PLANE), list(OUT_OF_PLANE))] = 0.0
         with pytest.raises(DegenerateMaterialError, match="fiber 2 sample 1"):
             reduce_fibers(fibers, slab.weights)
+
+    def test_matches_lapack_inverses_on_random_anisotropic_fibers(self):
+        rng = np.random.default_rng(40)
+        for nf in (1, 2, 5, 8):
+            fibers = np.stack([np.stack([random_spd(rng, 6, 0.2, 5.0) for _ in range(nf)])
+                               for _ in range(6)])
+            w = rng.uniform(0.5, 1.5, nf)
+            w /= w.sum()
+            ref = reference_reduce_fibers(fibers, w)
+            np.testing.assert_allclose(reduce_fibers(fibers, w), ref,
+                                       rtol=0, atol=1e-14 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8])
+    def test_ill_conditioned_out_of_plane_blocks(self, cond):
+        # out-of-plane blocks with eigenvalues 1, cond^-1/2 and 1/cond in random
+        # directions: the error may grow with the condition number, no faster
+        rng = np.random.default_rng(41)
+        o = list(OUT_OF_PLANE)
+        fibers = np.stack([np.stack([random_spd(rng, 6, 1.0, 4.0) for _ in range(4)])
+                           for _ in range(5)])
+        for m in fibers.reshape(-1, 6, 6):
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            s = q @ np.diag([1.0, cond ** -0.5, 1.0 / cond]) @ q.T
+            m[np.ix_(o, o)] = 0.5 * (s + s.T)
+        w = rng.uniform(0.5, 1.5, 4)
+        w /= w.sum()
+        ref = reference_reduce_fibers(fibers, w)
+        err = np.abs(reduce_fibers(fibers, w) - ref).max() / np.abs(ref).max()
+        assert err <= cond * np.finfo(float).eps
+
+    @pytest.mark.parametrize("eigenvalues", [(1.0, 2.0, -0.5), (-1e-3, 1.0, 3.0), (2.0, -4.0, 1.0)])
+    def test_indefinite_out_of_plane_block_is_named(self, eigenvalues):
+        rng = np.random.default_rng(42)
+        fibers = np.stack([np.stack([random_spd(rng, 6, 1.0, 4.0) for _ in range(3)])
+                           for _ in range(4)])
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        s = q @ np.diag(eigenvalues) @ q.T
+        fibers[2, 1][np.ix_(list(OUT_OF_PLANE), list(OUT_OF_PLANE))] = 0.5 * (s + s.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateMaterialError, match="fiber 2 sample 1 "):
+                reduce_fibers(fibers, np.full(3, 1.0 / 3.0))
+
+    def test_laws_of_any_magnitude(self):
+        # a power of two scales every step exactly: no product leaves the range
+        rng = np.random.default_rng(43)
+        slab = random_slab(rng, nf=4, nfib=3)
+        red = reduce_fibers(slab.fibers, slab.weights)
+        for scale in (2.0 ** -600, 2.0 ** 600):
+            np.testing.assert_array_equal(reduce_fibers(scale * slab.fibers, slab.weights),
+                                          scale * red)
 
     def test_closed_form_validates_input(self):
         with pytest.raises(ValueError):
