@@ -73,7 +73,15 @@ on a slab the two node planes of a layer break that pairing and the
 block-tridiagonal factors stay complex.  A slab's in-plane transform runs
 both passes along the contiguous last axis, ``rfft`` over n2, then ``fft``
 over n1 after swapping the two axes, so its wavevectors come in (m2, n1)
-order, m2 = n2 // 2 + 1.
+order, m2 = n2 // 2 + 1.  Between the transforms a slab applies its
+inverse in one of two forms, picked from the grid shape alone
+(``preconditioner_form``): "slab-dense", one batched product with the
+stored (3 planes)^2 inverse per wavevector, when that fits in
+``SLAB_DENSE_BYTES``; "slab-sweep" otherwise, the block-tridiagonal
+forward and back sweep, 2 planes + 1 small products in sequence.  At
+these grid sizes the sweep is bound by the overhead of its calls, not
+by arithmetic, so the one product is cheaper until the stored inverse
+grows large.
 
 Nodal vectors are laid out node-major, dof ``3 * node + m``; a scatter-add
 is one ``bincount`` over the operator's dof index: ``Grid.dofs`` in the
@@ -113,6 +121,12 @@ _LAW_HASH = np.arange(1, 73, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
 # Reported as ``diagnostics.preconditioner`` by both regime pipelines.
 PRECONDITIONER = "fft-reference-mean"
+
+# A slab's reference inverse is stored dense, one (3 planes)^2 complex block per
+# in-plane wavevector, when that takes at most this many bytes; above it the
+# apply runs the block sweep.  Set from the build plus 120 applies against the
+# sweep: the crossover table is in ``reference_inverse``.
+SLAB_DENSE_BYTES = 2 ** 20
 
 # CG gives up once its relative residual has set no new minimum for this
 # many iterations.  A new minimum has to undercut the old one by 0.1 %: at
@@ -328,6 +342,12 @@ class ElementOperator:
         for Ke, a, b in zip(self._Ke, self._cuts[:-1], self._cuts[1:]):
             np.matmul(u[a:b], Ke, out=y[a:b])
         return y
+
+    @property
+    def preconditioner_form(self) -> str:
+        """How ``precondition`` applies its inverse (see ``preconditioner_form``),
+        known without building it."""
+        return preconditioner_form(self.grid.kind, self.grid.shape)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """Zero-mean solution of ``K0 z = r`` for the reference law C0.
@@ -567,6 +587,18 @@ def _bmv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A * v[..., None, :, :]).sum(axis=-2)
 
 
+def preconditioner_form(kind: str, shape) -> str:
+    """Apply form of ``reference_inverse`` on a grid of this kind and shape, from
+    the shape alone: "cell", or on a slab "slab-dense" when the stored inverse,
+    F (3 nplanes)^2 complex numbers for F in-plane wavevectors, fits in
+    ``SLAB_DENSE_BYTES``, else "slab-sweep"."""
+    if kind == "cell":
+        return "cell"
+    n1, n2, n3 = shape
+    dense_bytes = (n2 // 2 + 1) * n1 * (3 * (n3 + 1)) ** 2 * 16
+    return "slab-dense" if dense_bytes <= SLAB_DENSE_BYTES else "slab-sweep"
+
+
 def reference_inverse(grid: Grid, C0: np.ndarray):
     """Pseudo-inverse of the stiffness of the constant law ``C0`` on ``grid``.
 
@@ -611,7 +643,48 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     ``Sinv`` is stored (planes, 3, 3, F), ``W`` and the forward sweep's
     ``W^H`` (planes - 1, 3, 3, F), and the transformed data (planes, 3,
     F), with F the in-plane wavevectors.  ``Sinv`` is applied to every
-    plane in one batched product before the back substitution.
+    plane in one batched product before the back substitution.  The
+    solve, the forward and back sweep with the zero-wavevector mean
+    projections, runs on arrays (..., planes, 3, F) with any leading axes.
+
+    The factors are the only factorization; the slab apply takes one of
+    two forms (``preconditioner_form``, from the shape alone):
+
+    - "slab-dense", when the inverse, F (3 planes)^2 complex numbers,
+      fits in ``SLAB_DENSE_BYTES``: the solve runs once at build time on
+      the 3 planes unit vectors, and the inverse is kept (F, 3 planes, 3
+      planes).  An apply is the forward transform, one batched
+      ``np.matmul`` and the inverse transform.  It agrees with the sweep
+      to rounding (under 5e-16 of the result on 1x1x1 to 12x12x6 grids).
+    - "slab-sweep" otherwise: every apply runs the solve, 2 planes + 1
+      block products in sequence, and stores only the factors.
+
+    Dense against sweep, per apply and for the build plus 120 applies (6
+    loads at about 20 iterations), medians of 7-9 alternated pairs, one
+    BLAS thread:
+
+    ==========  =======  =========  ================
+    grid        MiB      apply      build + applies
+    ==========  =======  =========  ================
+    8x8x4       0.14     0.44       0.50
+    10x10x8     0.67     0.50       0.59
+    32x32x2     0.67     0.78       0.82
+    10x10x10    1.00     0.50       0.62
+    24x24x4     1.07     0.81       0.90
+    32x32x3     1.20     0.92       1.13
+    32x32x4     1.87     0.92-1.18  1.00-1.26
+    12x12x12    1.95     0.76       0.89
+    16x16x12    3.34     0.91       1.05
+    24x24x12    7.24     1.16       1.42
+    32x32x16    21.6     1.33       1.73
+    ==========  =======  =========  ================
+
+    The dense build, the solve on 3 planes unit vectors, costs 2-6x the
+    factors.  With it the dense form won on all 12 slabs measured up to
+    1.07 MiB, on 6 of 11 from 1.2 to 2.5 MiB and on none of 10 from 3.3
+    MiB up.  It lost below 2.5 MiB mostly on thin wide slabs, where many
+    wavevectors cost the batched product more than a few planes cost the
+    sweep.  Hence ``SLAB_DENSE_BYTES`` = 1 MiB.
     """
     Ke = _element_matrix(grid, np.asarray(C0, dtype=float))
     n1, n2, n3 = grid.shape
@@ -651,20 +724,38 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     Sinv, W, Wh = (np.ascontiguousarray(a.transpose(0, 2, 3, 1))
                    for a in (Sinv, W, W.conj().swapaxes(2, 3)))
 
-    def apply(r):
-        planes = np.ascontiguousarray(r.reshape(n1, n2, nplanes, 3).transpose(2, 3, 0, 1))
-        y = np.ascontiguousarray(np.fft.rfft(planes).swapaxes(2, 3))
-        y = np.fft.fft(y).reshape(nplanes, 3, m2 * n1)
-        y[:, :, 0] -= y[:, :, 0].mean(axis=0)    # zero wavevector: drop the translations
+    def solve(y):
+        """The block sweep on transformed data ``y`` (..., planes, 3, F), in place."""
+        y[..., 0] -= y[..., 0].mean(axis=-2, keepdims=True)   # zero wavevector: no translations
         for k in range(1, nplanes):
-            y[k] -= _bmv(Wh[k - 1], y[k - 1])
+            y[..., k, :, :] -= _bmv(Wh[k - 1], y[..., k - 1, :, :])
         z = _bmv(Sinv, y)
         for k in range(n3 - 1, -1, -1):
-            z[k] -= _bmv(W[k], z[k + 1])
-        z[:, :, 0] -= z[:, :, 0].mean(axis=0)
+            z[..., k, :, :] -= _bmv(W[k], z[..., k + 1, :, :])
+        z[..., 0] -= z[..., 0].mean(axis=-2, keepdims=True)
+        return z
+
+    def forward(r):
+        planes = np.ascontiguousarray(r.reshape(n1, n2, nplanes, 3).transpose(2, 3, 0, 1))
+        y = np.ascontiguousarray(np.fft.rfft(planes).swapaxes(2, 3))
+        return np.fft.fft(y).reshape(nplanes, 3, m2 * n1)
+
+    def backward(z, shape):
         z = np.fft.ifft(z.reshape(nplanes, 3, m2, n1))
         z = np.fft.irfft(np.ascontiguousarray(z.swapaxes(2, 3)), n2)
-        return z.transpose(2, 3, 0, 1).reshape(r.shape)
+        return z.transpose(2, 3, 0, 1).reshape(shape)
+
+    if preconditioner_form(grid.kind, grid.shape) == "slab-sweep":
+        return lambda r: backward(solve(forward(r)), r.shape)
+
+    n = 3 * nplanes
+    units = np.zeros((n, n, m2 * n1), dtype=complex)
+    units[np.arange(n), np.arange(n)] = 1.0
+    Minv = np.ascontiguousarray(solve(units.reshape(n, nplanes, 3, -1)).reshape(n, n, -1).T)
+
+    def apply(r):
+        z = np.matmul(Minv, forward(r).reshape(n, -1).T[:, :, None])
+        return backward(z[:, :, 0].T, r.shape)
 
     return apply
 

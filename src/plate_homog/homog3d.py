@@ -191,6 +191,7 @@ def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL,
         "tol": tol,
         "quadrature": "gauss-2x2x2",
         "preconditioner": PRECONDITIONER,
+        "preconditioner_form": op.preconditioner_form,
         "cell_laws": op.cell_laws,
         "stiffness": op.stiffness,
         "law_rank": op.law_rank,

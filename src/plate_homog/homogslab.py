@@ -156,7 +156,10 @@ def reduce_fibers(c: np.ndarray, weights: np.ndarray) -> np.ndarray:
     Pbar = np.einsum("k,fkij->fij", weights, c[:, :, p][:, :, :, p])
     H = np.einsum("k,fkij->fij", weights, Sinv)
     G = np.einsum("k,fkij->fij", weights, SinvT)
-    W = np.einsum("k,fkji,fkjl->fil", weights, Top, SinvT)
+    # <T^T S^-1 T> as one product per fiber, inner dimension 3 nf over (sample, slot)
+    nfib, nf = c.shape[:2]
+    W = ((weights[:, None, None] * Top).reshape(nfib, 3 * nf, 3).swapaxes(1, 2)
+         @ SinvT.reshape(nfib, 3 * nf, 3))
     Hinv, bad = _inverse_spd3(H)
     if bad.any():
         raise DegenerateMaterialError(
@@ -427,6 +430,7 @@ def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL,
         "tol": tol,
         "quadrature": "gauss-2x2x2",
         "preconditioner": PRECONDITIONER,
+        "preconditioner_form": op.preconditioner_form,
         "cell_laws": op.cell_laws,
         "stiffness": op.stiffness,
         "law_rank": op.law_rank,

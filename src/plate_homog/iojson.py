@@ -55,10 +55,6 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _ints(value) -> tuple:
-    return tuple(int(v) for v in value)
-
-
 def _index_array(value) -> np.ndarray:
     """Integer array of JSON numbers; booleans and non-integral numbers are refused."""
     a = np.asarray(value, dtype=float)
@@ -67,6 +63,22 @@ def _index_array(value) -> np.ndarray:
     if not ((np.abs(a) < 2.0 ** 63).all() and np.array_equal(a, np.round(a))):
         raise ValueError("entries must be integers in the int64 range")
     return a.astype(np.int64)
+
+
+def _int(value) -> int:
+    """One integer, refused like an entry of ``_index_array``."""
+    a = _index_array(value)
+    if a.ndim != 0:
+        raise ValueError(f"expected one integer, got an array of shape {a.shape}")
+    return int(a)
+
+
+def _ints(value) -> tuple:
+    """A list of integers, refused like the entries of ``_index_array``."""
+    a = _index_array(value)
+    if a.ndim != 1:
+        raise ValueError(f"expected a list of integers, got an array of shape {a.shape}")
+    return tuple(int(v) for v in a)
 
 
 def _matrix(value, n: int, path: str) -> np.ndarray:
@@ -206,10 +218,10 @@ def read_cell_material(obj: dict, path: str) -> CellMaterial3:
 
 def read_slab_material(obj: dict, path: str) -> SlabMaterial:
     kind = _get(obj, "kind", path)
-    nx3 = _get(obj, "x3_grid", path, convert=int)
+    nx3 = _get(obj, "x3_grid", path, convert=_int)
     with at_key(path + ".inplane_grid"):
         n1, n2 = _get(obj, "inplane_grid", path, convert=_ints)
-    nf = _get(obj, "fiber_grid", path, convert=int)
+    nf = _get(obj, "fiber_grid", path, convert=_int)
     if min(nx3, n1, n2, nf) < 1:
         _fail(path, "grid sizes must be >= 1")
     shape = (n1, n2, nx3)

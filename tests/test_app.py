@@ -32,6 +32,10 @@ from plate_homog.reduction import ThicknessProfile
 SLAB_CELLS = json.loads(
     (Path(__file__).parent.parent / "fixtures" / "homog_regime2_cells.json").read_text()
 )["material"]
+SLAB = {"kind": "slab", "x3_grid": 2, "inplane_grid": [1, 1], "fiber_grid": 2, "lambda1": 1.0,
+        "lambda2": [1.0, 2.0], "mu": 1.0}
+FIELD = {"kind": "isotropic-field", "grid": [1, 1, 2], "mu_grid": [0.5, 1.5],
+         "lambda_grid": [0.0, 0.0]}
 
 
 def write_spec(tmp_path, obj, name="spec.json"):
@@ -415,6 +419,18 @@ class TestExitCodes:
                      "material.fiber_index", id="fiber-index-half"),
         pytest.param("homog-regime2", dict(SLAB_CELLS, fiber_index=[True] + [0] * 7), {},
                      "material.fiber_index", id="fiber-index-bool"),
+        # grid sizes are integers: truncating 2.5 to 2 or reading true as 1 would
+        # solve a grid the file does not describe
+        pytest.param("homog-regime2", dict(SLAB, x3_grid=2.5), {}, "material.x3_grid",
+                     id="x3-grid-fraction"),
+        pytest.param("homog-regime2", dict(SLAB, x3_grid=True), {}, "material.x3_grid",
+                     id="x3-grid-bool"),
+        pytest.param("homog-regime2", dict(SLAB, fiber_grid=2.9), {}, "material.fiber_grid",
+                     id="fiber-grid-fraction"),
+        pytest.param("homog-regime2", dict(SLAB, inplane_grid=[1.5, 1]), {},
+                     "material.inplane_grid", id="inplane-grid-fraction"),
+        pytest.param("homog-regime1", dict(FIELD, grid=[1, 1, 2.5]), {}, "material.grid",
+                     id="cell-grid-fraction"),
         pytest.param("reduce", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, [1, 2],
                      "settings", id="settings-list"),
         pytest.param("reduce", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, "x",

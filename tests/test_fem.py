@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,42 +410,36 @@ def test_cell_symbol_is_real(shape):
         assert np.abs(S.imag).max() <= 1e-15 * np.abs(S.real).max()
 
 
+def _monoclinic_law():
+    C = qf_isotropic(1.0, 0.3).matrix.copy()
+    C[0, 4] = C[4, 0] = 0.3                  # monoclinic: e11 couples to the shear e13
+    return C
+
+
 def test_slab_symbol_is_complex():
     # across the two node planes of a layer no offset pairs with its negative:
     # the slab factors must stay complex
     grid = build_slab_grid(4, 4, 2)
-    C = qf_isotropic(1.0, 0.3).matrix.copy()
-    C[0, 4] = C[4, 0] = 0.3                  # monoclinic: e11 couples to the shear e13
-    S = fem._symbol(fem._element_matrix(grid, C), (4, 4), (4, 3))
+    S = fem._symbol(fem._element_matrix(grid, _monoclinic_law()), (4, 4), (4, 3))
     assert np.abs(S.imag).max() >= 0.05 * np.abs(S.real).max()
 
 
 PRECONDITIONER_GRIDS = [
     (build_cell_grid, (1, 1, 6)), (build_cell_grid, (3, 4, 5)), (build_cell_grid, (2, 2, 2)),
     (build_slab_grid, (1, 1, 3)), (build_slab_grid, (2, 3, 2)), (build_slab_grid, (5, 4, 3)),
-    (build_slab_grid, (4, 6, 2)),
+    (build_slab_grid, (4, 6, 2)), (build_slab_grid, (3, 4, 1)), (build_slab_grid, (3, 5, 2)),
 ]
+SLAB_FORMS = {"slab-dense": 2 ** 62, "slab-sweep": 0}    # form: SLAB_DENSE_BYTES that picks it
 
 
-@pytest.mark.parametrize("build, shape", PRECONDITIONER_GRIDS)
-def test_precondition_equals_node_major_complex_apply(build, shape):
-    # the component-major apply with a real cell inverse against the node-major
-    # complex one, on a law per cell
-    rng = np.random.default_rng(63)
-    grid = build(*shape)
-    op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
-    for r in (op.matvec(rng.standard_normal(grid.ndofs)), rng.standard_normal(grid.ndofs)):
+def _check_matches_node_major_apply(op, rng):
+    for r in (op.matvec(rng.standard_normal(op.grid.ndofs)), rng.standard_normal(op.grid.ndofs)):
         ref = reference_precondition(op, r)
         assert np.abs(op.precondition(r) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("build, shape", PRECONDITIONER_GRIDS)
-def test_preconditioner_inverts_homogeneous_operator(build, shape):
-    # on a constant law the reference law is the law itself: M K = I minus the
-    # nodal mean, and one preconditioned iteration solves any load
-    rng = np.random.default_rng(55)
-    grid = build(*shape)
-    op = ElementOperator(grid, np.broadcast_to(random_spd(rng, 6, 0.5, 3.0), (grid.ncells, 6, 6)))
+def _check_inverts_homogeneous_operator(op, rng):
+    grid = op.grid
     x = rng.standard_normal(grid.ndofs)
     xm = (x.reshape(-1, 3) - x.reshape(-1, 3).mean(axis=0)).ravel()
     assert np.abs(op.precondition(op.matvec(x)) - xm).max() <= 1e-12 * np.abs(x).max()
@@ -452,10 +448,73 @@ def test_preconditioner_inverts_homogeneous_operator(build, shape):
     _, iters, _ = conjugate_gradient(op, op.matvec(rng.standard_normal(grid.ndofs)), 1e-10)
     assert iters == 1
     if grid.kind == "slab":
+        # on a single layer a pure curvature load on a constant law assembles
+        # to dust: its corrector is zero, reached in no iteration
         for gload in [rng.standard_normal(6)] + _slab_pairs(rng):
-            _, iters, _ = conjugate_gradient(op, -op.rhs(gload), 1e-10,
-                                             noise_floor=op.rhs_noise_floor(gload))
-            assert iters == 1
+            b, floor = -op.rhs(gload), op.rhs_noise_floor(gload)
+            _, iters, _ = conjugate_gradient(op, b, 1e-10, noise_floor=floor)
+            assert iters == (1 if np.linalg.norm(b) > floor else 0)
+            assert np.linalg.norm(b) > floor or (grid.shape[2] == 1 and not gload[0].any())
+
+
+@pytest.mark.parametrize("build, shape", PRECONDITIONER_GRIDS)
+def test_precondition_equals_node_major_complex_apply(build, shape):
+    # the component-major apply with a real cell inverse against the node-major
+    # complex one, on a law per cell
+    rng = np.random.default_rng(63)
+    grid = build(*shape)
+    _check_matches_node_major_apply(ElementOperator(grid, _random_cellC(rng, grid.ncells)), rng)
+
+
+@pytest.mark.parametrize("build, shape", PRECONDITIONER_GRIDS)
+def test_preconditioner_inverts_homogeneous_operator(build, shape):
+    # on a constant law the reference law is the law itself: M K = I minus the
+    # nodal mean, and one preconditioned iteration solves any load
+    rng = np.random.default_rng(55)
+    grid = build(*shape)
+    law = random_spd(rng, 6, 0.5, 3.0)
+    _check_inverts_homogeneous_operator(
+        ElementOperator(grid, np.broadcast_to(law, (grid.ncells, 6, 6))), rng)
+
+
+@pytest.mark.parametrize("form", SLAB_FORMS)
+@pytest.mark.parametrize("shape", [shape for build, shape in PRECONDITIONER_GRIDS
+                                   if build is build_slab_grid])
+def test_slab_preconditioner_forms(monkeypatch, shape, form):
+    # the stored inverse and the sweep, each forced by the cap, on a monoclinic
+    # reference law: a complex slab symbol in both
+    monkeypatch.setattr(fem, "SLAB_DENSE_BYTES", SLAB_FORMS[form])
+    rng = np.random.default_rng(69)
+    grid = build_slab_grid(*shape)
+    law = _monoclinic_law()
+    op = ElementOperator(grid, rng.uniform(1.0, 3.0, grid.ncells)[:, None, None] * law)
+    assert op.preconditioner_form == form
+    _check_matches_node_major_apply(op, rng)
+    _check_inverts_homogeneous_operator(
+        ElementOperator(grid, np.broadcast_to(law, (grid.ncells, 6, 6))), rng)
+
+
+def _benchmark_slab_shapes():
+    """The (n, n, n3) slab shapes of the ``regime2-slabs`` benchmark workload,
+    read from ``REGIME2_SLABS`` in perfbench/worker.py without importing it."""
+    source = (Path(__file__).parent.parent / "perfbench" / "worker.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "REGIME2_SLABS" for t in node.targets):
+            return [(n, n, n3) for n, n3, *_ in ast.literal_eval(node.value)]
+    raise AssertionError("REGIME2_SLABS not found in perfbench/worker.py")
+
+
+def test_preconditioner_form_from_the_shape_alone():
+    # picked before anything is built: every regime2-slabs shape stores its
+    # inverse (10x10x8, the largest today, takes 0.67 MiB), deep slabs sweep
+    shapes = _benchmark_slab_shapes()
+    assert shapes
+    for shape in shapes:
+        assert fem.preconditioner_form("slab", shape) == "slab-dense", shape
+    for shape in [(24, 24, 12), (32, 32, 16)]:
+        assert fem.preconditioner_form("slab", shape) == "slab-sweep"
+    assert fem.preconditioner_form("cell", (32, 32, 32)) == "cell"
 
 
 def _column_operator(n, n3, slab):
@@ -484,8 +543,14 @@ def test_iterations_do_not_grow_with_the_grid(n, n3, slab):
 
 def test_regime_reports_name_the_preconditioner():
     rng = np.random.default_rng(56)
-    for report in (bending_form_regime1(random_cell(rng)), bending_form_regime2(random_slab(rng))):
+    cell, slab = random_cell(rng), random_slab(rng)
+    for report, form in ((bending_form_regime1(cell), "cell"),
+                         (bending_form_regime2(slab), "slab-dense")):
         assert report.diagnostics["preconditioner"] == PRECONDITIONER == "fft-reference-mean"
+        assert report.diagnostics["preconditioner_form"] == form
+    # the apply form is known before the inverse is built
+    op = ElementOperator(build_slab_grid(*slab.grid_shape), slab.reduced_cells())
+    assert op.preconditioner_form == "slab-dense" and op._reference is None
 
 
 def test_regime_reports_name_the_stiffness_form():
