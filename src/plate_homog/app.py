@@ -15,9 +15,18 @@ reuse that check.  Commands:
 - ``energy``         plate energy of a bending form on a cylinder
 - ``sweep``          fan out a list of scenarios (PLATE_HOMOG_THREADS caps workers)
 
-Exit codes: 0 ok, 2 parse/schema, 3 admissibility, 4 solver or oracle
-mismatch, 5 dense-size cap or out of memory.  Errors are also emitted as
-one JSON object on stderr.
+Exit codes: 0 ok, 2 parse/schema, a bad command line or an output that
+cannot be written, 3 admissibility, 4 solver or oracle mismatch, 5
+dense-size cap or out of memory.  Errors are also emitted as one JSON
+object on stderr.
+
+This module imports the thickness layer (``reduction``) and ``iojson``
+only.  ``homog3d``, ``homogslab`` and ``oracle`` (and with them ``fem``
+and scipy) are imported by the reader or runner that needs them, and the
+pipelines are looked up on their modules when they are called; the
+thread pool is imported by ``sweep`` alone.  ``reduce``, ``bending``,
+``oscillate``, ``energy``, a bad command line and a spec refused before
+its material is built therefore load no corrector solver.
 """
 
 from __future__ import annotations
@@ -28,14 +37,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import iojson, oracle
-from .core import EffectiveReport, QuadForm2, QuadForm3, mandel2
+from . import iojson
+from .core import EffectiveReport, QuadForm2, mandel2
 from .errors import (
     EXIT_OK,
     PlateHomogError,
@@ -44,8 +52,6 @@ from .errors import (
     SpecFormatError,
     SweepError,
 )
-from .homog3d import CellMaterial3, bending_form_regime1
-from .homogslab import SlabMaterial, bending_form_regime2
 from .reduction import (
     ThicknessProfile,
     bending_form,
@@ -186,6 +192,25 @@ def _read_material(obj: dict, path: str):
     raise SpecFormatError(f"{path}: unknown material kind {kind!r}")
 
 
+# The material classes each command takes, as (module, class) pairs, so
+# that checking a material's type imports no pipeline module.
+_MATERIALS = {
+    "reduce": (("core", "QuadForm3"), ("reduction", "ThicknessProfile")),
+    "bending": (("reduction", "ThicknessProfile"),),
+    "oscillate": (("reduction", "ThicknessProfile"),),
+    "homog-regime1": (("homog3d", "CellMaterial3"),),
+    "homog-regime2": (("homogslab", "SlabMaterial"),),
+    "oracle-check": (("homog3d", "CellMaterial3"), ("homogslab", "SlabMaterial")),
+}
+
+
+def _is_a(obj, module: str, cls: str) -> bool:
+    """``isinstance(obj, module.cls)`` for a module of this package, without
+    importing it: no object is an instance of a class never imported."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return mod is not None and isinstance(obj, getattr(mod, cls))
+
+
 def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Scenario:
     declared = obj.get("command")
     if command is None:
@@ -233,16 +258,9 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
 
     material, laws = _read_material(iojson._get(obj, "material", path), path + ".material")
 
-    wants = {
-        "reduce": (QuadForm3, ThicknessProfile),
-        "bending": (ThicknessProfile,),
-        "oscillate": (ThicknessProfile,),
-        "homog-regime1": (CellMaterial3,),
-        "homog-regime2": (SlabMaterial,),
-        "oracle-check": (CellMaterial3, SlabMaterial),
-    }[command]
-    if not isinstance(material, wants):
-        names = " or ".join(w.__name__ for w in wants)
+    wants = _MATERIALS[command]
+    if not any(_is_a(material, module, cls) for module, cls in wants):
+        names = " or ".join(cls for _, cls in wants)
         raise SpecFormatError(
             f"{path}.material: command {command!r} needs {names}, got {type(material).__name__}"
         )
@@ -282,7 +300,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         settings["x3_samples"] = args.quadrature
     material, laws = scenario.material, scenario.laws
     if args.grid is not None:
-        if not isinstance(material, CellMaterial3):
+        if not _is_a(material, "homog3d", "CellMaterial3"):
             raise SpecFormatError("--grid refinement only applies to cell materials")
         target = tuple(args.grid)
         current = material.grid_shape
@@ -360,15 +378,21 @@ def _run_oscillate(scenario: Scenario, out_dir: Path) -> dict:
 def _run_regime(scenario: Scenario, out_dir: Path) -> dict:
     tol = float(scenario.settings["tol"])
     if scenario.command == "homog-regime1":
-        report = bending_form_regime1(scenario.material, tol=tol, laws=scenario.laws)
+        from . import homog3d
+
+        report = homog3d.bending_form_regime1(scenario.material, tol=tol, laws=scenario.laws)
     else:
-        report = bending_form_regime2(scenario.material, tol=tol, checked=True)
+        from . import homogslab
+
+        report = homogslab.bending_form_regime2(scenario.material, tol=tol, checked=True)
     path = out_dir / f"{scenario.name}-report.json"
     _write_report(report, scenario.settings, path)
     return {"artifact": str(path)}
 
 
 def _run_oracle_check(scenario: Scenario, out_dir: Path) -> dict:
+    from . import homog3d, homogslab, oracle
+
     material = scenario.material
     tol = float(scenario.settings["tol"])
     check_tol = float(scenario.settings["check_tol"])
@@ -377,11 +401,11 @@ def _run_oracle_check(scenario: Scenario, out_dir: Path) -> dict:
     loads = [mandel2(np.eye(2))]
     for m in rng.standard_normal((nloads - 1, 2, 2)):
         loads.append(mandel2(0.5 * (m + m.T)))
-    if isinstance(material, CellMaterial3):
-        report = bending_form_regime1(material, tol=tol, laws=scenario.laws)
+    if isinstance(material, homog3d.CellMaterial3):
+        report = homog3d.bending_form_regime1(material, tol=tol, laws=scenario.laws)
         dense = oracle.assemble_regime1(material, scenario.settings["x3_samples"], checked=True)
     else:
-        report = bending_form_regime2(material, tol=tol, checked=True)
+        report = homogslab.bending_form_regime2(material, tol=tol, checked=True)
         dense = oracle.assemble_regime2(material, checked=True)
     oracle_values = dense.solve(loads)
     diffs = [
@@ -445,6 +469,8 @@ def _run_sweep(scenario: Scenario, out_dir: Path) -> dict:
     artifact.  If any failed, the sweep then raises ``SweepError`` with
     the worst exit code, naming each failed scenario and its exit code.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     results, failures = {}, {}
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
         futures = {
@@ -487,10 +513,21 @@ COMMANDS = tuple(_RUNNERS)
 
 
 def run_scenario(scenario: Scenario, out_dir) -> dict:
+    """Run ``scenario`` and write its outputs under ``out_dir``.
+
+    An output that cannot be written (any ``OSError``) is a
+    ``SpecFormatError`` that names its path; in a sweep it fails the
+    sub-scenario that wrote it.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    result = _RUNNERS[scenario.command](scenario, out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
+        result = _RUNNERS[scenario.command](scenario, out_dir)
+    except OSError as exc:
+        raise SpecFormatError(
+            f"{exc.filename or out_dir}: cannot write output: {exc.strerror or exc}"
+        ) from exc
     result["runtime_s"] = time.perf_counter() - t0
     return result
 
@@ -515,11 +552,25 @@ def _parse_grid(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be three comma-separated sizes")
-    return tuple(int(p) for p in parts)
+    try:
+        sizes = tuple(int(p) for p in parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid sizes must be integers, got {text}") from None
+    if min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"grid sizes must be >= 1, got {text}")
+    return sizes
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a ``SpecFormatError`` (exit 2, one JSON
+    line) in place of argparse's usage text; ``--help`` is unchanged."""
+
+    def error(self, message):
+        raise SpecFormatError(f"{self.prog}: {message}")
 
 
 def build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="plate-homog",
         description="Effective bending stiffness of periodically structured thin plates.",
     )
@@ -535,8 +586,8 @@ def build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_argparser().parse_args(argv)
     try:
+        args = build_argparser().parse_args(argv)
         scenario = parse_material_spec(args.spec, args.command)
         scenario = _apply_overrides(scenario, args)
         result = run_scenario(scenario, args.out)

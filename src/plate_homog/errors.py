@@ -18,7 +18,8 @@ class PlateHomogError(Exception):
 
 
 class SpecFormatError(PlateHomogError):
-    """Input file violates the documented JSON schema."""
+    """Input file violates the documented JSON schema, the command line is
+    malformed, or an output cannot be written."""
 
     exit_code = EXIT_PARSE
 

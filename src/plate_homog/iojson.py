@@ -6,6 +6,10 @@ sqrt(2)-weighted shear slots.  Python's shortest round-trip float
 formatting is used, so serializing and re-parsing reproduces matrices
 bit-exactly.  The schemas are documented in ``docs/formats.md`` with one
 fixture each under ``fixtures/``.
+
+The cell and slab readers import ``homog3d`` and ``homogslab`` (and with
+them ``fem``) only once the values they read have passed their checks, so
+a spec refused before its material is built loads no solver module.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import numpy as np
 
 from .core import MaterialBounds, QuadForm2, QuadForm3, qf_isotropic
 from .errors import SpecFormatError
-from .homog3d import CellMaterial3
-from .homogslab import SlabMaterial
 from .reduction import RULE_GAUSS, RULE_LAYERS, RULE_MIDPOINT, ThicknessProfile
 
 CONVENTION = "mandel-sqrt2"
@@ -186,7 +188,8 @@ def profile_to_dict(profile: ThicknessProfile) -> dict:
     return out
 
 
-def read_cell_material(obj: dict, path: str) -> CellMaterial3:
+def read_cell_material(obj: dict, path: str):
+    """A ``homog3d.CellMaterial3``, not yet checked against its bounds."""
     kind = _get(obj, "kind", path)
     grid = _get(obj, "grid", path, convert=_ints)
     if len(grid) != 3 or min(grid) < 1:
@@ -213,10 +216,14 @@ def read_cell_material(obj: dict, path: str) -> CellMaterial3:
         ).reshape(*grid, 6, 6)
     else:
         _fail(path, f"unknown cell material kind {kind!r}")
-    return CellMaterial3(c=c, bounds=read_bounds(obj.get("bounds"), path))
+    bounds = read_bounds(obj.get("bounds"), path)
+    from .homog3d import CellMaterial3
+
+    return CellMaterial3(c=c, bounds=bounds)
 
 
-def read_slab_material(obj: dict, path: str) -> SlabMaterial:
+def read_slab_material(obj: dict, path: str):
+    """A ``homogslab.SlabMaterial``, not yet checked against its bounds."""
     kind = _get(obj, "kind", path)
     nx3 = _get(obj, "x3_grid", path, convert=_int)
     with at_key(path + ".inplane_grid"):
@@ -241,6 +248,8 @@ def read_slab_material(obj: dict, path: str) -> SlabMaterial:
         mu = _get(obj, "mu", path, convert=float)
         if mu <= 0.0 or np.any(lam1 <= 0.0) or np.any(lam2 <= 0.0):
             _fail(path, "mu, lambda1, lambda2 must be positive")
+        from .homogslab import SlabMaterial
+
         return SlabMaterial.separable(lam1, lam2, mu, bounds=bounds)
     if kind == "slab-cells":
         fibers_raw = _get(obj, "fibers", path)
@@ -262,6 +271,8 @@ def read_slab_material(obj: dict, path: str) -> SlabMaterial:
         weights = obj.get("weights")
         if weights is not None:
             weights = _get(obj, "weights", path, convert=_floats)
+        from .homogslab import SlabMaterial
+
         try:
             return SlabMaterial(
                 fibers=fibers, fiber_index=index, bounds=bounds,

@@ -292,13 +292,13 @@ class TestCommands:
             assert (tmp_path / r["artifact"].split("/")[-1]).exists()
 
     def test_sweep_survives_a_failed_scenario(self, fixtures_dir, tmp_path, monkeypatch, capsys):
-        from plate_homog import app as app_module
+        from plate_homog import homogslab
 
         def fail(*args, **kwargs):
             raise SolverError("forced failure")
 
         monkeypatch.setenv("PLATE_HOMOG_THREADS", "2")
-        monkeypatch.setattr(app_module, "bending_form_regime2", fail)
+        monkeypatch.setattr(homogslab, "bending_form_regime2", fail)
         rc = main(["sweep", "--spec", str(fixtures_dir / "sweep_regimes.json"),
                    "--out", str(tmp_path)])
         assert rc == EXIT_SOLVER
@@ -319,13 +319,13 @@ class TestCommands:
 
     def test_sweep_reports_a_scenario_out_of_memory(self, fixtures_dir, tmp_path, monkeypatch,
                                                     capsys):
-        from plate_homog import app as app_module
+        from plate_homog import homogslab
 
         def fail(*args, **kwargs):
             raise MemoryError("Unable to allocate 80.0 GiB")
 
         monkeypatch.setenv("PLATE_HOMOG_THREADS", "2")
-        monkeypatch.setattr(app_module, "bending_form_regime2", fail)
+        monkeypatch.setattr(homogslab, "bending_form_regime2", fail)
         rc = main(["sweep", "--spec", str(fixtures_dir / "sweep_regimes.json"),
                    "--out", str(tmp_path)])
         assert rc == EXIT_SIZE_CAP
@@ -388,9 +388,9 @@ class TestExitCodes:
         assert main(["oracle-check", "--spec", str(path), "--out", str(tmp_path)]) == EXIT_SIZE_CAP
 
     def test_oracle_mismatch_is_solver_error(self, fixtures_dir, tmp_path, monkeypatch):
-        from plate_homog import app as app_module
+        from plate_homog import oracle
 
-        monkeypatch.setattr(app_module.oracle.DenseProblem, "solve",
+        monkeypatch.setattr(oracle.DenseProblem, "solve",
                             lambda self, loads: np.full(len(loads), 123.0))
         rc = main(["oracle-check", "--spec", str(fixtures_dir / "oracle_check_cell.json"),
                    "--out", str(tmp_path)])
@@ -493,6 +493,80 @@ class TestExitCodes:
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"] == "SpecFormatError"
         assert payload["exit_code"] == EXIT_PARSE
+
+
+    def test_unwritable_out_is_parse_error(self, fixtures_dir, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x"
+        rc = main(["reduce", "--spec", str(fixtures_dir / "reduce_isotropic.json"),
+                   "--out", str(out)])
+        assert rc == EXIT_PARSE
+        payload = error_line(capsys)
+        assert payload["error"] == "SpecFormatError" and payload["exit_code"] == EXIT_PARSE
+        assert payload["message"].startswith(f"{out}: cannot write output: ")
+
+    def test_unwritable_report_fails_its_sweep_scenario(self, fixtures_dir, tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.setenv("PLATE_HOMOG_THREADS", "2")
+        blocked = tmp_path / "laminate-r2-report.json"
+        blocked.mkdir()
+        rc = main(["sweep", "--spec", str(fixtures_dir / "sweep_regimes.json"),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_PARSE
+        assert (tmp_path / "laminate-r1-report.json").exists()
+        with open(tmp_path / "regimes-summary.csv") as fh:
+            rows = {r["scenario"]: r["artifact"] for r in csv.DictReader(fh)}
+        assert rows["laminate-r1"] and rows["laminate-r2"] == ""
+        payload = error_line(capsys)
+        assert payload["error"] == "SweepError" and payload["exit_code"] == EXIT_PARSE
+        assert f"laminate-r2: SpecFormatError (exit 2): {blocked}: cannot write output: " \
+            in payload["message"]
+
+    @pytest.mark.parametrize("grid", [["--grid", "0,0,0"], ["--grid=-1,-1,-2"],
+                                      ["--grid", "2,2,0"]])
+    def test_grid_override_below_one_is_parse_error(self, fixtures_dir, tmp_path, capsys, grid):
+        # a factor of 0 or -1 passed the nested-multiple test and the unrefined grid was solved
+        rc = main(["homog-regime1", "--spec", str(fixtures_dir / "homog_regime1_laminate.json"),
+                   "--out", str(tmp_path)] + grid)
+        assert rc == EXIT_PARSE
+        assert "grid sizes must be >= 1" in error_line(capsys)["message"]
+        assert not (tmp_path / "laminate-r1-report.json").exists()
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["reduce", "--spec", "SPEC", "--out", "OUT", "--tol", "abc"],
+         "argument --tol: invalid float value: 'abc'"),
+        (["homog-regime1", "--spec", "SPEC", "--out", "OUT", "--grid", "a,b,c"],
+         "argument --grid: grid sizes must be integers, got a,b,c"),
+        (["nope", "--spec", "SPEC", "--out", "OUT"], "argument command: invalid choice: 'nope'"),
+        (["reduce", "--spec", "SPEC"], "the following arguments are required: --out"),
+        (["reduce", "--spec", "SPEC", "--out", "OUT", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_argument_error_is_one_json_line(self, fixtures_dir, tmp_path, capsys, argv,
+                                             fragment):
+        spec = str(fixtures_dir / "reduce_isotropic.json")
+        argv = [{"SPEC": spec, "OUT": str(tmp_path)}.get(a, a) for a in argv]
+        assert main(argv) == EXIT_PARSE
+        payload = error_line(capsys)
+        assert payload["error"] == "SpecFormatError" and payload["exit_code"] == EXIT_PARSE
+        assert payload["message"].startswith("plate-homog: ")
+        assert fragment in payload["message"]
+
+    def test_help_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: plate-homog") and captured.err == ""
+
+
+def error_line(capsys) -> dict:
+    """The one JSON error line on stderr, with nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
 
 
 def test_module_entry_point(fixtures_dir, tmp_path):
