@@ -58,23 +58,28 @@ vectors, scattered once.
 Corrector solves run conjugate gradients preconditioned by the exact
 inverse of the stiffness of one constant reference law C0 (the cell mean
 of the material) on the same grid.  Every grid is periodic in plane, so
-that operator is block-circulant and an FFT diagonalizes it: one 3x3
-block per wavevector on a cell grid, one block-tridiagonal system over
-the node planes per in-plane wavevector on a slab grid (Moulinec &
-Suquet 1998; Zeman, Vondrejc, Novak & Marek 2010).  The symbol of that
-operator is built by sum factorization: element blocks summed per node
-offset, then one 1-D phase table per axis.  The iteration count
-then depends on the contrast of C against C0, not on the grid size.
-The inverse works component-major: one contiguous scalar field per
-displacement component, FFTs over the trailing axes, and 3x3 blocks
-stored (3, 3, wavevectors).  On a cell grid the symbol is real, because
-the trilinear element is point symmetric, so its inverse is stored real;
-on a slab the two node planes of a layer break that pairing and the
-block-tridiagonal factors stay complex.  A slab's in-plane transform runs
-both passes along the contiguous last axis, ``rfft`` over n2, then ``fft``
-over n1 after swapping the two axes, so its wavevectors come in (m2, n1)
-order, m2 = n2 // 2 + 1.  Between the transforms a slab applies its
-inverse in one of two forms, picked from the grid shape alone
+that operator is block-circulant and a discrete Fourier transform
+diagonalizes it: one 3x3 block per wavevector on a cell grid, one
+block-tridiagonal system over the node planes per in-plane wavevector on
+a slab grid (Moulinec & Suquet 1998; Zeman, Vondrejc, Novak & Marek
+2010).  The symbol of that operator is built by sum factorization:
+element blocks summed per node offset, then one 1-D phase table per
+axis.  The iteration count then depends on the contrast of C against
+C0, not on the grid size.  The inverse works component-major: one
+contiguous scalar field per displacement component, transforms over the
+trailing axes, and 3x3 blocks stored (3, 3, wavevectors).  Every
+transform is a product with a per-axis DFT table built once per
+preconditioner, with each angle taken from ``(k j) mod n``: a real (n,
+2 m) table on the contiguous last axis (m = n // 2 + 1, the half
+spectrum), then one complex (n, n) table per further periodic axis,
+applied over the leading axes.  At 8-16 points per axis these few BLAS
+products cost a fraction of ``numpy.fft``, which pays a fixed cost for
+every grid line.  On a cell grid the symbol is real, because the
+trilinear element is point symmetric, so its inverse is stored real; on
+a slab the two node planes of a layer break that pairing and the
+block-tridiagonal factors stay complex.  A slab's wavevectors come in
+(n1, m2) order, m2 = n2 // 2 + 1.  Between the transforms a slab applies
+its inverse in one of two forms, picked from the grid shape alone
 (``preconditioner_form``): "slab-dense", one batched product with the
 stored (3 planes)^2 inverse per wavevector, when that fits in
 ``SLAB_DENSE_BYTES``; "slab-sweep" otherwise, the block-tridiagonal
@@ -193,15 +198,6 @@ class Grid:
     def dofs(self) -> np.ndarray:
         """(ncells, 24) global dof ``3 * node + m`` of each local dof."""
         return _dof_index(self.idx)
-
-    @cached_property
-    def x3q(self) -> np.ndarray | None:
-        """(ncells, 8) thickness coordinate of the quadrature points on a slab
-        grid, None on a cell grid.  Only the dense oracle reads it."""
-        if self.kind == "cell":
-            return None
-        k = np.arange(self.ncells)[:, None] % self.shape[2]
-        return -0.5 + (k + np.array(GAUSS_POINTS * 4)) * self.h[2]
 
 
 def _dof_index(idx: np.ndarray) -> np.ndarray:
@@ -576,9 +572,41 @@ def _symbol(Ke: np.ndarray, ns, ms) -> np.ndarray:
         for c in range(p):
             S[tuple(d[c] - d[a] + 1)] += K[a, :, c]
     for axis in reversed(range(len(ns))):
-        table = np.exp(2j * np.pi * np.outer(np.arange(ms[axis]), (-1, 0, 1)) / ns[axis])
+        table = _dft_table(ns[axis], np.arange(ms[axis]), (1, 0, -1))
         S = np.moveaxis(np.tensordot(table, S, axes=(1, axis)), 0, axis)
     return S
+
+
+def _dft_table(n: int, k, j) -> np.ndarray:
+    """``exp(-2 pi i k j / n)`` for integer arrays ``k`` (rows) and ``j`` (columns),
+    with every angle taken from ``(k j) mod n``: an unreduced ``k j`` loses about
+    a decade of accuracy on tables of 48 points."""
+    return np.exp(-2j * np.pi / n * (np.outer(k, j) % n))
+
+
+def _real_dft(n: int):
+    """Real tables of the half-spectrum DFT along a contiguous axis of n points.
+
+    ``(x.reshape(-1, n) @ R).view(complex)`` is ``rfft(x)``: R (n, 2m), m = n //
+    2 + 1, interleaves the cosines and minus the sines.  ``(X.view(float) @
+    Rinv)`` is ``irfft(X, n)``: Rinv (2m, n) carries the Hermitian weights 1,
+    2, ..., 2, 1 (a last 2 for odd n) and the 1/n.
+    """
+    m = n // 2 + 1
+    E = _dft_table(n, np.arange(n), np.arange(m))
+    weights = np.full(m, 2.0 / n)
+    weights[0] = 1.0 / n
+    if n % 2 == 0:
+        weights[-1] = 1.0 / n
+    D = weights[:, None] * E.T.conj()
+    return E.view(float), np.stack([D.real, -D.imag], axis=1).reshape(2 * m, n)
+
+
+def _complex_dft(n: int):
+    """Complex tables ``F`` and ``conj(F) / n`` of the DFT along an axis of n points
+    and its inverse, applied as ``F @ y`` over the leading axes of ``y`` (..., n, k)."""
+    F = _dft_table(n, np.arange(n), np.arange(n))
+    return F, F.conj() / n
 
 
 def _bmv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -604,42 +632,48 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
 
     Returns ``apply(r)``, the zero-mean ``z`` with ``K0 z = r`` for any
     ``r`` orthogonal to the rigid translations.  It stores O(ndofs)
-    numbers.  The symbol of ``K0`` per wavevector comes from ``_symbol``
-    by sum factorization: the ``Ke`` blocks are summed once per node
-    offset in {-1, 0, 1}^k, then contracted with a 1-D phase table per
-    periodic axis, O(wavevectors) work with no per-wavevector phase table.
+    numbers and the DFT tables, about n^2 per axis.  The symbol of ``K0``
+    per wavevector comes from ``_symbol`` by sum factorization: the ``Ke``
+    blocks are summed once per node offset in {-1, 0, 1}^k, then
+    contracted with a 1-D phase table per periodic axis (``_dft_table``),
+    O(wavevectors) work with no per-wavevector phase table.
 
     Both branches work component-major: ``apply`` transposes the nodal
     vector to one contiguous scalar field per displacement component and
-    runs the FFTs over the trailing, contiguous axes.  Every 3x3 block is
-    stored with its two component axes ahead of the wavevector axis, so a
-    block product is one broadcast multiply and a sum over three columns
-    for all wavevectors at once (``_bmv``).
+    transforms it over the trailing axes.  Every transform is a product
+    with DFT tables built here once (``_real_dft``, ``_complex_dft``):
+    the real (n, 2 m) table on the contiguous last axis gives the half
+    spectrum as a complex view, and each further periodic axis takes one
+    complex (n, n) table applied as ``F @ y`` over the leading axes, with
+    no transpose.  The inverse runs the same tables back in reverse
+    order, the 1/n in each table and the Hermitian weights in the real
+    one.  It is the discrete Fourier transform of ``numpy.fft`` up to
+    rounding, with no fixed cost per grid line.  Every 3x3 block is
+    stored with its two component axes ahead of the wavevector axis, so
+    a block product is one broadcast multiply and a sum over three
+    columns for all wavevectors at once (``_bmv``).
 
-    Cell grid: one 3x3 block per ``rfftn`` wavevector, the zero mode (the
-    translations) mapped to 0.  The symbol is real symmetric: the trilinear
-    element is point symmetric, ``Ke[7 - a, 7 - b] = Ke[a, b]``, so the
-    blocks summed per node offset are even, equal at ``delta`` and
-    ``-delta``, and the phases pair into cosines.  Its imaginary part is
-    rounding (under 1e-16 of the real part on 8^3 to 32^3 grids), so the
-    inverse is stored real, (3, 3, wavevectors), and applied real by
-    complex.
+    Cell grid: one 3x3 block per half-spectrum wavevector, in (n1, n2,
+    m3) order, the zero mode (the translations) mapped to 0.  The
+    transform is the real table on n3, then F2 and F1.  The symbol is
+    real symmetric: the trilinear element is point symmetric, ``Ke[7 -
+    a, 7 - b] = Ke[a, b]``, so the blocks summed per node offset are
+    even, equal at ``delta`` and ``-delta``, and the phases pair into
+    cosines.  Its imaginary part is rounding (under 1e-16 of the real
+    part on 8^3 to 32^3 grids), so the inverse is stored real, (3, 3,
+    wavevectors), and applied real by complex.
 
     Slab grid: per in-plane wavevector, a Hermitian block-tridiagonal
     system over the node planes, factored once by block elimination (the
     inverse Schur complements ``Sinv`` and the multipliers ``W = Sinv U``);
     at the zero wavevector node plane 0 is grounded and the mean is
     projected out of the input and the result.  The in-plane transform is
-    two passes along the contiguous last axis: forward, ``rfft`` over n2,
-    swap the two in-plane axes, ``fft`` over n1; inverse, ``ifft`` over
-    n1, swap back, ``irfft`` over n2.  That is the transform of ``rfft2``
-    and ``irfft2`` without their strided second pass, with the
-    wavevectors in (m2, n1) order; the symbol is permuted to that order
-    once, before the factors are built, and the zero wavevector stays at
-    index 0.  Point symmetry swaps the two node planes of a layer, so
-    within one block it pairs no in-plane offset ``delta`` with
-    ``-delta``: the slab symbol is complex, an isotropic law's included,
-    and the factors stay complex.
+    the real table on n2, then F1, so the wavevectors come in (n1, m2)
+    order, the order of the symbol, and the zero wavevector is index 0.
+    Point symmetry swaps the two node planes of a layer, so within one
+    block it pairs no in-plane offset ``delta`` with ``-delta``: the slab
+    symbol is complex, an isotropic law's included, and the factors stay
+    complex.
     ``Sinv`` is stored (planes, 3, 3, F), ``W`` and the forward sweep's
     ``W^H`` (planes - 1, 3, 3, F), and the transformed data (planes, 3,
     F), with F the in-plane wavevectors.  ``Sinv`` is applied to every
@@ -661,13 +695,15 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
 
     Dense against sweep, per apply and for the build plus 120 applies (6
     loads at about 20 iterations), medians of 7-9 alternated pairs, one
-    BLAS thread:
+    BLAS thread.  The rows marked * were measured again with the table
+    transforms (7 pairs); the others with ``numpy.fft``, whose cost both
+    forms share:
 
     ==========  =======  =========  ================
     grid        MiB      apply      build + applies
     ==========  =======  =========  ================
-    8x8x4       0.14     0.44       0.50
-    10x10x8     0.67     0.50       0.59
+    8x8x4 *     0.14     0.38       0.48
+    10x10x8 *   0.67     0.43       0.57
     32x32x2     0.67     0.78       0.82
     10x10x10    1.00     0.50       0.62
     24x24x4     1.07     0.81       0.90
@@ -675,11 +711,11 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     32x32x4     1.87     0.92-1.18  1.00-1.26
     12x12x12    1.95     0.76       0.89
     16x16x12    3.34     0.91       1.05
-    24x24x12    7.24     1.16       1.42
-    32x32x16    21.6     1.33       1.73
+    24x24x12 *  7.24     0.99       1.23
+    32x32x16 *  21.6     1.23       1.79
     ==========  =======  =========  ================
 
-    The dense build, the solve on 3 planes unit vectors, costs 2-6x the
+    The dense build, the solve on 3 planes unit vectors, costs 2-8x the
     factors.  With it the dense form won on all 12 slabs measured up to
     1.07 MiB, on 6 of 11 from 1.2 to 2.5 MiB and on none of 10 from 3.3
     MiB up.  It lost below 2.5 MiB mostly on thin wide slabs, where many
@@ -695,21 +731,25 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
         Kinv[0, 0, 0] = 0.0
         Kinv = np.ascontiguousarray(Kinv.reshape(-1, 3, 3).transpose(1, 2, 0))
 
+        (R3, R3inv), (F2, F2inv), (F1, F1inv) = _real_dft(n3), _complex_dft(n2), _complex_dft(n1)
+        m3 = n3 // 2 + 1
+
         def apply(r):
-            fields = np.ascontiguousarray(r.reshape(-1, 3).T).reshape(3, n1, n2, n3)
-            rh = np.fft.rfftn(fields, axes=(1, 2, 3))
-            zh = _bmv(Kinv, rh.reshape(3, -1)).reshape(rh.shape)
-            z = np.fft.irfftn(zh, s=(n1, n2, n3), axes=(1, 2, 3))
-            return z.reshape(3, -1).T.reshape(r.shape)
+            fields = np.ascontiguousarray(r.reshape(-1, 3).T).reshape(-1, n3)
+            y = F2 @ (fields @ R3).view(complex).reshape(3 * n1, n2, m3)
+            y = F1 @ y.reshape(3, n1, n2 * m3)
+            z = F1inv @ _bmv(Kinv, y.reshape(3, -1)).reshape(3, n1, n2 * m3)
+            z = F2inv @ z.reshape(3 * n1, n2, m3)
+            return (z.view(float).reshape(-1, 2 * m3) @ R3inv).reshape(3, -1).T.reshape(r.shape)
 
         return apply
 
     nplanes, m2 = n3 + 1, n2 // 2 + 1
-    E = _symbol(Ke, (n1, n2), (n1, m2)).swapaxes(0, 1).reshape(m2 * n1, 2, 3, 2, 3)
+    E = _symbol(Ke, (n1, n2), (n1, m2)).reshape(n1 * m2, 2, 3, 2, 3)
     bottom, top = E[:, 0, :, 0], E[:, 1, :, 1]   # a layer's blocks on its two node planes
     U = E[:, 0, :, 1]                            # plane k to plane k + 1, the same in every layer
-    Sinv = np.empty((nplanes, m2 * n1, 3, 3), dtype=complex)
-    W = np.empty((n3, m2 * n1, 3, 3), dtype=complex)
+    Sinv = np.empty((nplanes, n1 * m2, 3, 3), dtype=complex)
+    W = np.empty((n3, n1 * m2, 3, 3), dtype=complex)
     for k in range(nplanes):
         S = (bottom if k < n3 else 0.0) + (top if k > 0 else 0.0)
         if k == 0:
@@ -735,21 +775,23 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
         z[..., 0] -= z[..., 0].mean(axis=-2, keepdims=True)
         return z
 
+    (R2, R2inv), (F1, F1inv) = _real_dft(n2), _complex_dft(n1)
+
     def forward(r):
         planes = np.ascontiguousarray(r.reshape(n1, n2, nplanes, 3).transpose(2, 3, 0, 1))
-        y = np.ascontiguousarray(np.fft.rfft(planes).swapaxes(2, 3))
-        return np.fft.fft(y).reshape(nplanes, 3, m2 * n1)
+        y = (planes.reshape(-1, n2) @ R2).view(complex).reshape(3 * nplanes, n1, m2)
+        return (F1 @ y).reshape(nplanes, 3, n1 * m2)
 
     def backward(z, shape):
-        z = np.fft.ifft(z.reshape(nplanes, 3, m2, n1))
-        z = np.fft.irfft(np.ascontiguousarray(z.swapaxes(2, 3)), n2)
-        return z.transpose(2, 3, 0, 1).reshape(shape)
+        z = F1inv @ z.reshape(3 * nplanes, n1, m2)
+        z = z.view(float).reshape(-1, 2 * m2) @ R2inv
+        return z.reshape(nplanes, 3, n1, n2).transpose(2, 3, 0, 1).reshape(shape)
 
     if preconditioner_form(grid.kind, grid.shape) == "slab-sweep":
         return lambda r: backward(solve(forward(r)), r.shape)
 
     n = 3 * nplanes
-    units = np.zeros((n, n, m2 * n1), dtype=complex)
+    units = np.zeros((n, n, n1 * m2), dtype=complex)
     units[np.arange(n), np.arange(n)] = 1.0
     Minv = np.ascontiguousarray(solve(units.reshape(n, nplanes, 3, -1)).reshape(n, n, -1).T)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import EMBED_2_TO_3, QuadForm2, mandel2
 from .errors import SizeCapError
-from .fem import build_cell_grid, build_slab_grid
+from .fem import GAUSS_POINTS, build_cell_grid, build_slab_grid
 from .homog3d import CellMaterial3
 from .homogslab import SlabMaterial
 
@@ -215,7 +215,9 @@ def assemble_regime2(slab: SlabMaterial, checked: bool = False) -> DenseProblem:
         3 + ndofs + nz * np.arange(grid.ncells * 8).reshape(grid.ncells, 8, 1) + np.arange(nz),
     ], axis=2).reshape(-1, nloc)
     drop = 3 + (ndofs - 3) + np.arange(3)   # ground the last corrector node
-    return _sum_blocks(blocks.reshape(-1, nloc, nloc), grid.x3q.ravel(), cols, ntotal, drop)
+    k = np.arange(grid.ncells)[:, None] % grid.shape[2]
+    x3q = -0.5 + (k + np.array(GAUSS_POINTS * 4)) * grid.h[2]    # (ncells, 8) at the points
+    return _sum_blocks(blocks.reshape(-1, nloc, nloc), x3q.ravel(), cols, ntotal, drop)
 
 
 def brute_force_regime2(slab: SlabMaterial, A) -> float:

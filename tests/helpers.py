@@ -3,6 +3,8 @@ implementations of the stiffness operator written independently of it,
 node-major versions of its scatter-add and FFT preconditioner, and the
 fiber reduction on LAPACK inverses."""
 
+from itertools import product
+
 import numpy as np
 
 from plate_homog import (
@@ -88,14 +90,23 @@ def _gather(grid, x):
     return x.reshape(grid.nnodes, 3)[grid.idx].reshape(grid.ncells, 24)
 
 
+def quadrature_x3(grid) -> np.ndarray:
+    """(ncells, 8) thickness coordinate of the quadrature points of a slab grid:
+    the lower node plane of each cell (cells ordered with x3 fastest) plus the
+    local x3 of each point, in the point order of ``fem.build_b_matrices``."""
+    local = np.array([x3 for _, _, x3 in product(fem.GAUSS_POINTS, repeat=3)])
+    lower = -0.5 + (np.arange(grid.ncells) % grid.shape[2]) * grid.h[2]
+    return lower[:, None] + local * grid.h[2]
+
+
 def load_field(grid, gload) -> np.ndarray:
     """A load at every quadrature point, (ncells, 8, 6): a Mandel 6-vector G
-    broadcast, or the slab pair (G, A) as ``G + x3q A``."""
+    broadcast, or the slab pair (G, A) as ``G + x3 A``."""
     g = np.asarray(gload, dtype=float)
     if g.shape == (6,):
         return np.broadcast_to(g, (grid.ncells, 8, 6))
     assert g.shape == (2, 6) and grid.kind == "slab", g.shape
-    return g[0] + grid.x3q[:, :, None] * g[1]
+    return g[0] + quadrature_x3(grid)[:, :, None] * g[1]
 
 
 def strains(op, x, gload=None) -> np.ndarray:

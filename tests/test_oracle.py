@@ -24,7 +24,7 @@ from plate_homog.core import EMBED_2_TO_3
 from plate_homog.fem import build_cell_grid, build_slab_grid
 from plate_homog.oracle import assemble_regime1, assemble_regime2
 
-from helpers import fiber_per_cell_slab, random_cell, random_slab
+from helpers import fiber_per_cell_slab, quadrature_x3, random_cell, random_slab
 
 
 class TestClosedForms:
@@ -256,6 +256,7 @@ def loop_regime2(slab):
     nz = 3 * (nf - 1)
     ntotal = 3 + n + grid.ncells * 8 * nz
     H, B, C = np.zeros((ntotal, ntotal)), np.zeros((ntotal, 3)), np.zeros((3, 3))
+    x3q = quadrature_x3(grid)
     for c, stack in enumerate(slab.cell_fiber_stacks()):
         for q in range(8):
             cols = np.concatenate([np.arange(3), 3 + _node_dofs(grid, c),
@@ -266,7 +267,7 @@ def loop_regime2(slab):
                 zj = np.eye(nf - 1)[j] if j < nf - 1 else -wf[:-1] / wf[-1]
                 G = np.concatenate([EMBED_2_TO_3, grid.B[q], np.kron(zj, D_MAP)], axis=1)
                 M += grid.wq[q] * wf[j] * G.T @ stack[j] @ G
-            x3 = grid.x3q[c, q]
+            x3 = x3q[c, q]
             np.add.at(H, np.ix_(cols, cols), M)
             np.add.at(B, cols, x3 * M[:, :3])
             C += x3 ** 2 * M[:3, :3]
