@@ -3,8 +3,8 @@
 ``plate-homog <command> --spec <file> --out <dir>`` reads a JSON
 scenario, validates the material eagerly, runs the requested pipeline
 and writes reports (JSON) and tables (CSV).  A cell or slab material is
-checked against its bounds once, while the file is read; the pipelines
-reuse that check.  Commands:
+checked against its bounds while the file is read; the material keeps the
+result, so the pipelines do not check it again.  Commands:
 
 - ``reduce``         plane-stress reduction of a form or 3D profile
 - ``bending``        bending form of a thickness profile
@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import iojson
-from .core import EffectiveReport, QuadForm2, mandel2
+from .core import DEFAULT_TOL, EffectiveReport, QuadForm2, mandel2
 from .errors import (
     EXIT_OK,
     PlateHomogError,
@@ -64,7 +64,7 @@ from .reduction import (
 THREADS_ENV = "PLATE_HOMOG_THREADS"
 
 DEFAULT_SETTINGS = {
-    "tol": 1e-10,
+    "tol": DEFAULT_TOL,
     "x3_samples": 8,
     "periods": [1, 2, 4, 8, 16, 32],
     "check_tol": 1e-8,
@@ -121,12 +121,8 @@ def plate_energy(q0: QuadForm2, surface: SurfaceSpec) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Validated unit of work for one CLI invocation.
-
-    A cell or slab ``material`` has passed its check; ``laws`` is the law
-    index that check returned for a cell material, which its operator
-    reuses (None when the material was replaced after the check).
-    """
+    """Validated unit of work for one CLI invocation; a cell or slab
+    ``material`` has passed its check."""
 
     command: str
     name: str
@@ -135,7 +131,6 @@ class Scenario:
     form: QuadForm2 | None = None
     surface: SurfaceSpec | None = None
     subs: tuple = field(default_factory=tuple)
-    laws: tuple | None = None
 
 
 def _read_settings(obj: dict | None, path: str) -> dict:
@@ -176,20 +171,20 @@ def _read_surface(obj: dict, path: str) -> SurfaceSpec:
 
 
 def _read_material(obj: dict, path: str):
-    """The material of ``obj`` and the law index of its check (cells only)."""
+    """The material of ``obj``; a cell or slab material is checked here."""
     kind = iojson._get(obj, "kind", path)
     if kind in ("form3", "form2", "isotropic"):
-        return iojson.read_form(obj, path), None
+        return iojson.read_form(obj, path)
     if kind == "profile":
-        return iojson.read_profile(obj, path), None
+        return iojson.read_profile(obj, path)
     if kind in ("cell", "isotropic-field"):
         material = iojson.read_cell_material(obj, path)
-        return material, material.check()
-    if kind in ("slab", "slab-cells"):
+    elif kind in ("slab", "slab-cells"):
         material = iojson.read_slab_material(obj, path)
-        material.check()
-        return material, None
-    raise SpecFormatError(f"{path}: unknown material kind {kind!r}")
+    else:
+        raise SpecFormatError(f"{path}: unknown material kind {kind!r}")
+    material.check()
+    return material
 
 
 # The material classes each command takes, as (module, class) pairs, so
@@ -256,7 +251,7 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
         surface = _read_surface(iojson._get(obj, "surface", path), path + ".surface")
         return Scenario(command=command, name=name, settings=settings, form=form, surface=surface)
 
-    material, laws = _read_material(iojson._get(obj, "material", path), path + ".material")
+    material = _read_material(iojson._get(obj, "material", path), path + ".material")
 
     wants = _MATERIALS[command]
     if not any(_is_a(material, module, cls) for module, cls in wants):
@@ -268,7 +263,7 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
         raise SpecFormatError(
             f"{path}.material: oscillate needs a piecewise-constant profile (layers or midpoint)"
         )
-    return Scenario(command=command, name=name, settings=settings, material=material, laws=laws)
+    return Scenario(command=command, name=name, settings=settings, material=material)
 
 
 def parse_material_spec(path, command: str | None = None) -> Scenario:
@@ -298,7 +293,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         settings["tol"] = args.tol
     if args.quadrature is not None:
         settings["x3_samples"] = args.quadrature
-    material, laws = scenario.material, scenario.laws
+    material = scenario.material
     if args.grid is not None:
         if not _is_a(material, "homog3d", "CellMaterial3"):
             raise SpecFormatError("--grid refinement only applies to cell materials")
@@ -311,9 +306,9 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
             )
         factor = factors.pop()
         if factor > 1:
-            material, laws = material.refine(factor), None
+            material = material.refine(factor)
     _read_settings({k: v for k, v in settings.items()}, "overrides")
-    return replace(scenario, settings=settings, material=material, laws=laws)
+    return replace(scenario, settings=settings, material=material)
 
 
 def _write_report(report: EffectiveReport, settings: dict, out_path: Path):
@@ -380,11 +375,11 @@ def _run_regime(scenario: Scenario, out_dir: Path) -> dict:
     if scenario.command == "homog-regime1":
         from . import homog3d
 
-        report = homog3d.bending_form_regime1(scenario.material, tol=tol, laws=scenario.laws)
+        report = homog3d.bending_form_regime1(scenario.material, tol=tol)
     else:
         from . import homogslab
 
-        report = homogslab.bending_form_regime2(scenario.material, tol=tol, checked=True)
+        report = homogslab.bending_form_regime2(scenario.material, tol=tol)
     path = out_dir / f"{scenario.name}-report.json"
     _write_report(report, scenario.settings, path)
     return {"artifact": str(path)}
@@ -402,11 +397,11 @@ def _run_oracle_check(scenario: Scenario, out_dir: Path) -> dict:
     for m in rng.standard_normal((nloads - 1, 2, 2)):
         loads.append(mandel2(0.5 * (m + m.T)))
     if isinstance(material, homog3d.CellMaterial3):
-        report = homog3d.bending_form_regime1(material, tol=tol, laws=scenario.laws)
-        dense = oracle.assemble_regime1(material, scenario.settings["x3_samples"], checked=True)
+        report = homog3d.bending_form_regime1(material, tol=tol)
+        dense = oracle.assemble_regime1(material, scenario.settings["x3_samples"])
     else:
-        report = homogslab.bending_form_regime2(material, tol=tol, checked=True)
-        dense = oracle.assemble_regime2(material, checked=True)
+        report = homogslab.bending_form_regime2(material, tol=tol)
+        dense = oracle.assemble_regime2(material)
     oracle_values = dense.solve(loads)
     diffs = [
         abs(report.form.eval_mandel(a2) - value) / max(abs(value), 1e-30)

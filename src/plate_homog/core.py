@@ -27,6 +27,12 @@ SQRT2 = np.sqrt(2.0)
 IN_PLANE = (0, 1, 5)
 OUT_OF_PLANE = (2, 3, 4)
 
+# Relative residual tolerance of the corrector solves when none is given.
+DEFAULT_TOL = 1e-10
+
+# Rounding allowance of the bounds tests, relative (``MaterialBounds.slack``).
+BOUNDS_RTOL = 1e-9
+
 
 def mandel3(G) -> np.ndarray:
     """Mandel 6-vector of ``sym(G)`` for a full 3x3 matrix ``G``."""
@@ -150,6 +156,19 @@ class MaterialBounds:
                 f"bounds must satisfy eta1 <= eta2, got ({self.eta1}, {self.eta2})"
             )
 
+    @property
+    def slack(self) -> float:
+        """How far an eigenvalue may pass the bounds: ``BOUNDS_RTOL * max(eta2, 1)``."""
+        return BOUNDS_RTOL * max(self.eta2, 1.0)
+
+    def require(self, lo: float, hi: float, what: str) -> None:
+        """Raise ``AdmissibilityError`` unless the smallest and largest
+        eigenvalues ``lo`` and ``hi`` of ``what`` lie in the bounds."""
+        if lo < self.eta1 - self.slack:
+            raise AdmissibilityError(f"{what} eigenvalue {lo:.6g} below eta1={self.eta1:.6g}")
+        if hi > self.eta2 + self.slack:
+            raise AdmissibilityError(f"{what} eigenvalue {hi:.6g} above eta2={self.eta2:.6g}")
+
 
 def qf_eval(q: QuadForm3 | QuadForm2, G) -> float:
     """Evaluate a quadratic form at a full matrix argument."""
@@ -194,7 +213,8 @@ class ClassCheckReport:
             raise AdmissibilityError("; ".join(self.violations))
 
 
-def qf_check_class(q: QuadForm3, bounds: MaterialBounds, rtol: float = 1e-9) -> ClassCheckReport:
+def qf_check_class(q: QuadForm3, bounds: MaterialBounds,
+                   rtol: float = BOUNDS_RTOL) -> ClassCheckReport:
     """Check ``eta1*|sym G|^2 <= Q(G) <= eta2*|sym G|^2`` for all G.
 
     In the orthonormal encoding this is exactly an eigenvalue interval

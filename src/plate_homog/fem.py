@@ -917,3 +917,21 @@ def solve_loads(op: ElementOperator, loads, tol: float):
         fields.append(subtract_nodal_mean(x, op.grid.nnodes))
         solves.append((iters, hist))
     return fields, op.energy_matrix(fields, loads), solves
+
+
+def solver_diagnostics(op: ElementOperator, tol: float, labels, solves) -> dict:
+    """The solver block of both regimes' reports: the forms of ``op`` and one
+    entry per solve of ``solve_loads``, its load named by ``labels``."""
+    return {
+        "tol": tol,
+        "quadrature": "gauss-2x2x2",
+        "preconditioner": PRECONDITIONER,
+        "preconditioner_form": op.preconditioner_form,
+        "cell_laws": op.cell_laws,
+        "stiffness": op.stiffness,
+        "law_rank": op.law_rank,
+        "solves": [
+            {"load": label, "iterations": it, "residual": hist[-1] if hist else 0.0}
+            for label, (it, hist) in zip(labels, solves)
+        ],
+    }

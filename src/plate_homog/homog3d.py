@@ -18,16 +18,15 @@ factorization, guarding it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import time
 
 import numpy as np
 
-from .core import EffectiveReport, MaterialBounds, QuadForm2, QuadForm3, mandel3
+from .core import DEFAULT_TOL, EffectiveReport, MaterialBounds, QuadForm2, QuadForm3, mandel3
 from .errors import AdmissibilityError
-from .fem import PRECONDITIONER, ElementOperator, _distinct_laws, build_cell_grid, solve_loads
+from .fem import ElementOperator, _distinct_laws, build_cell_grid, solve_loads, solver_diagnostics
 from .reduction import plane_stress_reduce
-
-DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,32 +54,32 @@ class CellMaterial3:
     def flat(self) -> np.ndarray:
         return self.c.reshape(-1, 6, 6)
 
-    def _law_matrices(self):
-        """The distinct laws (laws, 6, 6) and ``(first, law)`` of ``fem._distinct_laws``:
-        cell ``first[l]`` is the first cell of law l, ``law[c]`` the law of cell c."""
+    @cached_property
+    def _spectrum(self):
+        """The distinct laws (laws, 6, 6), ``(first, law)`` of ``fem._distinct_laws``
+        and the laws' eigenvalues, computed once for the bounds and the check."""
         first, law = _distinct_laws(self.flat())
-        return self.flat()[first], (first, law)
+        laws = self.flat()[first]
+        return laws, (first, law), np.linalg.eigvalsh(laws)
 
     def inferred_bounds(self) -> MaterialBounds:
         """The tightest bounds: the extreme eigenvalues over all samples."""
-        eig = np.linalg.eigvalsh(self._law_matrices()[0])
+        eig = self._spectrum[2]
         return MaterialBounds(float(eig[:, 0].min()), float(eig[:, -1].max()))
 
-    def check(self, rtol: float = 1e-9):
-        """Every sample must sit inside the declared eigenvalue interval.
-
-        The symmetry test and the eigenvalues are taken once per distinct law;
-        the extremes are spread back to the cells, so an error names the first
-        offending cell.  Returns the law index ``(first, law)`` it checked, for
-        the stiffness operator of the same task.
+    @cached_property
+    def law_index(self):
+        """The law index ``(first, law)`` of the material, once it has passed
+        its check: every sample symmetric and inside the declared eigenvalue
+        interval, tested per distinct law, an error naming the first offending
+        cell.  Kept after the first access; a failed check raises every time.
         """
-        laws, (first, law) = self._law_matrices()
+        laws, (first, law), eig = self._spectrum
         asym = np.abs(laws - laws.transpose(0, 2, 1)).max()
         if asym > 1e-12 * max(1.0, np.abs(laws).max()):
             raise AdmissibilityError(f"cell sample matrices not symmetric (max {asym:.3e})")
-        eig = np.linalg.eigvalsh(laws)
         lo, hi = eig[law, 0], eig[law, -1]
-        tol = rtol * max(self.bounds.eta2, 1.0)
+        tol = self.bounds.slack
         low, high = lo.argmin(), hi.argmax()
         if lo[low] < self.bounds.eta1 - tol:
             raise AdmissibilityError(
@@ -93,6 +92,10 @@ class CellMaterial3:
                 f"{hi[high]:.6g} > eta2={self.bounds.eta2:.6g}"
             )
         return first, law
+
+    def check(self):
+        """The bounds check of ``law_index``, made once; returns the law index."""
+        return self.law_index
 
     def refine(self, factor: int = 2) -> "CellMaterial3":
         """Nested subdivision: each cell becomes factor^3 identical cells."""
@@ -129,12 +132,10 @@ class CorrectorField3:
         return self.values.reshape(-1)
 
 
-def _checked_operator(material: CellMaterial3, laws=None) -> ElementOperator:
-    """The operator of a checked material, built on the law index its check
-    returned: ``laws`` when the caller has checked it, else a check made here."""
-    if laws is None:
-        laws = material.check()
-    return ElementOperator(build_cell_grid(*material.grid_shape), material.flat(), laws=laws)
+def _checked_operator(material: CellMaterial3) -> ElementOperator:
+    """The operator of a material that passes its check, built on its law index."""
+    return ElementOperator(build_cell_grid(*material.grid_shape), material.flat(),
+                           laws=material.law_index)
 
 
 def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL):
@@ -156,9 +157,9 @@ def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL):
     return corr, float(N[0, 0])
 
 
-def _homogenize(material: CellMaterial3, tol: float, laws=None):
+def _homogenize(material: CellMaterial3, tol: float):
     """Energy matrix of the six Mandel basis strains, per-solve data, the operator."""
-    op = _checked_operator(material, laws)
+    op = _checked_operator(material)
     _, C, solves = solve_loads(op, list(np.eye(6)), tol)
     return QuadForm3(C, label="homogenized"), solves, op
 
@@ -172,33 +173,20 @@ def homogenized_form_3d(material: CellMaterial3, tol: float = DEFAULT_TOL) -> Qu
     return _homogenize(material, tol)[0]
 
 
-def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL,
-                         laws=None) -> EffectiveReport:
+def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL) -> EffectiveReport:
     """Effective bending form for fine in-plane oscillation.
 
     Pipeline: homogenize on the unit cell, plane-stress reduce, scale by
     the second thickness moment 1/12.  The report records the
-    decomposition and per-solve convergence data.  ``laws`` is the law
-    index ``material.check()`` returned, when the caller has checked the
-    material already; by default the material is checked here.
+    decomposition and per-solve convergence data.
     """
     t0 = time.perf_counter()
-    q_hom, solves, op = _homogenize(material, tol, laws)
+    q_hom, solves, op = _homogenize(material, tol)
     q2, dstar = plane_stress_reduce(q_hom)
     q0p = QuadForm2(q2.matrix / 12.0, label="bending-regime1")
     diagnostics = {
         "grid": list(material.grid_shape),
-        "tol": tol,
-        "quadrature": "gauss-2x2x2",
-        "preconditioner": PRECONDITIONER,
-        "preconditioner_form": op.preconditioner_form,
-        "cell_laws": op.cell_laws,
-        "stiffness": op.stiffness,
-        "law_rank": op.law_rank,
-        "solves": [
-            {"load": i, "iterations": it, "residual": hist[-1] if hist else 0.0}
-            for i, (it, hist) in enumerate(solves)
-        ],
+        **solver_diagnostics(op, tol, range(6), solves),
         "homogenized_form": q_hom.matrix.tolist(),
         "plane_stress_form": q2.matrix.tolist(),
         "plane_stress_minimizer": dstar.tolist(),

@@ -26,11 +26,13 @@ kept in ``laminate_reduced_form`` as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import time
 
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     EMBED_2_TO_3,
     IN_PLANE,
     OUT_OF_PLANE,
@@ -41,9 +43,7 @@ from .core import (
     qf_isotropic,
 )
 from .errors import AdmissibilityError, DegenerateMaterialError
-from .fem import PRECONDITIONER, ElementOperator, build_slab_grid, solve_loads
-
-DEFAULT_TOL = 1e-10
+from .fem import ElementOperator, build_slab_grid, solve_loads, solver_diagnostics
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,17 +75,9 @@ class FiberMaterial:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    def check(self, rtol: float = 1e-9) -> None:
+    def check(self) -> None:
         eig = np.linalg.eigvalsh(self.c)
-        tol = rtol * max(self.bounds.eta2, 1.0)
-        if eig[:, 0].min() < self.bounds.eta1 - tol:
-            raise AdmissibilityError(
-                f"fiber sample eigenvalue {eig[:, 0].min():.6g} below eta1={self.bounds.eta1:.6g}"
-            )
-        if eig[:, -1].max() > self.bounds.eta2 + tol:
-            raise AdmissibilityError(
-                f"fiber sample eigenvalue {eig[:, -1].max():.6g} above eta2={self.bounds.eta2:.6g}"
-            )
+        self.bounds.require(eig[:, 0].min(), eig[:, -1].max(), "fiber sample")
 
 
 def _inverse_spd3(M: np.ndarray):
@@ -263,8 +255,10 @@ class SlabMaterial:
         stacks = self.fibers[self.fiber_index.reshape(-1)]
         return stacks * self.scale.reshape(-1, 1, 1, 1)
 
-    def _extremes(self):
-        """Smallest and largest eigenvalue over all scaled samples."""
+    @cached_property
+    def _spectrum(self):
+        """Smallest and largest eigenvalue over all scaled samples, computed
+        once for ``inferred_bounds`` and the check."""
         eig = np.linalg.eigvalsh(self.fibers)          # (nfib, nf, 6)
         fiber_lo = eig[:, :, 0].min(axis=1)            # per-fiber extremes
         fiber_hi = eig[:, :, -1].max(axis=1)
@@ -274,20 +268,19 @@ class SlabMaterial:
 
     def inferred_bounds(self) -> MaterialBounds:
         """The tightest bounds: the extreme eigenvalues over all scaled samples."""
-        return MaterialBounds(*self._extremes())
+        return MaterialBounds(*self._spectrum)
 
-    def check(self, rtol: float = 1e-9) -> None:
-        """Every scaled cell sample must respect the declared bounds."""
-        lo, hi = self._extremes()
-        tol = rtol * max(self.bounds.eta2, 1.0)
-        if lo < self.bounds.eta1 - tol:
-            raise AdmissibilityError(
-                f"slab sample eigenvalue {lo:.6g} below eta1={self.bounds.eta1:.6g}"
-            )
-        if hi > self.bounds.eta2 + tol:
-            raise AdmissibilityError(
-                f"slab sample eigenvalue {hi:.6g} above eta2={self.bounds.eta2:.6g}"
-            )
+    @cached_property
+    def extremes(self) -> tuple:
+        """The eigenvalue extremes, once every scaled cell sample has passed
+        the declared bounds.  Kept after the first access; a failed check
+        raises every time."""
+        self.bounds.require(*self._spectrum, "slab sample")
+        return self._spectrum
+
+    def check(self) -> tuple:
+        """The bounds check of ``extremes``, made once; returns the extremes."""
+        return self.extremes
 
     def reduced_cells(self) -> np.ndarray:
         """Fiber-reduce each distinct fiber, broadcast and scale per cell."""
@@ -376,6 +369,8 @@ def _load_strain(load):
 
 
 def _slab_operator(slab: SlabMaterial) -> ElementOperator:
+    """The operator of a slab that passes its check."""
+    slab.extremes       # the bounds check, made once per slab
     return ElementOperator(build_slab_grid(*slab.grid_shape), slab.reduced_cells())
 
 
@@ -386,7 +381,6 @@ def slab_corrector_solve(slab: SlabMaterial, load, tol: float = DEFAULT_TOL):
     kind 'A', with ``E`` a symmetric 2x2 pattern given in Mandel
     coordinates.  Returns ``(SlabCorrector, energy)``.
     """
-    slab.check()
     op = _slab_operator(slab)
     fields, N, [(iters, hist)] = solve_loads(op, [_load_strain(load)], tol)
     corr = SlabCorrector(
@@ -395,19 +389,14 @@ def slab_corrector_solve(slab: SlabMaterial, load, tol: float = DEFAULT_TOL):
     return corr, float(N[0, 0])
 
 
-def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL,
-                         checked: bool = False) -> EffectiveReport:
+def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL) -> EffectiveReport:
     """Effective bending form for comparable-scale oscillation.
 
     Six slab solves (three curvature loads, three mid-plane loads) give
     the 6x6 energy matrix of the load pair; eliminating the mid-plane
     block leaves the 3x3 bending form and the optimal mid-plane map.
-    The slab is checked against its bounds first unless ``checked`` says
-    the caller has done so.
     """
     t0 = time.perf_counter()
-    if not checked:
-        slab.check()
     op = _slab_operator(slab)
     basis = [("A", i) for i in range(3)] + [("B", i) for i in range(3)]
     _, N, solves = solve_loads(op, [_load_strain(load) for load in basis], tol)
@@ -427,17 +416,7 @@ def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL,
     diagnostics = {
         "grid": list(slab.grid_shape),
         "fiber_samples": int(slab.fiber_samples),
-        "tol": tol,
-        "quadrature": "gauss-2x2x2",
-        "preconditioner": PRECONDITIONER,
-        "preconditioner_form": op.preconditioner_form,
-        "cell_laws": op.cell_laws,
-        "stiffness": op.stiffness,
-        "law_rank": op.law_rank,
-        "solves": [
-            {"load": f"{kind}{i}", "iterations": it, "residual": hist[-1] if hist else 0.0}
-            for (kind, i), (it, hist) in zip(basis, solves)
-        ],
+        **solver_diagnostics(op, tol, [f"{kind}{i}" for kind, i in basis], solves),
         "pair_energy_matrix": N.tolist(),
         "runtime_s": time.perf_counter() - t0,
     }

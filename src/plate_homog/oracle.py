@@ -126,21 +126,19 @@ def _sum_blocks(blocks, x3, cols, ntotal, drop) -> DenseProblem:
     return DenseProblem(H=H, B=B, C=C)
 
 
-def assemble_regime1(material: CellMaterial3, x3_samples: int,
-                     checked: bool = False) -> DenseProblem:
+def assemble_regime1(material: CellMaterial3, x3_samples: int) -> DenseProblem:
     """Joint quadratic over (mid-plane strain, d(x3_i), corrector(x3_i)).
 
     The thickness integral runs over Gauss-Legendre nodes, which
     integrate the thickness-quadratic integrand exactly, so the only
     discretization left is the shared unit-cell grid.  Given the
     mid-plane strain the slices decouple; the assembled matrix still
-    contains every coupling explicitly.  The material is checked against
-    its bounds first unless ``checked`` says the caller has done so.
+    contains every coupling explicitly.  The material must pass its
+    bounds check (``CellMaterial3.law_index``).
     """
     if x3_samples < 2:
         raise ValueError("need at least 2 thickness nodes")
-    if not checked:
-        material.check()
+    material.law_index      # the bounds check, made once per material
     grid = build_cell_grid(*material.grid_shape)
     ndofs = grid.ndofs
     m = int(x3_samples)
@@ -173,16 +171,15 @@ def brute_force_regime1(material: CellMaterial3, A, x3_samples: int = 8) -> floa
     return float(assemble_regime1(material, x3_samples).solve([a2])[0])
 
 
-def assemble_regime2(slab: SlabMaterial, checked: bool = False) -> DenseProblem:
+def assemble_regime2(slab: SlabMaterial) -> DenseProblem:
     """Joint quadratic over (mid-plane strain, corrector, fiber fluctuations).
 
     The zero-mean fluctuation d(y3) at each quadrature point is expanded
     in an explicit zero-weighted-mean basis, so no averaging identity
-    from the solver pipeline is reused.  The slab is checked against its
-    bounds first unless ``checked`` says the caller has done so.
+    from the solver pipeline is reused.  The slab must pass its bounds
+    check (``SlabMaterial.extremes``).
     """
-    if not checked:
-        slab.check()
+    slab.extremes           # the bounds check, made once per slab
     grid = build_slab_grid(*slab.grid_shape)
     ndofs = grid.ndofs
     nf = slab.fiber_samples

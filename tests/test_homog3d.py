@@ -6,12 +6,18 @@ from plate_homog import (
     CellMaterial3,
     FiberMaterial,
     MaterialBounds,
+    SlabMaterial,
     bending_form_regime1,
+    bending_form_regime2,
+    brute_force_regime1,
+    brute_force_regime2,
     corrector_solve_3d,
     fiber_reduce,
     homogenized_form_3d,
     qf_isotropic,
+    slab_corrector_solve,
 )
+from plate_homog import fem, homog3d
 
 from helpers import random_cell, random_spd
 
@@ -77,11 +83,27 @@ class TestCorrectorSolve:
         _, e2 = corrector_solve_3d(mat, E_BASIS[2], tol=1e-12)
         assert e1 == pytest.approx(e2, rel=1e-14)
 
-    def test_inadmissible_material_rejected(self):
-        c = np.broadcast_to(np.eye(6), (1, 1, 1, 6, 6)).copy()
-        mat = CellMaterial3(c=c, bounds=MaterialBounds(2.0, 3.0))
-        with pytest.raises(AdmissibilityError):
-            corrector_solve_3d(mat, E_BASIS[0], tol=1e-10)
+    # Every entry point on a material that nobody checked first: the identity
+    # law is positive definite, so only the bounds check can refuse it.
+    ENTRY_POINTS = {
+        "corrector_solve_3d": lambda cell, slab: corrector_solve_3d(cell, E_BASIS[0]),
+        "homogenized_form_3d": lambda cell, slab: homogenized_form_3d(cell),
+        "bending_form_regime1": lambda cell, slab: bending_form_regime1(cell),
+        "brute_force_regime1": lambda cell, slab: brute_force_regime1(cell, np.eye(2)),
+        "slab_corrector_solve": lambda cell, slab: slab_corrector_solve(slab, ("A", 0)),
+        "bending_form_regime2": lambda cell, slab: bending_form_regime2(slab),
+        "brute_force_regime2": lambda cell, slab: brute_force_regime2(slab, np.eye(2)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_inadmissible_material_rejected(self, entry):
+        bounds = MaterialBounds(2.0, 3.0)
+        cell = CellMaterial3(c=np.broadcast_to(np.eye(6), (1, 1, 2, 6, 6)).copy(), bounds=bounds)
+        slab = SlabMaterial(fibers=np.broadcast_to(np.eye(6), (1, 2, 6, 6)).copy(),
+                            fiber_index=np.zeros((1, 1, 2), dtype=np.int64), bounds=bounds)
+        for _ in range(2):      # a failed check is not kept: the same object fails again
+            with pytest.raises(AdmissibilityError, match="violates lower bound|below eta1"):
+                self.ENTRY_POINTS[entry](cell, slab)
 
 
 class TestHomogenizedForm:
@@ -201,6 +223,22 @@ class TestMaterialBounds:
         eig = q3.eigenvalues()
         assert CellMaterial3.homogeneous(q3, grid=(2, 2, 3)).bounds == MaterialBounds(
             float(eig[0]), float(eig[-1]))
+
+    def test_check_work_runs_once(self, monkeypatch):
+        # inferred bounds and the check of both runs share one law index
+        calls = []
+
+        def counted(cellC, _distinct=fem._distinct_laws):
+            calls.append(len(cellC))
+            return _distinct(cellC)
+
+        monkeypatch.setattr(homog3d, "_distinct_laws", counted)
+        monkeypatch.setattr(fem, "_distinct_laws", counted)
+        mat = CellMaterial3(c=checkerboard_cell(n=2, block=1).c)
+        first = bending_form_regime1(mat, tol=1e-12)
+        again = bending_form_regime1(mat, tol=1e-12)
+        assert calls == [8]
+        assert np.array_equal(first.form.matrix, again.form.matrix)
 
 
 class TestCheckOverDistinctLaws:

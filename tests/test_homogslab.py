@@ -356,3 +356,19 @@ class TestSlabMaterialValidation:
         eig = q3.eigenvalues()
         assert SlabMaterial.homogeneous(q3, grid=(2, 1, 2), nf=3).bounds == MaterialBounds(
             float(eig[0]), float(eig[-1]))
+
+    def test_check_work_runs_once(self, monkeypatch):
+        # inferred bounds and the check of both runs share one set of extremes
+        args = []
+
+        def counted(a, *rest, _eigvalsh=np.linalg.eigvalsh, **kwargs):
+            args.append(a)
+            return _eigvalsh(a, *rest, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        slab = random_slab(np.random.default_rng(38))
+        slab = SlabMaterial(fibers=slab.fibers, fiber_index=slab.fiber_index, scale=slab.scale)
+        first = bending_form_regime2(slab, tol=1e-12)
+        again = bending_form_regime2(slab, tol=1e-12)
+        assert sum(a is slab.fibers for a in args) == 1
+        assert np.array_equal(first.form.matrix, again.form.matrix)
