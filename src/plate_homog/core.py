@@ -161,13 +161,14 @@ class MaterialBounds:
         """How far an eigenvalue may pass the bounds: ``BOUNDS_RTOL * max(eta2, 1)``."""
         return BOUNDS_RTOL * max(self.eta2, 1.0)
 
-    def require(self, lo: float, hi: float, what: str) -> None:
-        """Raise ``AdmissibilityError`` unless the smallest and largest
-        eigenvalues ``lo`` and ``hi`` of ``what`` lie in the bounds."""
+    def require(self, lo: float, hi: float, what: str) -> tuple:
+        """``(lo, hi)``, once the smallest and largest eigenvalues of ``what`` are
+        found inside the bounds; ``AdmissibilityError`` otherwise."""
         if lo < self.eta1 - self.slack:
             raise AdmissibilityError(f"{what} eigenvalue {lo:.6g} below eta1={self.eta1:.6g}")
         if hi > self.eta2 + self.slack:
             raise AdmissibilityError(f"{what} eigenvalue {hi:.6g} above eta2={self.eta2:.6g}")
+        return lo, hi
 
 
 def qf_eval(q: QuadForm3 | QuadForm2, G) -> float:
@@ -213,8 +214,7 @@ class ClassCheckReport:
             raise AdmissibilityError("; ".join(self.violations))
 
 
-def qf_check_class(q: QuadForm3, bounds: MaterialBounds,
-                   rtol: float = BOUNDS_RTOL) -> ClassCheckReport:
+def qf_check_class(q: QuadForm3, bounds: MaterialBounds) -> ClassCheckReport:
     """Check ``eta1*|sym G|^2 <= Q(G) <= eta2*|sym G|^2`` for all G.
 
     In the orthonormal encoding this is exactly an eigenvalue interval
@@ -224,13 +224,12 @@ def qf_check_class(q: QuadForm3, bounds: MaterialBounds,
     sample set purely as a consistency diagnostic, not as a second gate.
     """
     eig = np.linalg.eigvalsh(q.matrix)
-    tol = rtol * max(bounds.eta2, 1.0)
     violations = []
-    if eig[0] < bounds.eta1 - tol:
+    if eig[0] < bounds.eta1 - bounds.slack:
         violations.append(
             f"eigenvalue {eig[0]:.6g} falls below lower bound eta1={bounds.eta1:.6g}"
         )
-    if eig[-1] > bounds.eta2 + tol:
+    if eig[-1] > bounds.eta2 + bounds.slack:
         violations.append(
             f"eigenvalue {eig[-1]:.6g} exceeds upper bound eta2={bounds.eta2:.6g}"
         )
@@ -243,7 +242,7 @@ def qf_check_class(q: QuadForm3, bounds: MaterialBounds,
         lhs = abs(q.eval_mandel(g1) - q.eval_mandel(g2))
         rhs = bounds.eta2 * np.linalg.norm(g1 - g2) * np.linalg.norm(g1 + g2)
         margin = max(margin, lhs - rhs)
-    lipschitz_ok = bool(margin <= tol)
+    lipschitz_ok = bool(margin <= bounds.slack)
 
     return ClassCheckReport(
         passed=not violations,

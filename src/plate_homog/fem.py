@@ -28,10 +28,6 @@ takes one of three forms, picked from the cell laws alone:
 - stacked otherwise: all 8 quadrature points in 48-row products around
   one 6x6 law per cell.
 
-Only the stiffness uses the law basis: loads, noise floors, the stress
-sums of the energy matrix and the preconditioner's reference law read
-the exact cell laws.
-
 A load strain is constant or x3-linear per cell: a Mandel 6-vector G, or
 on a slab a pair (G, A) for ``G + x3 A``.  With ``x3_q = x3_c + d_q`` (x3_c
 the cell centre, ``d_q = +-h3 / (2 sqrt 3)`` in every cell), two constant
@@ -48,12 +44,12 @@ assembly on absolute values, from cell integrals too: ``|G + x3 A|`` is
 constant on each of a cell's two Gauss planes in x3, so ``sum_q w_q |B_q|``
 splits into a lower and an upper plane sum.
 
-Every operator keeps its cells in one order, sorted by law in the grouped
-form and the grid's order in the stacked form, with one dof index in that
-order.  Load, floor and stiffness local vectors are all built in it: in
-the grouped form a load's ``(C_l G) @ Bbar`` once per law, repeated over
-the law's cells.  A residual ``K x + rhs(G)`` is the sum of the two local
-vectors, scattered once.
+The stiffness form picks only the kernel of ``K x``.  Every operator keeps
+its cells sorted by law, numbered by first appearance (with no law
+repeated, grid order), and builds loads, noise floors and stiffness local
+vectors in that order from the exact laws: a load's ``(C_l G) @ Bbar`` once
+per law and repeated over the law's cells, a residual ``K x + rhs(G)`` as
+the sum of the two, scattered once.
 
 Corrector solves run conjugate gradients preconditioned by the exact
 inverse of the stiffness of one constant reference law C0 (the cell mean
@@ -89,9 +85,8 @@ by arithmetic, so the one product is cheaper until the stored inverse
 grows large.
 
 Nodal vectors are laid out node-major, dof ``3 * node + m``; a scatter-add
-is one ``bincount`` over the operator's dof index: ``Grid.dofs`` in the
-stacked form, a law-sorted index built directly from the sorted node
-index in the grouped form, which never builds ``Grid.dofs``.
+is one ``bincount`` over the operator's law-order dof index.  ``Grid.dofs``,
+the grid-order index, serves only the dense oracles.
 """
 
 from __future__ import annotations
@@ -239,11 +234,11 @@ class ElementOperator:
 
     ``stiffness`` names the form of ``K x`` (see ``matvec``): "grouped",
     "law-basis" or "stacked"; ``law_rank`` is the number r of basis laws in
-    the law-basis form and None otherwise.  Cells are kept in the
-    operator's own order: sorted by law in the grouped form, the grid's
-    order in the other two.  Every per-cell local vector (stiffness, load,
-    noise floor) is built in that order and scattered with the one dof
-    index ``_dofs``.  ``laws``, when given, is ``_distinct_laws(cellC)``
+    the law-basis form and None otherwise.  In every form the cells are
+    sorted by law as ``_distinct_laws`` numbers them: distinct laws
+    ``_laws``, their cell counts ``_counts`` and runs ``_cuts``.  Every
+    per-cell local vector is built in that order, scattered with the one
+    dof index ``_dofs``.  ``laws``, when given, is ``_distinct_laws(cellC)``
     as the caller already computed it.
     """
 
@@ -263,25 +258,25 @@ class ElementOperator:
         self._Btilde = np.einsum("q,qij->ij", grid.wq * d3, grid.B)
         first, law = _distinct_laws(cellC) if laws is None else laws
         self.cell_laws = len(first)
+        self._counts = np.bincount(law)
+        self._cuts = np.concatenate(([0], np.cumsum(self._counts)))
+        if self.cell_laws < grid.ncells:
+            order = np.argsort(law, kind="stable")
+            self._idx, self._x3c, self._laws = grid.idx[order], grid.x3c[order], cellC[first]
+        else:       # a law per cell: laws numbered by first appearance are in grid order
+            self._idx, self._x3c, self._laws = grid.idx, grid.x3c, cellC
+        self._dofs = _dof_index(self._idx)
         self.stiffness, self.law_rank = "grouped", None
         if LAW_CELLS * self.cell_laws <= grid.ncells:
-            order = np.argsort(law, kind="stable")
-            self._idx, self._x3c = grid.idx[order], grid.x3c[order]
-            self._dofs = _dof_index(self._idx)
-            self._counts = np.bincount(law)
-            self._cuts = np.concatenate(([0], np.cumsum(self._counts)))
-            self._laws = cellC[first]
             self._Ke = _element_matrix(grid, self._laws)
         else:
-            self._idx, self._dofs, self._x3c = grid.idx, grid.dofs, grid.x3c
-            self._laws, self._Ke = cellC, None     # a law per cell
-            basis = _law_basis(cellC)
+            basis = _law_basis(self._laws)
             if basis is None:
                 self.stiffness = "stacked"
             else:
                 coeffs, basis_laws = basis
                 self.stiffness, self.law_rank = "law-basis", len(basis_laws)
-                self._coeffs = np.ascontiguousarray(coeffs.T)[:, :, None]   # (r, ncells, 1)
+                self._coeffs = np.ascontiguousarray(self._spread(coeffs).T)[:, :, None]
                 self._basis_Ke = _element_matrix(grid, basis_laws)
 
     def _gather(self, x: np.ndarray) -> np.ndarray:
@@ -295,9 +290,14 @@ class ElementOperator:
         return np.bincount(self._dofs.ravel(), weights=ylocal.ravel(), minlength=self.grid.ndofs)
 
     def _spread(self, rows: np.ndarray) -> np.ndarray:
-        """Rows computed once per law (grouped) repeated over the law's cells;
-        in the stacked form every cell is its own law and ``rows`` is returned."""
-        return rows if self._Ke is None else np.repeat(rows, self._counts, axis=0)
+        """Per-law rows repeated over each law's cells, or ``rows`` when no law repeats."""
+        repeats = self.cell_laws < self.grid.ncells
+        return np.repeat(rows, self._counts, axis=0) if repeats else rows
+
+    def _law_sums(self, rows: np.ndarray) -> np.ndarray:
+        """Per-cell rows summed over each law's cells, the adjoint of ``_spread``."""
+        repeats = self.cell_laws < self.grid.ncells
+        return np.add.reduceat(rows, self._cuts[:-1]) if repeats else rows
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``K x``: gather, a few large products, scatter-add.
@@ -320,8 +320,14 @@ class ElementOperator:
         return self._to_nodes(self._stiffness_local(self._gather(x))).reshape(x.shape)
 
     def _stiffness_local(self, u: np.ndarray, exact: bool = False) -> np.ndarray:
-        """Per-cell local vectors (ncells, 24) of ``K x`` from its gathered ``u``;
-        ``exact`` takes the stacked form on the cell laws in place of the law basis."""
+        """Per-cell local vectors (ncells, 24) of ``K x`` from its gathered ``u``, by
+        the kernel of ``stiffness``; ``exact`` takes the stacked kernel on the
+        laws in place of the law basis."""
+        if self.stiffness == "grouped":
+            y = np.empty_like(u)
+            for Ke, a, b in zip(self._Ke, self._cuts[:-1], self._cuts[1:]):
+                np.matmul(u[a:b], Ke, out=y[a:b])
+            return y
         if self.stiffness == "law-basis" and not exact:
             y = u @ self._basis_Ke[0]
             y *= self._coeffs[0]
@@ -331,13 +337,8 @@ class ElementOperator:
                 term *= a
                 y += term
             return y
-        if self._Ke is None:
-            g = (u @ self.grid.B.reshape(48, 24).T).reshape(-1, 8, 6)
-            return (g @ self.cellC.transpose(0, 2, 1)).reshape(-1, 48) @ self._wB
-        y = np.empty_like(u)
-        for Ke, a, b in zip(self._Ke, self._cuts[:-1], self._cuts[1:]):
-            np.matmul(u[a:b], Ke, out=y[a:b])
-        return y
+        g = (u @ self.grid.B.reshape(48, 24).T).reshape(-1, 8, 6)
+        return (g @ self._spread(self._laws).transpose(0, 2, 1)).reshape(-1, 48) @ self._wB
 
     @property
     def preconditioner_form(self) -> str:
@@ -385,10 +386,9 @@ class ElementOperator:
         """Nodal load vector ``f[v] = sum_c sum_q w_q (B_q v)^T C_c (G + x3_q A)``.
 
         Per cell it is ``(C_c G) @ Bbar``, plus ``x3_c (C_c A) @ Bbar + (C_c
-        A) @ Btilde`` for a pair, so it needs no quadrature: in the grouped
-        form these rows are formed once per law and repeated over the law's
-        cells, in the stacked form once per cell.  The local vectors are in
-        the operator's cell order and scattered with its one dof index.
+        A) @ Btilde`` for a pair, so it needs no quadrature: these rows are
+        formed once per law, repeated over the law's cells in the operator's
+        order and scattered with its one dof index.
         """
         return self._to_nodes(self._load_local(*self._load_parts(gload)))
 
@@ -417,18 +417,13 @@ class ElementOperator:
         else:
             d = GAUSS_OFFSET * self.grid.h[2]
             g = np.abs(G + (self._x3c[:, None, None] + np.array([[-d], [d]])) * A)
-            if self._Ke is None:
-                s = g @ absC.transpose(0, 2, 1)
-            else:
-                s = np.empty_like(g)
-                for C, a, b in zip(absC, self._cuts[:-1], self._cuts[1:]):
-                    np.matmul(g[a:b], C.T, out=s[a:b])
+            s = g @ self._spread(absC).transpose(0, 2, 1)
             local = s.reshape(-1, 12) @ absB_planes
         return 1e-12 * float(np.linalg.norm(self._to_nodes(local)))
 
     @cached_property
     def _floor_parts(self):
-        """``|C|`` per law (or cell), ``sum_q w_q |B_q|`` and its lower and upper
+        """``|C|`` per law, ``sum_q w_q |B_q|`` and its lower and upper
         Gauss-plane parts stacked (12, 24), for ``rhs_noise_floor``."""
         wabsB = self.grid.wq[:, None, None] * np.abs(self.grid.B)
         return np.abs(self._laws), wabsB.sum(axis=0), np.vstack([wabsB[0::2].sum(axis=0),
@@ -446,10 +441,9 @@ class ElementOperator:
         A_j)``, with the cell integrals ``e = Bbar u + v (G + x3_c A)`` and ``m
         = x3_c e + Btilde u + v (h3^2 / 12) A`` (the moment only when some
         load has an A) formed per cell before ``C`` is applied and summed
-        per law in the grouped form: forms that cancel only globally (``x_i
-        . rhs(G_j)`` plus a load term, or ``X^T K X`` plus cross terms) drift
-        well past rounding, most on the small entries.  The result is
-        symmetrized.
+        per law: forms that cancel only globally (``x_i . rhs(G_j)`` plus a
+        load term, or ``X^T K X`` plus cross terms) drift well past rounding,
+        most on the small entries.  The result is symmetrized.
         """
         parts = padded = [self._load_parts(g) for g in loads]
         if any(A is not None for _, A in parts):      # every load takes the moment
@@ -485,43 +479,46 @@ class ElementOperator:
             x3c = self._x3c[:, None]
             e += (v * x3c) * A
             moments.append(x3c * e + u @ self._Btilde.T + (v * self.grid.h[2] ** 2 / 12) * A)
-        if self._Ke is not None:
-            moments = [np.add.reduceat(m, self._cuts[:-1]) for m in moments]
-        return np.concatenate([m.ravel() @ self._laws.reshape(-1, 6) for m in moments])
+        return np.concatenate([self._law_sums(m).ravel() @ self._laws.reshape(-1, 6)
+                               for m in moments])
 
 
 def _distinct_laws(cellC: np.ndarray):
     """Distinct cell laws, bit for bit: ``cellC[first[law]]`` equals ``cellC``.
 
-    An integer hash of the 36 bit patterns sorts several times faster than the
-    288-byte rows; on a collision the rows themselves are sorted.
+    Laws are numbered by first appearance (``first`` ascends): with no law
+    repeated, ``law`` is grid order.  An integer hash of the 36 bit patterns
+    sorts several times faster than the 288-byte rows; on a collision the
+    rows themselves are sorted.
     """
     bits = cellC.reshape(len(cellC), 36).view(np.uint64)
     _, first, law = np.unique(bits @ _LAW_HASH, return_index=True, return_inverse=True)
     if not np.array_equal(bits[first[law.ravel()]], bits):
         rows = bits.view(np.dtype((np.void, 288))).ravel()
         _, first, law = np.unique(rows, return_index=True, return_inverse=True)
-    return first, law.ravel()
+    by_first = np.argsort(first)
+    return first[by_first], np.argsort(by_first)[law.ravel()]
 
 
-def _law_basis(cellC: np.ndarray):
-    """Coefficients (ncells, r) and basis laws (r, 6, 6) with ``cellC = a @ basis``,
+def _law_basis(laws: np.ndarray):
+    """Coefficients (nlaws, r) and basis laws (r, 6, 6) with ``laws = a @ basis``,
     or None when the laws need more than ``LAW_RANK`` of them.
 
-    The basis is an orthonormal one of the row space of the (ncells, 36) law
-    matrix, built by Gram-Schmidt with pivoting: each step takes the law
-    with the largest remainder, orthogonalizes it once more against the
-    basis and projects it out of every law (a QR factorization of the
-    transpose with column pivoting).  The rank r counts the steps whose
-    pivot exceeds 1e-13 of the first, an estimate of the singular values
-    above that cut that does not depend on the data's scale.  The basis is
-    taken only if it rebuilds every cell's law to 1e-14 of that cell's own
+    On the distinct laws: a repeated row stays equal to its copies through
+    every step.  The basis is an orthonormal one of the row space of the
+    (nlaws, 36) law matrix, built by Gram-Schmidt with pivoting: each step
+    takes the law with the largest remainder, orthogonalizes it once more
+    against the basis and projects it out of every law (a QR factorization
+    of the transpose with column pivoting).  The rank r counts the steps
+    whose pivot exceeds 1e-13 of the first, an estimate of the singular
+    values above that cut that does not depend on the data's scale.  The
+    basis is taken only if it rebuilds every law to 1e-14 of that law's own
     largest entry, which guards the soft cells of a high-contrast material.
     It needs only BLAS: a LAPACK QR and SVD of the law matrix gave the same
     ranks but raised the peak memory of a process by about 0.5 MiB, the
     first use of their code.
     """
-    flat = cellC.reshape(len(cellC), 36)
+    flat = laws.reshape(len(laws), 36)
     top = np.abs(flat).max()
     if not (np.isfinite(top) and top > 0.0):
         return None

@@ -64,20 +64,28 @@ class FiberMaterial:
             raise ValueError(f"fiber samples must be (nf, 6, 6), got {c.shape}")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
-        if self.weights is None:
-            w = np.full(c.shape[0], 1.0 / c.shape[0])
-        else:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (c.shape[0],):
-                raise ValueError("weights must match the number of fiber samples")
-            if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must be positive and sum to 1")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _layer_weights(self.weights, c.shape[0]))
 
-    def check(self) -> None:
+    @cached_property
+    def extremes(self) -> tuple:
+        """The samples' eigenvalue extremes, once inside the bounds; a failure is not kept."""
         eig = np.linalg.eigvalsh(self.c)
-        self.bounds.require(eig[:, 0].min(), eig[:, -1].max(), "fiber sample")
+        return self.bounds.require(float(eig[:, 0].min()), float(eig[:, -1].max()), "fiber sample")
+
+    def check(self) -> tuple:
+        """The bounds check of ``extremes``, made once; returns the extremes."""
+        return self.extremes
+
+
+def _layer_weights(weights, nf: int) -> np.ndarray:
+    """Read-only layer fractions of ``nf`` fiber samples, uniform for None."""
+    w = np.full(nf, 1.0 / nf) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (nf,):
+        raise ValueError(f"weights must be {nf} layer fractions, one per fiber sample")
+    if not (np.all(w > 0.0) and abs(w.sum() - 1.0) <= 1e-12):      # NaN fails too
+        raise ValueError("weights must be positive and sum to 1")
+    w.setflags(write=False)
+    return w
 
 
 def _inverse_spd3(M: np.ndarray):
@@ -167,8 +175,10 @@ def reduce_fibers(c: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def fiber_reduce(fiber: FiberMaterial) -> QuadForm3:
-    """``reduce_fibers`` on one fiber."""
-    return QuadForm3(reduce_fibers(fiber.c[None], fiber.weights)[0], label="fiber-reduced")
+    """``reduce_fibers`` on one fiber that passes its bounds check."""
+    reduced = reduce_fibers(fiber.c[None], fiber.weights)[0]   # names a singular block first
+    fiber.extremes      # the bounds check, made once per fiber
+    return QuadForm3(reduced, label="fiber-reduced")
 
 
 def laminate_reduced_form(lambda1: float, lambda2, mu: float, weights=None) -> QuadForm3:
@@ -218,14 +228,7 @@ class SlabMaterial:
             raise ValueError("fiber_index must be a 3D cell grid")
         if idx.min() < 0 or idx.max() >= fibers.shape[0]:
             raise ValueError("fiber_index out of range")
-        if self.weights is None:
-            w = np.full(fibers.shape[1], 1.0 / fibers.shape[1])
-        else:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (fibers.shape[1],):
-                raise ValueError("weights must match the fiber sample count")
-            if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must be positive and sum to 1")
+        w = _layer_weights(self.weights, fibers.shape[1])
         if self.scale is None:
             s = np.ones(idx.shape)
         else:
@@ -275,8 +278,7 @@ class SlabMaterial:
         """The eigenvalue extremes, once every scaled cell sample has passed
         the declared bounds.  Kept after the first access; a failed check
         raises every time."""
-        self.bounds.require(*self._spectrum, "slab sample")
-        return self._spectrum
+        return self.bounds.require(*self._spectrum, "slab sample")
 
     def check(self) -> tuple:
         """The bounds check of ``extremes``, made once; returns the extremes."""

@@ -125,6 +125,15 @@ def _anisotropic_fiber_slab(rng, grid):
     return SlabMaterial(fibers=fibers, fiber_index=np.arange(ncells).reshape(grid))
 
 
+def _repeated_laws(r):
+    """4 laws of law-space rank ``r``, each repeated over the cells in a shuffled
+    pattern: too few cells per law for the grouped form, and law order is not
+    grid order."""
+    def laws(rng, ncells):
+        return _rank_laws(rng, 4, r)[rng.permutation(np.arange(ncells) % 4)]
+    return laws
+
+
 MATVEC_CASES = {
     # name: (grid, cell laws from rng, stiffness form expected, distinct laws)
     "one-law cell": (build_cell_grid(2, 2, 4),
@@ -163,6 +172,9 @@ MATVEC_CASES = {
     "rank above the cap": (build_slab_grid(4, 4, 2),
                            lambda rng, n: _rank_laws(rng, n, fem.LAW_RANK + 1), "stacked", 32),
     "unrebuilt soft cell": (build_cell_grid(3, 3, 3), _unrebuilt_soft_cell, "stacked", 27),
+    "repeated laws, stacked slab": (build_slab_grid(4, 3, 2), _repeated_laws(4), "stacked", 4),
+    "repeated laws, law-basis slab": (build_slab_grid(4, 3, 2), _repeated_laws(2),
+                                      "law-basis", 4),
 }
 
 
@@ -201,10 +213,25 @@ def test_law_grouping_survives_hash_collisions(monkeypatch):
                             _signed_zero_laws(rng, 32)])
     monkeypatch.setattr(fem, "_LAW_HASH", np.zeros(36, dtype=np.uint64))
     op = ElementOperator(grid, cellC)
-    assert op.cell_laws == 4 and op._Ke is not None
+    assert op.cell_laws == 4 and op.stiffness == "grouped"
     x = rng.standard_normal(grid.ndofs)
     ref = reference_matvec(op, x)
     assert np.abs(op.matvec(x) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_laws_numbered_by_first_appearance(monkeypatch, collide):
+    # law k is the k-th distinct law met in grid order, so a law per cell is grid order
+    rng = np.random.default_rng(67)
+    cellC = np.concatenate([_two_phase(rng, 6, lambda c: c % 3 == 0),
+                            _signed_zero_laws(rng, 6), _random_cellC(rng, 3)])
+    if collide:
+        monkeypatch.setattr(fem, "_LAW_HASH", np.zeros(36, dtype=np.uint64))
+    first, law = fem._distinct_laws(cellC)
+    assert np.array_equal(first, [0, 1, 6, 7, 12, 13, 14])
+    assert np.array_equal(law, [0, 1, 1, 0, 1, 1, 2, 3, 2, 3, 2, 3, 4, 5, 6])
+    first, law = fem._distinct_laws(cellC[first])
+    assert np.array_equal(first, np.arange(7)) and np.array_equal(law, np.arange(7))
 
 
 def test_energy_expansion_identity():
@@ -230,7 +257,7 @@ def test_solve_loads_energy_matrix_is_polarization():
                           (build_slab_grid(4, 4, 2), True)):
         if grouped:
             op = ElementOperator(grid, _two_phase(rng, grid.ncells, lambda c: c % 3 == 0))
-            assert op._Ke is not None
+            assert op.stiffness == "grouped"
         else:
             op = ElementOperator(grid, _random_cellC(rng, grid.ncells))
         loads = [rng.standard_normal(6) for _ in range(3)]
@@ -305,8 +332,8 @@ def test_constant_load_rhs_equals_pointwise_assembly(grid):
 
 
 LOAD_SIDE_OPERATORS = {
-    # name: (grid, cell laws from rng); the first word names the stiffness form,
-    # and only grouped operators take the per-law load side
+    # name: (grid, cell laws from rng); the first word names the stiffness form.
+    # Every operator takes the per-law load side in its law order
     "grouped cell": (build_cell_grid(4, 4, 4),
                      lambda rng, n: _two_phase(rng, n, lambda c: c % 3 == 0)),
     "stacked cell": (build_cell_grid(3, 4, 5), _random_cellC),
@@ -315,13 +342,15 @@ LOAD_SIDE_OPERATORS = {
     "stacked slab": (build_slab_grid(4, 3, 2), _random_cellC),
     "law-basis slab": (build_slab_grid(4, 4, 3),
                        lambda rng, n: fiber_per_cell_slab(rng, (4, 4, 3), nu=0.3).reduced_cells()),
+    "stacked slab, repeated laws": (build_slab_grid(4, 3, 2), _repeated_laws(4)),
+    "law-basis slab, repeated laws": (build_slab_grid(4, 3, 2), _repeated_laws(2)),
 }
 
 
 @pytest.mark.parametrize("case", list(LOAD_SIDE_OPERATORS))
 def test_law_order_load_side_matches_grid_order_and_pointwise(case):
-    # rhs, noise floor and residual K x + rhs, built per law (or per cell) in the
-    # operator's order and scattered once, against the per-cell grid-order rhs
+    # rhs, noise floor and residual K x + rhs, built per law in the operator's
+    # order and scattered once, against the per-cell grid-order rhs
     # and the quadrature-point references, for a 6-vector and, on slabs, the
     # pure-curvature, pure mid-plane and mixed pairs (G, A)
     grid, laws = LOAD_SIDE_OPERATORS[case]
@@ -341,20 +370,23 @@ def test_law_order_load_side_matches_grid_order_and_pointwise(case):
         assert np.abs(residual - (Kx + ref)).max() <= 1e-14 * np.abs(Kx + ref).max()
 
 
-@pytest.mark.parametrize("slab", [False, True])
-def test_grouped_operator_never_builds_grid_order_dofs(slab):
-    # a grouped operator scatters every load, floor and residual in law order;
-    # a stacked one takes the grid's own index
-    op = _column_operator(6, 4, slab)
-    assert op._Ke is not None
+@pytest.mark.parametrize("case", ["one-law cell", "random 3^3 cell", "separable slab",
+                                  "nu=0.3 fiber slab", "repeated laws, stacked slab",
+                                  "repeated laws, law-basis slab"])
+def test_no_operator_builds_grid_dofs(case):
+    # every form scatters stiffness, loads, floors and residuals with its own
+    # law-order index; only the dense oracle takes the grid's
+    template, laws, _, _ = MATVEC_CASES[case]
+    grid = (build_slab_grid if template.kind == "slab" else build_cell_grid)(*template.shape)
+    rng = np.random.default_rng(66)
+    op = ElementOperator(grid, laws(rng, grid.ncells))
     loads = list(np.eye(6))
-    if slab:
+    if grid.kind == "slab":
         loads = [np.stack([np.zeros(6), g]) for g in loads[:3]] + loads[:3]
     solve_loads(op, loads, 1e-10)
-    assert "dofs" not in op.grid.__dict__
-    rng = np.random.default_rng(66)
-    stacked = ElementOperator(op.grid, _random_cellC(rng, op.grid.ncells))
-    assert stacked._Ke is None and "dofs" in op.grid.__dict__
+    assert "dofs" not in grid.__dict__
+    if op.cell_laws == grid.ncells:      # a law per cell: grid order, no copy of the laws
+        assert op._idx is grid.idx and op._laws is op.cellC
 
 
 def test_overflowing_load_is_a_solver_error():

@@ -86,13 +86,14 @@ class TestCorrectorSolve:
     # Every entry point on a material that nobody checked first: the identity
     # law is positive definite, so only the bounds check can refuse it.
     ENTRY_POINTS = {
-        "corrector_solve_3d": lambda cell, slab: corrector_solve_3d(cell, E_BASIS[0]),
-        "homogenized_form_3d": lambda cell, slab: homogenized_form_3d(cell),
-        "bending_form_regime1": lambda cell, slab: bending_form_regime1(cell),
-        "brute_force_regime1": lambda cell, slab: brute_force_regime1(cell, np.eye(2)),
-        "slab_corrector_solve": lambda cell, slab: slab_corrector_solve(slab, ("A", 0)),
-        "bending_form_regime2": lambda cell, slab: bending_form_regime2(slab),
-        "brute_force_regime2": lambda cell, slab: brute_force_regime2(slab, np.eye(2)),
+        "corrector_solve_3d": lambda cell, slab, fiber: corrector_solve_3d(cell, E_BASIS[0]),
+        "homogenized_form_3d": lambda cell, slab, fiber: homogenized_form_3d(cell),
+        "bending_form_regime1": lambda cell, slab, fiber: bending_form_regime1(cell),
+        "brute_force_regime1": lambda cell, slab, fiber: brute_force_regime1(cell, np.eye(2)),
+        "slab_corrector_solve": lambda cell, slab, fiber: slab_corrector_solve(slab, ("A", 0)),
+        "bending_form_regime2": lambda cell, slab, fiber: bending_form_regime2(slab),
+        "brute_force_regime2": lambda cell, slab, fiber: brute_force_regime2(slab, np.eye(2)),
+        "fiber_reduce": lambda cell, slab, fiber: fiber_reduce(fiber),
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -101,9 +102,10 @@ class TestCorrectorSolve:
         cell = CellMaterial3(c=np.broadcast_to(np.eye(6), (1, 1, 2, 6, 6)).copy(), bounds=bounds)
         slab = SlabMaterial(fibers=np.broadcast_to(np.eye(6), (1, 2, 6, 6)).copy(),
                             fiber_index=np.zeros((1, 1, 2), dtype=np.int64), bounds=bounds)
+        fiber = FiberMaterial(c=slab.fibers[0], bounds=bounds)
         for _ in range(2):      # a failed check is not kept: the same object fails again
             with pytest.raises(AdmissibilityError, match="violates lower bound|below eta1"):
-                self.ENTRY_POINTS[entry](cell, slab)
+                self.ENTRY_POINTS[entry](cell, slab, fiber)
 
 
 class TestHomogenizedForm:

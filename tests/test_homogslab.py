@@ -331,6 +331,21 @@ class TestSlabMaterialValidation:
                 bounds=MaterialBounds(0.5, 2.0),
             )
 
+    @pytest.mark.parametrize("weights, match", [
+        ([1.0], "weights must be 2 layer fractions"),
+        ([1.5, -0.5], "positive and sum to 1"),
+        ([0.5, 0.6], "positive and sum to 1"),
+        ([np.nan, np.nan], "positive and sum to 1"),
+    ])
+    def test_fiber_and_slab_weights_checked_alike(self, weights, match):
+        fibers = np.broadcast_to(np.eye(6), (1, 2, 6, 6)).copy()
+        bounds = MaterialBounds(0.5, 2.0)
+        with pytest.raises(ValueError, match=match):
+            FiberMaterial(c=fibers[0], bounds=bounds, weights=weights)
+        with pytest.raises(ValueError, match=match):
+            SlabMaterial(fibers=fibers, fiber_index=np.zeros((1, 1, 1), dtype=np.int64),
+                         bounds=bounds, weights=weights)
+
     def test_separable_bounds_derived(self):
         slab = SlabMaterial.separable(
             np.full((1, 1, 2), 2.0), np.array([1.0, 3.0]), mu=0.5
@@ -372,3 +387,20 @@ class TestSlabMaterialValidation:
         again = bending_form_regime2(slab, tol=1e-12)
         assert sum(a is slab.fibers for a in args) == 1
         assert np.array_equal(first.form.matrix, again.form.matrix)
+
+    def test_fiber_check_runs_once(self, monkeypatch):
+        # fiber_reduce checks its fiber on first use and keeps the extremes
+        args = []
+
+        def counted(a, *rest, _eigvalsh=np.linalg.eigvalsh, **kwargs):
+            args.append(a)
+            return _eigvalsh(a, *rest, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        fiber = random_fiber(np.random.default_rng(41), nf=3)
+        first, again = fiber_reduce(fiber), fiber_reduce(fiber)
+        assert sum(a is fiber.c for a in args) == 1
+        assert fiber.check() == fiber.extremes
+        lo, hi = fiber.extremes
+        assert fiber.bounds.eta1 <= lo <= hi <= fiber.bounds.eta2
+        assert np.array_equal(first.matrix, again.matrix)
