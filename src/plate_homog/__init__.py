@@ -79,51 +79,9 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
 
-__all__ = [
-    "AdmissibilityError",
-    "CellMaterial3",
-    "CorrectorField3",
-    "DegenerateMaterialError",
-    "DegenerateProfileError",
-    "EffectiveReport",
-    "FiberMaterial",
-    "MaterialBounds",
-    "MomentTriple",
-    "PlateHomogError",
-    "QuadForm2",
-    "QuadForm3",
-    "SizeCapError",
-    "SlabCorrector",
-    "SlabMaterial",
-    "SolverError",
-    "SpecFormatError",
-    "SurfaceSpec",
-    "SweepError",
-    "ThicknessProfile",
-    "bending_form",
-    "bending_form_regime1",
-    "bending_form_regime2",
-    "bilayer_closed_form",
-    "brute_force_regime1",
-    "brute_force_regime2",
-    "corrector_solve_3d",
-    "fiber_reduce",
-    "homogenized_form_3d",
-    "laminate_closed_form",
-    "laminate_reduced_form",
-    "mandel2",
-    "mandel3",
-    "moment_matrices",
-    "oscillation_experiment",
-    "parse_material_spec",
-    "plane_stress_reduce",
-    "plate_energy",
-    "profile_average",
-    "qf_check_class",
-    "qf_eval",
-    "qf_isotropic",
-    "reduce_profile",
-    "slab_corrector_solve",
-    "unmandel2",
-    "unmandel3",
-]
+# the eager names of core and errors, and the lazy ones
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if getattr(value, "__module__", "").startswith(__name__ + ".")]
+    + list(_LAZY)
+)

@@ -84,15 +84,23 @@ EMBED_2_TO_3 = np.zeros((6, 3))
 EMBED_2_TO_3[0, 0] = EMBED_2_TO_3[1, 1] = EMBED_2_TO_3[5, 2] = 1.0
 
 
+def _asymmetry(m):
+    """``(asym, bad)`` per matrix of a stack ``m`` (..., n, n): the largest entry
+    of ``|m - m^T|``, and whether it exceeds ``1e-12 * max(1, max |m|)``."""
+    d = m - m.swapaxes(-1, -2)
+    asym = np.abs(d, out=d).max(axis=(-2, -1))
+    size = np.maximum(m.max(axis=(-2, -1)), -m.min(axis=(-2, -1)))
+    return asym, asym > 1e-12 * np.maximum(size, 1.0)
+
+
 def _frozen_sym(matrix, n, what):
     m = np.array(matrix, dtype=float)
     if m.shape != (n, n):
         raise ValueError(f"{what} must be {n}x{n}, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} contains non-finite entries")
-    asym = np.abs(m - m.T).max()
-    scale = max(np.abs(m).max(), 1.0)
-    if asym > 1e-12 * scale:
+    asym, bad = _asymmetry(m)
+    if bad:
         raise ValueError(f"{what} is not symmetric (max asymmetry {asym:.3e})")
     m.setflags(write=False)
     return m
@@ -161,14 +169,67 @@ class MaterialBounds:
         """How far an eigenvalue may pass the bounds: ``BOUNDS_RTOL * max(eta2, 1)``."""
         return BOUNDS_RTOL * max(self.eta2, 1.0)
 
-    def require(self, lo: float, hi: float, what: str) -> tuple:
-        """``(lo, hi)``, once the smallest and largest eigenvalues of ``what`` are
-        found inside the bounds; ``AdmissibilityError`` otherwise."""
-        if lo < self.eta1 - self.slack:
-            raise AdmissibilityError(f"{what} eigenvalue {lo:.6g} below eta1={self.eta1:.6g}")
-        if hi > self.eta2 + self.slack:
-            raise AdmissibilityError(f"{what} eigenvalue {hi:.6g} above eta2={self.eta2:.6g}")
+    @classmethod
+    def inferred(cls, eig, cells=None, scale=None) -> "MaterialBounds":
+        """The tightest bounds of the samples of ``assess``: their extreme eigenvalues."""
+        lo, hi = _sample_extremes(eig, cells, scale)
+        return cls(float(lo.min()), float(hi.max()))
+
+    def assess(self, samples, eig, what: str, cells=None, scale=None) -> tuple:
+        """``(lo, hi, violations)`` of a stack of material samples.
+
+        ``samples`` (m, ..., k, k) holds ``m`` groups of laws and ``eig``
+        their ascending eigenvalues (m, ..., k), as ``np.linalg.eigvalsh``
+        gives them; only the first and last along the last axis are read, so
+        each group's two extremes will do.  Sample ``j`` is group ``cells[j]``
+        scaled by ``scale[j] > 0``; by default each group once, unscaled.
+        ``lo`` and ``hi`` are the smallest and largest eigenvalue over the
+        samples.  ``violations`` holds one text per failed test, in this
+        order, each naming the first offending sample as ``what.format(j)``:
+        a law not symmetric within ``1e-12 * max(1, max |entry|)``, an
+        eigenvalue below ``eta1`` or above ``eta2`` by more than ``slack``.
+        ``eigvalsh`` reads one triangle only, so its bounds hold for
+        symmetric laws alone.
+        """
+        m = len(samples)
+        asym, bad = _asymmetry(samples)
+        asym, bad = asym.reshape(m, -1).max(axis=1), bad.reshape(m, -1).any(axis=1)
+        if cells is not None:
+            asym, bad = asym[cells], bad[cells]
+        lo, hi = _sample_extremes(eig, cells, scale)
+        tests = (
+            (bad, "{what} is not symmetric (max asymmetry {asym:.3e})"),
+            (lo < self.eta1 - self.slack,
+             "{what} violates lower bound: eigenvalue {lo:.6g} < eta1={eta1:.6g}"),
+            (hi > self.eta2 + self.slack,
+             "{what} violates upper bound: eigenvalue {hi:.6g} > eta2={eta2:.6g}"),
+        )
+        violations = []
+        for failed, text in tests:
+            if failed.any():
+                j = int(np.argmax(failed))
+                violations.append(text.format(what=what.format(j), asym=asym[j], lo=lo[j],
+                                              hi=hi[j], eta1=self.eta1, eta2=self.eta2))
+        return float(lo.min()), float(hi.max()), tuple(violations)
+
+    def require(self, samples, eig, what: str, cells=None, scale=None) -> tuple:
+        """``(lo, hi)`` of ``assess``, once every test passed;
+        ``AdmissibilityError`` with the first failure otherwise."""
+        lo, hi, violations = self.assess(samples, eig, what, cells, scale)
+        if violations:
+            raise AdmissibilityError(violations[0])
         return lo, hi
+
+
+def _sample_extremes(eig, cells, scale):
+    """Smallest and largest eigenvalue of each sample of ``MaterialBounds.assess``."""
+    m = len(eig)
+    lo, hi = eig[..., 0].reshape(m, -1).min(axis=1), eig[..., -1].reshape(m, -1).max(axis=1)
+    if cells is not None:
+        lo, hi = lo[cells], hi[cells]
+    if scale is not None:
+        lo, hi = scale * lo, scale * hi
+    return lo, hi
 
 
 def qf_eval(q: QuadForm3 | QuadForm2, G) -> float:
@@ -224,15 +285,7 @@ def qf_check_class(q: QuadForm3, bounds: MaterialBounds) -> ClassCheckReport:
     sample set purely as a consistency diagnostic, not as a second gate.
     """
     eig = np.linalg.eigvalsh(q.matrix)
-    violations = []
-    if eig[0] < bounds.eta1 - bounds.slack:
-        violations.append(
-            f"eigenvalue {eig[0]:.6g} falls below lower bound eta1={bounds.eta1:.6g}"
-        )
-    if eig[-1] > bounds.eta2 + bounds.slack:
-        violations.append(
-            f"eigenvalue {eig[-1]:.6g} exceeds upper bound eta2={bounds.eta2:.6g}"
-        )
+    _, _, violations = bounds.assess(q.matrix[None], eig[None], "form")
 
     rng = np.random.default_rng(_LIPSCHITZ_SEED)
     margin = -np.inf
@@ -250,7 +303,7 @@ def qf_check_class(q: QuadForm3, bounds: MaterialBounds) -> ClassCheckReport:
         eig_max=float(eig[-1]),
         eta1=bounds.eta1,
         eta2=bounds.eta2,
-        violations=tuple(violations),
+        violations=violations,
         lipschitz_ok=lipschitz_ok,
         lipschitz_margin=float(margin),
     )

@@ -24,7 +24,6 @@ import time
 import numpy as np
 
 from .core import DEFAULT_TOL, EffectiveReport, MaterialBounds, QuadForm2, QuadForm3, mandel3
-from .errors import AdmissibilityError
 from .fem import ElementOperator, _distinct_laws, build_cell_grid, solve_loads, solver_diagnostics
 from .reduction import plane_stress_reduce
 
@@ -64,33 +63,17 @@ class CellMaterial3:
 
     def inferred_bounds(self) -> MaterialBounds:
         """The tightest bounds: the extreme eigenvalues over all samples."""
-        eig = self._spectrum[2]
-        return MaterialBounds(float(eig[:, 0].min()), float(eig[:, -1].max()))
+        return MaterialBounds.inferred(self._spectrum[2])
 
     @cached_property
     def law_index(self):
         """The law index ``(first, law)`` of the material, once it has passed
-        its check: every sample symmetric and inside the declared eigenvalue
-        interval, tested per distinct law, an error naming the first offending
-        cell.  Kept after the first access; a failed check raises every time.
+        its check: ``MaterialBounds.require`` on the distinct laws, an error
+        naming the first offending cell.  Kept after the first access; a
+        failed check raises every time.
         """
         laws, (first, law), eig = self._spectrum
-        asym = np.abs(laws - laws.transpose(0, 2, 1)).max()
-        if asym > 1e-12 * max(1.0, np.abs(laws).max()):
-            raise AdmissibilityError(f"cell sample matrices not symmetric (max {asym:.3e})")
-        lo, hi = eig[law, 0], eig[law, -1]
-        tol = self.bounds.slack
-        low, high = lo.argmin(), hi.argmax()
-        if lo[low] < self.bounds.eta1 - tol:
-            raise AdmissibilityError(
-                f"cell sample {low} violates lower bound: eigenvalue "
-                f"{lo[low]:.6g} < eta1={self.bounds.eta1:.6g}"
-            )
-        if hi[high] > self.bounds.eta2 + tol:
-            raise AdmissibilityError(
-                f"cell sample {high} violates upper bound: eigenvalue "
-                f"{hi[high]:.6g} > eta2={self.bounds.eta2:.6g}"
-            )
+        self.bounds.require(laws, eig, "cell sample {}", cells=law)
         return first, law
 
     def check(self):
@@ -103,9 +86,6 @@ class CellMaterial3:
         for axis in range(3):
             c = np.repeat(c, factor, axis=axis)
         return CellMaterial3(c=c, bounds=self.bounds)
-
-    def average(self) -> QuadForm3:
-        return QuadForm3(self.flat().mean(axis=0))
 
     @classmethod
     def homogeneous(cls, q3: QuadForm3, grid=(1, 1, 1), bounds: MaterialBounds | None = None):

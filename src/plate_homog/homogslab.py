@@ -44,6 +44,7 @@ from .core import (
 )
 from .errors import AdmissibilityError, DegenerateMaterialError
 from .fem import ElementOperator, build_slab_grid, solve_loads, solver_diagnostics
+from .reduction import spd_schur
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +69,9 @@ class FiberMaterial:
 
     @cached_property
     def extremes(self) -> tuple:
-        """The samples' eigenvalue extremes, once inside the bounds; a failure is not kept."""
-        eig = np.linalg.eigvalsh(self.c)
-        return self.bounds.require(float(eig[:, 0].min()), float(eig[:, -1].max()), "fiber sample")
+        """The samples' eigenvalue extremes, once they pass ``MaterialBounds.require``;
+        a failure is not kept."""
+        return self.bounds.require(self.c, np.linalg.eigvalsh(self.c), "fiber sample {}")
 
     def check(self) -> tuple:
         """The bounds check of ``extremes``, made once; returns the extremes."""
@@ -260,25 +261,24 @@ class SlabMaterial:
 
     @cached_property
     def _spectrum(self):
-        """Smallest and largest eigenvalue over all scaled samples, computed
-        once for ``inferred_bounds`` and the check."""
-        eig = np.linalg.eigvalsh(self.fibers)          # (nfib, nf, 6)
-        fiber_lo = eig[:, :, 0].min(axis=1)            # per-fiber extremes
-        fiber_hi = eig[:, :, -1].max(axis=1)
-        s = self.scale.reshape(-1)
-        idx = self.fiber_index.reshape(-1)
-        return float((s * fiber_lo[idx]).min()), float((s * fiber_hi[idx]).max())
+        """Each fiber's smallest and largest eigenvalue (nfib, 2), from one
+        ``eigvalsh`` of the fibers, kept for ``inferred_bounds`` and the check."""
+        eig = np.linalg.eigvalsh(self.fibers)
+        return np.stack([eig[:, :, 0].min(axis=1), eig[:, :, -1].max(axis=1)], axis=1)
 
     def inferred_bounds(self) -> MaterialBounds:
         """The tightest bounds: the extreme eigenvalues over all scaled samples."""
-        return MaterialBounds(*self._spectrum)
+        return MaterialBounds.inferred(self._spectrum, self.fiber_index.reshape(-1),
+                                       self.scale.reshape(-1))
 
     @cached_property
     def extremes(self) -> tuple:
         """The eigenvalue extremes, once every scaled cell sample has passed
-        the declared bounds.  Kept after the first access; a failed check
-        raises every time."""
-        return self.bounds.require(*self._spectrum, "slab sample")
+        ``MaterialBounds.require``, an error naming the first offending cell
+        by its flat index.  Kept after the first access; a failed check raises
+        every time."""
+        return self.bounds.require(self.fibers, self._spectrum, "slab cell {}",
+                                   self.fiber_index.reshape(-1), self.scale.reshape(-1))
 
     def check(self) -> tuple:
         """The bounds check of ``extremes``, made once; returns the extremes."""
@@ -402,19 +402,11 @@ def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL) -> Effect
     op = _slab_operator(slab)
     basis = [("A", i) for i in range(3)] + [("B", i) for i in range(3)]
     _, N, solves = solve_loads(op, [_load_strain(load) for load in basis], tol)
-    Naa = N[:3, :3]
-    Nab = N[:3, 3:]
-    Nbb = N[3:, 3:]
-    try:
-        np.linalg.cholesky(Nbb)
-    except np.linalg.LinAlgError:
-        raise AdmissibilityError(
-            "mid-plane energy block is not positive definite; "
-            "this cannot happen for admissible materials"
-        ) from None
-    X = np.linalg.solve(Nbb, Nab.T)   # Nbb^-1 Nba
-    q0p = Naa - Nab @ X
-    bstar = -X
+    q0p, X = spd_schur(
+        N[:3, :3], N[:3, 3:].T, N[3:, 3:],
+        AdmissibilityError("mid-plane energy block is not positive definite; "
+                           "this cannot happen for admissible materials"),
+    )
     diagnostics = {
         "grid": list(slab.grid_shape),
         "fiber_samples": int(slab.fiber_samples),
@@ -423,8 +415,8 @@ def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL) -> Effect
         "runtime_s": time.perf_counter() - t0,
     }
     return EffectiveReport(
-        form=QuadForm2(0.5 * (q0p + q0p.T), label="bending-regime2"),
-        optimal_b=bstar,
+        form=QuadForm2(q0p, label="bending-regime2"),
+        optimal_b=-X,
         regime="regime2",
         diagnostics=diagnostics,
     )

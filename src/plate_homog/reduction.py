@@ -106,6 +106,23 @@ class MomentTriple:
     m2: np.ndarray
 
 
+def spd_schur(A, Bt, D, error: Exception):
+    """``(S, X)``: the Schur complement ``S`` of the positive definite block
+    ``D`` in ``[[A, Bt^T], [Bt, D]]``, symmetrized, and ``X = D^-1 Bt``.
+
+    ``S = 0.5 (Q + Q^T)`` with ``Q = A - Bt^T X``; minimizing the quadratic
+    form over the ``D`` slots leaves ``S`` with minimizer ``-X``.  Raises
+    ``error`` when ``D`` fails the Cholesky test.
+    """
+    try:
+        np.linalg.cholesky(D)
+    except np.linalg.LinAlgError:
+        raise error from None
+    X = np.linalg.solve(D, Bt)
+    Q = A - Bt.T @ X
+    return 0.5 * (Q + Q.T), X
+
+
 def plane_stress_reduce(q3: QuadForm3):
     """Minimize a 3D form over its out-of-plane strain slots.
 
@@ -117,20 +134,13 @@ def plane_stress_reduce(q3: QuadForm3):
     """
     C = q3.matrix
     p, o = list(IN_PLANE), list(OUT_OF_PLANE)
-    Cpp = C[np.ix_(p, p)]
-    Coo = C[np.ix_(o, o)]
-    Cop = C[np.ix_(o, p)]
-    try:
-        np.linalg.cholesky(Coo)
-    except np.linalg.LinAlgError:
-        raise DegenerateMaterialError(
-            "out-of-plane block of the material form is not positive definite"
-        ) from None
-    X = np.linalg.solve(Coo, Cop)  # Coo^-1 Cop
-    reduced = Cpp - Cop.T @ X
+    reduced, X = spd_schur(
+        C[np.ix_(p, p)], C[np.ix_(o, p)], C[np.ix_(o, o)],
+        DegenerateMaterialError("out-of-plane block of the material form is not positive definite"),
+    )
     dstar = _OOP_TO_D @ (-X)
     label = f"plane-stress({q3.label})" if q3.label else ""
-    return QuadForm2(0.5 * (reduced + reduced.T), label=label), dstar
+    return QuadForm2(reduced, label=label), dstar
 
 
 def reduce_profile(profile: ThicknessProfile) -> ThicknessProfile:
@@ -174,15 +184,9 @@ def bending_form(profile: ThicknessProfile):
     """
     profile = reduce_profile(profile)
     mom = moment_matrices(profile)
-    try:
-        np.linalg.cholesky(mom.m0)
-    except np.linalg.LinAlgError:
-        raise DegenerateProfileError(
-            "zeroth thickness moment is not positive definite"
-        ) from None
-    X = np.linalg.solve(mom.m0, mom.m1)  # M0^-1 M1
-    q0 = mom.m2 - mom.m1.T @ X
-    return QuadForm2(0.5 * (q0 + q0.T)), -X
+    q0, X = spd_schur(mom.m2, mom.m1, mom.m0,
+                      DegenerateProfileError("zeroth thickness moment is not positive definite"))
+    return QuadForm2(q0), -X
 
 
 def profile_average(profile: ThicknessProfile) -> QuadForm2:

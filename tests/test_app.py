@@ -450,6 +450,23 @@ class TestExitCodes:
         assert payload["exit_code"] == EXIT_PARSE
         assert payload["message"].startswith(f"{path}.{key}: ")
 
+    @pytest.mark.parametrize("command", ["homog-regime2", "oracle-check"])
+    def test_asymmetric_fiber_is_admissibility_error(self, tmp_path, capsys, command):
+        # the symmetric part of the first sample has eigenvalue -1.5, which
+        # eigvalsh, reading the lower triangle (the identity), cannot see
+        bad = np.eye(6)
+        bad[0, 1] = 5.0
+        material = {"kind": "slab-cells", "x3_grid": 2, "inplane_grid": [1, 1], "fiber_grid": 4,
+                    "fibers": [[bad.tolist()] + [np.eye(6).tolist()] * 3], "fiber_index": [0, 0]}
+        path = write_spec(tmp_path, {"convention": CONVENTION, "command": command,
+                                     "material": material})
+        assert main([command, "--spec", str(path), "--out", str(tmp_path)]) == EXIT_ADMISSIBILITY
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "AdmissibilityError", "exit_code": EXIT_ADMISSIBILITY,
+            "message": "slab cell 0 is not symmetric (max asymmetry 5.000e+00)"}
+
     def test_out_of_memory_is_size_cap_error(self, fixtures_dir, tmp_path, monkeypatch, capsys):
         # a stand-in for an input too large to allocate: a real one may be
         # granted by an overcommitting host and then killed

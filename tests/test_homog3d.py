@@ -84,7 +84,9 @@ class TestCorrectorSolve:
         assert e1 == pytest.approx(e2, rel=1e-14)
 
     # Every entry point on a material that nobody checked first: the identity
-    # law is positive definite, so only the bounds check can refuse it.
+    # law is positive definite, so only the bounds check can refuse it, and
+    # the asymmetric law has a symmetric part with eigenvalue -1.5 that
+    # ``eigvalsh`` cannot see: it reads the lower triangle, the identity.
     ENTRY_POINTS = {
         "corrector_solve_3d": lambda cell, slab, fiber: corrector_solve_3d(cell, E_BASIS[0]),
         "homogenized_form_3d": lambda cell, slab, fiber: homogenized_form_3d(cell),
@@ -98,14 +100,24 @@ class TestCorrectorSolve:
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_inadmissible_material_rejected(self, entry):
-        bounds = MaterialBounds(2.0, 3.0)
-        cell = CellMaterial3(c=np.broadcast_to(np.eye(6), (1, 1, 2, 6, 6)).copy(), bounds=bounds)
-        slab = SlabMaterial(fibers=np.broadcast_to(np.eye(6), (1, 2, 6, 6)).copy(),
-                            fiber_index=np.zeros((1, 1, 2), dtype=np.int64), bounds=bounds)
-        fiber = FiberMaterial(c=slab.fibers[0], bounds=bounds)
-        for _ in range(2):      # a failed check is not kept: the same object fails again
-            with pytest.raises(AdmissibilityError, match="violates lower bound|below eta1"):
-                self.ENTRY_POINTS[entry](cell, slab, fiber)
+        asymmetric = np.eye(6)
+        asymmetric[0, 1] = 5.0
+        # one text for cell, slab and fiber, which name their sample 0 "cell
+        # sample 0", "slab cell 0" and "fiber sample 0"
+        for law, bounds, match in (
+            (np.eye(6), MaterialBounds(2.0, 3.0),
+             r" 0 violates lower bound: eigenvalue 1 < eta1=2$"),
+            (asymmetric, MaterialBounds(0.5, 2.0),
+             r" 0 is not symmetric \(max asymmetry 5\.000e\+00\)$"),
+        ):
+            samples = np.stack([law, np.eye(6)])
+            cell = CellMaterial3(c=samples.reshape(1, 1, 2, 6, 6), bounds=bounds)
+            slab = SlabMaterial(fibers=samples[None], bounds=bounds,
+                                fiber_index=np.zeros((1, 1, 2), dtype=np.int64))
+            fiber = FiberMaterial(c=samples, bounds=bounds)
+            for _ in range(2):      # a failed check is not kept: the same object fails again
+                with pytest.raises(AdmissibilityError, match=match):
+                    self.ENTRY_POINTS[entry](cell, slab, fiber)
 
 
 class TestHomogenizedForm:

@@ -331,6 +331,23 @@ class TestSlabMaterialValidation:
                 bounds=MaterialBounds(0.5, 2.0),
             )
 
+    @pytest.mark.parametrize("index, scale, match", [
+        pytest.param([0, 0, 0, 1], [1.0] * 4,
+                     r"^slab cell 3 violates lower bound: eigenvalue 0\.25 < eta1=0\.5$",
+                     id="lower-by-fiber"),
+        pytest.param([0, 0, 0, 0], [1.0, 1.0, 3.0, 1.0],
+                     r"^slab cell 2 violates upper bound: eigenvalue 3 > eta2=2$",
+                     id="upper-by-scale"),
+    ])
+    def test_out_of_bounds_slab_names_its_cell(self, index, scale, match):
+        # fiber 0 is the identity, fiber 1 a quarter of it: a cell leaves the
+        # bounds by its fiber or by its scale, and the text names its flat index
+        fibers = np.stack([np.eye(6), 0.25 * np.eye(6)])[:, None]
+        slab = SlabMaterial(fibers=fibers, fiber_index=np.reshape(index, (1, 2, 2)),
+                            bounds=MaterialBounds(0.5, 2.0), scale=np.reshape(scale, (1, 2, 2)))
+        with pytest.raises(AdmissibilityError, match=match):
+            slab.check()
+
     @pytest.mark.parametrize("weights, match", [
         ([1.0], "weights must be 2 layer fractions"),
         ([1.5, -0.5], "positive and sum to 1"),
