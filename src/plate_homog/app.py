@@ -13,7 +13,7 @@ result, so the pipelines do not check it again.  Commands:
 - ``oscillate``      bending forms of n-fold squeezed profiles vs. their average
 - ``oracle-check``   solver pipelines against the dense oracles
 - ``energy``         plate energy of a bending form on a cylinder
-- ``sweep``          fan out a list of scenarios (PLATE_HOMOG_THREADS caps workers)
+- ``sweep``          run a list of scenarios, in order
 
 Exit codes: 0 ok, 2 parse/schema, a bad command line or an output that
 cannot be written, 3 admissibility, 4 solver or oracle mismatch, 5
@@ -23,10 +23,11 @@ object on stderr.
 This module imports the thickness layer (``reduction``) and ``iojson``
 only.  ``homog3d``, ``homogslab`` and ``oracle`` (and with them ``fem``
 and scipy) are imported by the reader or runner that needs them, and the
-pipelines are looked up on their modules when they are called; the
-thread pool is imported by ``sweep`` alone.  ``reduce``, ``bending``,
-``oscillate``, ``energy``, a bad command line and a spec refused before
-its material is built therefore load no corrector solver.
+pipelines are looked up on their modules when they are called.  The
+material kinds a command takes are checked before any reader runs.
+``reduce``, ``bending``, ``oscillate``, ``energy``, a bad command line
+and a spec refused before its material is built (a material of the wrong
+kind included) therefore load no corrector solver.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -61,8 +61,6 @@ from .reduction import (
     reduce_profile,
 )
 
-THREADS_ENV = "PLATE_HOMOG_THREADS"
-
 DEFAULT_SETTINGS = {
     "tol": DEFAULT_TOL,
     "x3_samples": 8,
@@ -77,6 +75,8 @@ SETTING_RANGES = {
     "check_tol": (1e-16, 1e-2),
     "oracle_loads": (1, 16),
 }
+INTEGER_SETTINGS = ("x3_samples", "oracle_loads")
+PERIODS_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -143,19 +143,20 @@ def _read_settings(obj: dict | None, path: str) -> dict:
             raise SpecFormatError(f"{path}: unknown setting {key!r}")
         settings[key] = value
     for key, (lo, hi) in SETTING_RANGES.items():
-        v = settings[key]
         with iojson.at_key(f"{path}.{key}"):
+            if key in INTEGER_SETTINGS:
+                settings[key] = iojson._int(settings[key])
+            v = settings[key]
             in_range = lo <= v <= hi
         if not in_range:
             raise SpecFormatError(f"{path}: setting {key}={v} outside [{lo}, {hi}]")
-    periods = settings["periods"]
     with iojson.at_key(path + ".periods"):
-        valid = periods and all(int(n) == n and n >= 1 for n in periods)
-    if not valid:
-        raise SpecFormatError(f"{path}: periods must be positive integers")
-    settings["periods"] = [int(n) for n in periods]
-    settings["x3_samples"] = int(settings["x3_samples"])
-    settings["oracle_loads"] = int(settings["oracle_loads"])
+        periods = list(iojson._ints(settings["periods"]))
+    if not periods or min(periods) < 1 or max(periods) > PERIODS_MAX:
+        raise SpecFormatError(
+            f"{path}.periods: periods must be a non-empty list of integers in [1, {PERIODS_MAX}]"
+        )
+    settings["periods"] = periods
     return settings
 
 
@@ -170,33 +171,49 @@ def _read_surface(obj: dict, path: str) -> SurfaceSpec:
         raise SpecFormatError(f"{path}: {exc}") from None
 
 
-def _read_material(obj: dict, path: str):
-    """The material of ``obj``; a cell or slab material is checked here."""
+def _read_name(obj: dict, path: str, default: str) -> str:
+    """The output file prefix: a plain file-name stem, so that every output
+    lands in ``--out``."""
+    name = obj.get("name", default)
+    if not isinstance(name, str) or name in ("", ".", "..") or set(name) & set("/\\\0"):
+        raise SpecFormatError(
+            f"{path}.name: name must be a non-empty file-name stem without '/', '\\' "
+            f"or NUL, and not '.' or '..'; got {name!r}"
+        )
+    return name
+
+
+# The material kinds each command takes, checked before any reader runs.
+_KINDS = {
+    "reduce": ("form3", "isotropic", "profile"),
+    "bending": ("profile",),
+    "oscillate": ("profile",),
+    "homog-regime1": ("cell", "isotropic-field"),
+    "homog-regime2": ("slab", "slab-cells"),
+    "oracle-check": ("cell", "isotropic-field", "slab", "slab-cells"),
+}
+
+
+def _read_material(obj: dict, path: str, command: str):
+    """The material of ``obj``, whose kind ``command`` must take; a cell or
+    slab material is checked here."""
     kind = iojson._get(obj, "kind", path)
-    if kind in ("form3", "form2", "isotropic"):
+    kinds = _KINDS[command]
+    if kind not in kinds:
+        raise SpecFormatError(
+            f"{path}: command {command!r} takes material kind "
+            f"{' or '.join(map(repr, kinds))}, got {kind!r}"
+        )
+    if kind in ("form3", "isotropic"):
         return iojson.read_form(obj, path)
     if kind == "profile":
         return iojson.read_profile(obj, path)
     if kind in ("cell", "isotropic-field"):
         material = iojson.read_cell_material(obj, path)
-    elif kind in ("slab", "slab-cells"):
-        material = iojson.read_slab_material(obj, path)
     else:
-        raise SpecFormatError(f"{path}: unknown material kind {kind!r}")
+        material = iojson.read_slab_material(obj, path)
     material.check()
     return material
-
-
-# The material classes each command takes, as (module, class) pairs, so
-# that checking a material's type imports no pipeline module.
-_MATERIALS = {
-    "reduce": (("core", "QuadForm3"), ("reduction", "ThicknessProfile")),
-    "bending": (("reduction", "ThicknessProfile"),),
-    "oscillate": (("reduction", "ThicknessProfile"),),
-    "homog-regime1": (("homog3d", "CellMaterial3"),),
-    "homog-regime2": (("homogslab", "SlabMaterial"),),
-    "oracle-check": (("homog3d", "CellMaterial3"), ("homogslab", "SlabMaterial")),
-}
 
 
 def _is_a(obj, module: str, cls: str) -> bool:
@@ -219,7 +236,7 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
     if command not in COMMANDS:
         raise SpecFormatError(f"{path}: unknown command {command!r}")
     settings = _read_settings(obj.get("settings"), path)
-    name = str(obj.get("name", command))
+    name = _read_name(obj, path, command)
 
     if command == "sweep":
         subs_raw = iojson._get(obj, "scenarios", path)
@@ -251,14 +268,7 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
         surface = _read_surface(iojson._get(obj, "surface", path), path + ".surface")
         return Scenario(command=command, name=name, settings=settings, form=form, surface=surface)
 
-    material = _read_material(iojson._get(obj, "material", path), path + ".material")
-
-    wants = _MATERIALS[command]
-    if not any(_is_a(material, module, cls) for module, cls in wants):
-        names = " or ".join(cls for _, cls in wants)
-        raise SpecFormatError(
-            f"{path}.material: command {command!r} needs {names}, got {type(material).__name__}"
-        )
+    material = _read_material(iojson._get(obj, "material", path), path + ".material", command)
     if command == "oscillate" and material.rule == "gauss":
         raise SpecFormatError(
             f"{path}.material: oscillate needs a piecewise-constant profile (layers or midpoint)"
@@ -307,7 +317,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         factor = factors.pop()
         if factor > 1:
             material = material.refine(factor)
-    _read_settings({k: v for k, v in settings.items()}, "overrides")
+    _read_settings(settings, "overrides")
     return replace(scenario, settings=settings, material=material)
 
 
@@ -444,40 +454,21 @@ def _run_energy(scenario: Scenario, out_dir: Path) -> dict:
     return {"artifact": str(path), "energy": value}
 
 
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise SpecFormatError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-        if n < 1:
-            raise SpecFormatError(f"{THREADS_ENV} must be >= 1")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
 def _run_sweep(scenario: Scenario, out_dir: Path) -> dict:
-    """Run every sub-scenario; a failed one does not stop the others.
+    """Run every sub-scenario, in order; a failed one does not stop the others.
 
     The summary CSV is always written; a failed scenario has an empty
     artifact.  If any failed, the sweep then raises ``SweepError`` with
     the worst exit code, naming each failed scenario and its exit code.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     results, failures = {}, {}
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        futures = {
-            pool.submit(run_scenario, sub, out_dir): sub.name for sub in scenario.subs
-        }
-        for future, name in futures.items():
-            try:
-                results[name] = future.result()
-            except PlateHomogError as exc:
-                failures[name] = exc
-            except MemoryError as exc:
-                failures[name] = _out_of_memory(exc)
+    for sub in scenario.subs:
+        try:
+            results[sub.name] = run_scenario(sub, out_dir)
+        except PlateHomogError as exc:
+            failures[sub.name] = exc
+        except MemoryError as exc:
+            failures[sub.name] = _out_of_memory(exc)
     csv_path = out_dir / f"{scenario.name}-summary.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

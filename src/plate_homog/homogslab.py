@@ -63,6 +63,8 @@ class FiberMaterial:
         c = np.ascontiguousarray(self.c, dtype=float)
         if c.ndim != 3 or c.shape[1:] != (6, 6):
             raise ValueError(f"fiber samples must be (nf, 6, 6), got {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("fiber samples contain non-finite entries")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "weights", _layer_weights(self.weights, c.shape[0]))

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -36,6 +37,8 @@ SLAB = {"kind": "slab", "x3_grid": 2, "inplane_grid": [1, 1], "fiber_grid": 2, "
         "lambda2": [1.0, 2.0], "mu": 1.0}
 FIELD = {"kind": "isotropic-field", "grid": [1, 1, 2], "mu_grid": [0.5, 1.5],
          "lambda_grid": [0.0, 0.0]}
+PROFILE = {"kind": "profile", "rule": "midpoint",
+           "samples": [np.eye(3).tolist(), (2 * np.eye(3)).tolist()]}
 
 
 def write_spec(tmp_path, obj, name="spec.json"):
@@ -280,11 +283,21 @@ class TestCommands:
         assert rc == EXIT_OK
         assert len(calls) == 1
 
-    def test_sweep_with_thread_cap(self, fixtures_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("PLATE_HOMOG_THREADS", "1")
+    def test_sweep_writes_summary(self, fixtures_dir, tmp_path, monkeypatch):
+        from plate_homog import app
+
+        threads = []
+
+        def recorded(*args, _run=app.run_scenario, **kwargs):
+            threads.append(threading.get_ident())
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(app, "run_scenario", recorded)
         rc = main(["sweep", "--spec", str(fixtures_dir / "sweep_regimes.json"),
                    "--out", str(tmp_path)])
         assert rc == EXIT_OK
+        # the sweep and each of its two scenarios, all on the calling thread
+        assert threads == [threading.get_ident()] * 3
         with open(tmp_path / "regimes-summary.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["scenario"] for r in rows} == {"laminate-r1", "laminate-r2"}
@@ -297,7 +310,6 @@ class TestCommands:
         def fail(*args, **kwargs):
             raise SolverError("forced failure")
 
-        monkeypatch.setenv("PLATE_HOMOG_THREADS", "2")
         monkeypatch.setattr(homogslab, "bending_form_regime2", fail)
         rc = main(["sweep", "--spec", str(fixtures_dir / "sweep_regimes.json"),
                    "--out", str(tmp_path)])
@@ -324,7 +336,6 @@ class TestCommands:
         def fail(*args, **kwargs):
             raise MemoryError("Unable to allocate 80.0 GiB")
 
-        monkeypatch.setenv("PLATE_HOMOG_THREADS", "2")
         monkeypatch.setattr(homogslab, "bending_form_regime2", fail)
         rc = main(["sweep", "--spec", str(fixtures_dir / "sweep_regimes.json"),
                    "--out", str(tmp_path)])
@@ -433,6 +444,24 @@ class TestExitCodes:
                      id="cell-grid-fraction"),
         pytest.param("reduce", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, [1, 2],
                      "settings", id="settings-list"),
+        # period counts are integers in [1, 4096]: 1e30 periods would run for ages,
+        # and true is not the period 1
+        pytest.param("oscillate", PROFILE, {"periods": [1e30]}, "settings.periods",
+                     id="periods-huge"),
+        pytest.param("oscillate", PROFILE, {"periods": [4097]}, "settings.periods",
+                     id="periods-above-cap"),
+        pytest.param("oscillate", PROFILE, {"periods": [True]}, "settings.periods",
+                     id="periods-bool"),
+        pytest.param("oscillate", PROFILE, {"periods": []}, "settings.periods",
+                     id="periods-empty"),
+        pytest.param("oscillate", PROFILE, {"periods": [2, 0]}, "settings.periods",
+                     id="periods-zero"),
+        pytest.param("oracle-check", FIELD, {"x3_samples": 2.5}, "settings.x3_samples",
+                     id="x3-samples-fraction"),
+        pytest.param("oracle-check", FIELD, {"oracle_loads": 1.5}, "settings.oracle_loads",
+                     id="oracle-loads-fraction"),
+        pytest.param("oracle-check", FIELD, {"oracle_loads": True}, "settings.oracle_loads",
+                     id="oracle-loads-bool"),
         pytest.param("reduce", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, "x",
                      "settings", id="settings-string"),
     ])
@@ -449,6 +478,51 @@ class TestExitCodes:
         assert payload["error"] == "SpecFormatError"
         assert payload["exit_code"] == EXIT_PARSE
         assert payload["message"].startswith(f"{path}.{key}: ")
+
+    @pytest.mark.parametrize("command, material, kinds", [
+        pytest.param("homog-regime1", dict(SLAB, bounds={"eta1": 5.0, "eta2": 6.0}),
+                     "'cell' or 'isotropic-field', got 'slab'", id="out-of-bounds-slab"),
+        pytest.param("homog-regime2", FIELD, "'slab' or 'slab-cells', got 'isotropic-field'",
+                     id="cell-to-regime2"),
+        pytest.param("bending", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0},
+                     "'profile', got 'isotropic'", id="form-to-bending"),
+        pytest.param("reduce", {"kind": "form2", "matrix": np.eye(3).tolist()},
+                     "'form3' or 'isotropic' or 'profile', got 'form2'", id="form2-to-reduce"),
+        pytest.param("oracle-check", PROFILE,
+                     "'cell' or 'isotropic-field' or 'slab' or 'slab-cells', got 'profile'",
+                     id="profile-to-oracle"),
+        pytest.param("homog-regime1", {"kind": "fiber"},
+                     "'cell' or 'isotropic-field', got 'fiber'", id="unknown-kind"),
+    ])
+    def test_wrong_material_kind_is_parse_error(self, tmp_path, capsys, command, material,
+                                                kinds):
+        # the kind is refused before its reader runs: an out-of-bounds slab sent
+        # to homog-regime1 exits 2, not 3 from the slab's own check
+        path = write_spec(tmp_path, {"convention": CONVENTION, "command": command,
+                                     "material": material})
+        assert main([command, "--spec", str(path), "--out", str(tmp_path)]) == EXIT_PARSE
+        assert error_line(capsys) == {
+            "error": "SpecFormatError", "exit_code": EXIT_PARSE,
+            "message": f"{path}.material: command {command!r} takes material kind {kinds}"}
+
+    @pytest.mark.parametrize("name", ["../escape", "sub/x", "a\\b", "", ".", "..", "nul\0",
+                                      [1], 3, None])
+    def test_bad_scenario_name_is_parse_error(self, fixtures_dir, tmp_path, capsys, name):
+        # a name is a file-name stem, so that every output lands in --out
+        spec = dict(load_json(fixtures_dir / "reduce_isotropic.json"), name=name)
+        path = write_spec(tmp_path, spec)
+        out = tmp_path / "out"
+        assert main(["reduce", "--spec", str(path), "--out", str(out)]) == EXIT_PARSE
+        assert error_line(capsys)["message"].startswith(f"{path}.name: ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+
+    def test_bad_sweep_entry_name_is_parse_error(self, fixtures_dir, tmp_path, capsys):
+        spec = load_json(fixtures_dir / "sweep_regimes.json")
+        spec["scenarios"][1]["name"] = "../escape"
+        path = write_spec(tmp_path, spec)
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert error_line(capsys)["message"].startswith(f"{path}.scenarios[1].name: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["homog-regime2", "oracle-check"])
     def test_asymmetric_fiber_is_admissibility_error(self, tmp_path, capsys, command):
@@ -523,9 +597,7 @@ class TestExitCodes:
         assert payload["error"] == "SpecFormatError" and payload["exit_code"] == EXIT_PARSE
         assert payload["message"].startswith(f"{out}: cannot write output: ")
 
-    def test_unwritable_report_fails_its_sweep_scenario(self, fixtures_dir, tmp_path, monkeypatch,
-                                                        capsys):
-        monkeypatch.setenv("PLATE_HOMOG_THREADS", "2")
+    def test_unwritable_report_fails_its_sweep_scenario(self, fixtures_dir, tmp_path, capsys):
         blocked = tmp_path / "laminate-r2-report.json"
         blocked.mkdir()
         rc = main(["sweep", "--spec", str(fixtures_dir / "sweep_regimes.json"),

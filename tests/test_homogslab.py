@@ -363,6 +363,15 @@ class TestSlabMaterialValidation:
             SlabMaterial(fibers=fibers, fiber_index=np.zeros((1, 1, 1), dtype=np.int64),
                          bounds=bounds, weights=weights)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_fiber_sample_refused(self, value):
+        # refused when built, as a slab is, not read as a bounds failure or a
+        # LAPACK warning by the check
+        c = np.stack([np.eye(6), np.eye(6)])
+        c[0, 2, 2] = value
+        with pytest.raises(ValueError, match="^fiber samples contain non-finite entries$"):
+            FiberMaterial(c=c, bounds=MaterialBounds(0.5, 2.0))
+
     def test_separable_bounds_derived(self):
         slab = SlabMaterial.separable(
             np.full((1, 1, 2), 2.0), np.array([1.0, 3.0]), mu=0.5

@@ -75,6 +75,10 @@ SLAB = {"kind": "slab", "x3_grid": 2, "inplane_grid": [1, 1], "fiber_grid": 2, "
     pytest.param("oracle-check", dict(SLAB, x3_grid=2.5), None, id="x3-grid-fraction"),
     pytest.param("homog-regime1", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, None,
                  id="wrong-material-type"),
+    # a slab outside its bounds, sent to the cell command: refused by its kind
+    # before the slab reader or check runs
+    pytest.param("homog-regime1", dict(SLAB, bounds={"eta1": 5.0, "eta2": 6.0}), None,
+                 id="out-of-bounds-slab-to-regime1"),
 ])
 def test_spec_refused_while_read_loads_no_solver(tmp_path, command, material, settings):
     out = _main(tmp_path, command, _spec(tmp_path, command, material, settings))
@@ -89,6 +93,12 @@ def test_argument_error_loads_no_solver(tmp_path, args):
     out = _run(RUN_MAIN, *(args + spec))
     assert out["rc"] == 2
     assert not set(HEAVY) & set(out["modules"])
+
+
+def test_sweep_loads_no_thread_pool(tmp_path):
+    out = _main(tmp_path, "sweep", FIXTURES / "sweep_regimes.json")
+    assert out["rc"] == 0
+    assert "concurrent.futures" not in out["modules"]
 
 
 def test_regime2_loads_no_cell_pipeline_or_oracle(tmp_path):
