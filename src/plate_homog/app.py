@@ -77,6 +77,8 @@ SETTING_RANGES = {
 }
 INTEGER_SETTINGS = ("x3_samples", "oracle_loads")
 PERIODS_MAX = 4096
+# ``oscillate`` runs every entry (about 70 ms at 4096 periods), so a list is short
+PERIODS_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,10 @@ def _read_settings(obj: dict | None, path: str) -> dict:
     if not periods or min(periods) < 1 or max(periods) > PERIODS_MAX:
         raise SpecFormatError(
             f"{path}.periods: periods must be a non-empty list of integers in [1, {PERIODS_MAX}]"
+        )
+    if len(periods) > PERIODS_ENTRIES or len(set(periods)) < len(periods):
+        raise SpecFormatError(
+            f"{path}.periods: periods must be at most {PERIODS_ENTRIES} distinct entries"
         )
     settings["periods"] = periods
     return settings

@@ -51,6 +51,11 @@ vectors in that order from the exact laws: a load's ``(C_l G) @ Bbar`` once
 per law and repeated over the law's cells, a residual ``K x + rhs(G)`` as
 the sum of the two, scattered once.
 
+Both regime pipelines build their operator with ``solve_grid_operator``:
+on the grid cut to one cell along every periodic axis on which the cell
+laws are bitwise equal (``invariant_cut``), which gives the same forms
+to rounding.
+
 Corrector solves run conjugate gradients preconditioned by the exact
 inverse of the stiffness of one constant reference law C0 (the cell mean
 of the material) on the same grid.  Every grid is periodic in plane, so
@@ -498,6 +503,49 @@ def _distinct_laws(cellC: np.ndarray):
         _, first, law = np.unique(rows, return_index=True, return_inverse=True)
     by_first = np.argsort(first)
     return first[by_first], np.argsort(by_first)[law.ravel()]
+
+
+def invariant_cut(labels: np.ndarray, axes) -> tuple:
+    """Slices that cut a grid of law labels to its first cell along each of
+    ``axes`` on which no label varies.
+
+    ``labels`` are ``_distinct_laws`` numbers, so equal labels are bitwise
+    equal laws and there is no tolerance.  Along such an axis the discrete
+    problem is invariant under a one-cell shift, and its minimizer is unique
+    under the zero-mean gauge, so it is shift invariant too: constant along
+    the axis.  A field constant along an axis has the same energy density on
+    any number of cells along it, and on one cell the periodic wrap joins
+    the cell's two node planes into one, which leaves exactly the fields
+    constant along the axis.  The cut grid therefore has the same minimizer
+    and the same energy matrix, to rounding.  Only a periodic axis may be
+    passed: a slab's x3 has free faces, where no wrap exists, so its
+    fields vary along x3 even when the laws do not.
+    """
+    return tuple(slice(0, 1) if a in axes and (labels == labels.take([0], axis=a)).all()
+                 else slice(None) for a in range(labels.ndim))
+
+
+def solve_grid_operator(kind: str, shape, cellC: np.ndarray, laws=None) -> ElementOperator:
+    """The operator of cell laws ``cellC`` on a grid of this kind and shape, built
+    on the grid cut by ``invariant_cut`` along its periodic axes: all three on
+    a cell, y1 and y2 on a slab.  Its energy matrix and solves are those of
+    the full grid, with fields on the cut grid.
+
+    ``laws`` is ``_distinct_laws(cellC)``, computed here when not given.  The
+    cut's law index is the slice of ``law``, with no second pass over the
+    laws.  Numbered by first appearance on the full grid, it is numbered so
+    on the cut too: a law first appears at a cell whose coordinate is 0 on
+    every cut axis (moving there along such an axis keeps the law and lowers
+    the flat index), and the cut keeps those cells in their order.
+    """
+    first, law = _distinct_laws(cellC) if laws is None else laws
+    labels = law.reshape(shape)
+    cut = invariant_cut(labels, (0, 1, 2) if kind == "cell" else (0, 1))
+    sub = labels[cut]
+    if sub.size < labels.size:
+        cellC = cellC.reshape(*shape, 6, 6)[cut].reshape(-1, 6, 6)
+        first, law = np.unique(sub, return_index=True)[1], sub.ravel()
+    return ElementOperator(_build_grid(kind, *sub.shape), cellC, laws=(first, law))
 
 
 def _law_basis(laws: np.ndarray):

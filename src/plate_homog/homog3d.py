@@ -13,6 +13,16 @@ the optimal mid-plane strain vanishes (odd first moment) and the
 curvature load integrates to the 1/12 factor.  The dense oracle in
 ``oracle.py`` re-derives the same number without using this
 factorization, guarding it.
+
+The six solves run on the material cut to its first cell along every
+axis on which all its cell laws are bitwise equal
+(``fem.solve_grid_operator``): a column cell, constant along x3, on an
+n1 x n2 x 1 grid, a laminate on 1 x 1 x n3.  Such a cell's discrete
+problem is invariant under a one-cell shift along that axis and its
+gauged minimizer is unique, hence constant along it, so the cut grid
+gives the same form to rounding.  The material check, the one-load
+``corrector_solve_3d`` and the dense oracle stay on the full grid;
+reports give both ``grid`` and ``solve_grid``.
 """
 
 from __future__ import annotations
@@ -24,7 +34,14 @@ import time
 import numpy as np
 
 from .core import DEFAULT_TOL, EffectiveReport, MaterialBounds, QuadForm2, QuadForm3, mandel3
-from .fem import ElementOperator, _distinct_laws, build_cell_grid, solve_loads, solver_diagnostics
+from .fem import (
+    ElementOperator,
+    _distinct_laws,
+    build_cell_grid,
+    solve_grid_operator,
+    solve_loads,
+    solver_diagnostics,
+)
 from .reduction import plane_stress_reduce
 
 
@@ -138,8 +155,9 @@ def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL):
 
 
 def _homogenize(material: CellMaterial3, tol: float):
-    """Energy matrix of the six Mandel basis strains, per-solve data, the operator."""
-    op = _checked_operator(material)
+    """Energy matrix of the six Mandel basis strains, per-solve data, the operator,
+    solved on the material cut to one cell along every axis it does not vary along."""
+    op = solve_grid_operator("cell", material.grid_shape, material.flat(), material.law_index)
     _, C, solves = solve_loads(op, list(np.eye(6)), tol)
     return QuadForm3(C, label="homogenized"), solves, op
 
@@ -166,6 +184,7 @@ def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL) -> E
     q0p = QuadForm2(q2.matrix / 12.0, label="bending-regime1")
     diagnostics = {
         "grid": list(material.grid_shape),
+        "solve_grid": list(op.grid.shape),
         **solver_diagnostics(op, tol, range(6), solves),
         "homogenized_form": q_hom.matrix.tolist(),
         "plane_stress_form": q2.matrix.tolist(),

@@ -13,7 +13,13 @@ Pipeline for this scaling:
    in-plane, traction-free thickness faces) with the reduced material:
    three constant mid-plane loads ``iota(B)`` and three thickness-linear
    curvature loads ``x3 iota(A)``, passed to ``fem.solve_loads`` as
-   Mandel 6-vectors and (2, 6) pairs ``(0, iota(A))``.
+   Mandel 6-vectors and (2, 6) pairs ``(0, iota(A))``.  The reduced
+   slab is first cut to one cell along y1 and along y2 wherever its
+   reduced laws are bitwise equal along that axis
+   (``fem.solve_grid_operator``), a layered slab to 1 x 1 x n3: the
+   gauged minimizer is unique and shift invariant, so it is constant
+   along such an axis and the cut gives the same energies to rounding.
+   x3 never collapses, because its faces are free, not periodic.
 3. Assemble the 6x6 energy matrix of the (curvature, mid-plane) pair
    from the stored correctors and eliminate the mid-plane block by a
    Schur complement.
@@ -43,7 +49,13 @@ from .core import (
     qf_isotropic,
 )
 from .errors import AdmissibilityError, DegenerateMaterialError
-from .fem import ElementOperator, build_slab_grid, solve_loads, solver_diagnostics
+from .fem import (
+    ElementOperator,
+    build_slab_grid,
+    solve_grid_operator,
+    solve_loads,
+    solver_diagnostics,
+)
 from .reduction import spd_schur
 
 
@@ -401,7 +413,8 @@ def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL) -> Effect
     block leaves the 3x3 bending form and the optimal mid-plane map.
     """
     t0 = time.perf_counter()
-    op = _slab_operator(slab)
+    slab.extremes       # the bounds check, made once per slab
+    op = solve_grid_operator("slab", slab.grid_shape, slab.reduced_cells())
     basis = [("A", i) for i in range(3)] + [("B", i) for i in range(3)]
     _, N, solves = solve_loads(op, [_load_strain(load) for load in basis], tol)
     q0p, X = spd_schur(
@@ -411,6 +424,7 @@ def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL) -> Effect
     )
     diagnostics = {
         "grid": list(slab.grid_shape),
+        "solve_grid": list(op.grid.shape),
         "fiber_samples": int(slab.fiber_samples),
         **solver_diagnostics(op, tol, [f"{kind}{i}" for kind, i in basis], solves),
         "pair_energy_matrix": N.tolist(),

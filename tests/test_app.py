@@ -244,6 +244,44 @@ class TestCommands:
         assert out["passed"] is True
         assert out["max_relative_difference"] <= 1e-10
 
+    def test_oracle_check_on_a_column_cell(self, tmp_path, monkeypatch):
+        # the pipeline solves a contrast-30 column on one layer, the dense oracle
+        # factors the full 4^3 grid: it checks the cut independently
+        from plate_homog import homog3d
+        import scipy.linalg
+
+        reports, factored = [], []
+        regime1, cho_factor = homog3d.bending_form_regime1, scipy.linalg.cho_factor
+
+        def recorded(*args, **kwargs):
+            reports.append(regime1(*args, **kwargs))
+            return reports[-1]
+
+        def counted(H, *args, **kwargs):
+            factored.append(H.shape)
+            return cho_factor(H, *args, **kwargs)
+
+        monkeypatch.setattr(homog3d, "bending_form_regime1", recorded)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        i, j, _ = np.meshgrid(*(np.arange(4),) * 3, indexing="ij")
+        mu = np.where((i < 2) & (j >= 1) & (j < 3), 30.0, 1.0)
+        spec = {"convention": CONVENTION, "command": "oracle-check", "name": "column",
+                "material": {"kind": "isotropic-field", "grid": [4, 4, 4],
+                             "mu_grid": mu.ravel().tolist(),
+                             "lambda_grid": (1.5 * mu).ravel().tolist()},
+                "settings": {"x3_samples": 4}}
+        rc = main(["oracle-check", "--spec", str(write_spec(tmp_path, spec)),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        [report] = reports
+        assert report.diagnostics["grid"] == [4, 4, 4]
+        assert report.diagnostics["solve_grid"] == [4, 4, 1]
+        # mid-plane strain, 4 thickness fluctuations, 4 correctors on 64 nodes,
+        # one grounded node per corrector
+        assert factored == [(3 + 3 * 4 + 4 * 3 * 63,) * 2]
+        out = load_json(tmp_path / "column-oracle-check.json")
+        assert out["passed"] is True and out["tolerance"] == 1e-8
+
     @pytest.mark.parametrize("fixture", ["oracle_check_cell.json", "homog_regime2_laminate.json"])
     def test_oracle_check_factors_once(self, fixtures_dir, tmp_path, monkeypatch, fixture):
         import scipy.linalg
@@ -456,6 +494,12 @@ class TestExitCodes:
                      id="periods-empty"),
         pytest.param("oscillate", PROFILE, {"periods": [2, 0]}, "settings.periods",
                      id="periods-zero"),
+        # every entry runs, and the report keeps one deviation per distinct entry:
+        # a repeated entry or a long list is refused before it runs for minutes
+        pytest.param("oscillate", PROFILE, {"periods": [4, 2, 4]}, "settings.periods",
+                     id="periods-duplicate"),
+        pytest.param("oscillate", PROFILE, {"periods": list(range(1, 66))}, "settings.periods",
+                     id="periods-65-entries"),
         pytest.param("oracle-check", FIELD, {"x3_samples": 2.5}, "settings.x3_samples",
                      id="x3-samples-fraction"),
         pytest.param("oracle-check", FIELD, {"oracle_loads": 1.5}, "settings.oracle_loads",

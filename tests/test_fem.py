@@ -234,6 +234,31 @@ def test_laws_numbered_by_first_appearance(monkeypatch, collide):
     assert np.array_equal(first, np.arange(7)) and np.array_equal(law, np.arange(7))
 
 
+def test_invariant_cut_keeps_every_axis_a_label_varies_along():
+    labels = np.zeros((3, 4, 2), dtype=np.int64)
+    full, one = slice(None), slice(0, 1)
+    assert fem.invariant_cut(labels, (0, 1, 2)) == (one, one, one)
+    assert fem.invariant_cut(labels, (0, 1)) == (one, one, full)   # a slab's x3 stays
+    labels[:, :, 1] = 1
+    assert fem.invariant_cut(labels, (0, 1, 2)) == (one, one, full)
+    labels[2, 3, 0] = 2                # one cell: its two in-plane axes stay
+    assert fem.invariant_cut(labels, (0, 1, 2)) == (full, full, full)
+
+
+def test_solve_grid_operator_keeps_first_appearance_numbering():
+    # laws 0, 1, 2 along y1, constant along y2 and x3: the cut's law index is the
+    # full one sliced, numbered by first appearance, with its own law table
+    rng = np.random.default_rng(68)
+    laws = np.stack([random_spd(rng, 6, 1.0, 4.0) for _ in range(3)])
+    cellC = np.broadcast_to(laws[[2, 0, 2, 1]][:, None, None], (4, 3, 2, 6, 6)).reshape(-1, 6, 6)
+    op = fem.solve_grid_operator("cell", (4, 3, 2), cellC, fem._distinct_laws(cellC))
+    assert op.grid.shape == (4, 1, 1)
+    assert op.cell_laws == 3
+    assert np.array_equal(op._laws, laws[[2, 0, 1]])
+    slab = fem.solve_grid_operator("slab", (4, 3, 2), cellC, fem._distinct_laws(cellC))
+    assert slab.grid.shape == (4, 1, 2) and slab.grid.kind == "slab"
+
+
 def test_energy_expansion_identity():
     # E(x) = E(0) + 2 rhs(g) . x + x . K x for the quadratic energy
     rng = np.random.default_rng(52)

@@ -6,6 +6,7 @@ from plate_homog import (
     CellMaterial3,
     FiberMaterial,
     MaterialBounds,
+    QuadForm3,
     SlabMaterial,
     bending_form_regime1,
     bending_form_regime2,
@@ -18,6 +19,8 @@ from plate_homog import (
     slab_corrector_solve,
 )
 from plate_homog import fem, homog3d
+from plate_homog.homogslab import laminate_reduced_form
+from plate_homog.reduction import plane_stress_reduce
 
 from helpers import random_cell, random_spd
 
@@ -321,3 +324,95 @@ class TestCoupledOscillations:
         rep1 = bending_form_regime1(mat, tol=1e-12)
         rep2 = bending_form_regime1(mat.refine(2), tol=1e-12)
         assert np.allclose(rep1.form.matrix, rep2.form.matrix, rtol=1e-10)
+
+
+def column_cell(n=6, contrast=30.0, mu=1.0, nu=0.25):
+    """Isotropic n x n x n cell with a ``contrast`` times stiffer column that runs
+    through x3: constant along x3, two-phase in plane."""
+    soft = qf_isotropic(mu, 2.0 * mu * nu / (1.0 - 2.0 * nu)).matrix
+    i, j, _ = np.meshgrid(*(np.arange(n),) * 3, indexing="ij")
+    stiff = (i >= 1) & (i < 1 + n // 2) & (j >= 2) & (j < 2 + n // 2)
+    return CellMaterial3(c=np.where(stiff[..., None, None], contrast * soft, soft))
+
+
+def full_grid_energy(material, tol=1e-13):
+    """Energy matrix of the six basis strains on the material's full grid, from an
+    operator built here on every cell: the reference for the solve-grid cut."""
+    op = fem.ElementOperator(fem.build_cell_grid(*material.grid_shape), material.flat())
+    return fem.solve_loads(op, list(E_BASIS), tol)[1]
+
+
+def assert_close(actual, expected, rel=1e-12):
+    """``actual`` within ``rel`` of the largest entry of ``expected``."""
+    expected = np.asarray(expected)
+    assert np.abs(np.asarray(actual) - expected).max() <= rel * np.abs(expected).max()
+
+
+class TestSolveGrid:
+    """Regime 1 solves on the cell cut to one cell along every axis on which the
+    laws are bitwise equal, with the forms of the full grid."""
+
+    def check_against_full_grid(self, material, solve_grid):
+        rep = bending_form_regime1(material, tol=1e-13)
+        d = rep.diagnostics
+        assert d["grid"] == list(material.grid_shape)
+        assert d["solve_grid"] == solve_grid
+        N = full_grid_energy(material)
+        assert_close(d["homogenized_form"], N)
+        assert_close(homogenized_form_3d(material, tol=1e-13).matrix, N)
+        q2, dstar = plane_stress_reduce(QuadForm3(N))
+        assert_close(d["plane_stress_form"], q2.matrix)
+        assert_close(rep.form.matrix, q2.matrix / 12.0)
+        # on laminates the minimizer is rounding dust: compare it on the form's scale
+        diff = np.abs(np.asarray(d["plane_stress_minimizer"]) - dstar).max()
+        assert diff <= 1e-12 * np.abs(q2.matrix).max()
+        return rep
+
+    def test_column_collapses_to_one_layer(self):
+        mat = column_cell(n=6, contrast=30.0)
+        rep = self.check_against_full_grid(mat, [6, 6, 1])
+        assert rep.diagnostics["cell_laws"] == 2
+
+    def test_laminate_collapses_to_one_fiber(self):
+        lam2 = (1.0, 30.0, 30.0, 2.0, 1.0)
+        mat = CellMaterial3(c=np.broadcast_to(laminate_cell(lam2).c, (3, 4, 5, 6, 6)).copy())
+        self.check_against_full_grid(mat, [1, 1, 5])
+        closed = laminate_reduced_form(1.0, lam2, mu=1.0).matrix
+        assert_close(homogenized_form_3d(mat, tol=1e-13).matrix, closed)
+
+    def test_homogeneous_cell_solves_on_one_cell(self):
+        q3 = qf_isotropic(1.3, 0.7)
+        mat = CellMaterial3.homogeneous(q3, grid=(3, 2, 4))
+        rep = self.check_against_full_grid(mat, [1, 1, 1])
+        assert_close(rep.form.matrix, plane_stress_reduce(q3)[0].matrix / 12.0)
+        assert all(s["iterations"] == 0 for s in rep.diagnostics["solves"])
+
+    @pytest.mark.parametrize("cell", [(2, 1, 3), (0, 2, 0)])
+    def test_one_cell_that_differs_keeps_its_axes(self, cell):
+        # one entry of one cell one ulp away: bitwise unequal, no tolerance
+        mat = column_cell(n=4, contrast=30.0)
+        c = mat.c.copy()
+        c[cell][0, 0] = np.nextafter(c[cell][0, 0], np.inf)
+        rep = self.check_against_full_grid(CellMaterial3(c=c), [4, 4, 4])
+        assert rep.diagnostics["cell_laws"] == 3
+
+    def test_differing_along_one_axis_keeps_that_axis_only(self):
+        # laws that vary along y1 alone keep y1 only; a stiffer x3 layer keeps x3
+        # too, and one more changed cell keeps y2
+        lam = np.array([1.0, 30.0, 30.0, 2.0])
+        c = np.broadcast_to((2.0 * lam)[:, None, None, None, None] * np.eye(6),
+                            (4, 3, 2, 6, 6)).copy()
+        self.check_against_full_grid(CellMaterial3(c=c.copy()), [4, 1, 1])
+        c[:, :, 1] *= 1.5
+        self.check_against_full_grid(CellMaterial3(c=c.copy()), [4, 1, 2])
+        c[2, 1, 0] *= 1.5
+        self.check_against_full_grid(CellMaterial3(c=c), [4, 3, 2])
+
+    def test_one_load_solve_stays_on_the_full_grid(self):
+        mat = column_cell(n=4)
+        corr, energy = corrector_solve_3d(mat, E_BASIS[0], tol=1e-13)
+        assert corr.values.shape == (4, 4, 4, 3)
+        # constant along x3, as the minimizer of an x3-invariant problem is
+        assert np.abs(corr.values - corr.values[:, :, :1]).max() <= 1e-10 * np.abs(
+            corr.values).max()
+        assert energy == pytest.approx(full_grid_energy(mat)[0, 0], rel=1e-12)

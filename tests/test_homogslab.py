@@ -16,12 +16,14 @@ from plate_homog import (
     qf_isotropic,
     slab_corrector_solve,
 )
+from plate_homog import fem
 from plate_homog.core import IN_PLANE, OUT_OF_PLANE, embed2to3
-from plate_homog.homogslab import reduce_fibers
+from plate_homog.homogslab import _load_strain, reduce_fibers
+from plate_homog.reduction import spd_schur
 
 from helpers import random_fiber, random_slab, random_spd, reference_reduce_fibers
 
-from test_homog3d import laminate_cell
+from test_homog3d import assert_close, laminate_cell
 
 
 class TestFiberReduce:
@@ -430,3 +432,69 @@ class TestSlabMaterialValidation:
         lo, hi = fiber.extremes
         assert fiber.bounds.eta1 <= lo <= hi <= fiber.bounds.eta2
         assert np.array_equal(first.matrix, again.matrix)
+
+
+SLAB_BASIS = [("A", i) for i in range(3)] + [("B", i) for i in range(3)]
+
+
+def full_grid_regime2(slab, tol=1e-13):
+    """Pair energy matrix, bending form and optimal mid-plane map on the slab's
+    full grid, from an operator built here on every cell: the reference for the
+    solve-grid cut."""
+    op = fem.ElementOperator(fem.build_slab_grid(*slab.grid_shape), slab.reduced_cells())
+    N = fem.solve_loads(op, [_load_strain(load) for load in SLAB_BASIS], tol)[1]
+    q, X = spd_schur(N[:3, :3], N[:3, 3:].T, N[3:, 3:], AssertionError())
+    return N, q, -X
+
+
+class TestSlabSolveGrid:
+    """Regime 2 solves on the slab cut to one cell along y1 and y2 where the
+    reduced laws are bitwise equal; x3 has free faces and never collapses."""
+
+    @staticmethod
+    def check_against_full_grid(slab, solve_grid):
+        rep = bending_form_regime2(slab, tol=1e-13)
+        d = rep.diagnostics
+        assert d["grid"] == list(slab.grid_shape)
+        assert d["solve_grid"] == solve_grid
+        N, q, b = full_grid_regime2(slab)
+        assert_close(d["pair_energy_matrix"], N)
+        assert_close(rep.form.matrix, q)
+        assert_close(rep.optimal_b, b)
+        return rep, b
+
+    def test_constant_along_y2_collapses_y2_only(self):
+        # anisotropic fibers that depend on (y1, x3): an off-centre stiff layer
+        # gives a mid-plane map well above rounding
+        rng = np.random.default_rng(45)
+        fibers = np.stack([np.stack([random_spd(rng, 6, 1.0, 4.0) for _ in range(2)])
+                           for _ in range(6)])
+        index = np.broadcast_to(np.arange(6).reshape(3, 1, 2), (3, 4, 2))
+        scale = np.broadcast_to(np.array([1.0, 20.0]), (3, 4, 2))
+        rep, b = self.check_against_full_grid(
+            SlabMaterial(fibers=fibers, fiber_index=index, scale=scale), [3, 1, 2])
+        assert np.abs(b).max() > 1e-3
+
+    def test_layered_slab_collapses_to_one_fiber(self):
+        slab = SlabMaterial.separable(np.broadcast_to([1.0, 30.0, 2.0], (4, 3, 3)),
+                                      np.array([1.0, 2.0, 1.5]), mu=0.7)
+        rep, _ = self.check_against_full_grid(slab, [1, 1, 3])
+        assert rep.diagnostics["cell_laws"] == 3
+
+    def test_one_cell_that_differs_keeps_its_axes(self):
+        scale = np.ones((3, 4, 3))
+        scale[1, 2, 1] = np.nextafter(1.0, 2.0)
+        slab = SlabMaterial.separable(scale, np.array([1.0, 2.0]), mu=0.7)
+        self.check_against_full_grid(slab, [3, 4, 3])
+
+    def test_homogeneous_slab_keeps_its_thickness(self):
+        mu = 0.8
+        slab = SlabMaterial.homogeneous(qf_isotropic(mu, 0.0), grid=(3, 2, 4), nf=2)
+        rep, _ = self.check_against_full_grid(slab, [1, 1, 4])
+        assert_close(rep.form.matrix, (mu / 6.0) * np.eye(3))
+
+    def test_one_load_solve_stays_on_the_full_grid(self):
+        slab = SlabMaterial.separable(np.broadcast_to([1.0, 3.0], (2, 3, 2)),
+                                      np.array([1.0, 2.0]), mu=1.0)
+        corr, _ = slab_corrector_solve(slab, ("A", 0), tol=1e-12)
+        assert corr.values.shape == (2, 3, 3, 3)
