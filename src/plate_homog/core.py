@@ -252,11 +252,6 @@ def qf_isotropic(mu: float, lam: float, label: str = "") -> QuadForm3:
     return QuadForm3(2.0 * mu * np.eye(6) + lam * np.outer(t, t), label=label)
 
 
-# Deterministic pairs used by the Lipschitz sanity check below.
-_LIPSCHITZ_SEED = 20210314
-_LIPSCHITZ_PAIRS = 32
-
-
 @dataclass(frozen=True)
 class ClassCheckReport:
     """Result of an ellipticity-class check of a quadratic form."""
@@ -267,8 +262,6 @@ class ClassCheckReport:
     eta1: float
     eta2: float
     violations: tuple = ()
-    lipschitz_ok: bool = True
-    lipschitz_margin: float = 0.0
 
     def raise_if_failed(self):
         if not self.passed:
@@ -279,24 +272,11 @@ def qf_check_class(q: QuadForm3, bounds: MaterialBounds) -> ClassCheckReport:
     """Check ``eta1*|sym G|^2 <= Q(G) <= eta2*|sym G|^2`` for all G.
 
     In the orthonormal encoding this is exactly an eigenvalue interval
-    test on the coefficient matrix.  A Lipschitz-type bound
-    ``|Q(G1)-Q(G2)| <= eta2*|sym G1 - sym G2|*|sym G1 + sym G2)|``
-    is implied by the interval test; it is re-verified on a fixed random
-    sample set purely as a consistency diagnostic, not as a second gate.
+    test on the coefficient matrix, which also implies the Lipschitz-type
+    bound ``|Q(G1)-Q(G2)| <= eta2*|sym G1 - sym G2|*|sym G1 + sym G2|``.
     """
     eig = np.linalg.eigvalsh(q.matrix)
     _, _, violations = bounds.assess(q.matrix[None], eig[None], "form")
-
-    rng = np.random.default_rng(_LIPSCHITZ_SEED)
-    margin = -np.inf
-    for _ in range(_LIPSCHITZ_PAIRS):
-        g1 = rng.standard_normal(6)
-        g2 = rng.standard_normal(6)
-        lhs = abs(q.eval_mandel(g1) - q.eval_mandel(g2))
-        rhs = bounds.eta2 * np.linalg.norm(g1 - g2) * np.linalg.norm(g1 + g2)
-        margin = max(margin, lhs - rhs)
-    lipschitz_ok = bool(margin <= bounds.slack)
-
     return ClassCheckReport(
         passed=not violations,
         eig_min=float(eig[0]),
@@ -304,8 +284,6 @@ def qf_check_class(q: QuadForm3, bounds: MaterialBounds) -> ClassCheckReport:
         eta1=bounds.eta1,
         eta2=bounds.eta2,
         violations=violations,
-        lipschitz_ok=lipschitz_ok,
-        lipschitz_margin=float(margin),
     )
 
 

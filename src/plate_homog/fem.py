@@ -57,8 +57,15 @@ laws are bitwise equal (``invariant_cut``), which gives the same forms
 to rounding.
 
 Corrector solves run conjugate gradients preconditioned by the exact
-inverse of the stiffness of one constant reference law C0 (the cell mean
-of the material) on the same grid.  Every grid is periodic in plane, so
+inverse of the stiffness K0 of one constant reference law C0 on the same
+grid (``Reference``).  A grouped operator takes as C0 the law of at least
+``MAJORITY_SHARE`` of its cells when there is one, else C0 is the cell
+mean.  With the majority law ``K = K0 + dK``, and ``dK`` lives only on the
+other cells: CG keeps ``K0 p`` by the recurrence ``K0 p = r + beta K0
+p_prev`` (``p = z + beta p_prev`` with ``K0 z = r``), so an iteration
+multiplies only those cells, by ``Ke_l - Ke_0`` per law (the polarization
+of FFT homogenization, Moulinec & Suquet 1998; Eyre & Milton 1999, in a
+Galerkin PCG).  Every grid is periodic in plane, so
 that operator is block-circulant and a discrete Fourier transform
 diagonalizes it: one 3x3 block per wavevector on a cell grid, one
 block-tridiagonal system over the node planes per in-plane wavevector on
@@ -124,8 +131,18 @@ _NODE = np.dtype((np.void, 24))      # a node's three components, gathered as on
 # Odd multipliers of the law hash in ``_distinct_laws`` (products wrap mod 2**64).
 _LAW_HASH = np.arange(1, 73, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
-# Reported as ``diagnostics.preconditioner`` by both regime pipelines.
-PRECONDITIONER = "fft-reference-mean"
+# The names of the two reference laws (``Reference``), reported as
+# ``diagnostics.preconditioner`` by both regime pipelines.
+MEAN_REFERENCE = "fft-reference-mean"
+MAJORITY_REFERENCE = "fft-reference-majority"
+
+# A grouped operator takes as reference law the law of the most cells when that
+# law covers at least this share of them.  CG on 6 loads, one BLAS thread, 12^3
+# and 16^3 cells of three isotropic phases: at shares 0.5-0.875 it took 0.52-0.78x
+# the time of the mean reference, with equal iterations on proportional phases and
+# 1-4 % fewer on others.  Below a half it gained less (0.69-0.87x at 0.34-0.45),
+# and a law of fewer cells than the rest is a weaker stand-in for the material.
+MAJORITY_SHARE = 0.5
 
 # A slab's reference inverse is stored dense, one (3 planes)^2 complex block per
 # in-plane wavevector, when that takes at most this many bytes; above it the
@@ -233,6 +250,24 @@ def build_slab_grid(n1: int, n2: int, n3: int) -> Grid:
     return _build_grid("slab", n1, n2, n3)
 
 
+@dataclass(frozen=True, eq=False)
+class Reference:
+    """The constant law C0 of the preconditioner and its name.
+
+    ``MAJORITY_REFERENCE`` when C0 is the law of at least ``MAJORITY_SHARE``
+    of the cells of a grouped operator, ``MEAN_REFERENCE`` for the cell mean
+    otherwise (SPD whenever every cell law is).  On phases that are
+    multiples of one law the two give the same iterations; on others the
+    majority law can take more.  On three 12^3 cells with 55 % of the cells
+    on one isotropic law and the rest on 5 random anisotropic laws over
+    1e-3..1e3, 6 loads at tol 1e-12, it took 0.99-1.07x the iterations of
+    the mean and 0.60-0.97x its time.
+    """
+
+    law: np.ndarray
+    name: str
+
+
 class ElementOperator:
     """Stiffness operator ``K = sum_c sum_q w_q B_q^T C_c B_q`` plus
     the load/energy helpers built from the same quadrature.
@@ -243,7 +278,11 @@ class ElementOperator:
     sorted by law as ``_distinct_laws`` numbers them: distinct laws
     ``_laws``, their cell counts ``_counts`` and runs ``_cuts``.  Every
     per-cell local vector is built in that order, scattered with the one
-    dof index ``_dofs``.  ``laws``, when given, is ``_distinct_laws(cellC)``
+    dof index ``_dofs``.  ``reference`` is the preconditioner's law: with the
+    majority law, whose cells are one run of ``_cuts``, the other cells keep
+    their own gather index ``_minor_idx`` and the differences ``_minor_Ke``
+    of their element matrices from the reference one (see
+    ``split_product``).  ``laws``, when given, is ``_distinct_laws(cellC)``
     as the caller already computed it.
     """
 
@@ -255,7 +294,7 @@ class ElementOperator:
             )
         self.grid = grid
         self.cellC = cellC
-        self._reference = None
+        self._inverse = None
         self._wB = (grid.wq[:, None, None] * grid.B).reshape(48, 24)
         # cell integrals of B and of (x3 - x3_c) B; x3 - x3_c is the same in every cell
         self._Bbar = np.einsum("q,qij->ij", grid.wq, grid.B)
@@ -272,8 +311,18 @@ class ElementOperator:
             self._idx, self._x3c, self._laws = grid.idx, grid.x3c, cellC
         self._dofs = _dof_index(self._idx)
         self.stiffness, self.law_rank = "grouped", None
+        self.reference = Reference(cellC.mean(axis=0), MEAN_REFERENCE)
         if LAW_CELLS * self.cell_laws <= grid.ncells:
             self._Ke = _element_matrix(grid, self._laws)
+            major = int(self._counts.argmax())
+            if self._counts[major] >= MAJORITY_SHARE * grid.ncells:
+                self.reference = Reference(self._laws[major], MAJORITY_REFERENCE)
+                a, b = self._cuts[major:major + 2]
+                others = np.arange(self.cell_laws) != major
+                self._minor_idx = np.concatenate([self._idx[:a], self._idx[b:]])
+                self._minor_dofs = _dof_index(self._minor_idx)
+                self._minor_Ke = self._Ke[others] - self._Ke[major]
+                self._minor_cuts = np.concatenate(([0], np.cumsum(self._counts[others])))
         else:
             basis = _law_basis(self._laws)
             if basis is None:
@@ -284,15 +333,18 @@ class ElementOperator:
                 self._coeffs = np.ascontiguousarray(self._spread(coeffs).T)[:, :, None]
                 self._basis_Ke = _element_matrix(grid, basis_laws)
 
-    def _gather(self, x: np.ndarray) -> np.ndarray:
-        """Per-cell local dof vectors (ncells, 24) of a nodal field, in operator order."""
+    def _gather(self, x: np.ndarray, idx=None) -> np.ndarray:
+        """Per-cell local dof vectors (cells, 24) of a nodal field on the cells of node
+        index ``idx``, by default all of them in operator order."""
+        idx = self._idx if idx is None else idx
         nodes = np.ascontiguousarray(x, dtype=float).reshape(-1).view(_NODE)
-        return nodes.take(self._idx).view(float).reshape(self.grid.ncells, 24)
+        return nodes.take(idx).view(float).reshape(len(idx), 24)
 
-    def _to_nodes(self, ylocal: np.ndarray) -> np.ndarray:
-        """Scatter-add per-cell local vectors (ncells, 24), in operator order, into a
-        nodal vector: one ``bincount`` over ``_dofs``."""
-        return np.bincount(self._dofs.ravel(), weights=ylocal.ravel(), minlength=self.grid.ndofs)
+    def _to_nodes(self, ylocal: np.ndarray, dofs=None) -> np.ndarray:
+        """Scatter-add per-cell local vectors (cells, 24) into a nodal vector: one
+        ``bincount`` over the dof index ``dofs``, by default ``_dofs``."""
+        dofs = self._dofs if dofs is None else dofs
+        return np.bincount(dofs.ravel(), weights=ylocal.ravel(), minlength=self.grid.ndofs)
 
     def _spread(self, rows: np.ndarray) -> np.ndarray:
         """Per-law rows repeated over each law's cells, or ``rows`` when no law repeats."""
@@ -329,10 +381,7 @@ class ElementOperator:
         the kernel of ``stiffness``; ``exact`` takes the stacked kernel on the
         laws in place of the law basis."""
         if self.stiffness == "grouped":
-            y = np.empty_like(u)
-            for Ke, a, b in zip(self._Ke, self._cuts[:-1], self._cuts[1:]):
-                np.matmul(u[a:b], Ke, out=y[a:b])
-            return y
+            return _grouped_local(u, self._Ke, self._cuts)
         if self.stiffness == "law-basis" and not exact:
             y = u @ self._basis_Ke[0]
             y *= self._coeffs[0]
@@ -345,6 +394,18 @@ class ElementOperator:
         g = (u @ self.grid.B.reshape(48, 24).T).reshape(-1, 8, 6)
         return (g @ self._spread(self._laws).transpose(0, 2, 1)).reshape(-1, 48) @ self._wB
 
+    def split_product(self, p: np.ndarray, K0p: np.ndarray) -> np.ndarray:
+        """``K p = K0 p + dK p`` for the majority reference, given ``K0 p``: ``dK``
+        has no entry on the cells of the reference law, so ``dK p`` is one
+        ``(cells of law l, 24) @ (Ke_l - Ke_0)`` product per other law, gathered
+        and scattered over those cells only (none on a constant law)."""
+        if not len(self._minor_idx):
+            return K0p.copy()
+        u = self._gather(p, self._minor_idx)
+        Ap = self._to_nodes(_grouped_local(u, self._minor_Ke, self._minor_cuts), self._minor_dofs)
+        Ap += K0p
+        return Ap
+
     @property
     def preconditioner_form(self) -> str:
         """How ``precondition`` applies its inverse (see ``preconditioner_form``),
@@ -352,15 +413,14 @@ class ElementOperator:
         return preconditioner_form(self.grid.kind, self.grid.shape)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        """Zero-mean solution of ``K0 z = r`` for the reference law C0.
+        """Zero-mean solution of ``K0 z = r`` for the law C0 of ``reference``.
 
-        C0 is the cell mean of the material, SPD whenever every cell law
-        is.  The FFT inverse is built on first use, so an operator whose
-        loads are all below their noise floor never builds it.
+        The FFT inverse is built on first use, so an operator whose loads
+        are all below their noise floor never builds it.
         """
-        if self._reference is None:
-            self._reference = reference_inverse(self.grid, self.cellC.mean(axis=0))
-        return self._reference(r)
+        if self._inverse is None:
+            self._inverse = reference_inverse(self.grid, self.reference.law)
+        return self._inverse(r)
 
     def _load_parts(self, gload):
         """``(G, A)`` of a load ``G + x3 A``: a 6-vector (A None) or a slab's (2, 6) pair."""
@@ -486,6 +546,15 @@ class ElementOperator:
             moments.append(x3c * e + u @ self._Btilde.T + (v * self.grid.h[2] ** 2 / 12) * A)
         return np.concatenate([self._law_sums(m).ravel() @ self._laws.reshape(-1, 6)
                                for m in moments])
+
+
+def _grouped_local(u: np.ndarray, Ke: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Local vectors ``u[a:b] @ Ke[l]`` of cells sorted by law, law l on the run
+    ``cuts[l]:cuts[l + 1]``."""
+    y = np.empty_like(u)
+    for K, a, b in zip(Ke, cuts[:-1], cuts[1:]):
+        np.matmul(u[a:b], K, out=y[a:b])
+    return y
 
 
 def _distinct_laws(cellC: np.ndarray):
@@ -860,7 +929,12 @@ def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float,
     The operator kernel is the hot path; everything here is cheap vector
     arithmetic.  Starting from zero keeps the iterates orthogonal to the
     rigid translations (the load and the preconditioned residuals are
-    too), so no explicit gauge is needed during the iteration.  The
+    too), so no explicit gauge is needed during the iteration.  ``A p`` is
+    ``op.matvec(p)``, or with the majority reference ``op.split_product(p,
+    K0 p)``: ``K0 p`` is kept by the recurrence ``K0 p = r + beta K0
+    p_prev``, exact since ``p = z + beta p_prev`` and ``K0 z = r``; the
+    true residual matched the reported one to three digits over solves of
+    up to 210 iterations.  The
     stopping test is on the unpreconditioned relative residual, so
     ``tol`` means the same as for plain CG.  ``noise_floor`` is an
     absolute norm below which load or residual count as
@@ -887,12 +961,13 @@ def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float,
     rnorm = float(np.linalg.norm(r))
     z = op.precondition(r)
     p = z.copy()
+    K0p = r.copy() if op.reference.name == MAJORITY_REFERENCE else None
     rz = float(r @ z)
     step = np.empty_like(r)          # alpha p and alpha Ap, in place
     history = []
     best, best_it = np.inf, 0
     for it in range(1, maxiter + 1):
-        Ap = op.matvec(p)
+        Ap = op.matvec(p) if K0p is None else op.split_product(p, K0p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             # Krylov direction fell into the numerical nullspace: fine if
@@ -928,8 +1003,12 @@ def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float,
             )
         z = op.precondition(r)
         rz_next = float(r @ z)
-        p *= rz_next / rz
+        beta = rz_next / rz
+        p *= beta
         p += z
+        if K0p is not None:          # K0 p = r + beta K0 p_prev, since K0 z = r
+            K0p *= beta
+            K0p += r
         rz = rz_next
     raise SolverError(
         f"conjugate gradients did not reach tol={tol:g} in {maxiter} iterations "
@@ -970,7 +1049,7 @@ def solver_diagnostics(op: ElementOperator, tol: float, labels, solves) -> dict:
     return {
         "tol": tol,
         "quadrature": "gauss-2x2x2",
-        "preconditioner": PRECONDITIONER,
+        "preconditioner": op.reference.name,
         "preconditioner_form": op.preconditioner_form,
         "cell_laws": op.cell_laws,
         "stiffness": op.stiffness,

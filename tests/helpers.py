@@ -189,7 +189,7 @@ def reference_precondition(op, r) -> np.ndarray:
     wavevector (cell), or the block-tridiagonal sweep over the node planes with
     ``W^H`` conjugated on every plane (slab)."""
     grid = op.grid
-    Ke = fem._element_matrix(grid, op.cellC.mean(axis=0))
+    Ke = fem._element_matrix(grid, op.reference.law)
     n1, n2, n3 = grid.shape
     if grid.kind == "cell":
         K = fem._symbol(Ke, (n1, n2, n3), (n1, n2, n3 // 2 + 1))

@@ -109,7 +109,7 @@ def test_qf_isotropic_rejects_bad_moduli():
 
 def test_check_class_isotropic_tight_bounds():
     report = qf_check_class(qf_isotropic(1.0, 0.0), MaterialBounds(2.0, 2.0))
-    assert report.passed and report.lipschitz_ok
+    assert report.passed
     assert report.eig_min == pytest.approx(2.0, rel=1e-12)
 
 

@@ -16,7 +16,8 @@ from plate_homog import (
 )
 from plate_homog import fem
 from plate_homog.fem import (
-    PRECONDITIONER,
+    MAJORITY_REFERENCE,
+    MEAN_REFERENCE,
     STALL_ITERATIONS,
     ElementOperator,
     build_cell_grid,
@@ -519,21 +520,33 @@ def _check_inverts_homogeneous_operator(op, rng):
 @pytest.mark.parametrize("build, shape", PRECONDITIONER_GRIDS)
 def test_precondition_equals_node_major_complex_apply(build, shape):
     # the component-major apply with a real cell inverse against the node-major
-    # complex one, on a law per cell
+    # complex one, on a law per cell (the mean reference) and on two laws with
+    # one cell in four on the second, the majority reference wherever the grid
+    # has the cells to group them
     rng = np.random.default_rng(63)
     grid = build(*shape)
     _check_matches_node_major_apply(ElementOperator(grid, _random_cellC(rng, grid.ncells)), rng)
+    op = ElementOperator(grid, _random_cellC(rng, 2)[(np.arange(grid.ncells) % 4 == 0) * 1])
+    grouped = 2 * fem.LAW_CELLS <= grid.ncells
+    assert op.reference.name == (MAJORITY_REFERENCE if grouped else MEAN_REFERENCE)
+    _check_matches_node_major_apply(op, rng)
 
 
 @pytest.mark.parametrize("build, shape", PRECONDITIONER_GRIDS)
 def test_preconditioner_inverts_homogeneous_operator(build, shape):
     # on a constant law the reference law is the law itself: M K = I minus the
-    # nodal mean, and one preconditioned iteration solves any load
+    # nodal mean, and one preconditioned iteration solves any load.  On a grid
+    # with the cells to group it is the majority law, with no cell left to
+    # multiply: K p is K0 p alone
     rng = np.random.default_rng(55)
     grid = build(*shape)
     law = random_spd(rng, 6, 0.5, 3.0)
-    _check_inverts_homogeneous_operator(
-        ElementOperator(grid, np.broadcast_to(law, (grid.ncells, 6, 6))), rng)
+    op = ElementOperator(grid, np.broadcast_to(law, (grid.ncells, 6, 6)))
+    grouped = fem.LAW_CELLS <= grid.ncells
+    assert op.reference.name == (MAJORITY_REFERENCE if grouped else MEAN_REFERENCE)
+    if grouped:
+        np.testing.assert_array_equal(op.reference.law, law)
+    _check_inverts_homogeneous_operator(op, rng)
 
 
 @pytest.mark.parametrize("form", SLAB_FORMS)
@@ -605,11 +618,87 @@ def test_regime_reports_name_the_preconditioner():
     cell, slab = random_cell(rng), random_slab(rng)
     for report, form in ((bending_form_regime1(cell), "cell"),
                          (bending_form_regime2(slab), "slab-dense")):
-        assert report.diagnostics["preconditioner"] == PRECONDITIONER == "fft-reference-mean"
+        assert report.diagnostics["preconditioner"] == MEAN_REFERENCE == "fft-reference-mean"
         assert report.diagnostics["preconditioner_form"] == form
     # the apply form is known before the inverse is built
     op = ElementOperator(build_slab_grid(*slab.grid_shape), slab.reduced_cells())
-    assert op.preconditioner_form == "slab-dense" and op._reference is None
+    assert op.preconditioner_form == "slab-dense" and op._inverse is None
+
+
+def _two_phase_box_cell(n=6, contrast=30.0):
+    """Isotropic cell with a proportional stiff box of half the size on every axis:
+    7 cells in 8 on the soft law, and no axis along which the laws are constant."""
+    soft = qf_isotropic(1.0, 0.5)
+    box = np.zeros((n, n, n), dtype=bool)
+    box[1:1 + n // 2, 2:2 + n // 2, :n // 2] = True
+    c = np.where(box[..., None, None], contrast * soft.matrix, soft.matrix)
+    return CellMaterial3(c=c, bounds=MaterialBounds(1.0, 4.0 * contrast))
+
+
+def _two_phase_box_slab(n=6, n3=3, contrast=30.0):
+    """Zero-Poisson slab with an in-plane stiff box through the thickness, 3 cells in
+    4 on the soft law, and a two-sample fiber: two proportional grouped laws."""
+    lam1 = np.ones((n, n, n3))
+    lam1[1:1 + n // 2, 2:2 + n // 2] = contrast
+    return SlabMaterial.separable(lam1, [1.0, 3.0], 0.5)
+
+
+def _solves(report):
+    return [s["iterations"] for s in report.diagnostics["solves"]]
+
+
+def test_majority_reference_matches_the_mean_on_proportional_phases(monkeypatch):
+    # with proportional phases the majority law is a multiple of the mean, and
+    # preconditioned CG does not see the scale: the same iterations and forms
+    # to rounding, from a product over the stiff cells only
+    runs = []
+    for share in (fem.MAJORITY_SHARE, 2.0):      # a share over 1 switches it off
+        monkeypatch.setattr(fem, "MAJORITY_SHARE", share)
+        runs.append((bending_form_regime1(_two_phase_box_cell()),
+                     bending_form_regime2(_two_phase_box_slab())))
+    for major, mean in zip(*runs):
+        assert major.diagnostics["preconditioner"] == MAJORITY_REFERENCE
+        assert mean.diagnostics["preconditioner"] == MEAN_REFERENCE
+        assert major.diagnostics["stiffness"] == "grouped"
+        assert _solves(major) == _solves(mean) and max(_solves(major)) > 5
+        scale = np.abs(mean.form.matrix).max()
+        assert np.abs(major.form.matrix - mean.form.matrix).max() <= 1e-12 * scale
+        np.testing.assert_allclose(major.optimal_b, mean.optimal_b, rtol=0, atol=1e-12)
+
+
+def test_majority_reference_recurrence_keeps_the_true_residual():
+    # CG keeps K0 p by a recurrence, never by a product: over a long solve the
+    # true residual must still be the reported one.  12^3 cells, 55 % on an
+    # isotropic law and the rest on 5 anisotropic laws spanning 1e-3..1e3
+    rng = np.random.default_rng(71)
+    laws = [qf_isotropic(1.0, 0.5).matrix]
+    for _ in range(5):
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        laws.append(q @ np.diag(10.0 ** rng.uniform(-3.0, 3.0, 6)) @ q.T)
+    laws = np.array([0.5 * (c + c.T) for c in laws])
+    label = np.where(rng.random(12 ** 3) < 0.55, 0, rng.integers(1, 6, 12 ** 3))
+    op = ElementOperator(build_cell_grid(12, 12, 12), laws[label])
+    assert op.reference.name == MAJORITY_REFERENCE
+    np.testing.assert_array_equal(op.reference.law, laws[0])
+    b = -op.rhs(np.eye(6)[0])
+    x, iters, hist = conjugate_gradient(op, b, 1e-12)
+    assert iters >= 150
+    true = np.linalg.norm(b - op.matvec(x)) / np.linalg.norm(b)
+    assert true <= 10 * hist[-1]
+
+
+def test_no_majority_law_keeps_the_mean_reference():
+    # a law per cell, and grouped laws of which none covers half the cells
+    rng = np.random.default_rng(73)
+    grid = build_cell_grid(4, 4, 4)
+    per_cell = ElementOperator(grid, _random_cellC(rng, grid.ncells))
+    quarters = ElementOperator(grid, _random_cellC(rng, 4)[np.arange(grid.ncells) % 4])
+    for op in (per_cell, quarters):
+        assert op.reference.name == MEAN_REFERENCE
+        np.testing.assert_array_equal(op.reference.law, op.cellC.mean(axis=0))
+    assert quarters.stiffness == "grouped"
+    report = bending_form_regime2(fiber_per_cell_slab(rng, (3, 3, 2)))
+    assert report.diagnostics["preconditioner"] == MEAN_REFERENCE
 
 
 def test_regime_reports_name_the_stiffness_form():
