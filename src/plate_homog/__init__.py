@@ -9,8 +9,8 @@ oracle.
 Importing the package loads ``core`` and ``errors`` only.  Every other
 public name is looked up in its module on first access (PEP 562), so a
 caller that never touches the corrector pipelines never imports ``fem``,
-``homog3d``, ``homogslab``, ``oracle`` or scipy.  ``from plate_homog
-import *`` imports them all.
+``homog3d``, ``homogslab`` or ``oracle``.  ``from plate_homog import *``
+imports them all.  No module needs more than numpy.
 """
 
 import importlib

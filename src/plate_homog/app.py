@@ -21,8 +21,8 @@ dense-size cap or out of memory.  Errors are also emitted as one JSON
 object on stderr.
 
 This module imports the thickness layer (``reduction``) and ``iojson``
-only.  ``homog3d``, ``homogslab`` and ``oracle`` (and with them ``fem``
-and scipy) are imported by the reader or runner that needs them, and the
+only.  ``homog3d``, ``homogslab`` and ``oracle`` (and with them ``fem``)
+are imported by the reader or runner that needs them, and the
 pipelines are looked up on their modules when they are called.  The
 material kinds a command takes are checked before any reader runs.
 ``reduce``, ``bending``, ``oscillate``, ``energy``, a bad command line

@@ -4,16 +4,21 @@ Two kinds of oracle guard the solver pipelines:
 
 - dense joint minimizations that assemble one quadratic form over ALL
   discrete unknowns (mid-plane strain, through-thickness fluctuations,
-  corrector nodes) and solve it by a dense factorization.  They share
-  the discretization definition with the iterative solvers (same
-  elements, same quadrature) but none of the code path: no Schur
-  factorizations, no 1/12 shortcut, no fiber averaging formulas, so a
-  pipeline bug has to be duplicated here to slip through;
+  corrector nodes) and solve it by Cholesky factorizations, with numpy
+  only.  They share the discretization definition with the iterative
+  solvers (same elements, same quadrature) but none of the code path:
+  no stiffness operator or CG, no 1/12 shortcut, no fiber averaging
+  formulas, so a pipeline bug has to be duplicated here to slip through;
 - closed forms for two-phase thickness profiles and zero-Poisson
   laminates.
 
+The joint Hessian is assembled whole, then factored block by block,
+border last: in regime 1 the thickness nodes decouple once the
+mid-plane strain is fixed, in regime 2 the fiber fluctuations of each
+Gauss point do (``DenseProblem``).  Every block is factored, none is
+taken as a copy of another, and one set of factors serves every load.
 The dense route is deliberately unscalable; a hard cap on the bytes of
-its dense Hessian keeps it honest.
+its dense Hessian (512 MiB, 8,192 unknowns) keeps it honest.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EMBED_2_TO_3, QuadForm2, mandel2
-from .errors import SizeCapError
+from .errors import SizeCapError, SolverError
 from .fem import GAUSS_POINTS, build_cell_grid, build_slab_grid
 from .homog3d import CellMaterial3
 from .homogslab import SlabMaterial
@@ -46,35 +51,102 @@ class DenseProblem:
     the constant ``a^T C a`` quadratic in it.  Periodicity is built into
     the node indices and the gauge is already eliminated: one grounded
     node per corrector field is left out of the numbering, so H is
-    positive definite.  ``solve`` factors H in place, so a problem is
-    solved once; afterwards ``H`` is None.
+    positive definite.
+
+    ``blocks`` (number of blocks, unknowns per block) lists disjoint sets
+    of unknowns that H couples only through the others, the border: given
+    the border, each block's minimization is its own.  In regime 1 a block
+    is one thickness node's (d_i, corrector); in regime 2 one Gauss
+    point's fiber fluctuations.  H stays assembled as a whole until
+    ``solve``, which consumes it: afterwards ``H`` is None.
     """
 
     H: np.ndarray | None     # (n, n)
     B: np.ndarray            # (n, 3) load map
     C: np.ndarray            # (3, 3)
+    blocks: np.ndarray       # (nblocks, m) int64 unknowns of each block
 
     def solve(self, loads) -> np.ndarray:
         """Minimal energies of the curvatures ``loads`` (k Mandel 3-vectors).
 
-        One Cholesky factorization of H serves every load: the right-hand
-        sides ``-B a_k`` are the columns of one solve.  The factor
-        overwrites H, so no second dense matrix is held: H is symmetric,
-        its transpose is the Fortran-ordered array LAPACK factors without
-        a copy, and its upper triangle is H's lower one.
+        Blocks first, border last, which fills nothing outside the blocks
+        (static condensation).  The diagonal blocks H_ii, their couplings
+        H_i0 to the border and the border block H_00 are gathered and H is
+        dropped.  One batched Cholesky factors every H_ii = L_i L_i^T, and
+        Y_i = L_i^-1 [H_i0 | b_i] gives the border's Schur complement
+        S = H_00 - sum Y_h^T Y_h, factored once more.  With
+        r = b_0 - sum Y_h^T Y_b the energy is
+        a^T C a - sum |Y_b|^2 - |L_S^-1 r|^2.  The load-independent
+        factors serve every load: the ``b = B a_k`` are the columns of one
+        right-hand side.
+
+        Beyond the assembled problem this holds, while H lives, the gathered
+        blocks, couplings and a 128 KiB index buffer of the gather; by
+        tracemalloc 0.13x H's bytes on a 4^3 cell at 8 thickness nodes,
+        0.61x at 2 nodes (whose blocks hold 48 % of H's entries) and 0.15x
+        on a 3^3 slab with 3 fiber samples.  A block or border that is not
+        positive definite raises ``SolverError`` naming it.
         """
         if self.H is None:
-            raise ValueError("this DenseProblem was solved already: its H holds the factor")
-        # scipy is imported here, not at module level, so that importing
-        # the package (every CLI command) does not pay for scipy.linalg.
-        from scipy.linalg import cho_factor, cho_solve
-
+            raise ValueError("this DenseProblem was solved already: its H is consumed")
         H, self.H = self.H, None
-        factor = cho_factor(H.T, lower=False, overwrite_a=True)
+        blk = self.blocks
+        border = np.ones(H.shape[0], dtype=bool)
+        border[blk] = False
+        border = np.flatnonzero(border)
         a = np.atleast_2d(np.asarray(loads, dtype=float))
-        b = self.B @ a.T
-        u = cho_solve(factor, -b)
-        return np.einsum("ki,ij,kj->k", a, self.C, a) + np.einsum("ik,ik->k", b, u)
+        b = self.B @ a.T                                         # (n, k)
+        Hii = H[blk[:, :, None], blk[:, None, :]]
+        R = np.concatenate([H[blk[:, :, None], border], b[blk]], axis=2)
+        S = H[np.ix_(border, border)]
+        del H
+        L = _cholesky(Hii, f"block {{}} of {len(blk)} ({blk.shape[1]} unknowns)")
+        del Hii
+        Y = _forward_solve(L, R).reshape(-1, R.shape[2])
+        G = Y.T @ Y                                              # sum over blocks of Y_i^T Y_i
+        n0 = len(border)
+        S -= G[:n0, :n0]
+        r = b[border] - G[:n0, n0:]
+        LS = _cholesky(S[None], f"border ({n0} unknowns)")
+        z = _forward_solve(LS, r[None])[0]
+        return (np.einsum("ki,ij,kj->k", a, self.C, a) - np.diagonal(G[n0:, n0:])
+                - np.einsum("ik,ik->k", z, z))
+
+
+# Row tile of ``_forward_solve``.  On a 2-core Xeon KVM guest, one BLAS thread,
+# 8 blocks of 192 unknowns and 6-19 right-hand sides took 0.7-0.8 ms at 8 rows,
+# 0.8-0.9 ms at 16, 1.8 ms at 48 and 5.4 ms by a batched ``np.linalg.solve``;
+# 216 blocks of 6 took 0.7 ms at any tile.
+_TILE = 16
+
+
+def _cholesky(A: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factors of the stack ``A``; ``SolverError`` names the first
+    matrix ``i`` that is not positive definite as ``name.format(i)``."""
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        for i, Ai in enumerate(A):
+            try:
+                np.linalg.cholesky(Ai)
+            except np.linalg.LinAlgError:
+                raise SolverError(f"dense oracle: {name.format(i)} is not positive definite") from None
+        raise
+
+
+def _forward_solve(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``L^-1 R`` for a stack of lower-triangular ``L`` (p, m, m) and ``R`` (p, m, r).
+
+    numpy has no triangular solve, and a batched ``np.linalg.solve`` pays
+    an LU of each L.  So substitute by row tiles: each tile's rows take
+    the product with the rows solved before it, then the inverse of its
+    diagonal tile.
+    """
+    Y = np.empty(R.shape)
+    for s in range(0, L.shape[1], _TILE):
+        e = s + _TILE
+        Y[:, s:e] = np.linalg.inv(L[:, s:e, s:e]) @ (R[:, s:e] - L[:, s:e, :s] @ Y[:, :s])
+    return Y
 
 
 def _check_size(ntotal: int) -> None:
@@ -93,37 +165,50 @@ def _as_mandel2(A) -> np.ndarray:
     raise ValueError("curvature argument must be a 2x2 matrix or Mandel 3-vector")
 
 
-def _sum_blocks(blocks, x3, cols, ntotal, drop) -> DenseProblem:
-    """Sum local blocks into the joint quadratic, gauge unknowns dropped.
+def _sum_blocks(elements, x3, cols, ntotal, drop, blocks) -> DenseProblem:
+    """Sum local element blocks into the joint quadratic, gauge unknowns dropped.
 
-    Block ``n`` (nloc x nloc, quadrature weight included, its first three
-    local unknowns the mid-plane strain) sits at the global unknowns
+    Element ``n`` (nloc x nloc, quadrature weight included, its first
+    three local unknowns the mid-plane strain) sits at the global unknowns
     ``cols[n]``.  Its curvature load is the strain ``x3[n] * iota(a)``,
-    so it adds ``x3[n] * blocks[n][:, :3]`` to the load map and
-    ``x3[n]**2 * blocks[n][:3, :3]`` to C.  The unknowns in ``drop`` are
+    so it adds ``x3[n] * elements[n][:, :3]`` to the load map and
+    ``x3[n]**2 * elements[n][:3, :3]`` to C.  The unknowns in ``drop`` are
     grounded; the others keep their order and are summed straight into
     that reduced numbering, one ``np.bincount`` each for H and the load
-    map, in block order.  ``blocks`` is consumed: the entries of grounded
-    unknowns are zeroed in place and summed into index 0, which changes
-    no sum and needs no masked copy of the index arrays.
+    map, in element order.  ``elements`` is consumed: the entries of
+    grounded unknowns are zeroed in place and summed into index 0, which
+    changes no sum and needs no masked copy of the index arrays.
+
+    ``blocks`` (global numbering, the same number of grounded unknowns in
+    each) become ``DenseProblem.blocks``.  They must be disjoint, and no
+    element may touch two of them: that is checked here, on ``cols``.
     """
     number = np.ones(ntotal, dtype=np.int64)
     number[drop] = 0
     n = int(number.sum())
     number = np.where(number > 0, np.cumsum(number) - 1, -1)
-    rows = number[cols]                                      # (nblocks, nloc)
+    rows = number[cols]                                      # (nelements, nloc)
     grounded = rows < 0
-    blocks[grounded] = 0.0
-    blocks.transpose(0, 2, 1)[grounded] = 0.0
+    blocks = number[blocks]
+    blocks = blocks[blocks >= 0].reshape(len(blocks), -1)
+    owner = np.full(n, -1)
+    owner[blocks] = np.arange(len(blocks))[:, None]
+    owner = np.where(grounded, -1, owner[rows])
+    if (np.bincount(blocks.ravel(), minlength=n).max(initial=0) > 1
+            or np.any((owner >= 0) & (owner != owner.max(axis=1, keepdims=True)))):
+        raise ValueError("the blocks of a dense problem must be disjoint, "
+                         "and no element may touch two of them")
+    elements[grounded] = 0.0
+    elements.transpose(0, 2, 1)[grounded] = 0.0
     rows[grounded] = 0
 
-    C = np.einsum("n,nij->ij", x3 * x3, blocks[:, :3, :3])
+    C = np.einsum("n,nij->ij", x3 * x3, elements[:, :3, :3])
     B = np.bincount((rows[:, :, None] * 3 + np.arange(3)).ravel(),
-                    weights=(x3[:, None, None] * blocks[:, :, :3]).ravel(),
+                    weights=(x3[:, None, None] * elements[:, :, :3]).ravel(),
                     minlength=3 * n).reshape(n, 3)
     H = np.bincount((rows[:, :, None] * n + rows[:, None, :]).ravel(),
-                    weights=blocks.ravel(), minlength=n * n).reshape(n, n)
-    return DenseProblem(H=H, B=B, C=C)
+                    weights=elements.ravel(), minlength=n * n).reshape(n, n)
+    return DenseProblem(H=H, B=B, C=C, blocks=blocks)
 
 
 def assemble_regime1(material: CellMaterial3, x3_samples: int) -> DenseProblem:
@@ -151,8 +236,8 @@ def assemble_regime1(material: CellMaterial3, x3_samples: int) -> DenseProblem:
     # Local unknown layout per (slice, cell): [b(3) | d_i(3) | phi cell dofs(24)].
     PD = np.concatenate([EMBED_2_TO_3, _D_MAP], axis=1)      # (6, 6)
     Gq = np.concatenate([np.broadcast_to(PD, (8, 6, 6)), grid.B], axis=2)  # (8,6,30)
-    Mcell = np.einsum("qia,cij,qjb,q->cab", Gq, material.flat(), Gq, grid.wq,
-                      optimize=True)                          # (ncells,30,30)
+    wG = (grid.wq[:, None, None] * Gq).reshape(48, 30)
+    Mcell = wG.T @ (material.flat()[:, None] @ Gq).reshape(-1, 48, 30)    # (ncells,30,30)
 
     cols = np.concatenate([
         np.broadcast_to(np.arange(3), (m, grid.ncells, 3)),
@@ -160,9 +245,13 @@ def assemble_regime1(material: CellMaterial3, x3_samples: int) -> DenseProblem:
         3 + 3 * m + ndofs * np.arange(m)[:, None, None] + grid.dofs,
     ], axis=2).reshape(m * grid.ncells, 30)
     # Ground the last node of each slice's corrector field.
-    drop = (3 + 3 * m + ndofs * np.arange(m)[:, None] + (ndofs - 3) + np.arange(3)).ravel()
-    blocks = (wg[:, None, None, None] * Mcell).reshape(m * grid.ncells, 30, 30)
-    return _sum_blocks(blocks, np.repeat(xg, grid.ncells), cols, ntotal, drop)
+    corrector = 3 + 3 * m + ndofs * np.arange(m)[:, None]
+    drop = (corrector + (ndofs - 3) + np.arange(3)).ravel()
+    # One block per thickness node: its d_i and corrector.
+    blocks = np.concatenate([3 + 3 * np.arange(m)[:, None] + np.arange(3),
+                             corrector + np.arange(ndofs)], axis=1)
+    elements = (wg[:, None, None, None] * Mcell).reshape(m * grid.ncells, 30, 30)
+    return _sum_blocks(elements, np.repeat(xg, grid.ncells), cols, ntotal, drop, blocks)
 
 
 def brute_force_regime1(material: CellMaterial3, A, x3_samples: int = 8) -> float:
@@ -204,17 +293,19 @@ def assemble_regime2(slab: SlabMaterial) -> DenseProblem:
         G[:, j, :, 27:] = np.kron(Z[j], _D_MAP)
     stacks = slab.cell_fiber_stacks()       # (ncells, nf, 6, 6)
     CG = stacks[:, None] @ G                # (ncells, 8, nf, 6, nloc)
-    blocks = np.einsum("q,j,qjia,cqjib->cqab", grid.wq, wf, G, CG, optimize=True)
+    elements = np.einsum("q,j,qjia,cqjib->cqab", grid.wq, wf, G, CG, optimize=True)
 
+    # One block per (cell, quadrature point): its fiber fluctuations.
+    blocks = 3 + ndofs + nz * np.arange(grid.ncells * 8)[:, None] + np.arange(nz)
     cols = np.concatenate([
         np.broadcast_to(np.arange(3), (grid.ncells, 8, 3)),
         np.broadcast_to(3 + grid.dofs[:, None], (grid.ncells, 8, 24)),
-        3 + ndofs + nz * np.arange(grid.ncells * 8).reshape(grid.ncells, 8, 1) + np.arange(nz),
+        blocks.reshape(grid.ncells, 8, nz),
     ], axis=2).reshape(-1, nloc)
     drop = 3 + (ndofs - 3) + np.arange(3)   # ground the last corrector node
     k = np.arange(grid.ncells)[:, None] % grid.shape[2]
     x3q = -0.5 + (k + np.array(GAUSS_POINTS * 4)) * grid.h[2]    # (ncells, 8) at the points
-    return _sum_blocks(blocks.reshape(-1, nloc, nloc), x3q.ravel(), cols, ntotal, drop)
+    return _sum_blocks(elements.reshape(-1, nloc, nloc), x3q.ravel(), cols, ntotal, drop, blocks)
 
 
 def brute_force_regime2(slab: SlabMaterial, A) -> float:

@@ -246,23 +246,22 @@ class TestCommands:
 
     def test_oracle_check_on_a_column_cell(self, tmp_path, monkeypatch):
         # the pipeline solves a contrast-30 column on one layer, the dense oracle
-        # factors the full 4^3 grid: it checks the cut independently
-        from plate_homog import homog3d
-        import scipy.linalg
+        # solves the full 4^3 grid: it checks the cut independently
+        from plate_homog import homog3d, oracle
 
-        reports, factored = [], []
-        regime1, cho_factor = homog3d.bending_form_regime1, scipy.linalg.cho_factor
+        reports, solved = [], []
+        regime1, solve = homog3d.bending_form_regime1, oracle.DenseProblem.solve
 
         def recorded(*args, **kwargs):
             reports.append(regime1(*args, **kwargs))
             return reports[-1]
 
-        def counted(H, *args, **kwargs):
-            factored.append(H.shape)
-            return cho_factor(H, *args, **kwargs)
+        def counted(self, loads):
+            solved.append((self.H.shape, self.blocks.shape))
+            return solve(self, loads)
 
         monkeypatch.setattr(homog3d, "bending_form_regime1", recorded)
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        monkeypatch.setattr(oracle.DenseProblem, "solve", counted)
         i, j, _ = np.meshgrid(*(np.arange(4),) * 3, indexing="ij")
         mu = np.where((i < 2) & (j >= 1) & (j < 3), 30.0, 1.0)
         spec = {"convention": CONVENTION, "command": "oracle-check", "name": "column",
@@ -277,30 +276,50 @@ class TestCommands:
         assert report.diagnostics["grid"] == [4, 4, 4]
         assert report.diagnostics["solve_grid"] == [4, 4, 1]
         # mid-plane strain, 4 thickness fluctuations, 4 correctors on 64 nodes,
-        # one grounded node per corrector
-        assert factored == [(3 + 3 * 4 + 4 * 3 * 63,) * 2]
+        # one grounded node per corrector; one block per thickness node holds
+        # its fluctuation and its corrector
+        assert solved == [((3 + 3 * 4 + 4 * 3 * 63,) * 2, (4, 3 + 3 * 63))]
         out = load_json(tmp_path / "column-oracle-check.json")
         assert out["passed"] is True and out["tolerance"] == 1e-8
 
     @pytest.mark.parametrize("fixture", ["oracle_check_cell.json", "homog_regime2_laminate.json"])
     def test_oracle_check_factors_once(self, fixtures_dir, tmp_path, monkeypatch, fixture):
-        import scipy.linalg
+        from plate_homog import oracle
 
         calls = []
-        cho_factor = scipy.linalg.cho_factor
+        solve = oracle.DenseProblem.solve
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return cho_factor(*args, **kwargs)
+        def counted(self, loads):
+            calls.append(len(loads))
+            return solve(self, loads)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        monkeypatch.setattr(oracle.DenseProblem, "solve", counted)
         spec = dict(load_json(fixtures_dir / fixture), command="oracle-check", name="probe",
                     settings={"oracle_loads": 16})
         rc = main(["oracle-check", "--spec", str(write_spec(tmp_path, spec)),
                    "--out", str(tmp_path)])
         assert rc == EXIT_OK
-        assert len(calls) == 1
+        assert calls == [16]
         assert load_json(tmp_path / "probe-oracle-check.json")["max_relative_difference"] <= 1e-10
+
+    def test_oracle_block_not_positive_definite_exits_4(self, fixtures_dir, tmp_path,
+                                                        monkeypatch, capsys):
+        # a Hessian with an indefinite block: exit 4 and one JSON line naming it
+        from plate_homog import oracle
+
+        def indefinite(material, x3_samples):
+            H = np.diag([2.0, 1.0, -1.0, 1.0])
+            return oracle.DenseProblem(H=H, B=np.eye(4, 3), C=np.eye(3),
+                                       blocks=np.array([[1], [2]]))
+
+        monkeypatch.setattr(oracle, "assemble_regime1", indefinite)
+        rc = main(["oracle-check", "--spec", str(fixtures_dir / "oracle_check_cell.json"),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+        [line] = capsys.readouterr().err.splitlines()
+        error = json.loads(line)
+        assert (error["error"], error["exit_code"]) == ("SolverError", EXIT_SOLVER)
+        assert "block 1 of 2 (1 unknowns) is not positive definite" in error["message"]
 
     @pytest.mark.parametrize("command, fixture", [
         ("homog-regime1", "homog_regime1_laminate.json"),

@@ -1,5 +1,6 @@
 import ast
 import warnings
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,36 @@ from helpers import (
 
 def _random_cellC(rng, ncells):
     return np.stack([random_spd(rng, 6, 0.5, 3.0) for _ in range(ncells)])
+
+
+def _loop_b_matrices(h):
+    """The strain-displacement matrices one Gauss point and one node at a time."""
+    B = np.zeros((8, 6, 24))
+    for qi, (x0, x1, x2) in enumerate(product(fem.GAUSS_POINTS, repeat=3)):
+        for a, (da, db, dc) in enumerate(product((0, 1), repeat=3)):
+            f0, d0 = (x0, 1.0) if da else (1.0 - x0, -1.0)
+            f1, d1 = (x1, 1.0) if db else (1.0 - x1, -1.0)
+            f2, d2 = (x2, 1.0) if dc else (1.0 - x2, -1.0)
+            g0 = d0 * f1 * f2 / h[0]
+            g1 = f0 * d1 * f2 / h[1]
+            g2 = f0 * f1 * d2 / h[2]
+            col = 3 * a
+            B[qi, 0, col + 0] = g0
+            B[qi, 1, col + 1] = g1
+            B[qi, 2, col + 2] = g2
+            B[qi, 3, col + 1] = g2 / fem.SQRT2
+            B[qi, 3, col + 2] = g1 / fem.SQRT2
+            B[qi, 4, col + 0] = g2 / fem.SQRT2
+            B[qi, 4, col + 2] = g0 / fem.SQRT2
+            B[qi, 5, col + 0] = g1 / fem.SQRT2
+            B[qi, 5, col + 1] = g0 / fem.SQRT2
+    return B
+
+
+@pytest.mark.parametrize("n", [(1, 1, 1), (8, 8, 8), (3, 7, 16), (48, 5, 2)])
+def test_b_matrices_equal_the_point_by_point_loop(n):
+    h = tuple(1.0 / k for k in n)
+    assert np.array_equal(fem.build_b_matrices(h), _loop_b_matrices(h))
 
 
 def test_operator_symmetric_positive_semidefinite():

@@ -108,6 +108,20 @@ def test_regime2_loads_no_cell_pipeline_or_oracle(tmp_path):
     assert not {"plate_homog.homog3d", "plate_homog.oracle", "scipy"} & set(out["modules"])
 
 
+@pytest.mark.parametrize("spec", [
+    pytest.param(FIXTURES / "oracle_check_cell.json", id="cell-fixture"),
+    pytest.param(None, id="slab"),
+])
+def test_oracle_check_loads_no_scipy(tmp_path, spec):
+    # the dense oracle factors with numpy alone
+    if spec is None:
+        spec = _spec(tmp_path, "oracle-check", SLAB)
+    out = _main(tmp_path, "oracle-check", spec)
+    assert out["rc"] == 0
+    assert "plate_homog.oracle" in out["modules"]
+    assert not [m for m in out["modules"] if m.split(".")[0] == "scipy"]
+
+
 def test_package_import_is_light_and_star_import_resolves_all():
     code = """
 import json, sys

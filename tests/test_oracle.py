@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ from plate_homog import (
     MaterialBounds,
     QuadForm2,
     SizeCapError,
+    SolverError,
     SlabMaterial,
     bending_form_regime1,
     bending_form_regime2,
@@ -22,7 +24,7 @@ from plate_homog import (
 )
 from plate_homog.core import EMBED_2_TO_3
 from plate_homog.fem import build_cell_grid, build_slab_grid
-from plate_homog.oracle import assemble_regime1, assemble_regime2
+from plate_homog.oracle import DenseProblem, _sum_blocks, assemble_regime1, assemble_regime2
 
 from helpers import fiber_per_cell_slab, quadrature_x3, random_cell, random_slab
 
@@ -310,9 +312,62 @@ class TestDenseAssembly:
         with pytest.raises(ValueError, match="solved already"):
             dense.solve(loads)
 
+    @pytest.mark.parametrize("regime, shape, nodes, blocks, bound", [
+        (1, (4, 4, 4), 8, (8, 192), 0.25),
+        # 2 blocks of 192 hold 48 % of H's entries; the gather's index buffer
+        # (128 KiB) brings the peak to 0.61x H's 1.2 MB
+        (1, (4, 4, 4), 2, (2, 192), 0.65),
+        (2, (3, 3, 3), 3, (216, 6), 0.25),
+    ])
+    def test_solve_memory_above_the_assembled_problem(self, regime, shape, nodes, blocks, bound):
+        # the solve holds the gathered blocks, not a second H
+        rng = np.random.default_rng(50)
+        tracemalloc.start()
+        try:
+            if regime == 1:
+                dense = assemble_regime1(random_cell(rng, grid=shape), x3_samples=nodes)
+            else:
+                dense = assemble_regime2(random_slab(rng, grid=shape, nf=nodes))
+            nbytes = dense.H.nbytes
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            dense.solve(np.eye(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dense.blocks.shape == blocks
+        assert peak - base <= bound * nbytes
+
+    @pytest.mark.parametrize("cols, blocks", [
+        ([[0, 1, 2, 3], [0, 1, 3, 4]], [[3], [4]]),     # the second element touches both
+        ([[0, 1, 2, 3], [0, 1, 2, 4]], [[3], [3]]),     # the blocks overlap
+    ])
+    def test_element_touching_two_blocks_is_refused(self, cols, blocks):
+        elements = np.broadcast_to(np.eye(4), (2, 4, 4)).copy()
+        with pytest.raises(ValueError, match="disjoint.*touch two"):
+            _sum_blocks(elements, np.zeros(2), np.array(cols), 5, np.array([], dtype=np.int64),
+                        np.array(blocks))
+
+    def test_elements_inside_their_blocks_are_accepted(self):
+        elements = np.broadcast_to(np.eye(4), (2, 4, 4)).copy()
+        dense = _sum_blocks(elements, np.zeros(2), np.array([[0, 1, 2, 3], [0, 1, 2, 4]]), 5,
+                            np.array([], dtype=np.int64), np.array([[3], [4]]))
+        assert dense.blocks.tolist() == [[3], [4]]
+        assert np.array_equal(dense.H, np.diag([2.0, 2.0, 2.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("diagonal, name", [
+        ([2.0, 1.0, -1.0, 1.0], "block 1 of 2 (1 unknowns)"),
+        ([-2.0, 1.0, 1.0, 1.0], "border (2 unknowns)"),
+    ])
+    def test_not_positive_definite_names_its_block(self, diagonal, name):
+        dense = DenseProblem(H=np.diag(diagonal), B=np.eye(4, 3), C=np.eye(3),
+                             blocks=np.array([[1], [2]]))
+        with pytest.raises(SolverError, match=rf"{re.escape(name)} is not positive definite"):
+            dense.solve(np.eye(3))
+
 
 def test_package_import_leaves_scipy_linalg_unloaded():
-    # only the dense oracle solve needs scipy; it imports it on first use
+    # no module of the package imports scipy
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, plate_homog; print('scipy.linalg' in sys.modules)"],
         capture_output=True, text=True, timeout=120,
