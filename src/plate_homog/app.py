@@ -98,10 +98,11 @@ class SurfaceSpec:
     def __post_init__(self):
         if self.kind not in ("cylinder", "flat"):
             raise SpecFormatError(f"surface kind must be 'cylinder' or 'flat', got {self.kind!r}")
-        if len(self.extent) != 2 or min(self.extent) <= 0.0:
-            raise SpecFormatError("surface extent must be two positive lengths")
-        if self.kind == "cylinder" and not (self.radius and self.radius > 0.0):
-            raise SpecFormatError("cylinder radius must be positive")
+        # chained comparisons also refuse NaN
+        if len(self.extent) != 2 or not all(0.0 < x < np.inf for x in self.extent):
+            raise SpecFormatError("surface extent must be two finite positive lengths")
+        if self.kind == "cylinder" and not (self.radius and 0.0 < self.radius < np.inf):
+            raise SpecFormatError("cylinder radius must be finite and positive")
 
     @property
     def area(self) -> float:
@@ -443,7 +444,12 @@ def _run_oracle_check(scenario: Scenario, out_dir: Path) -> dict:
 
 
 def _run_energy(scenario: Scenario, out_dir: Path) -> dict:
-    value = plate_energy(scenario.form, scenario.surface)
+    # an energy that overflows is refused before anything is written: JSON has no NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = plate_energy(scenario.form, scenario.surface)
+    if not np.isfinite(value):
+        raise SpecFormatError(f"scenario {scenario.name!r}: the plate energy is not finite "
+                              f"({value}): form, extent and radius overflow double precision")
     out = {
         "convention": iojson.CONVENTION,
         "kind": "plate-energy",

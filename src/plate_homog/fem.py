@@ -51,10 +51,10 @@ vectors in that order from the exact laws: a load's ``(C_l G) @ Bbar`` once
 per law and repeated over the law's cells, a residual ``K x + rhs(G)`` as
 the sum of the two, scattered once.
 
-Both regime pipelines build their operator with ``solve_grid_operator``:
-on the grid cut to one cell along every periodic axis on which the cell
-laws are bitwise equal (``invariant_cut``), which gives the same forms
-to rounding.
+Both regime pipelines and their one-load solves build their operator
+with ``solve_grid_operator``: on the grid cut to one cell along every
+periodic axis on which the cell laws are bitwise equal
+(``invariant_cut``), which gives the same forms to rounding.
 
 Corrector solves run conjugate gradients preconditioned by the exact
 inverse of the stiffness K0 of one constant reference law C0 on the same
@@ -103,7 +103,7 @@ the grid-order index, serves only the dense oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -1020,6 +1020,21 @@ def subtract_nodal_mean(x: np.ndarray, nnodes: int) -> np.ndarray:
     """Zero-mean gauge: remove the average of each displacement component."""
     x2 = x.reshape(nnodes, 3)
     return (x2 - x2.mean(axis=0)).ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class CorrectorField:
+    """One load's nodal corrector on the full node grid, zero mean per component:
+    (n1, n2, n3, 3) on a cell, (n1, n2, n3 + 1, 3) on a slab.  ``values`` is the
+    solve grid's field tiled along the axes that ``solve_grid_operator`` cut, a
+    read-only view, constant along them, with the cut field's mean."""
+
+    values: np.ndarray
+    iterations: int
+    residuals: tuple = field(repr=False, default=())
+
+    def flat(self) -> np.ndarray:
+        return self.values.reshape(-1)
 
 
 def solve_loads(op: ElementOperator, loads, tol: float):

@@ -20,14 +20,14 @@ axis on which all its cell laws are bitwise equal
 n1 x n2 x 1 grid, a laminate on 1 x 1 x n3.  Such a cell's discrete
 problem is invariant under a one-cell shift along that axis and its
 gauged minimizer is unique, hence constant along it, so the cut grid
-gives the same form to rounding.  The material check, the one-load
-``corrector_solve_3d`` and the dense oracle stay on the full grid;
-reports give both ``grid`` and ``solve_grid``.
+gives the same form to rounding; ``corrector_solve_3d`` tiles its one
+field back onto the full grid.  The material check and the dense oracle
+stay on the full grid; reports give both ``grid`` and ``solve_grid``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 import time
 
@@ -35,9 +35,8 @@ import numpy as np
 
 from .core import DEFAULT_TOL, EffectiveReport, MaterialBounds, QuadForm2, QuadForm3, mandel3
 from .fem import (
-    ElementOperator,
+    CorrectorField as CorrectorField3,     # one class with ``homogslab.SlabCorrector``
     _distinct_laws,
-    build_cell_grid,
     solve_grid_operator,
     solve_loads,
     solver_diagnostics,
@@ -117,22 +116,11 @@ class CellMaterial3:
         return cls(c=c, bounds=bounds)
 
 
-@dataclass(frozen=True, eq=False)
-class CorrectorField3:
-    """Periodic nodal corrector on the cell grid, zero mean per component."""
-
-    values: np.ndarray        # (n1, n2, n3, 3)
-    iterations: int
-    residuals: tuple = field(repr=False, default=())
-
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
-
-def _checked_operator(material: CellMaterial3) -> ElementOperator:
-    """The operator of a material that passes its check, built on its law index."""
-    return ElementOperator(build_cell_grid(*material.grid_shape), material.flat(),
-                           laws=material.law_index)
+def _solve(material: CellMaterial3, loads, tol: float):
+    """``solve_loads`` of Mandel 6-vectors ``loads`` on a material that passes its
+    check, cut by ``solve_grid_operator``, and its operator: ``(fields, N, solves, op)``."""
+    op = solve_grid_operator("cell", material.grid_shape, material.flat(), material.law_index)
+    return (*solve_loads(op, loads, tol), op)
 
 
 def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL):
@@ -142,24 +130,14 @@ def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL):
     ``(CorrectorField3, energy)`` where the energy is the attained
     minimum of ``int Q(y, E + sym grad phi)`` over the periodic grid.
     """
-    op = _checked_operator(material)
     E = np.asarray(E, dtype=float)
     if E.shape == (3, 3):
         E = mandel3(E)
     if E.shape != (6,):
         raise ValueError("macroscopic strain must be a Mandel 6-vector or 3x3 matrix")
-    fields, N, [(iters, hist)] = solve_loads(op, [E], tol)
-    n1, n2, n3 = material.grid_shape
-    corr = CorrectorField3(values=fields[0].reshape(n1, n2, n3, 3), iterations=iters, residuals=hist)
-    return corr, float(N[0, 0])
-
-
-def _homogenize(material: CellMaterial3, tol: float):
-    """Energy matrix of the six Mandel basis strains, per-solve data, the operator,
-    solved on the material cut to one cell along every axis it does not vary along."""
-    op = solve_grid_operator("cell", material.grid_shape, material.flat(), material.law_index)
-    _, C, solves = solve_loads(op, list(np.eye(6)), tol)
-    return QuadForm3(C, label="homogenized"), solves, op
+    [x], N, [(iters, hist)], op = _solve(material, [E], tol)
+    values = np.broadcast_to(x.reshape(*op.grid.node_shape, 3), (*material.grid_shape, 3))
+    return CorrectorField3(values, iters, hist), float(N[0, 0])
 
 
 def homogenized_form_3d(material: CellMaterial3, tol: float = DEFAULT_TOL) -> QuadForm3:
@@ -168,7 +146,7 @@ def homogenized_form_3d(material: CellMaterial3, tol: float = DEFAULT_TOL) -> Qu
     Off-diagonal entries come from the bilinear energy of stored
     corrector pairs, so no extra solves are needed.
     """
-    return _homogenize(material, tol)[0]
+    return QuadForm3(_solve(material, list(np.eye(6)), tol)[1], label="homogenized")
 
 
 def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL) -> EffectiveReport:
@@ -179,7 +157,8 @@ def bending_form_regime1(material: CellMaterial3, tol: float = DEFAULT_TOL) -> E
     decomposition and per-solve convergence data.
     """
     t0 = time.perf_counter()
-    q_hom, solves, op = _homogenize(material, tol)
+    _, C, solves, op = _solve(material, list(np.eye(6)), tol)
+    q_hom = QuadForm3(C, label="homogenized")
     q2, dstar = plane_stress_reduce(q_hom)
     q0p = QuadForm2(q2.matrix / 12.0, label="bending-regime1")
     diagnostics = {

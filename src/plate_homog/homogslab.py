@@ -20,6 +20,7 @@ Pipeline for this scaling:
    gauged minimizer is unique and shift invariant, so it is constant
    along such an axis and the cut gives the same energies to rounding.
    x3 never collapses, because its faces are free, not periodic.
+   ``slab_corrector_solve`` tiles its one field back onto the full grid.
 3. Assemble the 6x6 energy matrix of the (curvature, mid-plane) pair
    from the stored correctors and eliminate the mid-plane block by a
    Schur complement.
@@ -31,7 +32,7 @@ kept in ``laminate_reduced_form`` as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 import time
 
@@ -50,8 +51,7 @@ from .core import (
 )
 from .errors import AdmissibilityError, DegenerateMaterialError
 from .fem import (
-    ElementOperator,
-    build_slab_grid,
+    CorrectorField as SlabCorrector,     # one class with ``homog3d.CorrectorField3``
     solve_grid_operator,
     solve_loads,
     solver_diagnostics,
@@ -353,18 +353,6 @@ class SlabMaterial:
         return cls(fibers=fibers, fiber_index=np.zeros(grid, dtype=np.int64), bounds=bounds)
 
 
-@dataclass(frozen=True, eq=False)
-class SlabCorrector:
-    """Nodal corrector on the slab grid: periodic in-plane, free in x3."""
-
-    values: np.ndarray        # (n1, n2, n3+1, 3)
-    iterations: int
-    residuals: tuple = field(repr=False, default=())
-
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
-
 def _load_strain(load):
     """The ``fem`` load of a load spec ('A'|'B', basis index 0-2 or Mandel
     3-vector E): ``iota(E)`` for 'B' as a 6-vector, ``x3 iota(E)`` for 'A'
@@ -384,10 +372,12 @@ def _load_strain(load):
     return g if kind == "B" else np.stack([np.zeros(6), g])
 
 
-def _slab_operator(slab: SlabMaterial) -> ElementOperator:
-    """The operator of a slab that passes its check."""
+def _solve(slab: SlabMaterial, loads, tol: float):
+    """``solve_loads`` of load specs ``loads`` (``_load_strain``) on a slab that passes
+    its check, reduced and cut by ``solve_grid_operator``: ``(fields, N, solves, op)``."""
     slab.extremes       # the bounds check, made once per slab
-    return ElementOperator(build_slab_grid(*slab.grid_shape), slab.reduced_cells())
+    op = solve_grid_operator("slab", slab.grid_shape, slab.reduced_cells())
+    return (*solve_loads(op, [_load_strain(load) for load in loads], tol), op)
 
 
 def slab_corrector_solve(slab: SlabMaterial, load, tol: float = DEFAULT_TOL):
@@ -397,12 +387,10 @@ def slab_corrector_solve(slab: SlabMaterial, load, tol: float = DEFAULT_TOL):
     kind 'A', with ``E`` a symmetric 2x2 pattern given in Mandel
     coordinates.  Returns ``(SlabCorrector, energy)``.
     """
-    op = _slab_operator(slab)
-    fields, N, [(iters, hist)] = solve_loads(op, [_load_strain(load)], tol)
-    corr = SlabCorrector(
-        values=fields[0].reshape(*op.grid.node_shape, 3), iterations=iters, residuals=hist
-    )
-    return corr, float(N[0, 0])
+    [x], N, [(iters, hist)], op = _solve(slab, [load], tol)
+    n1, n2, n3 = slab.grid_shape
+    values = np.broadcast_to(x.reshape(*op.grid.node_shape, 3), (n1, n2, n3 + 1, 3))
+    return SlabCorrector(values, iters, hist), float(N[0, 0])
 
 
 def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL) -> EffectiveReport:
@@ -413,10 +401,8 @@ def bending_form_regime2(slab: SlabMaterial, tol: float = DEFAULT_TOL) -> Effect
     block leaves the 3x3 bending form and the optimal mid-plane map.
     """
     t0 = time.perf_counter()
-    slab.extremes       # the bounds check, made once per slab
-    op = solve_grid_operator("slab", slab.grid_shape, slab.reduced_cells())
     basis = [("A", i) for i in range(3)] + [("B", i) for i in range(3)]
-    _, N, solves = solve_loads(op, [_load_strain(load) for load in basis], tol)
+    _, N, solves, op = _solve(slab, basis, tol)
     q0p, X = spd_schur(
         N[:3, :3], N[:3, 3:].T, N[3:, 3:],
         AdmissibilityError("mid-plane energy block is not positive definite; "

@@ -112,15 +112,20 @@ def spd_schur(A, Bt, D, error: Exception):
 
     ``S = 0.5 (Q + Q^T)`` with ``Q = A - Bt^T X``; minimizing the quadratic
     form over the ``D`` slots leaves ``S`` with minimizer ``-X``.  Raises
-    ``error`` when ``D`` fails the Cholesky test.
+    ``error`` when ``D`` fails the Cholesky test or ``S`` or ``X`` is not
+    finite (overflow from a ``D`` nearly singular against ``Bt``).
     """
     try:
         np.linalg.cholesky(D)
     except np.linalg.LinAlgError:
         raise error from None
-    X = np.linalg.solve(D, Bt)
-    Q = A - Bt.T @ X
-    return 0.5 * (Q + Q.T), X
+    with np.errstate(all="ignore"):
+        X = np.linalg.solve(D, Bt)
+        Q = A - Bt.T @ X
+        S = 0.5 * (Q + Q.T)
+    if not (np.isfinite(S).all() and np.isfinite(X).all()):
+        raise error
+    return S, X
 
 
 def plane_stress_reduce(q3: QuadForm3):

@@ -21,6 +21,19 @@ from plate_homog import fem
 from plate_homog.core import IN_PLANE, OUT_OF_PLANE
 
 
+def operator_grids(monkeypatch) -> list:
+    """The shape of the grid of every ``fem.ElementOperator`` built from now on,
+    in order: its ``__init__`` is wrapped for the rest of the test."""
+    shapes, init = [], fem.ElementOperator.__init__
+
+    def recording(self, grid, *args, **kwargs):
+        shapes.append(grid.shape)
+        init(self, grid, *args, **kwargs)
+
+    monkeypatch.setattr(fem.ElementOperator, "__init__", recording)
+    return shapes
+
+
 def random_spd(rng, n, lo, hi):
     """Symmetric matrix with eigenvalues drawn uniformly from [lo, hi]."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))

@@ -167,6 +167,10 @@ class TestPlateEnergy:
             SurfaceSpec(kind="cylinder", extent=(1.0, 1.0))
         with pytest.raises(SpecFormatError):
             SurfaceSpec(kind="flat", extent=(0.0, 1.0))
+        for extent, radius in (((np.nan, 1.0), 1.0), ((1.0, np.inf), 1.0),
+                               ((1.0, 1.0), np.nan), ((1.0, 1.0), np.inf)):
+            with pytest.raises(SpecFormatError, match="finite"):
+                SurfaceSpec(kind="cylinder", extent=extent, radius=radius)
 
 
 class TestCommands:
@@ -586,6 +590,55 @@ class TestExitCodes:
         assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
         assert error_line(capsys)["message"].startswith(f"{path}.scenarios[1].name: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("surface", [
+        {"kind": "cylinder", "radius": 1.0, "extent": [float("nan"), 1.0]},
+        {"kind": "cylinder", "radius": float("inf"), "extent": [1.0, 1.0]},
+        {"kind": "flat", "extent": [1.0, float("-inf")]},
+    ])
+    def test_non_finite_surface_is_parse_error(self, fixtures_dir, tmp_path, capsys, surface):
+        spec = dict(load_json(fixtures_dir / "energy_cylinder.json"), surface=surface)
+        path = write_spec(tmp_path, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["energy", "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_PARSE
+        assert error_line(capsys)["message"].startswith(f"{path}.surface: ")
+
+    @pytest.mark.parametrize("surface, value", [
+        ({"kind": "cylinder", "radius": 1.0, "extent": [1e308, 1e308]}, "inf"),
+        ({"kind": "cylinder", "radius": 1e-320, "extent": [1.0, 1.0]}, "nan"),
+    ])
+    def test_energy_that_is_not_finite_is_parse_error(self, fixtures_dir, tmp_path, capsys,
+                                                      surface, value):
+        # finite inputs whose energy overflows: JSON has no Infinity or NaN, so
+        # nothing is written
+        spec = dict(load_json(fixtures_dir / "energy_cylinder.json"), surface=surface)
+        path = write_spec(tmp_path, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["energy", "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_PARSE
+        assert error_line(capsys)["message"] == (
+            f"scenario 'cylinder': the plate energy is not finite ({value}): "
+            "form, extent and radius overflow double precision")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_indefinite_form3_is_admissibility_error(self, tmp_path, capsys):
+        # symmetric, with a positive definite out-of-plane block that is tiny against
+        # its coupling: the Schur complement overflows
+        m = np.eye(6)
+        m[2, 2] = m[3, 3] = m[4, 4] = 1e-200
+        m[0, 2] = m[2, 0] = 1e150
+        path = write_spec(tmp_path, {"convention": CONVENTION, "command": "reduce",
+                                     "material": {"kind": "form3", "matrix": m.tolist()}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["reduce", "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_ADMISSIBILITY
+        assert error_line(capsys) == {
+            "error": "DegenerateMaterialError", "exit_code": EXIT_ADMISSIBILITY,
+            "message": "out-of-plane block of the material form is not positive definite"}
 
     @pytest.mark.parametrize("command", ["homog-regime2", "oracle-check"])
     def test_asymmetric_fiber_is_admissibility_error(self, tmp_path, capsys, command):

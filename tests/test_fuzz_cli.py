@@ -44,6 +44,10 @@ def _at(obj, path):
     return obj
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -90,6 +94,9 @@ def mutated_specs(draw):
 @given(mutated_specs())
 @example(("reduce_isotropic.json", {**SPECS["reduce_isotropic.json"], "settings": [1, 2]}))
 @example(("energy_cylinder.json", {**SPECS["energy_cylinder.json"], "settings": "x"}))
+@example(("energy_cylinder.json", {**SPECS["energy_cylinder.json"],
+                                   "surface": {"kind": "cylinder", "radius": 1.0,
+                                               "extent": [math.nan, 1.0]}}))
 def test_mutated_fixture_ends_in_a_documented_exit_code(capsys, mutated):
     name, spec = mutated
     command = SPECS[name]["command"]
@@ -101,7 +108,9 @@ def test_mutated_fixture_ends_in_a_documented_exit_code(capsys, mutated):
     out, err = capsys.readouterr()
     assert rc in EXIT_CODES
     if rc == 0:
-        assert json.loads(out.strip().splitlines()[-1])["status"] == "ok"
+        # strict JSON: a NaN or an Infinity in the status line breaks its readers
+        status = json.loads(out.strip().splitlines()[-1], parse_constant=_refuse_constant)
+        assert status["status"] == "ok" and not caught, [str(w.message) for w in caught]
         return
     lines = err.strip().splitlines()
     assert len(lines) == 1 and not caught, (err, [str(w.message) for w in caught])

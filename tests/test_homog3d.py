@@ -22,7 +22,7 @@ from plate_homog import fem, homog3d
 from plate_homog.homogslab import laminate_reduced_form
 from plate_homog.reduction import plane_stress_reduce
 
-from helpers import random_cell, random_spd
+from helpers import operator_grids, random_cell, random_spd
 
 E_BASIS = np.eye(6)
 
@@ -348,6 +348,16 @@ def assert_close(actual, expected, rel=1e-12):
     assert np.abs(np.asarray(actual) - expected).max() <= rel * np.abs(expected).max()
 
 
+def assert_tiled_solve(corr, energy, x, N):
+    """A one-load solve's tiled field and energy against the full-grid field ``x``
+    and 1x1 energy matrix ``N`` of the same load."""
+    assert type(corr) is fem.CorrectorField
+    assert_close(corr.flat(), x, rel=1e-10)
+    means = corr.values.reshape(-1, 3).mean(axis=0)
+    assert np.abs(means).max() <= 1e-13 * np.abs(x).max()
+    assert energy == pytest.approx(N[0, 0], rel=1e-12)
+
+
 class TestSolveGrid:
     """Regime 1 solves on the cell cut to one cell along every axis on which the
     laws are bitwise equal, with the forms of the full grid."""
@@ -407,6 +417,17 @@ class TestSolveGrid:
         self.check_against_full_grid(CellMaterial3(c=c.copy()), [4, 1, 2])
         c[2, 1, 0] *= 1.5
         self.check_against_full_grid(CellMaterial3(c=c), [4, 3, 2])
+
+    def test_one_load_solve_runs_on_the_cut_grid(self, monkeypatch):
+        # one operator, on one layer of cells; the field tiled back onto 6^3 nodes
+        mat = column_cell(n=6, contrast=30.0)
+        op = fem.ElementOperator(fem.build_cell_grid(*mat.grid_shape), mat.flat())
+        [x], N, _ = fem.solve_loads(op, [E_BASIS[0]], 1e-13)
+        grids = operator_grids(monkeypatch)
+        corr, energy = corrector_solve_3d(mat, E_BASIS[0], tol=1e-13)
+        assert grids == [(6, 6, 1)]
+        assert corr.values.shape == (6, 6, 6, 3)
+        assert_tiled_solve(corr, energy, x, N)
 
     def test_one_load_solve_stays_on_the_full_grid(self):
         mat = column_cell(n=4)

@@ -21,9 +21,15 @@ from plate_homog.core import IN_PLANE, OUT_OF_PLANE, embed2to3
 from plate_homog.homogslab import _load_strain, reduce_fibers
 from plate_homog.reduction import spd_schur
 
-from helpers import random_fiber, random_slab, random_spd, reference_reduce_fibers
+from helpers import (
+    operator_grids,
+    random_fiber,
+    random_slab,
+    random_spd,
+    reference_reduce_fibers,
+)
 
-from test_homog3d import assert_close, laminate_cell
+from test_homog3d import assert_close, assert_tiled_solve, laminate_cell
 
 
 class TestFiberReduce:
@@ -491,6 +497,23 @@ class TestSlabSolveGrid:
         slab = SlabMaterial.homogeneous(qf_isotropic(mu, 0.0), grid=(3, 2, 4), nf=2)
         rep, _ = self.check_against_full_grid(slab, [1, 1, 4])
         assert_close(rep.form.matrix, (mu / 6.0) * np.eye(3))
+
+    @pytest.mark.parametrize("load", [("A", 0), ("B", 2)])
+    def test_one_load_solve_runs_on_the_cut_grid(self, monkeypatch, load):
+        # anisotropic fibers that vary along x3 only: one operator on one fiber of
+        # cells, the field tiled back onto the 3x4x4 nodes
+        rng = np.random.default_rng(46)
+        fibers = np.stack([np.stack([random_spd(rng, 6, 1.0, 4.0) for _ in range(2)])
+                           for _ in range(3)])
+        slab = SlabMaterial(fibers=fibers, fiber_index=np.broadcast_to(np.arange(3), (3, 4, 3)))
+        op = fem.ElementOperator(fem.build_slab_grid(*slab.grid_shape), slab.reduced_cells())
+        [x], N, _ = fem.solve_loads(op, [_load_strain(load)], 1e-13)
+        assert np.abs(x).max() > 1e-2
+        grids = operator_grids(monkeypatch)
+        corr, energy = slab_corrector_solve(slab, load, tol=1e-13)
+        assert grids == [(1, 1, 3)]
+        assert corr.values.shape == (3, 4, 4, 3)
+        assert_tiled_solve(corr, energy, x, N)
 
     def test_one_load_solve_stays_on_the_full_grid(self):
         slab = SlabMaterial.separable(np.broadcast_to([1.0, 3.0], (2, 3, 2)),

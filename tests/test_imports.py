@@ -138,9 +138,11 @@ print(json.dumps({"light": light, "missing": sorted(set(plate_homog.__all__) - s
 
 
 def test_lazy_names_are_the_defining_objects():
-    from plate_homog import app, homog3d, homogslab, oracle, reduction
+    from plate_homog import app, fem, homog3d, homogslab, oracle, reduction
 
     assert plate_homog.bending_form_regime1 is homog3d.bending_form_regime1
+    # one corrector class under both regimes' names
+    assert plate_homog.CorrectorField3 is plate_homog.SlabCorrector is fem.CorrectorField
     assert plate_homog.SlabMaterial is homogslab.SlabMaterial
     assert plate_homog.laminate_closed_form is oracle.laminate_closed_form
     assert plate_homog.ThicknessProfile is reduction.ThicknessProfile

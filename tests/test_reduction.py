@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from plate_homog import (
     reduce_profile,
 )
 from plate_homog.core import IN_PLANE, embed2to3
+from plate_homog.reduction import spd_schur
 
 from helpers import random_form2, random_form3, random_profile2, random_spd
 
@@ -30,6 +33,17 @@ def two_phase_profile(c1=1.0, c2=3.0):
 
 
 class TestPlaneStress:
+    def test_overflowing_schur_complement_is_refused(self):
+        # D passes the Cholesky test, but D^-1 Bt overflows: the caller's error,
+        # and no floating-point warning
+        D = 1e-200 * np.eye(3)
+        Bt = np.zeros((3, 3))
+        Bt[0, 0] = 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateProfileError, match="overflow"):
+                spd_schur(np.eye(3), Bt, D, DegenerateProfileError("overflow"))
+
     def test_isotropic_no_poisson_coupling(self):
         q2, dstar = plane_stress_reduce(qf_isotropic(1.7, 0.0))
         A = np.array([[0.4, 0.1], [0.1, -0.9]])
