@@ -125,7 +125,9 @@ def plate_energy(q0: QuadForm2, surface: SurfaceSpec) -> float:
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Validated unit of work for one CLI invocation; a cell or slab
-    ``material`` has passed its check."""
+    ``material`` has passed its check.  ``path`` is the key path of the
+    scenario in its spec file (``spec.json`` or ``spec.json.scenarios[1]``),
+    for the errors found when it runs."""
 
     command: str
     name: str
@@ -134,6 +136,7 @@ class Scenario:
     form: QuadForm2 | None = None
     surface: SurfaceSpec | None = None
     subs: tuple = field(default_factory=tuple)
+    path: str = ""
 
 
 def _read_settings(obj: dict | None, path: str) -> dict:
@@ -263,7 +266,8 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
         names = [s.name for s in subs]
         if len(set(names)) != len(names):
             raise SpecFormatError(f"{path}: sweep scenario names must be unique")
-        return Scenario(command=command, name=name, settings=settings, subs=tuple(subs))
+        return Scenario(command=command, name=name, settings=settings, subs=tuple(subs),
+                        path=path)
 
     if command == "energy":
         form = iojson.read_form(iojson._get(obj, "form", path), path + ".form")
@@ -273,14 +277,15 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
         if eig[0] < -1e-12 * max(1.0, abs(eig[-1])):
             raise SpecFormatError(f"{path}.form: bending form must be positive semidefinite")
         surface = _read_surface(iojson._get(obj, "surface", path), path + ".surface")
-        return Scenario(command=command, name=name, settings=settings, form=form, surface=surface)
+        return Scenario(command=command, name=name, settings=settings, form=form,
+                        surface=surface, path=path)
 
     material = _read_material(iojson._get(obj, "material", path), path + ".material", command)
     if command == "oscillate" and material.rule == "gauss":
         raise SpecFormatError(
             f"{path}.material: oscillate needs a piecewise-constant profile (layers or midpoint)"
         )
-    return Scenario(command=command, name=name, settings=settings, material=material)
+    return Scenario(command=command, name=name, settings=settings, material=material, path=path)
 
 
 def parse_material_spec(path, command: str | None = None) -> Scenario:
@@ -448,7 +453,7 @@ def _run_energy(scenario: Scenario, out_dir: Path) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):
         value = plate_energy(scenario.form, scenario.surface)
     if not np.isfinite(value):
-        raise SpecFormatError(f"scenario {scenario.name!r}: the plate energy is not finite "
+        raise SpecFormatError(f"{scenario.path}.surface: the plate energy is not finite "
                               f"({value}): form, extent and radius overflow double precision")
     out = {
         "convention": iojson.CONVENTION,

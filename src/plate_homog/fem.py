@@ -54,7 +54,13 @@ the sum of the two, scattered once.
 Both regime pipelines and their one-load solves build their operator
 with ``solve_grid_operator``: on the grid cut to one cell along every
 periodic axis on which the cell laws are bitwise equal
-(``invariant_cut``), which gives the same forms to rounding.
+(``invariant_cut``), which gives the same forms to rounding.  On that
+grid ``solve_loads`` solves one load per orbit of the axis swaps that map
+the cell laws onto themselves up to a periodic shift
+(``axis_symmetries``): any permutation of equal-length axes on a cell, y1
+<-> y2 on a square slab.  The other loads of an orbit take the solved
+field with its axes and components permuted and rolled, the same
+minimizer to rounding, since the gauged minimizer is unique.
 
 Corrector solves run conjugate gradients preconditioned by the exact
 inverse of the stiffness K0 of one constant reference law C0 on the same
@@ -105,7 +111,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,7 +138,7 @@ LAW_CELLS = 8
 LAW_RANK = 2
 
 _NODE = np.dtype((np.void, 24))      # a node's three components, gathered as one item
-# Odd multipliers of the law hash in ``_distinct_laws`` (products wrap mod 2**64).
+# Odd multipliers of the law hash in ``_distinct_rows`` (products wrap mod 2**64).
 _LAW_HASH = np.arange(1, 73, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
 # The names of the two reference laws (``Reference``), reported as
@@ -282,7 +289,8 @@ class ElementOperator:
     their own gather index ``_minor_idx`` and the differences ``_minor_Ke``
     of their element matrices from the reference one (see
     ``split_product``).  ``laws``, when given, is ``_distinct_laws(cellC)``
-    as the caller already computed it.
+    as the caller already computed it; ``law_labels`` keeps its law numbers
+    in grid order, for ``axis_symmetries``.
     """
 
     def __init__(self, grid: Grid, cellC: np.ndarray, laws=None):
@@ -301,6 +309,7 @@ class ElementOperator:
         self._Btilde = np.einsum("q,qij->ij", grid.wq * d3, grid.B)
         first, law = _distinct_laws(cellC) if laws is None else laws
         self.cell_laws = len(first)
+        self.law_labels = law
         self._counts = np.bincount(law)
         self._cuts = np.concatenate(([0], np.cumsum(self._counts)))
         if self.cell_laws < grid.ncells:
@@ -560,11 +569,17 @@ def _distinct_laws(cellC: np.ndarray):
     """Distinct cell laws, bit for bit: ``cellC[first[law]]`` equals ``cellC``.
 
     Laws are numbered by first appearance (``first`` ascends): with no law
-    repeated, ``law`` is grid order.  An integer hash of the 36 bit patterns
-    sorts several times faster than the 288-byte rows; on a collision the
-    rows themselves are sorted.
+    repeated, ``law`` is grid order.  See ``_distinct_rows``.
     """
-    bits = cellC.reshape(len(cellC), 36).view(np.uint64)
+    return _distinct_rows(cellC.reshape(len(cellC), 36).view(np.uint64))
+
+
+def _distinct_rows(bits: np.ndarray):
+    """``(first, law)`` of ``_distinct_laws`` for laws given as the bit patterns
+    (laws, 36) of their entries.  An integer hash of the 36 bit patterns sorts
+    several times faster than the 288-byte rows; on a collision the rows
+    themselves are sorted.
+    """
     _, first, law = np.unique(bits @ _LAW_HASH, return_index=True, return_inverse=True)
     if not np.array_equal(bits[first[law.ravel()]], bits):
         rows = bits.view(np.dtype((np.void, 288))).ravel()
@@ -614,6 +629,121 @@ def solve_grid_operator(kind: str, shape, cellC: np.ndarray, laws=None) -> Eleme
         cellC = cellC.reshape(*shape, 6, 6)[cut].reshape(-1, 6, 6)
         first, law = np.unique(sub, return_index=True)[1], sub.ravel()
     return ElementOperator(_build_grid(kind, *sub.shape), cellC, laws=(first, law))
+
+
+# The Mandel slots of the strain components (a, b): 11, 22, 33, 23, 13, 12.
+_SLOT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
+
+
+def mandel_slots(axes) -> list:
+    """The Mandel slot permutation ``q`` of the axis permutation ``axes`` (p):
+    ``q[slot(a, b)] = slot(p[a], p[b])``.  With axis k of a new frame along
+    axis ``p[k]`` of the old one, a strain G reads ``G[..., q]`` and a law C
+    reads ``C[q][:, q]``; y1 <-> y2 swaps slots 0 and 1 and slots 3 and 4.  A
+    shear slot goes to a shear slot, so its sqrt 2 stays."""
+    slot = {pair: k for k, pair in enumerate(_SLOT_PAIRS)}
+    return [slot[tuple(sorted((axes[a], axes[b])))] for a, b in _SLOT_PAIRS]
+
+
+def _axis_permutations(grid: Grid) -> list:
+    """The permutations of the grid's periodic axes, the identity aside, that
+    move each axis onto one of equal length: of all three axes on a cell, of
+    y1 and y2 on a slab, whose x3 has free faces."""
+    periodic = range(3 if grid.kind == "cell" else 2)
+    fixed = tuple(range(len(periodic), 3))
+    return [p + fixed for p in permutations(periodic)
+            if p != tuple(periodic) and all(grid.shape[a] == grid.shape[b]
+                                            for a, b in zip(p, periodic))]
+
+
+def axis_symmetries(op: ElementOperator) -> tuple:
+    """The axis permutations that map the cell laws of ``op`` onto themselves
+    up to a periodic shift: pairs ``(p, s)`` with ``np.roll(m[labels.transpose(p)],
+    s, axis=(0, 1, 2)) == labels``.  ``labels`` number the cell laws on the
+    grid and ``m`` maps each law to the number of its image ``C[q][:, q]``,
+    with ``q = mandel_slots(p)``.
+
+    The candidates are ``_axis_permutations``.  Laws are compared by value
+    with no tolerance: ``+ 0.0`` turns -0.0 into 0.0 before
+    ``_distinct_rows`` numbers the laws by their bits, since fiber-reduced
+    slab laws carry -0.0 in slots that a swap moves.  Each image is looked
+    up by its hash among the distinct laws and then compared whole: a
+    permutation with an image that is no cell law is out (so is one whose
+    image hash collides, which costs only the mirroring), and for the
+    others ``_periodic_shift`` looks for the shift.  Only the distinct laws
+    are permuted, one permutation at a time.
+
+    The trilinear element and its quadrature map onto themselves under a
+    permutation of axes of equal spacing, so such a pair maps the discrete
+    problem of a load G onto that of ``G[..., q]``, a shift along a periodic
+    axis changes nothing, and the minimizer is unique under the zero-mean
+    gauge: the corrector of ``G[..., q]`` is that of G with its axes and
+    components permuted by p and rolled by s (``solve_loads``).
+    """
+    perms = _axis_permutations(op.grid)
+    if not perms:
+        return ()
+    laws = op._laws + 0.0
+    first, number = _distinct_rows(laws.reshape(-1, 36).view(np.uint64))
+    laws = laws[first]
+    hashes = laws.reshape(-1, 36).view(np.uint64) @ _LAW_HASH
+    order = np.argsort(hashes)
+    labels = number[op.law_labels].reshape(op.grid.shape)
+    periodic = 3 if op.grid.kind == "cell" else 2
+    weights = _label_weights(len(laws))
+    found = []
+    for p in perms:
+        q = mandel_slots(p)
+        images = laws[:, q][:, :, q]
+        at = np.searchsorted(hashes, images.reshape(-1, 36).view(np.uint64) @ _LAW_HASH,
+                             sorter=order)
+        m = order[np.minimum(at, len(laws) - 1)]
+        if np.array_equal(laws[m], images):
+            s = _periodic_shift(m[labels].transpose(p), labels, periodic, weights)
+            if s is not None:
+                found.append((p, s))
+    return tuple(found)
+
+
+def _label_weights(n: int) -> np.ndarray:
+    """Pseudo-random uint64 weights of the labels 0..n-1, by the splitmix64
+    finalizer (products wrap mod 2**64).  ``numpy.random`` is not loaded for
+    them: its first import raised the peak memory of a process by 6.4 MiB."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _periodic_shift(target: np.ndarray, labels: np.ndarray, periodic: int, weights: np.ndarray):
+    """A shift ``s`` with ``np.roll(target, s, axis=(0, 1, 2)) == labels`` of two label
+    grids, zero on the axes from ``periodic`` on, or None.
+
+    The candidates along each axis come from label profiles: the labels'
+    random uint64 ``weights`` (``_label_weights``), summed over each slice
+    across the axis (mod 2**64), and the target's profile compared with that
+    of ``labels`` under all rotations at once.  Their products are filtered on 8 anchor cells
+    spread over the grid and then checked on the whole grid in turn, so that
+    profiles that match under every rotation (a diagonal pattern, whose
+    slices all hold the same labels) cost no whole-grid check per candidate.
+    """
+    wt, wl = weights[target], weights[labels]
+    candidates = []
+    for a, n in enumerate(labels.shape):
+        rolls = np.arange(n if a < periodic else 1)
+        others = tuple(b for b in range(3) if b != a)
+        pt, pl = wt.sum(axis=others), wl.sum(axis=others)
+        rotated = pt[(np.arange(n) - rolls[:, None]) % n]     # row s: np.roll(pt, s)
+        candidates.append(rolls[(rotated == pl).all(axis=1)])
+    shifts = np.array(list(product(*candidates)), dtype=int).reshape(-1, 3)
+    anchors = np.array(np.unravel_index(np.arange(0, labels.size, -(-labels.size // 8)),
+                                        labels.shape))
+    at = (anchors[:, :, None] + shifts.T[:, None, :]) % np.array(labels.shape)[:, None, None]
+    hits = (labels[tuple(at)] == target[tuple(anchors)][:, None]).all(axis=0)
+    for s in shifts[hits]:
+        if np.array_equal(np.roll(target, s, axis=(0, 1, 2)), labels):
+            return tuple(int(k) for k in s)
+    return None
 
 
 def _law_basis(laws: np.ndarray):
@@ -1037,29 +1167,83 @@ class CorrectorField:
         return self.values.reshape(-1)
 
 
+class LoadSolve(NamedTuple):
+    """How ``solve_loads`` got one load's corrector: CG's iterations and relative
+    residual history, or for a load mirrored from a solved one, 0 iterations,
+    that load's history and ``source = (i, p, s)``: load i, axis permutation
+    p and shift s (``axis_symmetries``)."""
+
+    iterations: int
+    residuals: tuple
+    source: tuple | None = None
+
+
+def _load_key(g: np.ndarray) -> tuple:
+    """A dict key of a load's value: its shape and bytes, -0.0 read as 0.0."""
+    return g.shape, (g + 0.0).tobytes()
+
+
+def _mirrored(x: np.ndarray, node_shape, p, s) -> np.ndarray:
+    """The flat nodal field ``x`` with its axes and components permuted by ``p``
+    and rolled by ``s`` on the node grid, a copy."""
+    X = x.reshape(*node_shape, 3).transpose(*p, 3)[..., list(p)]
+    return np.roll(X, s, axis=(0, 1, 2)).reshape(-1)
+
+
 def solve_loads(op: ElementOperator, loads, tol: float):
     """Correctors and energy matrix of a set of load strains.
 
     Each load (a Mandel 6-vector G, or on a slab a (2, 6) pair (G, A) for
     the strain ``G + x3 A``) gets the minimizer ``x_i`` of the energy of
     ``B x + G_i + x3 A_i``: CG on ``K x = -rhs(load_i)`` with the load's
-    noise floor, then the zero-mean gauge.  Returns ``(fields, N,
-    solves)`` with ``N`` from ``op.energy_matrix`` and ``solves[i] = (iterations, residual_history)``.
+    noise floor, then the zero-mean gauge.  A load equal to ``loads[i][...,
+    q]`` of a solved load i, with ``q = mandel_slots(p)`` for an axis
+    symmetry ``(p, s)`` of ``op`` (``axis_symmetries``), is not solved: its
+    field is ``x_i`` permuted and rolled on the node grid (``_mirrored``),
+    the same minimizer to rounding, with the zero mean kept.  The
+    symmetries are looked for only when some load is such an image of
+    another, so a single load pays nothing.  Returns ``(fields, N, solves)``
+    with ``N`` from ``op.energy_matrix`` on all the fields and ``solves[i]``
+    a ``LoadSolve``.
     """
-    fields, solves = [], []
+    loads = [np.asarray(g, dtype=float) for g in loads]
     for gload in loads:
+        op._load_parts(gload)       # a load of the wrong shape is refused before any solve
+    keys = [_load_key(g) for g in loads]
+    slots = [mandel_slots(p) for p in _axis_permutations(op.grid)]
+    mirrored = any(_load_key(g[..., q]) in keys[:i] + keys[i + 1:]
+                   for i, g in enumerate(loads) for q in slots)
+    symmetries = axis_symmetries(op) if mirrored else ()
+    fields, solves, images = [], [], {}
+    for gload, key in zip(loads, keys):
+        if key in images:
+            i, p, s = images[key]
+            fields.append(_mirrored(fields[i], op.grid.node_shape, p, s))
+            solves.append(LoadSolve(0, solves[i].residuals, images[key]))
+            continue
         b = -op.rhs(gload)
         with np.errstate(over="ignore"):      # an overflowing load is refused by CG
             floor = op.rhs_noise_floor(gload)
         x, iters, hist = conjugate_gradient(op, b, tol, noise_floor=floor)
         fields.append(subtract_nodal_mean(x, op.grid.nnodes))
-        solves.append((iters, hist))
+        solves.append(LoadSolve(iters, hist))
+        for p, s in symmetries:
+            images.setdefault(_load_key(gload[..., mandel_slots(p)]), (len(fields) - 1, p, s))
     return fields, op.energy_matrix(fields, loads), solves
 
 
 def solver_diagnostics(op: ElementOperator, tol: float, labels, solves) -> dict:
     """The solver block of both regimes' reports: the forms of ``op`` and one
-    entry per solve of ``solve_loads``, its load named by ``labels``."""
+    entry per ``LoadSolve`` of ``solve_loads``, its load named by ``labels``; a
+    mirrored load names its source load, permutation and shift under "from"."""
+    labels = list(labels)
+    entries = []
+    for label, (iterations, hist, source) in zip(labels, solves):
+        entry = {"load": label, "iterations": iterations, "residual": hist[-1] if hist else 0.0}
+        if source is not None:
+            i, p, s = source
+            entry["from"] = {"load": labels[i], "axes": list(p), "shift": list(s)}
+        entries.append(entry)
     return {
         "tol": tol,
         "quadrature": "gauss-2x2x2",
@@ -1068,8 +1252,5 @@ def solver_diagnostics(op: ElementOperator, tol: float, labels, solves) -> dict:
         "cell_laws": op.cell_laws,
         "stiffness": op.stiffness,
         "law_rank": op.law_rank,
-        "solves": [
-            {"load": label, "iterations": it, "residual": hist[-1] if hist else 0.0}
-            for label, (it, hist) in zip(labels, solves)
-        ],
+        "solves": entries,
     }

@@ -23,6 +23,13 @@ gauged minimizer is unique, hence constant along it, so the cut grid
 gives the same form to rounding; ``corrector_solve_3d`` tiles its one
 field back onto the full grid.  The material check and the dense oracle
 stay on the full grid; reports give both ``grid`` and ``solve_grid``.
+
+Of the six basis strains, one per orbit of the axis swaps that map the
+cut cell's laws onto themselves up to a periodic shift is solved
+(``fem.axis_symmetries``): E22 and E33 of a cell that is cubic up to a
+shift are E11's corrector with its axes swapped and rolled, E22 and E13
+of a square column those of E11 and E23.  Such a load reports 0
+iterations and the load it came ``from`` in ``diagnostics.solves``.
 """
 
 from __future__ import annotations
@@ -135,7 +142,7 @@ def corrector_solve_3d(material: CellMaterial3, E, tol: float = DEFAULT_TOL):
         E = mandel3(E)
     if E.shape != (6,):
         raise ValueError("macroscopic strain must be a Mandel 6-vector or 3x3 matrix")
-    [x], N, [(iters, hist)], op = _solve(material, [E], tol)
+    [x], N, [(iters, hist, _)], op = _solve(material, [E], tol)
     values = np.broadcast_to(x.reshape(*op.grid.node_shape, 3), (*material.grid_shape, 3))
     return CorrectorField3(values, iters, hist), float(N[0, 0])
 

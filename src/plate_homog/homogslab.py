@@ -21,6 +21,10 @@ Pipeline for this scaling:
    along such an axis and the cut gives the same energies to rounding.
    x3 never collapses, because its faces are free, not periodic.
    ``slab_corrector_solve`` tiles its one field back onto the full grid.
+   When swapping y1 and y2 maps the reduced laws onto themselves up to an
+   in-plane shift (``fem.axis_symmetries``, by value: reduced laws carry
+   -0.0 where their images carry 0.0), A1 and B1 are not solved but
+   mirrored from A0 and B0, 4 solves in place of 6.
 3. Assemble the 6x6 energy matrix of the (curvature, mid-plane) pair
    from the stored correctors and eliminate the mid-plane block by a
    Schur complement.
@@ -387,7 +391,7 @@ def slab_corrector_solve(slab: SlabMaterial, load, tol: float = DEFAULT_TOL):
     kind 'A', with ``E`` a symmetric 2x2 pattern given in Mandel
     coordinates.  Returns ``(SlabCorrector, energy)``.
     """
-    [x], N, [(iters, hist)], op = _solve(slab, [load], tol)
+    [x], N, [(iters, hist, _)], op = _solve(slab, [load], tol)
     n1, n2, n3 = slab.grid_shape
     values = np.broadcast_to(x.reshape(*op.grid.node_shape, 3), (n1, n2, n3 + 1, 3))
     return SlabCorrector(values, iters, hist), float(N[0, 0])

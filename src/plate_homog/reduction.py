@@ -112,8 +112,9 @@ def spd_schur(A, Bt, D, error: Exception):
 
     ``S = 0.5 (Q + Q^T)`` with ``Q = A - Bt^T X``; minimizing the quadratic
     form over the ``D`` slots leaves ``S`` with minimizer ``-X``.  Raises
-    ``error`` when ``D`` fails the Cholesky test or ``S`` or ``X`` is not
-    finite (overflow from a ``D`` nearly singular against ``Bt``).
+    ``error`` when ``D`` fails the Cholesky test.  When ``S`` or ``X`` is not
+    finite (a ``D`` nearly singular against ``Bt``), it raises an error of
+    the same class, hence the same exit code, that says so: ``D`` passed.
     """
     try:
         np.linalg.cholesky(D)
@@ -124,7 +125,10 @@ def spd_schur(A, Bt, D, error: Exception):
         Q = A - Bt.T @ X
         S = 0.5 * (Q + Q.T)
     if not (np.isfinite(S).all() and np.isfinite(X).all()):
-        raise error
+        raise type(error)(
+            f"the Schur complement or minimizer of a positive definite {len(D)}x{len(D)} "
+            "block overflows double precision: the block is nearly singular against its "
+            "coupling")
     return S, X
 
 

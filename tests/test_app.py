@@ -620,9 +620,29 @@ class TestExitCodes:
             rc = main(["energy", "--spec", str(path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_PARSE
         assert error_line(capsys)["message"] == (
-            f"scenario 'cylinder': the plate energy is not finite ({value}): "
+            f"{path}.surface: the plate energy is not finite ({value}): "
             "form, extent and radius overflow double precision")
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_energy_that_is_not_finite_fails_its_sweep_scenario(self, fixtures_dir, tmp_path,
+                                                               capsys):
+        # refused when the scenario runs, not when the file is read: the other
+        # scenario still writes its artifact
+        energy = load_json(fixtures_dir / "energy_cylinder.json")
+        bad = dict(energy, name="overflow",
+                   surface={"kind": "cylinder", "radius": 1.0, "extent": [1e308, 1e308]})
+        spec = {"convention": CONVENTION, "command": "sweep", "name": "energies",
+                "scenarios": [bad, dict(energy, name="good")]}
+        path = write_spec(tmp_path, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_PARSE
+        message = error_line(capsys)["message"]
+        assert message.startswith("1 of 2 sweep scenarios failed")
+        assert f"overflow: SpecFormatError (exit 2): {path}.scenarios[0].surface: " in message
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "energies-summary.csv", "good-energy.json"]
 
     def test_indefinite_form3_is_admissibility_error(self, tmp_path, capsys):
         # symmetric, with a positive definite out-of-plane block that is tiny against
@@ -638,7 +658,9 @@ class TestExitCodes:
         assert rc == EXIT_ADMISSIBILITY
         assert error_line(capsys) == {
             "error": "DegenerateMaterialError", "exit_code": EXIT_ADMISSIBILITY,
-            "message": "out-of-plane block of the material form is not positive definite"}
+            "message": "the Schur complement or minimizer of a positive definite 3x3 block "
+                       "overflows double precision: the block is nearly singular against its "
+                       "coupling"}
 
     @pytest.mark.parametrize("command", ["homog-regime2", "oracle-check"])
     def test_asymmetric_fiber_is_admissibility_error(self, tmp_path, capsys, command):

@@ -97,6 +97,9 @@ def mutated_specs(draw):
 @example(("energy_cylinder.json", {**SPECS["energy_cylinder.json"],
                                    "surface": {"kind": "cylinder", "radius": 1.0,
                                                "extent": [math.nan, 1.0]}}))
+@example(("energy_cylinder.json", {**SPECS["energy_cylinder.json"],
+                                   "surface": {"kind": "cylinder", "radius": 1.0,
+                                               "extent": [1e308, 1e308]}}))
 def test_mutated_fixture_ends_in_a_documented_exit_code(capsys, mutated):
     name, spec = mutated
     command = SPECS[name]["command"]

@@ -108,6 +108,20 @@ def test_regime2_loads_no_cell_pipeline_or_oracle(tmp_path):
     assert not {"plate_homog.homog3d", "plate_homog.oracle", "scipy"} & set(out["modules"])
 
 
+@pytest.mark.parametrize("command, fixture, name", [
+    ("homog-regime1", "homog_regime1_laminate.json", "laminate-r1"),
+    ("homog-regime2", "homog_regime2_laminate.json", "laminate-r2"),
+])
+def test_axis_symmetries_load_no_numpy_random(tmp_path, command, fixture, name):
+    # its first import raised the peak memory of a process by 6.4 MiB; both
+    # laminates mirror two of their loads, so the symmetries were looked for
+    out = _main(tmp_path, command, FIXTURES / fixture)
+    assert out["rc"] == 0
+    assert "numpy.random" not in out["modules"]
+    report = json.loads((tmp_path / "out" / f"{name}-report.json").read_text())
+    assert sum("from" in s for s in report["diagnostics"]["solves"]) == 2
+
+
 @pytest.mark.parametrize("spec", [
     pytest.param(FIXTURES / "oracle_check_cell.json", id="cell-fixture"),
     pytest.param(None, id="slab"),
