@@ -2,7 +2,8 @@
 
 ``plate-homog <command> --spec <file> --out <dir>`` reads a JSON
 scenario, validates the material eagerly, runs the requested pipeline
-and writes reports (JSON) and tables (CSV).  A cell or slab material is
+and writes reports (JSON, ``<name>-<suffix>.json`` with the scenario's
+settings as the last key) and tables (CSV).  A cell or slab material is
 checked against its bounds while the file is read; the material keeps the
 result, so the pipelines do not check it again.  Commands:
 
@@ -43,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import iojson
-from .core import DEFAULT_TOL, EffectiveReport, QuadForm2, mandel2
+from .core import DEFAULT_TOL, EffectiveReport, QuadForm2
 from .errors import (
     EXIT_OK,
     PlateHomogError,
@@ -333,26 +334,31 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, settings=settings, material=material)
 
 
-def _write_report(report: EffectiveReport, settings: dict, out_path: Path):
-    iojson.dump_json(iojson.report_to_dict(report, settings), out_path)
+def _write_json(scenario: Scenario, out_dir: Path, suffix: str, out: dict, **result) -> dict:
+    """Write ``out`` to ``<name>-<suffix>.json`` with the scenario's settings as
+    its last key; the runner's result names that artifact, then ``result``."""
+    out["settings"] = scenario.settings
+    path = out_dir / f"{scenario.name}-{suffix}.json"
+    iojson.dump_json(out, path)
+    return {"artifact": str(path), **result}
+
+
+def _write_csv(scenario: Scenario, out_dir: Path, suffix: str, rows: list) -> str:
+    """Write ``rows``, the header first, to ``<name>-<suffix>.csv``; its path."""
+    path = out_dir / f"{scenario.name}-{suffix}.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(path)
 
 
 def _run_reduce(scenario: Scenario, out_dir: Path) -> dict:
     material = scenario.material
     if isinstance(material, ThicknessProfile):
-        reduced = reduce_profile(material)
-        out = iojson.profile_to_dict(reduced)
-        out["settings"] = scenario.settings
-        path = out_dir / f"{scenario.name}-reduced-profile.json"
-        iojson.dump_json(out, path)
-        return {"artifact": str(path)}
+        return _write_json(scenario, out_dir, "reduced-profile",
+                           iojson.profile_to_dict(reduce_profile(material)))
     q2, dstar = plane_stress_reduce(material)
-    out = iojson.form_to_dict(q2)
-    out["minimizer_map"] = dstar.tolist()
-    out["settings"] = scenario.settings
-    path = out_dir / f"{scenario.name}-reduced.json"
-    iojson.dump_json(out, path)
-    return {"artifact": str(path)}
+    return _write_json(scenario, out_dir, "reduced",
+                       {**iojson.form_to_dict(q2), "minimizer_map": dstar.tolist()})
 
 
 def _run_bending(scenario: Scenario, out_dir: Path) -> dict:
@@ -361,9 +367,7 @@ def _run_bending(scenario: Scenario, out_dir: Path) -> dict:
         form=q0, optimal_b=bstar, regime="thickness",
         diagnostics={"rule": scenario.material.rule, "samples": len(scenario.material.forms)},
     )
-    path = out_dir / f"{scenario.name}-report.json"
-    _write_report(report, scenario.settings, path)
-    return {"artifact": str(path)}
+    return _write_json(scenario, out_dir, "report", iojson.report_to_dict(report))
 
 
 def _run_oscillate(scenario: Scenario, out_dir: Path) -> dict:
@@ -375,11 +379,8 @@ def _run_oscillate(scenario: Scenario, out_dir: Path) -> dict:
     for n in scenario.settings["periods"]:
         final = oscillation_experiment(profile, n)
         rows.append((n, float(np.linalg.norm(final.matrix - limit_form.matrix))))
-    csv_path = out_dir / f"{scenario.name}-oscillation.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["periods", "frobenius_distance_to_average_limit"])
-        writer.writerows(rows)
+    csv_path = _write_csv(scenario, out_dir, "oscillation",
+                          [("periods", "frobenius_distance_to_average_limit"), *rows])
     report = EffectiveReport(
         form=final, optimal_b=np.zeros((3, 3)), regime="oscillate",
         diagnostics={
@@ -387,9 +388,7 @@ def _run_oscillate(scenario: Scenario, out_dir: Path) -> dict:
             "deviations": {str(n): d for n, d in rows},
         },
     )
-    path = out_dir / f"{scenario.name}-report.json"
-    _write_report(report, scenario.settings, path)
-    return {"artifact": str(path), "csv": str(csv_path)}
+    return _write_json(scenario, out_dir, "report", iojson.report_to_dict(report), csv=csv_path)
 
 
 def _run_regime(scenario: Scenario, out_dir: Path) -> dict:
@@ -402,9 +401,32 @@ def _run_regime(scenario: Scenario, out_dir: Path) -> dict:
         from . import homogslab
 
         report = homogslab.bending_form_regime2(scenario.material, tol=tol)
-    path = out_dir / f"{scenario.name}-report.json"
-    _write_report(report, scenario.settings, path)
-    return {"artifact": str(path)}
+    return _write_json(scenario, out_dir, "report", iojson.report_to_dict(report))
+
+
+# The Mandel 3-vectors of the ``oracle-check`` probe loads, the first
+# ``oracle_loads`` of them: the identity, then ``mandel2`` of the symmetric
+# parts of ``np.random.default_rng(0).standard_normal((15, 2, 2))``, kept as
+# a table because loading ``numpy.random`` raises a process's peak memory by
+# about 5 MiB.
+ORACLE_PROBES = (
+    (1.0, 1.0, 0.0),
+    (0.1257302210933933, 0.10490011715303971, 0.3594349542929053),
+    (-0.535669373161111, 0.9470809631292422, 1.177753589949103),
+    (-0.7037352358069926, 0.0413259793472436, -1.3355097022362827),
+    (-2.3250307746388343, -0.7322673547034516, -1.0357011487909886),
+    (-0.5442589828573099, 1.0425133694426776, 0.06740875815461062),
+    (-0.12853466294403426, 0.3515100700930197, 0.4958719218378313),
+    (0.9034701816518086, -0.9217253762584194, -0.4592566277635424),
+    (-0.45772582566733916, -0.20917557487171307, -0.5582063989996034),
+    (-0.15922500991447772, 0.3553727090399214, 0.5342225016739253),
+    (-0.6538286094183394, 1.4934311452207607, 0.46270369184589083),
+    (-1.2590655321041202, 0.7813114007004275, 2.0221834061063126),
+    (0.2644556303293035, 1.9602583164499647, 0.8089993615113539),
+    (1.801634869866125, -1.2083186322821715, 1.1826249018478119),
+    (-0.004454133120083229, 0.39512206018200824, -0.4468112493652607),
+    (0.42986369482223, -0.6617025720390349, -0.3451213139091347),
+)
 
 
 def _run_oracle_check(scenario: Scenario, out_dir: Path) -> dict:
@@ -413,11 +435,7 @@ def _run_oracle_check(scenario: Scenario, out_dir: Path) -> dict:
     material = scenario.material
     tol = float(scenario.settings["tol"])
     check_tol = float(scenario.settings["check_tol"])
-    rng = np.random.default_rng(0)
-    nloads = scenario.settings["oracle_loads"]
-    loads = [mandel2(np.eye(2))]
-    for m in rng.standard_normal((nloads - 1, 2, 2)):
-        loads.append(mandel2(0.5 * (m + m.T)))
+    loads = [np.array(p) for p in ORACLE_PROBES[:scenario.settings["oracle_loads"]]]
     if isinstance(material, homog3d.CellMaterial3):
         report = homog3d.bending_form_regime1(material, tol=tol)
         dense = oracle.assemble_regime1(material, scenario.settings["x3_samples"])
@@ -430,22 +448,19 @@ def _run_oracle_check(scenario: Scenario, out_dir: Path) -> dict:
         for a2, value in zip(loads, oracle_values)
     ]
     worst = float(max(diffs))
-    out = {
+    result = _write_json(scenario, out_dir, "oracle-check", {
         "convention": iojson.CONVENTION,
         "kind": "oracle-check",
         "regime": report.regime,
         "max_relative_difference": worst,
         "tolerance": check_tol,
         "passed": worst <= check_tol,
-        "settings": scenario.settings,
-    }
-    path = out_dir / f"{scenario.name}-oracle-check.json"
-    iojson.dump_json(out, path)
+    }, max_relative_difference=worst)
     if worst > check_tol:
         raise SolverError(
             f"oracle check failed: max relative difference {worst:.3e} > {check_tol:g}"
         )
-    return {"artifact": str(path), "max_relative_difference": worst}
+    return result
 
 
 def _run_energy(scenario: Scenario, out_dir: Path) -> dict:
@@ -455,7 +470,7 @@ def _run_energy(scenario: Scenario, out_dir: Path) -> dict:
     if not np.isfinite(value):
         raise SpecFormatError(f"{scenario.path}.surface: the plate energy is not finite "
                               f"({value}): form, extent and radius overflow double precision")
-    out = {
+    return _write_json(scenario, out_dir, "energy", {
         "convention": iojson.CONVENTION,
         "kind": "plate-energy",
         "surface": {
@@ -464,11 +479,7 @@ def _run_energy(scenario: Scenario, out_dir: Path) -> dict:
             "radius": scenario.surface.radius,
         },
         "energy": value,
-        "settings": scenario.settings,
-    }
-    path = out_dir / f"{scenario.name}-energy.json"
-    iojson.dump_json(out, path)
-    return {"artifact": str(path), "energy": value}
+    }, energy=value)
 
 
 def _run_sweep(scenario: Scenario, out_dir: Path) -> dict:
@@ -486,12 +497,8 @@ def _run_sweep(scenario: Scenario, out_dir: Path) -> dict:
             failures[sub.name] = exc
         except MemoryError as exc:
             failures[sub.name] = _out_of_memory(exc)
-    csv_path = out_dir / f"{scenario.name}-summary.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "artifact"])
-        for sub in scenario.subs:
-            writer.writerow([sub.name, results.get(sub.name, {}).get("artifact", "")])
+    rows = [(sub.name, results.get(sub.name, {}).get("artifact", "")) for sub in scenario.subs]
+    csv_path = _write_csv(scenario, out_dir, "summary", [("scenario", "artifact"), *rows])
     if failures:
         raise SweepError(
             f"{len(failures)} of {len(scenario.subs)} sweep scenarios failed (summary {csv_path}): "
@@ -499,7 +506,7 @@ def _run_sweep(scenario: Scenario, out_dir: Path) -> dict:
                         for name, exc in failures.items()),
             exit_code=max(exc.exit_code for exc in failures.values()),
         )
-    return {"artifact": str(csv_path), "scenarios": results}
+    return {"artifact": csv_path, "scenarios": results}
 
 
 _RUNNERS = {

@@ -384,13 +384,12 @@ class ElementOperator:
         """
         return self._to_nodes(self._stiffness_local(self._gather(x))).reshape(x.shape)
 
-    def _stiffness_local(self, u: np.ndarray, exact: bool = False) -> np.ndarray:
+    def _stiffness_local(self, u: np.ndarray) -> np.ndarray:
         """Per-cell local vectors (ncells, 24) of ``K x`` from its gathered ``u``, by
-        the kernel of ``stiffness``; ``exact`` takes the stacked kernel on the
-        laws in place of the law basis."""
+        the kernel of ``stiffness``."""
         if self.stiffness == "grouped":
             return _grouped_local(u, self._Ke, self._cuts)
-        if self.stiffness == "law-basis" and not exact:
+        if self.stiffness == "law-basis":
             y = u @ self._basis_Ke[0]
             y *= self._coeffs[0]
             term = np.empty_like(u)
@@ -534,10 +533,8 @@ class ElementOperator:
     def _residual(self, u: np.ndarray, G: np.ndarray, A=None) -> np.ndarray:
         """``K x + rhs(G + x3 A)`` from the gathered ``u`` of ``x``: the stiffness and
         the load local vectors added per cell, then one scatter.  The stiffness
-        is the stacked one on the exact laws in the law-basis form: with the
-        basis, ``energy_matrix`` drifted from it by up to 1.1e-14 of its largest
-        entry on slabs with a fiber per cell."""
-        f = self._stiffness_local(u, exact=True)
+        runs the operator's own kernel, as ``matvec`` does."""
+        f = self._stiffness_local(u)
         f += self._load_local(G, A)
         return self._to_nodes(f)
 

@@ -84,10 +84,8 @@ def _ints(value) -> tuple:
 
 
 def _matrix(value, n: int, path: str) -> np.ndarray:
-    try:
+    with at_key(path):
         m = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        _fail(path, "matrix entries must be numbers")
     if m.shape != (n, n):
         _fail(path, f"expected a {n}x{n} matrix, got shape {m.shape}")
     return m
@@ -118,10 +116,8 @@ def read_form(obj: dict, path: str):
     if kind == "isotropic":
         mu = _get(obj, "mu", path, convert=float)
         lam = _get(obj, "lambda", path, convert=float)
-        try:
+        with at_key(path):
             return qf_isotropic(mu, lam, label=label)
-        except ValueError as exc:
-            _fail(path, str(exc))
     _fail(path, f"unknown form kind {kind!r}")
 
 
@@ -134,7 +130,8 @@ def form_to_dict(q) -> dict:
 
 
 def _profile_form(value, path: str):
-    m = np.asarray(value, dtype=float)
+    with at_key(path):
+        m = np.asarray(value, dtype=float)
     if m.shape == (3, 3):
         return QuadForm2(m)
     if m.shape == (6, 6):
@@ -157,10 +154,8 @@ def read_profile(obj: dict, path: str) -> ThicknessProfile:
                 _fail(lp, f"layer does not start where the previous one ends ({lo} vs {breaks[-1]})")
             breaks.append(hi)
             forms.append(_profile_form(_get(layer, "form", lp), lp))
-        try:
+        with at_key(path):
             return ThicknessProfile(tuple(forms), rule=RULE_LAYERS, breaks=np.array(breaks))
-        except ValueError as exc:
-            _fail(path, str(exc))
     if "samples" in obj:
         rule = _get(obj, "rule", path)
         if rule not in (RULE_MIDPOINT, RULE_GAUSS):
@@ -168,10 +163,8 @@ def read_profile(obj: dict, path: str) -> ThicknessProfile:
         forms = [
             _profile_form(v, f"{path}.samples[{i}]") for i, v in enumerate(obj["samples"])
         ]
-        try:
+        with at_key(path):
             return ThicknessProfile(tuple(forms), rule=rule)
-        except ValueError as exc:
-            _fail(path, str(exc))
     _fail(path, "profile needs either 'layers' or 'samples'")
 
 
@@ -273,13 +266,9 @@ def read_slab_material(obj: dict, path: str):
             weights = _get(obj, "weights", path, convert=_floats)
         from .homogslab import SlabMaterial
 
-        try:
-            return SlabMaterial(
-                fibers=fibers, fiber_index=index, bounds=bounds,
-                weights=weights, scale=scale,
-            )
-        except ValueError as exc:
-            _fail(path, str(exc))
+        with at_key(path):
+            return SlabMaterial(fibers=fibers, fiber_index=index, bounds=bounds,
+                                weights=weights, scale=scale)
     _fail(path, f"unknown slab material kind {kind!r}")
 
 

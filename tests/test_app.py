@@ -9,16 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import FIXTURES
 from plate_homog import (
     CellMaterial3,
     QuadForm2,
     SlabMaterial,
     SolverError,
     SpecFormatError,
+    mandel2,
     parse_material_spec,
     plate_energy,
 )
-from plate_homog.app import SurfaceSpec, main
+from plate_homog.app import ORACLE_PROBES, SETTING_RANGES, SurfaceSpec, main, run_scenario
 from plate_homog.errors import (
     EXIT_ADMISSIBILITY,
     EXIT_OK,
@@ -39,6 +41,16 @@ FIELD = {"kind": "isotropic-field", "grid": [1, 1, 2], "mu_grid": [0.5, 1.5],
          "lambda_grid": [0.0, 0.0]}
 PROFILE = {"kind": "profile", "rule": "midpoint",
            "samples": [np.eye(3).tolist(), (2 * np.eye(3)).tolist()]}
+
+
+ARTIFACT_KEYS = {
+    "report": ["convention", "kind", "regime", "matrix", "eigenvalues", "optimal_b",
+               "diagnostics", "settings"],
+    "reduced": ["convention", "kind", "matrix", "minimizer_map", "settings"],
+    "oracle-check": ["convention", "kind", "regime", "max_relative_difference", "tolerance",
+                     "passed", "settings"],
+    "energy": ["convention", "kind", "surface", "energy", "settings"],
+}
 
 
 def write_spec(tmp_path, obj, name="spec.json"):
@@ -286,6 +298,14 @@ class TestCommands:
         out = load_json(tmp_path / "column-oracle-check.json")
         assert out["passed"] is True and out["tolerance"] == 1e-8
 
+    def test_oracle_probes_are_the_generator_draws(self):
+        # a table, so that oracle-check loads no numpy.random: bit for bit the probes
+        # it drew, one per oracle_loads up to the largest
+        draws = np.random.default_rng(0).standard_normal((15, 2, 2))
+        expected = [mandel2(np.eye(2))] + [mandel2(0.5 * (m + m.T)) for m in draws]
+        assert len(ORACLE_PROBES) == SETTING_RANGES["oracle_loads"][1]
+        assert np.array(ORACLE_PROBES).tobytes() == np.array(expected).tobytes()
+
     @pytest.mark.parametrize("fixture", ["oracle_check_cell.json", "homog_regime2_laminate.json"])
     def test_oracle_check_factors_once(self, fixtures_dir, tmp_path, monkeypatch, fixture):
         from plate_homog import oracle
@@ -407,6 +427,20 @@ class TestCommands:
         payload = json.loads(lines[0])
         assert payload["error"] == "SweepError" and payload["exit_code"] == EXIT_SIZE_CAP
         assert "laminate-r2: SizeCapError (exit 5): out of memory" in payload["message"]
+
+    @pytest.mark.parametrize("fixture", [p.name for p in sorted(FIXTURES.glob("*.json"))])
+    def test_artifact_keys_end_with_the_settings(self, fixtures_dir, tmp_path, fixture):
+        # every JSON artifact keeps its key order, and its last key is the settings
+        # of the scenario that wrote it
+        scenario = parse_material_spec(fixtures_dir / fixture)
+        result = run_scenario(scenario, tmp_path)
+        runs = [(sub, result["scenarios"][sub.name]) for sub in scenario.subs] or [
+            (scenario, result)]
+        for sc, res in runs:
+            artifact = Path(res["artifact"])
+            pairs = json.loads(artifact.read_text(), object_pairs_hook=list)
+            assert [k for k, _ in pairs] == ARTIFACT_KEYS[artifact.stem[len(sc.name) + 1:]]
+            assert pairs[-1] == ("settings", list(sc.settings.items()))
 
     def test_grid_refinement_override(self, fixtures_dir, tmp_path):
         rc = main(["homog-regime1", "--spec", str(fixtures_dir / "homog_regime1_laminate.json"),
@@ -661,6 +695,44 @@ class TestExitCodes:
             "message": "the Schur complement or minimizer of a positive definite 3x3 block "
                        "overflows double precision: the block is nearly singular against its "
                        "coupling"}
+
+    @pytest.mark.parametrize("command, material, key", [
+        pytest.param("reduce", {"kind": "form3",
+                                "matrix": [["x"] + [0.0] * 5] + np.eye(6)[1:].tolist()},
+                     "material.matrix", id="form3-entry-string"),
+        pytest.param("reduce", {"kind": "isotropic", "mu": -1.0, "lambda": 1.0}, "material",
+                     id="isotropic-negative-mu"),
+        pytest.param("bending", {"kind": "profile", "layers": [
+            {"from": -0.5, "to": 0.5, "form": np.eye(3).tolist()},
+            {"from": 0.5, "to": 0.5, "form": np.eye(3).tolist()}]}, "material",
+                     id="layers-not-increasing"),
+        pytest.param("bending", dict(PROFILE, rule="gauss", samples=PROFILE["samples"][:1]),
+                     "material", id="gauss-one-sample"),
+        pytest.param("bending", dict(PROFILE, samples=[[["x", 0, 0], [0, 1, 0], [0, 0, 1]]]),
+                     "material.samples[0]", id="profile-sample-string"),
+        pytest.param("homog-regime2", dict(SLAB_CELLS, fiber_index=[99] * 8), "material",
+                     id="fiber-index-out-of-range"),
+    ])
+    def test_refused_value_is_a_malformed_value_at_its_key(self, tmp_path, capsys, command,
+                                                            material, key):
+        # a value a constructor refuses is worded like every other converted value
+        path = write_spec(tmp_path, {"convention": CONVENTION, "command": command,
+                                     "material": material})
+        assert main([command, "--spec", str(path), "--out", str(tmp_path)]) == EXIT_PARSE
+        payload = error_line(capsys)
+        assert (payload["error"], payload["exit_code"]) == ("SpecFormatError", EXIT_PARSE)
+        assert payload["message"].startswith(f"{path}.{key}: malformed value: ")
+
+    def test_non_positive_slab_scale_is_admissibility_error(self, tmp_path, capsys):
+        # refused by the slab constructor under the same key path, but as inadmissible
+        material = dict(SLAB_CELLS, scale=[0.0] + [1.0] * 7)
+        path = write_spec(tmp_path, {"convention": CONVENTION, "command": "homog-regime2",
+                                     "material": material})
+        rc = main(["homog-regime2", "--spec", str(path), "--out", str(tmp_path)])
+        assert rc == EXIT_ADMISSIBILITY
+        assert error_line(capsys) == {"error": "AdmissibilityError",
+                                      "exit_code": EXIT_ADMISSIBILITY,
+                                      "message": "cell scale factors must be positive"}
 
     @pytest.mark.parametrize("command", ["homog-regime2", "oracle-check"])
     def test_asymmetric_fiber_is_admissibility_error(self, tmp_path, capsys, command):

@@ -351,9 +351,10 @@ def _box_cell_operator(n, contrast):
 def test_energy_matrix_matches_extended_precision_reference():
     # solved correctors: constant loads on a contrast-30 box cell (grouped) and a
     # random cell (stacked); on a random slab (stacked), a contrast-30 column
-    # slab (grouped) and a slab with a fiber per cell at nu = 0.3 (law-basis),
-    # pure-curvature pairs (0, A), pure mid-plane loads as 6-vectors and as a
-    # pair (G, 0), and a mixed pair (G, A)
+    # slab (grouped) and slabs with a fiber per cell at nu = 0.3 and at contrast
+    # 1e6 (law-basis: the residual runs the basis products), pure-curvature
+    # pairs (0, A), pure mid-plane loads as 6-vectors and as a pair (G, 0), and
+    # a mixed pair (G, A)
     rng = np.random.default_rng(61)
     cell = _box_cell_operator(8, 30.0)
     stacked = ElementOperator(build_cell_grid(3, 3, 3), _random_cellC(rng, 27))
@@ -361,13 +362,15 @@ def test_energy_matrix_matches_extended_precision_reference():
     column = _column_operator(6, 3, slab=True)
     fibers = ElementOperator(build_slab_grid(8, 8, 4),
                              fiber_per_cell_slab(rng, (8, 8, 4), nu=0.3).reduced_cells())
-    assert [op.stiffness for op in (cell, stacked, slab, column, fibers)] == [
-        "grouped", "stacked", "stacked", "grouped", "law-basis"]
+    stiff = ElementOperator(build_slab_grid(6, 6, 3), fiber_per_cell_slab(
+        np.random.default_rng(65), (6, 6, 3), contrast=1e6).reduced_cells())
+    assert [op.stiffness for op in (cell, stacked, slab, column, fibers, stiff)] == [
+        "grouped", "stacked", "stacked", "grouped", "law-basis", "law-basis"]
     e3 = [np.eye(6)[i] for i in (0, 1, 5)]
     slab_loads = ([np.stack([np.zeros(6), g]) for g in e3] + e3[:2]
                   + [np.stack([e3[2], np.zeros(6)]), rng.standard_normal((2, 6))])
     for op, loads in ((cell, list(np.eye(6))), (stacked, list(np.eye(6))), (slab, slab_loads),
-                      (column, slab_loads), (fibers, slab_loads)):
+                      (column, slab_loads), (fibers, slab_loads), (stiff, slab_loads)):
         fields, N, _ = solve_loads(op, loads, 1e-10)
         ref = reference_energy_matrix(op, fields, loads)
         assert np.abs(N - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -127,13 +127,14 @@ def test_axis_symmetries_load_no_numpy_random(tmp_path, command, fixture, name):
     pytest.param(None, id="slab"),
 ])
 def test_oracle_check_loads_no_scipy(tmp_path, spec):
-    # the dense oracle factors with numpy alone
+    # the dense oracle factors with numpy alone, and the probe loads are a table
     if spec is None:
         spec = _spec(tmp_path, "oracle-check", SLAB)
     out = _main(tmp_path, "oracle-check", spec)
     assert out["rc"] == 0
     assert "plate_homog.oracle" in out["modules"]
     assert not [m for m in out["modules"] if m.split(".")[0] == "scipy"]
+    assert "numpy.random" not in out["modules"]
 
 
 def test_package_import_is_light_and_star_import_resolves_all():
