@@ -307,8 +307,8 @@ class SlabMaterial:
         out = reduce_fibers(self.fibers, self.weights)[self.fiber_index.reshape(-1)]
         return out * self.scale.reshape(-1, 1, 1)
 
-    def refine_inplane(self, factor: int = 2) -> "SlabMaterial":
-        """Nested subdivision of all three slab axes (fibers untouched)."""
+    def refine(self, factor: int = 2) -> "SlabMaterial":
+        """Nested subdivision: each cell becomes factor^3 identical cells (fibers untouched)."""
         idx = self.fiber_index
         s = self.scale
         for axis in range(3):

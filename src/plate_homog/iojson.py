@@ -189,11 +189,12 @@ def read_cell_material(obj: dict, path: str):
         _fail(path, f"grid must be three sizes >= 1, got {grid}")
     n = grid[0] * grid[1] * grid[2]
     if kind == "cell":
-        forms = _get(obj, "forms", path)
-        if len(forms) != n:
-            _fail(path, f"expected {n} forms for grid {grid}, got {len(forms)}")
-        c = np.stack([_matrix(f, 6, f"{path}.forms[{i}]") for i, f in enumerate(forms)])
-        c = c.reshape(*grid, 6, 6)
+        def stack(forms):
+            if len(forms) != n:
+                _fail(path, f"expected {n} forms for grid {grid}, got {len(forms)}")
+            return np.stack([_matrix(f, 6, f"{path}.forms[{i}]") for i, f in enumerate(forms)])
+
+        c = _get(obj, "forms", path, convert=stack).reshape(*grid, 6, 6)
     elif kind == "isotropic-field":
         mu = _get(obj, "mu_grid", path, convert=_floats).reshape(-1)
         lam = _get(obj, "lambda_grid", path, convert=_floats).reshape(-1)
@@ -245,13 +246,10 @@ def read_slab_material(obj: dict, path: str):
 
         return SlabMaterial.separable(lam1, lam2, mu, bounds=bounds)
     if kind == "slab-cells":
-        fibers_raw = _get(obj, "fibers", path)
-        fibers = np.stack(
-            [
-                np.stack([_matrix(m, 6, f"{path}.fibers[{i}][{j}]") for j, m in enumerate(fib)])
-                for i, fib in enumerate(fibers_raw)
-            ]
-        )
+        fibers = _get(obj, "fibers", path, convert=lambda raw: np.stack([
+            np.stack([_matrix(m, 6, f"{path}.fibers[{i}][{j}]") for j, m in enumerate(fib)])
+            for i, fib in enumerate(raw)
+        ]))
         if fibers.shape[1] != nf:
             _fail(path, f"each fiber must hold {nf} samples")
         index = _get(obj, "fiber_index", path, convert=_index_array)

@@ -273,7 +273,7 @@ class TestCommands:
             return reports[-1]
 
         def counted(self, loads):
-            solved.append((self.H.shape, self.blocks.shape))
+            solved.append((self.nborder, self.blocks))
             return solve(self, loads)
 
         monkeypatch.setattr(homog3d, "bending_form_regime1", recorded)
@@ -291,10 +291,9 @@ class TestCommands:
         [report] = reports
         assert report.diagnostics["grid"] == [4, 4, 4]
         assert report.diagnostics["solve_grid"] == [4, 4, 1]
-        # mid-plane strain, 4 thickness fluctuations, 4 correctors on 64 nodes,
-        # one grounded node per corrector; one block per thickness node holds
-        # its fluctuation and its corrector
-        assert solved == [((3 + 3 * 4 + 4 * 3 * 63,) * 2, (4, 3 + 3 * 63))]
+        # the mid-plane strain is the border; one block per thickness node holds
+        # its fluctuation and its corrector on 64 nodes, one of them grounded
+        assert solved == [(3, (4, 3 + 3 * 63))]
         out = load_json(tmp_path / "column-oracle-check.json")
         assert out["passed"] is True and out["tolerance"] == 1e-8
 
@@ -328,13 +327,13 @@ class TestCommands:
 
     def test_oracle_block_not_positive_definite_exits_4(self, fixtures_dir, tmp_path,
                                                         monkeypatch, capsys):
-        # a Hessian with an indefinite block: exit 4 and one JSON line naming it
+        # a problem with an indefinite block: exit 4 and one JSON line naming it
         from plate_homog import oracle
 
         def indefinite(material, x3_samples):
-            H = np.diag([2.0, 1.0, -1.0, 1.0])
-            return oracle.DenseProblem(H=H, B=np.eye(4, 3), C=np.eye(3),
-                                       blocks=np.array([[1], [2]]))
+            E = np.stack([np.diag([2.0, 1.0, 1.0, 1.0]), np.diag([-1.0, 1.0, 1.0, 1.0])])
+            return oracle.DenseProblem(nborder=3, blocks=(2, 1),
+                                       groups=lambda: [(E, np.zeros(2), np.array([[0, 1, 2]] * 2))])
 
         monkeypatch.setattr(oracle, "assemble_regime1", indefinite)
         rc = main(["oracle-check", "--spec", str(fixtures_dir / "oracle_check_cell.json"),
@@ -479,19 +478,18 @@ class TestExitCodes:
         assert main(["bending", "--spec", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_PARSE
 
-    def test_size_cap_exit_code(self, tmp_path):
-        spec = {
-            "convention": CONVENTION,
-            "command": "oracle-check",
-            "material": {
-                "kind": "isotropic-field",
-                "grid": [10, 10, 10],
-                "mu_grid": [1.0] * 1000,
-                "lambda_grid": [0.0] * 1000,
-            },
-        }
-        path = write_spec(tmp_path, spec)
-        assert main(["oracle-check", "--spec", str(path), "--out", str(tmp_path)]) == EXIT_SIZE_CAP
+    def test_size_cap_exit_code(self, tmp_path, monkeypatch, capsys):
+        # 16^3 at 8 thickness nodes: one node's block of 12,288 unknowns
+        _assert_refused_before_the_pipeline(
+            tmp_path, monkeypatch, capsys,
+            {"kind": "isotropic-field", "grid": [16, 16, 16], "mu_grid": [1.0] * 4096,
+             "lambda_grid": [0.0] * 4096})
+
+    def test_slab_size_cap_is_checked_before_the_pipeline(self, tmp_path, monkeypatch, capsys):
+        # a border of 6,912 unknowns and 16,384 elements
+        _assert_refused_before_the_pipeline(
+            tmp_path, monkeypatch, capsys,
+            dict(SLAB, x3_grid=8, inplane_grid=[16, 16], fiber_grid=4, lambda2=[1.0, 2.0, 3.0, 4.0]))
 
     def test_oracle_mismatch_is_solver_error(self, fixtures_dir, tmp_path, monkeypatch):
         from plate_homog import oracle
@@ -565,6 +563,13 @@ class TestExitCodes:
                      id="oracle-loads-bool"),
         pytest.param("reduce", {"kind": "isotropic", "mu": 1.0, "lambda": 1.0}, "x",
                      "settings", id="settings-string"),
+        # the material kinds of oracle-check: a wrong type is named by its key
+        pytest.param("oracle-check", dict(SLAB_CELLS, fibers=5), {}, "material.fibers",
+                     id="fibers-number"),
+        pytest.param("oracle-check", dict(SLAB_CELLS, fibers=[5]), {}, "material.fibers",
+                     id="fiber-number"),
+        pytest.param("oracle-check", {"kind": "cell", "grid": [1, 1, 1], "forms": 7}, {},
+                     "material.forms", id="forms-number"),
     ])
     def test_malformed_value_is_parse_error(self, tmp_path, capsys, command, material, settings,
                                             key):
@@ -857,6 +862,23 @@ class TestExitCodes:
         assert exc.value.code == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: plate-homog") and captured.err == ""
+
+
+def _assert_refused_before_the_pipeline(tmp_path, monkeypatch, capsys, material):
+    """``oracle-check`` on ``material`` exits 5 at the oracle's size cap, with one
+    JSON line and no call to either pipeline."""
+    from plate_homog import homog3d, homogslab
+
+    calls = []
+    monkeypatch.setattr(homog3d, "bending_form_regime1", lambda *a, **k: calls.append(1))
+    monkeypatch.setattr(homogslab, "bending_form_regime2", lambda *a, **k: calls.append(2))
+    path = write_spec(tmp_path, {"convention": CONVENTION, "command": "oracle-check",
+                                 "material": material})
+    assert main(["oracle-check", "--spec", str(path), "--out", str(tmp_path)]) == EXIT_SIZE_CAP
+    assert calls == []
+    error = error_line(capsys)
+    assert (error["error"], error["exit_code"]) == ("SizeCapError", EXIT_SIZE_CAP)
+    assert error["message"].startswith("dense oracle would hold ")
 
 
 def error_line(capsys) -> dict:

@@ -293,7 +293,7 @@ class TestBendingRegime2:
         rng = np.random.default_rng(36)
         slab = random_slab(rng, grid=(2, 2, 2), nf=2)
         r1 = bending_form_regime2(slab, tol=1e-12)
-        r2 = bending_form_regime2(slab.refine_inplane(2), tol=1e-12)
+        r2 = bending_form_regime2(slab.refine(2), tol=1e-12)
         a = np.array([1.0, -0.4, 0.6])
         # joint minimization over a nested space never increases values
         assert r2.form.eval_mandel(a) <= r1.form.eval_mandel(a) + 1e-9

@@ -24,7 +24,7 @@ from plate_homog import (
 )
 from plate_homog.core import EMBED_2_TO_3
 from plate_homog.fem import build_cell_grid, build_slab_grid
-from plate_homog.oracle import DenseProblem, _sum_blocks, assemble_regime1, assemble_regime2
+from plate_homog.oracle import SIZE_CAP_BYTES, DenseProblem, assemble_regime1, assemble_regime2
 
 from helpers import fiber_per_cell_slab, quadrature_x3, random_cell, random_slab
 
@@ -113,22 +113,31 @@ class TestBruteForceRegime1:
         assert v1 == pytest.approx(v2, rel=1e-11)
 
     def test_size_cap(self):
-        mat = CellMaterial3.homogeneous(qf_isotropic(1.0, 0.0), grid=(10, 10, 10))
+        mat = CellMaterial3.homogeneous(qf_isotropic(1.0, 0.0), grid=(16, 16, 16))
         with pytest.raises(SizeCapError):
             brute_force_regime1(mat, np.eye(2), x3_samples=8)
 
     def test_size_cap_counts_bytes_before_allocating(self):
-        # 8^3 with 8 thickness samples: 12,315 unknowns pass a cap of 20,000
-        # unknowns, but the Hessian alone would take 1.2 GB
-        mat = CellMaterial3.homogeneous(qf_isotropic(1.0, 0.0), grid=(8, 8, 8))
+        # 16^3 with 8 thickness samples: one node's group of 12,291 unknowns would
+        # take 1.2 GB three times over, the element stack, its index and a copy 88 MB
+        mat = CellMaterial3.homogeneous(qf_isotropic(1.0, 0.0), grid=(16, 16, 16))
+        nbytes = 8 * (3 * 12291**2 + 3 * 4096 * 30**2)
         tracemalloc.start()
         try:
-            with pytest.raises(SizeCapError, match="12315 unknowns.*1213273800 bytes"):
+            with pytest.raises(SizeCapError, match=rf"{nbytes} bytes.*group of 12291 unknowns"):
                 assemble_regime1(mat, x3_samples=8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    def test_size_cap_counts_three_copies_of_a_group(self):
+        # 12^3 at 2 thickness nodes: a group of 5,187 unknowns takes 215 MB, under
+        # the cap once but not with its Cholesky factor and LAPACK's copy
+        mat = CellMaterial3.homogeneous(qf_isotropic(1.0, 0.0), grid=(12, 12, 12))
+        assert 8 * 5187**2 < SIZE_CAP_BYTES < 8 * 3 * 5187**2
+        with pytest.raises(SizeCapError, match="group of 5187 unknowns"):
+            assemble_regime1(mat, x3_samples=2)
 
     def test_one_cell_axes_laminate_closed_form(self):
         # one cell along y1 and y2: every element lists each periodic node twice
@@ -143,8 +152,19 @@ class TestBruteForceRegime1:
     def test_reduced_matrix_positive_definite(self):
         rng = np.random.default_rng(44)
         mat = random_cell(rng, grid=(2, 2, 2))
-        dense = assemble_regime1(mat, x3_samples=3)
-        np.linalg.cholesky(dense.H)
+        np.linalg.cholesky(_whole_hessian(assemble_regime1(mat, x3_samples=3)))
+
+    def test_reaches_an_8_cube_box_cell(self):
+        # 12,291 unknowns: their whole Hessian alone would take 1.2 GB
+        soft = qf_isotropic(1.0, 1.5).matrix        # Poisson ratio 0.3
+        box = np.zeros((8, 8, 8), dtype=bool)
+        box[:4, :3, :2] = True
+        mat = CellMaterial3(c=np.where(box[..., None, None], 30.0 * soft, soft),
+                            bounds=MaterialBounds(1.9, 30.0 * 6.6))
+        rep = bending_form_regime1(mat, tol=1e-13)
+        loads = np.vstack([np.eye(3), np.random.default_rng(51).standard_normal((3, 3))])
+        energies = assemble_regime1(mat, x3_samples=2).solve(loads)
+        assert [rep.form.eval_mandel(a) for a in loads] == pytest.approx(energies, rel=1e-11)
 
 
 class TestBruteForceRegime2:
@@ -193,7 +213,8 @@ class TestBruteForceRegime2:
         assert [rep.form.eval_mandel(a) for a in loads] == pytest.approx(energies, rel=1e-11)
 
     def test_size_cap(self):
-        slab = SlabMaterial.homogeneous(qf_isotropic(1.0, 0.0), grid=(8, 8, 8), nf=4)
+        # a border of 6,912 unknowns (382 MB) and 16,384 elements of 36 (170 MB)
+        slab = SlabMaterial.homogeneous(qf_isotropic(1.0, 0.0), grid=(16, 16, 8), nf=4)
         with pytest.raises(SizeCapError):
             brute_force_regime2(slab, np.eye(2))
 
@@ -208,8 +229,18 @@ class TestBruteForceRegime2:
     def test_reduced_matrix_positive_definite(self):
         rng = np.random.default_rng(46)
         slab = random_slab(rng, grid=(1, 2, 2), nf=2)
+        np.linalg.cholesky(_whole_hessian(assemble_regime2(slab)))
+
+    def test_reaches_an_8x8x4_fiber_per_cell_slab(self):
+        # 19,395 unknowns: their whole Hessian alone would take 3.0 GB
+        rng = np.random.default_rng(52)
+        slab = fiber_per_cell_slab(rng, (8, 8, 4), nf=4)
+        rep = bending_form_regime2(slab, tol=1e-13)
+        loads = np.vstack([np.eye(3), rng.standard_normal((3, 3))])
         dense = assemble_regime2(slab)
-        np.linalg.cholesky(dense.H)
+        assert (dense.nborder, dense.blocks) == (960, (2048, 9))
+        energies = dense.solve(loads)
+        assert [rep.form.eval_mandel(a) for a in loads] == pytest.approx(energies, rel=1e-11)
 
 
 # Mandel coordinates of the symmetric part of (0|0|d), d = (d1, d2, d3).
@@ -235,8 +266,10 @@ def loop_regime1(material, m):
     xg, wg = np.polynomial.legendre.leggauss(m)
     xg, wg = 0.5 * xg, 0.5 * wg
     H, B, C = np.zeros((ntotal, ntotal)), np.zeros((ntotal, 3)), np.zeros((3, 3))
-    for i in range(m):
-        for c, Cc in enumerate(material.flat()):
+    # cell by cell, the thickness nodes in turn: the x3-odd load terms of the
+    # symmetric nodes cancel before other cells' terms are added to them
+    for c, Cc in enumerate(material.flat()):
+        for i in range(m):
             cols = np.concatenate([np.arange(3), 3 + 3 * i + np.arange(3),
                                    3 + 3 * m + i * n + _node_dofs(grid, c)])
             M = np.zeros((30, 30))
@@ -276,10 +309,90 @@ def loop_regime2(slab):
     return _reduce(H, B, C, 3 + n - 3 + np.arange(3))
 
 
-def _assert_same_quadratic(dense, expected):
-    for got, ref in zip((dense.H, dense.B, dense.C), expected):
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+def _group_parts(dense):
+    """The border block, the border's rows of the load map and the constant, and per
+    block its matrix, its coupling to the border and its rows of the load map, summed
+    from the groups of ``dense`` one at a time."""
+    n0 = dense.nborder
+    border, border_load, C, blocks = np.zeros((n0, n0)), np.zeros((n0, 3)), np.zeros((3, 3)), []
+    for E, x3, rows in dense.groups():
+        r = rows.shape[1]
+        m = E.shape[1] - r
+        for Eg, xg, rg in zip(E, x3, rows):
+            P = np.zeros((r, n0))
+            P[np.arange(r), rg] = 1.0
+            border += P.T @ Eg[m:, m:] @ P
+            border_load += xg * P.T @ Eg[m:, m:m + 3]
+            C += xg**2 * Eg[m:m + 3, m:m + 3]
+            blocks.append((Eg[:m, :m], Eg[:m, m:] @ P, xg * Eg[:m, m:m + 3]))
+    return border, border_load, C, blocks
+
+
+def _whole_hessian(dense):
+    """The whole Hessian of ``dense``, the border first, then its blocks in order."""
+    border, _, _, blocks = _group_parts(dense)
+    n0, m = dense.nborder, dense.blocks[1]
+    H = np.zeros((n0 + m * len(blocks),) * 2)
+    H[:n0, :n0] = border
+    for i, (K, coupling, _) in enumerate(blocks):
+        b = slice(n0 + m * i, n0 + m * (i + 1))
+        H[b, b], H[b, :n0], H[:n0, b] = K, coupling, coupling.T
+    return H
+
+
+def _assert_same_quadratic(dense, expected, blocks):
+    """The parts of ``dense`` are those of the element loop's ``(H, B, C)``, whose
+    border is its first ``dense.nborder`` unknowns and whose blocks are ``blocks``."""
+    H, B, C = expected
+    n0 = dense.nborder
+    border, border_load, Cd, parts = _group_parts(dense)
+    # the blocks and the border partition the unknowns, and H couples no two blocks
+    owner = np.full(len(H), -1)
+    for i, idx in enumerate(blocks):
+        owner[idx] = i
+    assert sorted(np.concatenate([np.arange(n0)] + blocks)) == list(range(len(H)))
+    assert np.all(owner[:n0] == -1)
+    assert not np.any(H[(owner[:, None] != owner[None, :]) & (owner[:, None] >= 0)
+                        & (owner[None, :] >= 0)])
+    assert (len(parts), parts[0][0].shape[0]) == dense.blocks == (len(blocks), len(blocks[0]))
+    tol_H, tol_B = 1e-14 * np.abs(H).max(), 1e-14 * np.abs(B).max()
+    assert np.abs(border - H[:n0, :n0]).max() <= tol_H
+    assert np.abs(border_load - B[:n0]).max() <= tol_B
+    assert np.abs(Cd - C).max() <= 1e-14 * np.abs(C).max()
+    for (K, coupling, load), idx in zip(parts, blocks):
+        assert np.abs(K - H[np.ix_(idx, idx)]).max() <= tol_H
+        assert np.abs(coupling - H[idx, :n0]).max() <= tol_H
+        assert np.abs(load - B[idx]).max() <= tol_B
+
+
+def _minimal_energies(expected, loads):
+    """a^T C a + b . H^-1 (-b), b = B a: one dense minimization per load."""
+    H, B, C = expected
+    return [a @ C @ a + (B @ a) @ np.linalg.solve(H, -(B @ a)) for a in loads]
+
+
+def _loop_blocks1(m, n):
+    """Loop numbering of the regime-1 blocks: node i's d_i, then its corrector."""
+    return [np.concatenate([3 + 3 * i + np.arange(3), 3 + 3 * m + i * (n - 3) + np.arange(n - 3)])
+            for i in range(m)]
+
+
+def _loop_blocks2(slab):
+    """Loop numbering of the regime-2 blocks: each Gauss point's fluctuations, after the border."""
+    grid = build_slab_grid(*slab.grid_shape)
+    nz = 3 * (slab.fiber_samples - 1)
+    return [grid.ndofs + nz * e + np.arange(nz) for e in range(8 * grid.ncells)]
+
+
+def _diagonal_problem(diagonal):
+    """A problem whose whole Hessian is ``np.diag(diagonal)``, its border the first
+    three unknowns (the mid-plane strain) and one block on each other; no load."""
+    d = np.asarray(diagonal, dtype=float)
+    nblocks = len(d) - 3
+    E = np.stack([np.diag(np.concatenate([[x], d[:3] / nblocks])) for x in d[3:]])
+    rows = np.broadcast_to(np.arange(3), (nblocks, 3))
+    return DenseProblem(nborder=3, blocks=(nblocks, 1),
+                        groups=lambda: [(E, np.zeros(nblocks), rows)])
 
 
 class TestDenseAssembly:
@@ -287,40 +400,58 @@ class TestDenseAssembly:
     def test_regime1_equals_element_loop(self, grid, m):
         # one-cell axes list the same periodic node twice in one element
         mat = random_cell(np.random.default_rng(47), grid=grid)
-        _assert_same_quadratic(assemble_regime1(mat, m), loop_regime1(mat, m))
+        dense, expected = assemble_regime1(mat, m), loop_regime1(mat, m)
+        _assert_same_quadratic(dense, expected, _loop_blocks1(m, 3 * int(np.prod(grid))))
+        loads = np.random.default_rng(53).standard_normal((4, 3))
+        assert dense.solve(loads) == pytest.approx(_minimal_energies(expected, loads), rel=1e-12)
 
     @pytest.mark.parametrize("grid, nf", [((3, 3, 3), 3), ((1, 1, 2), 2)])
     def test_regime2_equals_element_loop(self, grid, nf):
         slab = random_slab(np.random.default_rng(48), grid=grid, nf=nf)
-        _assert_same_quadratic(assemble_regime2(slab), loop_regime2(slab))
+        dense, expected = assemble_regime2(slab), loop_regime2(slab)
+        _assert_same_quadratic(dense, expected, _loop_blocks2(slab))
+        loads = np.random.default_rng(54).standard_normal((4, 3))
+        assert dense.solve(loads) == pytest.approx(_minimal_energies(expected, loads), rel=1e-12)
 
     @pytest.mark.parametrize("regime", [1, 2])
     def test_solve_equals_one_minimization_per_load(self, regime):
         rng = np.random.default_rng(49)
         if regime == 1:
-            dense = assemble_regime1(random_cell(rng, grid=(2, 2, 2)), x3_samples=3)
+            mat = random_cell(rng, grid=(2, 2, 2))
+            dense, expected = assemble_regime1(mat, x3_samples=3), loop_regime1(mat, 3)
         else:
-            dense = assemble_regime2(random_slab(rng, grid=(2, 2, 2), nf=3))
+            slab = random_slab(rng, grid=(2, 2, 2), nf=3)
+            dense, expected = assemble_regime2(slab), loop_regime2(slab)
         loads = rng.standard_normal((5, 3))
-        expected = []
-        for a in loads:
-            b = dense.B @ a
-            expected.append(a @ dense.C @ a + b @ np.linalg.solve(dense.H, -b))
-        assert dense.solve(loads) == pytest.approx(expected, rel=1e-12)
-        # the factor overwrote H: a second solve is refused, not answered from it
-        assert dense.H is None
-        with pytest.raises(ValueError, match="solved already"):
-            dense.solve(loads)
+        energies = dense.solve(loads)
+        assert energies == pytest.approx(_minimal_energies(expected, loads), rel=1e-12)
+        # nothing is consumed: a second solve, one load at a time, gives the same
+        assert [dense.solve([a])[0] for a in loads] == pytest.approx(energies, rel=1e-14)
+
+    def test_peak_memory_below_half_the_whole_hessian(self):
+        # 4^3 cell at 8 thickness nodes: 1,563 unknowns, a whole Hessian of 19.5 MB,
+        # held one node's block of 192 at a time
+        mat = random_cell(np.random.default_rng(50), grid=(4, 4, 4))
+        tracemalloc.start()
+        try:
+            dense = assemble_regime1(mat, x3_samples=8)
+            dense.solve(np.eye(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dense.blocks == (8, 192)
+        assert peak < 0.5 * 8 * (3 + 3 * 8 + 8 * 192) ** 2
 
     @pytest.mark.parametrize("regime, shape, nodes, blocks, bound", [
         (1, (4, 4, 4), 8, (8, 192), 0.25),
-        # 2 blocks of 192 hold 48 % of H's entries; the gather's index buffer
-        # (128 KiB) brings the peak to 0.61x H's 1.2 MB
+        # each of 2 nodes' groups holds a quarter of the whole Hessian's entries;
+        # its block's factor and the bincount buffers bring the peak to 0.64x
+        # the whole Hessian's 1.2 MB
         (1, (4, 4, 4), 2, (2, 192), 0.65),
         (2, (3, 3, 3), 3, (216, 6), 0.25),
     ])
     def test_solve_memory_above_the_assembled_problem(self, regime, shape, nodes, blocks, bound):
-        # the solve holds the gathered blocks, not a second H
+        # the solve holds a batch of groups at a time, never the whole Hessian
         rng = np.random.default_rng(50)
         tracemalloc.start()
         try:
@@ -328,42 +459,23 @@ class TestDenseAssembly:
                 dense = assemble_regime1(random_cell(rng, grid=shape), x3_samples=nodes)
             else:
                 dense = assemble_regime2(random_slab(rng, grid=shape, nf=nodes))
-            nbytes = dense.H.nbytes
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             dense.solve(np.eye(3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert dense.blocks.shape == blocks
+        assert dense.blocks == blocks
+        nbytes = 8 * (dense.nborder + blocks[0] * blocks[1]) ** 2
         assert peak - base <= bound * nbytes
 
-    @pytest.mark.parametrize("cols, blocks", [
-        ([[0, 1, 2, 3], [0, 1, 3, 4]], [[3], [4]]),     # the second element touches both
-        ([[0, 1, 2, 3], [0, 1, 2, 4]], [[3], [3]]),     # the blocks overlap
-    ])
-    def test_element_touching_two_blocks_is_refused(self, cols, blocks):
-        elements = np.broadcast_to(np.eye(4), (2, 4, 4)).copy()
-        with pytest.raises(ValueError, match="disjoint.*touch two"):
-            _sum_blocks(elements, np.zeros(2), np.array(cols), 5, np.array([], dtype=np.int64),
-                        np.array(blocks))
-
-    def test_elements_inside_their_blocks_are_accepted(self):
-        elements = np.broadcast_to(np.eye(4), (2, 4, 4)).copy()
-        dense = _sum_blocks(elements, np.zeros(2), np.array([[0, 1, 2, 3], [0, 1, 2, 4]]), 5,
-                            np.array([], dtype=np.int64), np.array([[3], [4]]))
-        assert dense.blocks.tolist() == [[3], [4]]
-        assert np.array_equal(dense.H, np.diag([2.0, 2.0, 2.0, 1.0, 1.0]))
-
     @pytest.mark.parametrize("diagonal, name", [
-        ([2.0, 1.0, -1.0, 1.0], "block 1 of 2 (1 unknowns)"),
-        ([-2.0, 1.0, 1.0, 1.0], "border (2 unknowns)"),
+        ([1.0, 1.0, 1.0, 2.0, -1.0], "block 1 of 2 (1 unknowns)"),
+        ([-2.0, 1.0, 1.0, 1.0, 1.0], "border (3 unknowns)"),
     ])
     def test_not_positive_definite_names_its_block(self, diagonal, name):
-        dense = DenseProblem(H=np.diag(diagonal), B=np.eye(4, 3), C=np.eye(3),
-                             blocks=np.array([[1], [2]]))
         with pytest.raises(SolverError, match=rf"{re.escape(name)} is not positive definite"):
-            dense.solve(np.eye(3))
+            _diagonal_problem(diagonal).solve(np.eye(3))
 
 
 def test_package_import_leaves_scipy_linalg_unloaded():
