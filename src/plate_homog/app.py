@@ -252,11 +252,11 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
     if command == "sweep":
         subs_raw = iojson._get(obj, "scenarios", path)
         if not isinstance(subs_raw, list) or not subs_raw:
-            raise SpecFormatError(f"{path}: sweep needs a non-empty 'scenarios' list")
+            raise SpecFormatError(f"{path}.scenarios: sweep needs a non-empty list of scenarios")
         subs = []
         for i, sub in enumerate(subs_raw):
             sp = f"{path}.scenarios[{i}]"
-            if "command" not in sub:
+            if iojson._get(sub, "command", sp, required=False) is None:
                 raise SpecFormatError(f"{sp}: sweep entries must declare their command")
             if sub["command"] == "sweep":
                 raise SpecFormatError(f"{sp}: sweeps cannot nest")

@@ -77,9 +77,10 @@ diagonalizes it: one 3x3 block per wavevector on a cell grid, one
 block-tridiagonal system over the node planes per in-plane wavevector on
 a slab grid (Moulinec & Suquet 1998; Zeman, Vondrejc, Novak & Marek
 2010).  The symbol of that operator is built by sum factorization:
-element blocks summed per node offset, then one 1-D phase table per
-axis.  The iteration count then depends on the contrast of C against
-C0, not on the grid size.  The inverse works component-major: one
+element blocks summed per node offset, by one ``np.add.at`` over the
+node pairs, then one 1-D phase table per axis.  The iteration count
+then depends on the contrast of C against C0, not on the grid size.
+The inverse works component-major: one
 contiguous scalar field per displacement component, transforms over the
 trailing axes, and 3x3 blocks stored (3, 3, wavevectors).  Every
 transform is a product with a per-axis DFT table built once per
@@ -97,7 +98,9 @@ its inverse in one of two forms, picked from the grid shape alone
 (``preconditioner_form``): "slab-dense", one batched product with the
 stored (3 planes)^2 inverse per wavevector, when that fits in
 ``SLAB_DENSE_BYTES``; "slab-sweep" otherwise, the block-tridiagonal
-forward and back sweep, 2 planes + 1 small products in sequence.  At
+forward and back sweep, 2 planes + 1 small products in sequence.  The
+stored inverse is that sweep run once on the identity, a node plane's
+block row of every column in one batched product per step.  At
 these grid sizes the sweep is bound by the overhead of its calls, not
 by arithmetic, so the one product is cheaper until the stored inverse
 grows large.
@@ -157,7 +160,9 @@ MAJORITY_SHARE = 0.5
 # A slab's reference inverse is stored dense, one (3 planes)^2 complex block per
 # in-plane wavevector, when that takes at most this many bytes; above it the
 # apply runs the block sweep.  Set from the build plus 120 applies against the
-# sweep: the crossover table is in ``reference_inverse``.
+# sweep: the crossover table is in ``reference_inverse``.  The cap dates from the
+# build by the sweep on unit vectors and was not derived again for the build from
+# the factors, and a byte count is not the right rule: thin wide slabs lose below it.
 SLAB_DENSE_BYTES = 2 ** 20
 
 # CG gives up once its relative residual has set no new minimum for this
@@ -233,13 +238,14 @@ def _build_grid(kind: str, n1: int, n2: int, n3: int) -> Grid:
         raise ValueError("grid sizes must be at least 1 per axis")
     h = (1.0 / n1, 1.0 / n2, 1.0 / n3)
     m3 = n3 if kind == "cell" else n3 + 1      # node planes across the thickness
-    i, j, k = np.meshgrid(np.arange(n1), np.arange(n2), np.arange(n3), indexing="ij")
-    idx = np.empty((n1 * n2 * n3, 8), dtype=np.int64)
-    for a, (da, db, dc) in enumerate(product((0, 1), repeat=3)):
-        idx[:, a] = (((i + da) % n1) * n2 * m3 + ((j + db) % n2) * m3 + (k + dc) % m3).ravel()
+    # per axis, the (n, 8) offsets of each cell's eight nodes, broadcast into (n1, n2, n3, 8)
+    da, db, dc = _NODE_OFFSETS.T
+    idx = ((np.arange(n1)[:, None, None, None] + da) % n1 * (n2 * m3)
+           + (np.arange(n2)[:, None, None] + db) % n2 * m3
+           + (np.arange(n3)[:, None] + dc) % m3).reshape(-1, 8)
     return Grid(kind=kind, shape=(n1, n2, n3), node_shape=(n1, n2, m3), idx=idx,
                 B=build_b_matrices(h), wq=np.full(8, h[0] * h[1] * h[2] / 8.0), h=h,
-                x3c=-0.5 + (k.ravel() + 0.5) * h[2])
+                x3c=np.tile(-0.5 + (np.arange(n3) + 0.5) * h[2], n1 * n2))
 
 
 def build_cell_grid(n1: int, n2: int, n3: int) -> Grid:
@@ -792,26 +798,38 @@ def _element_matrix(grid: Grid, C: np.ndarray) -> np.ndarray:
     return 0.5 * (Ke + Ke.swapaxes(-1, -2))
 
 
+def _pair_offsets(k: int) -> np.ndarray:
+    """Flat index in {-1, 0, 1}^k, shifted to {0, 1, 2}^k, of the offset ``d_c - d_a``
+    of each node pair (a, c) on k periodic axes, a-major: ``np.add.at`` adds in
+    this order, the order of a loop over a and then c."""
+    d = np.array(list(product((0, 1), repeat=k)))
+    return np.ravel_multi_index((d - d[:, None] + 1).reshape(-1, k).T, (3,) * k)
+
+
+# ``_pair_offsets`` of the cell (3 periodic axes) and the slab (2).
+_PAIR_OFFSETS = {k: _pair_offsets(k) for k in (2, 3)}
+
+
 def _symbol(Ke: np.ndarray, ns, ms) -> np.ndarray:
     """Element matrix summed over node offset pairs with their phases.
 
     On the k periodic axes (the leading bits of the local node order) two
     nodes of an element differ by an offset ``delta`` in {-1, 0, 1}^k, and
     the pair carries the phase ``exp(2 pi i sum_k xi_k delta_k / n_k)``.  The
-    ``Ke`` blocks are summed once per offset, then contracted one axis at a
-    time with a 1-D phase table.  ``ns`` are the periods and ``ms`` the
+    ``Ke`` blocks are summed once per offset, by one ``np.add.at`` over the
+    offsets ``_PAIR_OFFSETS`` of the node pairs, then contracted one axis at
+    a time with a 1-D phase table.  ``ns`` are the periods and ``ms`` the
     wavevector counts of the axes (``n // 2 + 1`` on a half-spectrum axis).
-    Each of the 2**k node positions carries a block of b = 24 / 2**k local
+    Each of the p = 2**k node positions carries a block of b = 24 / p local
     dofs, so the symbol is (*ms, b, b).
     """
-    d = np.array(list(product((0, 1), repeat=len(ns))))
-    p = len(d)
-    K = Ke.reshape(p, 24 // p, p, 24 // p)
-    S = np.zeros((3,) * len(ns) + (24 // p, 24 // p))
-    for a in range(p):
-        for c in range(p):
-            S[tuple(d[c] - d[a] + 1)] += K[a, :, c]
-    for axis in reversed(range(len(ns))):
+    k = len(ns)
+    p = 2 ** k
+    b = 24 // p
+    S = np.zeros((3 ** k, b, b))
+    np.add.at(S, _PAIR_OFFSETS[k], Ke.reshape(p, b, p, b).swapaxes(1, 2).reshape(p * p, b, b))
+    S = S.reshape((3,) * k + (b, b))
+    for axis in reversed(range(k)):
         table = _dft_table(ns[axis], np.arange(ms[axis]), (1, 0, -1))
         S = np.moveaxis(np.tensordot(table, S, axes=(1, axis)), 0, axis)
     return S
@@ -874,9 +892,11 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     ``r`` orthogonal to the rigid translations.  It stores O(ndofs)
     numbers and the DFT tables, about n^2 per axis.  The symbol of ``K0``
     per wavevector comes from ``_symbol`` by sum factorization: the ``Ke``
-    blocks are summed once per node offset in {-1, 0, 1}^k, then
-    contracted with a 1-D phase table per periodic axis (``_dft_table``),
-    O(wavevectors) work with no per-wavevector phase table.
+    blocks are summed once per node offset in {-1, 0, 1}^k, by one
+    ``np.add.at`` over the 4^k node pairs in the order of a loop over
+    them, then contracted with a 1-D phase table per periodic axis
+    (``_dft_table``), O(wavevectors) work with no per-wavevector phase
+    table.
 
     Both branches work component-major: ``apply`` transposes the nodal
     vector to one contiguous scalar field per displacement component and
@@ -904,8 +924,9 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     wavevectors), and applied real by complex.
 
     Slab grid: per in-plane wavevector, a Hermitian block-tridiagonal
-    system over the node planes, factored once by block elimination (the
-    inverse Schur complements ``Sinv`` and the multipliers ``W = Sinv U``);
+    system over the node planes, factored once by block elimination
+    (``_slab_factors``: the inverse Schur complements ``Sinv`` and the
+    multipliers ``W = Sinv U``);
     at the zero wavevector node plane 0 is grounded and the mean is
     projected out of the input and the result.  The in-plane transform is
     the real table on n2, then F1, so the wavevectors come in (n1, m2)
@@ -918,45 +939,47 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     ``W^H`` (planes - 1, 3, 3, F), and the transformed data (planes, 3,
     F), with F the in-plane wavevectors.  ``Sinv`` is applied to every
     plane in one batched product before the back substitution.  The
-    solve, the forward and back sweep with the zero-wavevector mean
-    projections, runs on arrays (..., planes, 3, F) with any leading axes.
+    solve (``_slab_sweep``), the forward and back sweep with the
+    zero-wavevector mean projections, runs on arrays (..., planes, 3, F)
+    with any leading axes.
 
     The factors are the only factorization; the slab apply takes one of
     two forms (``preconditioner_form``, from the shape alone):
 
     - "slab-dense", when the inverse, F (3 planes)^2 complex numbers,
-      fits in ``SLAB_DENSE_BYTES``: the solve runs once at build time on
-      the 3 planes unit vectors, and the inverse is kept (F, 3 planes, 3
-      planes).  An apply is the forward transform, one batched
-      ``np.matmul`` and the inverse transform.  It agrees with the sweep
-      to rounding (under 5e-16 of the result on 1x1x1 to 12x12x6 grids).
+      fits in ``SLAB_DENSE_BYTES``: the inverse is built once from the
+      factors, the sweep's own steps on the identity with one node
+      plane's block row of every column per batched product
+      (``_slab_dense``), and kept (F, 3 planes, 3 planes).  An apply is
+      the forward transform, one batched ``np.matmul`` and the inverse
+      transform.  It agrees with the sweep to rounding (under 5e-16 of
+      the result on 1x1x1 to 12x12x6 grids).
     - "slab-sweep" otherwise: every apply runs the solve, 2 planes + 1
       block products in sequence, and stores only the factors.
 
     Dense against sweep, per apply and for the build plus 120 applies (6
-    loads at about 20 iterations), medians of 7-9 alternated pairs, one
-    BLAS thread.  The rows marked * were measured again with the table
-    transforms (7 pairs); the others with ``numpy.fft``, whose cost both
-    forms share:
+    loads at about 20 iterations), medians of 9 alternated pairs, one
+    BLAS thread, with the dense build from the factors:
 
-    ==========  =======  =========  ================
-    grid        MiB      apply      build + applies
-    ==========  =======  =========  ================
-    8x8x4 *     0.14     0.38       0.48
-    10x10x8 *   0.67     0.43       0.57
-    32x32x2     0.67     0.78       0.82
-    10x10x10    1.00     0.50       0.62
-    24x24x4     1.07     0.81       0.90
-    32x32x3     1.20     0.92       1.13
-    32x32x4     1.87     0.92-1.18  1.00-1.26
-    12x12x12    1.95     0.76       0.89
-    16x16x12    3.34     0.91       1.05
-    24x24x12 *  7.24     0.99       1.23
-    32x32x16 *  21.6     1.23       1.79
-    ==========  =======  =========  ================
+    ==========  =======  =====  ================
+    grid        MiB      apply  build + applies
+    ==========  =======  =====  ================
+    8x8x4       0.14     0.39   0.45
+    10x10x8     0.67     0.46   0.58
+    32x32x2     0.67     0.77   0.87
+    10x10x10    1.00     0.45   0.59
+    24x24x4     1.07     0.73   0.83
+    32x32x3     1.20     0.76   0.88
+    32x32x4     1.87     0.88   0.98
+    12x12x12    1.95     0.72   0.88
+    16x16x12    3.34     0.88   1.05
+    24x24x12    7.24     0.98   1.14
+    32x32x16    21.6     1.39   1.56
+    ==========  =======  =====  ================
 
-    The dense build, the solve on 3 planes unit vectors, costs 2-8x the
-    factors.  With it the dense form won on all 12 slabs measured up to
+    The dense build costs 0.8-3.2x the factors on these grids; the sweep
+    on the 3 planes unit vectors that it replaced cost 0.7-8.3x.  With
+    that older build the dense form won on all 12 slabs measured up to
     1.07 MiB, on 6 of 11 from 1.2 to 2.5 MiB and on none of 10 from 3.3
     MiB up.  It lost below 2.5 MiB mostly on thin wide slabs, where many
     wavevectors cost the batched product more than a few planes cost the
@@ -985,36 +1008,7 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
         return apply
 
     nplanes, m2 = n3 + 1, n2 // 2 + 1
-    E = _symbol(Ke, (n1, n2), (n1, m2)).reshape(n1 * m2, 2, 3, 2, 3)
-    bottom, top = E[:, 0, :, 0], E[:, 1, :, 1]   # a layer's blocks on its two node planes
-    U = E[:, 0, :, 1]                            # plane k to plane k + 1, the same in every layer
-    Sinv = np.empty((nplanes, n1 * m2, 3, 3), dtype=complex)
-    W = np.empty((n3, n1 * m2, 3, 3), dtype=complex)
-    for k in range(nplanes):
-        S = (bottom if k < n3 else 0.0) + (top if k > 0 else 0.0)
-        if k == 0:
-            S[0] = np.eye(3)
-        else:
-            S -= U.conj().swapaxes(1, 2) @ W[k - 1]
-        Sinv[k] = np.linalg.inv(S)
-        if k == 0:
-            Sinv[0, 0] = 0.0
-        if k < n3:
-            W[k] = Sinv[k] @ U
-    Sinv, W, Wh = (np.ascontiguousarray(a.transpose(0, 2, 3, 1))
-                   for a in (Sinv, W, W.conj().swapaxes(2, 3)))
-
-    def solve(y):
-        """The block sweep on transformed data ``y`` (..., planes, 3, F), in place."""
-        y[..., 0] -= y[..., 0].mean(axis=-2, keepdims=True)   # zero wavevector: no translations
-        for k in range(1, nplanes):
-            y[..., k, :, :] -= _bmv(Wh[k - 1], y[..., k - 1, :, :])
-        z = _bmv(Sinv, y)
-        for k in range(n3 - 1, -1, -1):
-            z[..., k, :, :] -= _bmv(W[k], z[..., k + 1, :, :])
-        z[..., 0] -= z[..., 0].mean(axis=-2, keepdims=True)
-        return z
-
+    Sinv, W = _slab_factors(_symbol(Ke, (n1, n2), (n1, m2)), n3)
     (R2, R2inv), (F1, F1inv) = _real_dft(n2), _complex_dft(n1)
 
     def forward(r):
@@ -1028,18 +1022,87 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
         return z.reshape(nplanes, 3, n1, n2).transpose(2, 3, 0, 1).reshape(shape)
 
     if preconditioner_form(grid.kind, grid.shape) == "slab-sweep":
+        solve = _slab_sweep(Sinv, W)
         return lambda r: backward(solve(forward(r)), r.shape)
 
     n = 3 * nplanes
-    units = np.zeros((n, n, n1 * m2), dtype=complex)
-    units[np.arange(n), np.arange(n)] = 1.0
-    Minv = np.ascontiguousarray(solve(units.reshape(n, nplanes, 3, -1)).reshape(n, n, -1).T)
+    Minv = _slab_dense(Sinv, W)
 
     def apply(r):
         z = np.matmul(Minv, forward(r).reshape(n, -1).T[:, :, None])
         return backward(z[:, :, 0].T, r.shape)
 
     return apply
+
+
+def _slab_factors(E: np.ndarray, n3: int):
+    """Block elimination of the slab systems of the in-plane symbol ``E`` (n1, m2,
+    6, 6) on n3 layers: the inverse Schur complements ``Sinv`` (planes, F, 3, 3)
+    and the multipliers ``W = Sinv U`` (n3, F, 3, 3), F the in-plane wavevectors.
+    At the zero wavevector node plane 0 is grounded: its ``Sinv`` is 0."""
+    E = E.reshape(-1, 2, 3, 2, 3)
+    bottom, top = E[:, 0, :, 0], E[:, 1, :, 1]   # a layer's blocks on its two node planes
+    U = E[:, 0, :, 1]                            # plane k to plane k + 1, the same in every layer
+    Sinv = np.empty((n3 + 1, len(E), 3, 3), dtype=complex)
+    W = np.empty((n3, len(E), 3, 3), dtype=complex)
+    for k in range(n3 + 1):
+        S = (bottom if k < n3 else 0.0) + (top if k > 0 else 0.0)
+        if k == 0:
+            S[0] = np.eye(3)
+        else:
+            S -= U.conj().swapaxes(1, 2) @ W[k - 1]
+        Sinv[k] = np.linalg.inv(S)
+        if k == 0:
+            Sinv[0, 0] = 0.0
+        if k < n3:
+            W[k] = Sinv[k] @ U
+    return Sinv, W
+
+
+def _slab_sweep(Sinv: np.ndarray, W: np.ndarray):
+    """``solve(y)``: the block sweep of the factors of ``_slab_factors`` on
+    transformed data ``y`` (..., planes, 3, F), in place, with the
+    zero-wavevector mean projections.  The factors are stored component-major,
+    (..., 3, 3, F), with ``W^H`` for the forward sweep."""
+    n3 = len(W)
+    Sinv, W, Wh = (np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+                   for a in (Sinv, W, W.conj().swapaxes(2, 3)))
+
+    def solve(y):
+        y[..., 0] -= y[..., 0].mean(axis=-2, keepdims=True)   # zero wavevector: no translations
+        for k in range(1, n3 + 1):
+            y[..., k, :, :] -= _bmv(Wh[k - 1], y[..., k - 1, :, :])
+        z = _bmv(Sinv, y)
+        for k in range(n3 - 1, -1, -1):
+            z[..., k, :, :] -= _bmv(W[k], z[..., k + 1, :, :])
+        z[..., 0] -= z[..., 0].mean(axis=-2, keepdims=True)
+        return z
+
+    return solve
+
+
+def _slab_dense(Sinv: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The inverse that the sweep of the same factors applies, stored (F, 3
+    planes, 3 planes): the sweep run on the identity one block row of a node
+    plane at a time, each step one batched product for every column at once.
+    Forward, the rows of ``L^-1``: ``Y_0 = I_0`` and ``Y_k = I_k - W_k-1^H
+    Y_k-1``, nonzero only left of the diagonal block; then ``M_n3 = Sinv_n3
+    Y_n3`` and back, ``M_k = Sinv_k Y_k - W_k M_k+1``.  At the zero wavevector
+    the mean projection P is applied on both sides, ``P M P``."""
+    nplanes, F = Sinv.shape[:2]
+    n = 3 * nplanes
+    Y = np.zeros((nplanes, F, 3, n), dtype=complex)
+    Y[np.arange(n) // 3, :, np.arange(n) % 3, np.arange(n)] = 1.0
+    for k in range(1, nplanes):
+        Y[k, :, :, :3 * k] -= W[k - 1].conj().swapaxes(1, 2) @ Y[k - 1, :, :, :3 * k]
+    M = Sinv @ Y
+    for k in range(nplanes - 2, -1, -1):
+        M[k] -= W[k] @ M[k + 1]
+    M = M.transpose(1, 0, 2, 3).reshape(F, nplanes, 3, nplanes, 3)
+    M0 = M[0]
+    M0 -= M0.mean(axis=0, keepdims=True)
+    M0 -= M0.mean(axis=2, keepdims=True)
+    return M.reshape(F, n, n)
 
 
 def iteration_cap(ndofs: int) -> int:

@@ -42,7 +42,10 @@ def at_key(path: str):
 
 def _get(obj: dict, key: str, path: str, required=True, default=None, convert=None):
     """``obj[key]``, passed through ``convert`` when given, which names the key
-    path ``path.key`` when it refuses the value."""
+    path ``path.key`` when it refuses the value.  An ``obj`` that is no JSON
+    object is refused under its own key path ``path``."""
+    if not isinstance(obj, dict):
+        _fail(path, f"expected a JSON object, got {type(obj).__name__}")
     if key not in obj:
         if required:
             _fail(path, f"missing required field {key!r}")
@@ -54,6 +57,9 @@ def _get(obj: dict, key: str, path: str, required=True, default=None, convert=No
 
 
 def _floats(value) -> np.ndarray:
+    """Numbers as a float array; ``null`` is refused, not read as NaN."""
+    if value is None:
+        raise TypeError("expected a number or a list of numbers, got null")
     return np.asarray(value, dtype=float)
 
 
@@ -73,6 +79,13 @@ def _int(value) -> int:
     if a.ndim != 0:
         raise ValueError(f"expected one integer, got an array of shape {a.shape}")
     return int(a)
+
+
+def _list(value) -> list:
+    """A JSON list, refused with ``TypeError`` otherwise."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
 
 
 def _ints(value) -> tuple:
@@ -160,9 +173,8 @@ def read_profile(obj: dict, path: str) -> ThicknessProfile:
         rule = _get(obj, "rule", path)
         if rule not in (RULE_MIDPOINT, RULE_GAUSS):
             _fail(path, f"rule must be {RULE_MIDPOINT!r} or {RULE_GAUSS!r}, got {rule!r}")
-        forms = [
-            _profile_form(v, f"{path}.samples[{i}]") for i, v in enumerate(obj["samples"])
-        ]
+        forms = [_profile_form(v, f"{path}.samples[{i}]")
+                 for i, v in enumerate(_get(obj, "samples", path, convert=_list))]
         with at_key(path):
             return ThicknessProfile(tuple(forms), rule=rule)
     _fail(path, "profile needs either 'layers' or 'samples'")

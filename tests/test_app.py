@@ -570,6 +570,14 @@ class TestExitCodes:
                      id="fiber-number"),
         pytest.param("oracle-check", {"kind": "cell", "grid": [1, 1, 1], "forms": 7}, {},
                      "material.forms", id="forms-number"),
+        # a container of the wrong type is named where its key path is known
+        pytest.param("reduce", 5, {}, "material", id="material-number"),
+        pytest.param("bending", {"kind": "profile", "layers": [3]}, {}, "material.layers[0]",
+                     id="layer-number"),
+        pytest.param("bending", {"kind": "profile", "rule": "midpoint", "samples": 5}, {},
+                     "material.samples", id="samples-number"),
+        pytest.param("homog-regime2", dict(SLAB, lambda1=None), {}, "material.lambda1",
+                     id="lambda1-null"),
     ])
     def test_malformed_value_is_parse_error(self, tmp_path, capsys, command, material, settings,
                                             key):
@@ -629,6 +637,19 @@ class TestExitCodes:
         assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
         assert error_line(capsys)["message"].startswith(f"{path}.scenarios[1].name: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry, key", [(None, "scenarios"), (1, "scenarios[1]")])
+    def test_sweep_scenarios_of_the_wrong_type_are_parse_errors(self, fixtures_dir, tmp_path,
+                                                                capsys, entry, key):
+        # the scenarios list, or one of its entries, is a number: named by its key path
+        spec = load_json(fixtures_dir / "sweep_regimes.json")
+        if entry is None:
+            spec["scenarios"] = 5
+        else:
+            spec["scenarios"][entry] = 5
+        path = write_spec(tmp_path, spec)
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert error_line(capsys)["message"].startswith(f"{path}.{key}: ")
 
     @pytest.mark.parametrize("surface", [
         {"kind": "cylinder", "radius": 1.0, "extent": [float("nan"), 1.0]},

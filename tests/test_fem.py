@@ -516,6 +516,79 @@ def test_slab_symbol_is_complex():
     assert np.abs(S.imag).max() >= 0.05 * np.abs(S.real).max()
 
 
+def _loop_symbol(Ke, ns, ms):
+    """``fem._symbol`` with the element blocks summed one node pair at a time."""
+    d = np.array(list(product((0, 1), repeat=len(ns))))
+    p = len(d)
+    K = Ke.reshape(p, 24 // p, p, 24 // p)
+    S = np.zeros((3,) * len(ns) + (24 // p, 24 // p))
+    for a in range(p):
+        for c in range(p):
+            S[tuple(d[c] - d[a] + 1)] += K[a, :, c]
+    for axis in reversed(range(len(ns))):
+        table = fem._dft_table(ns[axis], np.arange(ms[axis]), (1, 0, -1))
+        S = np.moveaxis(np.tensordot(table, S, axes=(1, axis)), 0, axis)
+    return S
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("cell", (1, 1, 1)), ("cell", (2, 1, 3)), ("cell", (1, 2, 2)), ("cell", (5, 4, 6)),
+    ("slab", (1, 1, 1)), ("slab", (2, 1, 3)), ("slab", (1, 2, 2)), ("slab", (7, 5, 3)),
+])
+def test_symbol_equals_the_per_pair_loop(kind, shape):
+    # one np.add.at over the node pairs adds in the loop's order: bit for bit
+    grid = (build_cell_grid if kind == "cell" else build_slab_grid)(*shape)
+    Ke = fem._element_matrix(grid, _monoclinic_law())
+    ns = shape if kind == "cell" else shape[:2]
+    ms = ns[:-1] + (ns[-1] // 2 + 1,)
+    np.testing.assert_array_equal(fem._symbol(Ke, ns, ms), _loop_symbol(Ke, ns, ms))
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("cell", (1, 1, 1)), ("cell", (1, 3, 2)), ("cell", (4, 1, 1)), ("cell", (3, 4, 5)),
+    ("slab", (1, 1, 1)), ("slab", (2, 1, 3)), ("slab", (1, 4, 2)), ("slab", (3, 4, 5)),
+])
+def test_build_grid_equals_the_meshgrid_formulation(kind, shape):
+    n1, n2, n3 = shape
+    m3 = n3 if kind == "cell" else n3 + 1
+    i, j, k = np.meshgrid(np.arange(n1), np.arange(n2), np.arange(n3), indexing="ij")
+    idx = np.empty((n1 * n2 * n3, 8), dtype=np.int64)
+    for a, (da, db, dc) in enumerate(product((0, 1), repeat=3)):
+        idx[:, a] = (((i + da) % n1) * n2 * m3 + ((j + db) % n2) * m3 + (k + dc) % m3).ravel()
+    x3c = -0.5 + (k.ravel() + 0.5) * (1.0 / n3)
+    grid = fem._build_grid(kind, *shape)
+    assert grid.idx.dtype == idx.dtype and grid.x3c.dtype == x3c.dtype
+    np.testing.assert_array_equal(grid.idx, idx)
+    np.testing.assert_array_equal(grid.x3c, x3c)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 1), (7, 5, 3), (8, 8, 4), (12, 12, 6)])
+def test_slab_dense_inverse_equals_the_sweep(monkeypatch, shape):
+    # the stored inverse, built from the factors plane by plane, against the sweep
+    # of the same factors on every unit vector, on a complex (monoclinic) symbol
+    n1, n2, n3 = shape
+    grid = build_slab_grid(*shape)
+    Ke = fem._element_matrix(grid, _monoclinic_law())
+    Sinv, W = fem._slab_factors(fem._symbol(Ke, (n1, n2), (n1, n2 // 2 + 1)), n3)
+    F, n = Sinv.shape[1], 3 * (n3 + 1)
+    units = np.zeros((n, n, F), dtype=complex)
+    units[np.arange(n), np.arange(n)] = 1.0
+    swept = fem._slab_sweep(Sinv, W)(units.reshape(n, n3 + 1, 3, F)).reshape(n, n, F).T
+    dense = fem._slab_dense(Sinv, W)
+    assert np.abs(dense - swept).max() <= 1e-13 * np.abs(swept).max()
+    # and the two applies on a random zero-mean vector
+    rng = np.random.default_rng(70)
+    r = rng.standard_normal((grid.nnodes, 3))
+    r = (r - r.mean(axis=0)).ravel()
+    applied = {}
+    for form, cap in SLAB_FORMS.items():
+        monkeypatch.setattr(fem, "SLAB_DENSE_BYTES", cap)
+        assert fem.preconditioner_form("slab", shape) == form
+        applied[form] = fem.reference_inverse(grid, _monoclinic_law())(r)
+    ref = applied["slab-sweep"]
+    assert np.abs(applied["slab-dense"] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 PRECONDITIONER_GRIDS = [
     (build_cell_grid, (1, 1, 6)), (build_cell_grid, (3, 4, 5)), (build_cell_grid, (2, 2, 2)),
     (build_slab_grid, (1, 1, 3)), (build_slab_grid, (2, 3, 2)), (build_slab_grid, (5, 4, 3)),
