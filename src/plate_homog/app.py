@@ -242,7 +242,7 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
         raise SpecFormatError(f"{path}: no command given on the CLI or in the file")
     if declared is not None and declared != command:
         raise SpecFormatError(
-            f"{path}: file declares command {declared!r} but {command!r} was requested"
+            f"{path}.command: file declares command {declared!r} but {command!r} was requested"
         )
     if command not in COMMANDS:
         raise SpecFormatError(f"{path}: unknown command {command!r}")
@@ -266,7 +266,7 @@ def _scenario_from_dict(obj: dict, path: str, command: str | None = None) -> Sce
             subs.append(sub_sc)
         names = [s.name for s in subs]
         if len(set(names)) != len(names):
-            raise SpecFormatError(f"{path}: sweep scenario names must be unique")
+            raise SpecFormatError(f"{path}.scenarios: sweep scenario names must be unique")
         return Scenario(command=command, name=name, settings=settings, subs=tuple(subs),
                         path=path)
 

@@ -62,52 +62,46 @@ the cell laws onto themselves up to a periodic shift
 field with its axes and components permuted and rolled, the same
 minimizer to rounding, since the gauged minimizer is unique.
 
-Corrector solves run conjugate gradients preconditioned by the exact
-inverse of the stiffness K0 of one constant reference law C0 on the same
-grid (``Reference``).  A grouped operator takes as C0 the law of at least
-``MAJORITY_SHARE`` of its cells when there is one, else C0 is the cell
-mean.  With the majority law ``K = K0 + dK``, and ``dK`` lives only on the
-other cells: CG keeps ``K0 p`` by the recurrence ``K0 p = r + beta K0
-p_prev`` (``p = z + beta p_prev`` with ``K0 z = r``), so an iteration
-multiplies only those cells, by ``Ke_l - Ke_0`` per law (the polarization
-of FFT homogenization, Moulinec & Suquet 1998; Eyre & Milton 1999, in a
-Galerkin PCG).  Every grid is periodic in plane, so
-that operator is block-circulant and a discrete Fourier transform
-diagonalizes it: one 3x3 block per wavevector on a cell grid, one
-block-tridiagonal system over the node planes per in-plane wavevector on
-a slab grid (Moulinec & Suquet 1998; Zeman, Vondrejc, Novak & Marek
-2010).  The symbol of that operator is built by sum factorization:
-element blocks summed per node offset, by one ``np.add.at`` over the
-node pairs, then one 1-D phase table per axis.  The iteration count
-then depends on the contrast of C against C0, not on the grid size.
-The inverse works component-major: one
-contiguous scalar field per displacement component, transforms over the
-trailing axes, and 3x3 blocks stored (3, 3, wavevectors).  Every
+Corrector solves run conjugate gradients preconditioned by the exact inverse
+of the stiffness K0 of one constant reference law C0 on the same grid
+(``Reference``).  A grouped operator takes as C0 the law of at least
+``MAJORITY_SHARE`` of its cells when there is one, else C0 is the cell mean.
+With the majority law ``K = K0 + dK``, and ``dK`` lives only on the other
+cells: CG keeps ``K0 p`` by the recurrence ``K0 p = r + beta K0 p_prev``
+(``p = z + beta p_prev`` with ``K0 z = r``), so an iteration multiplies only
+those cells, by ``Ke_l - Ke_0`` per law (the polarization of FFT
+homogenization, Moulinec & Suquet 1998; Eyre & Milton 1999, in a Galerkin
+PCG).  Every grid is periodic in plane, so that operator is block-circulant
+and a discrete Fourier transform diagonalizes it: one 3x3 block per
+wavevector on a cell grid, one block-tridiagonal system over the node planes
+per in-plane wavevector on a slab grid (Moulinec & Suquet 1998; Zeman,
+Vondrejc, Novak & Marek 2010).  The symbol of that operator is built by sum
+factorization: element blocks summed per node offset, by one ``np.add.at``
+over the node pairs, then one 1-D phase table per axis.  The iteration count
+then depends on the contrast of C against C0, not on the grid size.  Every
 transform is a product with a per-axis DFT table built once per
-preconditioner, with each angle taken from ``(k j) mod n``: a real (n,
-2 m) table on the contiguous last axis (m = n // 2 + 1, the half
-spectrum), then one complex (n, n) table per further periodic axis,
-applied over the leading axes.  At 8-16 points per axis these few BLAS
-products cost a fraction of ``numpy.fft``, which pays a fixed cost for
-every grid line.  On a cell grid the symbol is real, because the
-trilinear element is point symmetric, so its inverse is stored real; on
-a slab the two node planes of a layer break that pairing and the
-block-tridiagonal factors stay complex.  A slab's wavevectors come in
-(n1, m2) order, m2 = n2 // 2 + 1.  Between the transforms a slab applies
-its inverse in one of two forms, picked from the grid shape alone
-(``preconditioner_form``): "slab-dense", one batched product with the
-stored (3 planes)^2 inverse per wavevector, when that fits in
-``SLAB_DENSE_BYTES``; "slab-sweep" otherwise, the block-tridiagonal
-forward and back sweep, 2 planes + 1 small products in sequence.  The
-stored inverse is that sweep run once on the identity, a node plane's
-block row of every column in one batched product per step.  At
-these grid sizes the sweep is bound by the overhead of its calls, not
-by arithmetic, so the one product is cheaper until the stored inverse
-grows large.
+preconditioner, with each angle taken from ``(k j) mod n``: a real (n, 2 m)
+table for the half spectrum (m = n // 2 + 1) and one complex (n, n) table
+per further periodic axis.  At 8-16 points per axis these few BLAS products
+cost a fraction of ``numpy.fft``, which pays a fixed cost for every grid
+line.  A cell's inverse works component-major, a slab's wavevector-major on
+the node-major vector as it lies (see ``reference_inverse``).  On a cell
+grid the symbol is real, because the trilinear element is point symmetric,
+so its inverse is stored real; on a slab the two node planes of a layer
+break that pairing and the block-tridiagonal factors stay complex.  Between
+the transforms a slab applies its inverse in one of two forms, picked from
+the grid shape alone (``preconditioner_form``): "slab-dense", one batched
+product with the stored (3 planes)^2 inverse per wavevector, when that fits
+in ``SLAB_DENSE_BYTES``; "slab-sweep" otherwise, the block-tridiagonal
+forward and back sweep, 2 planes + 1 small products in sequence.  At these
+grid sizes the sweep is bound by the overhead of its calls, not by
+arithmetic, so the one product is cheaper until the stored inverse grows
+large.
 
-Nodal vectors are laid out node-major, dof ``3 * node + m``; a scatter-add
-is one ``bincount`` over the operator's law-order dof index.  ``Grid.dofs``,
-the grid-order index, serves only the dense oracles.
+Nodal vectors are node-major, dof ``3 * node + m``; element kernels run on
+local vectors (24, cells), a row per local dof ``3 a + m``, gathered by one
+float ``take`` and scattered by one ``bincount`` over the operator's dof index.
+``Grid.dofs``, the grid-order index, serves only the dense oracles.
 """
 
 from __future__ import annotations
@@ -140,7 +134,6 @@ LAW_CELLS = 8
 # r = 6 1.7x on 27 cells and 1.1x on 864.
 LAW_RANK = 2
 
-_NODE = np.dtype((np.void, 24))      # a node's three components, gathered as one item
 # Odd multipliers of the law hash in ``_distinct_rows`` (products wrap mod 2**64).
 _LAW_HASH = np.arange(1, 73, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
@@ -224,13 +217,14 @@ class Grid:
 
     @cached_property
     def dofs(self) -> np.ndarray:
-        """(ncells, 24) global dof ``3 * node + m`` of each local dof."""
-        return _dof_index(self.idx)
+        """(ncells, 24) global dof ``3 * node + m`` of each local dof, cells major."""
+        return np.ascontiguousarray(_dof_index(self.idx).T)
 
 
 def _dof_index(idx: np.ndarray) -> np.ndarray:
-    """(cells, 24) global dof ``3 * node + m`` of each local dof of node index ``idx``."""
-    return (3 * idx[:, :, None] + np.arange(3)).reshape(len(idx), 24)
+    """(24, cells) global dof ``3 * node + m`` of local dof ``3 a + m`` of the cells
+    of node index ``idx`` (cells, 8)."""
+    return (3 * idx.T[:, None] + np.arange(3)[:, None]).reshape(24, len(idx))
 
 
 def _build_grid(kind: str, n1: int, n2: int, n3: int) -> Grid:
@@ -289,14 +283,15 @@ class ElementOperator:
     the law-basis form and None otherwise.  In every form the cells are
     sorted by law as ``_distinct_laws`` numbers them: distinct laws
     ``_laws``, their cell counts ``_counts`` and runs ``_cuts``.  Every
-    per-cell local vector is built in that order, scattered with the one
-    dof index ``_dofs``.  ``reference`` is the preconditioner's law: with the
-    majority law, whose cells are one run of ``_cuts``, the other cells keep
-    their own gather index ``_minor_idx`` and the differences ``_minor_Ke``
-    of their element matrices from the reference one (see
-    ``split_product``).  ``laws``, when given, is ``_distinct_laws(cellC)``
-    as the caller already computed it; ``law_labels`` keeps its law numbers
-    in grid order, for ``axis_symmetries``.
+    local vector is (24, cells) in that order, gathered and scattered with
+    the one dof index ``_dofs``.  ``reference`` is the
+    preconditioner's law: with the majority law, whose cells are one run of
+    ``_cuts``, the other cells keep their own columns ``_minor_dofs`` of the
+    dof index and the differences ``_minor_Ke`` of their element matrices
+    from the reference one (see ``split_product``).  ``laws``, when given,
+    is ``_distinct_laws(cellC)`` as the caller already computed it;
+    ``law_labels`` keeps its law numbers in grid order, for
+    ``axis_symmetries``.
     """
 
     def __init__(self, grid: Grid, cellC: np.ndarray, laws=None):
@@ -320,10 +315,10 @@ class ElementOperator:
         self._cuts = np.concatenate(([0], np.cumsum(self._counts)))
         if self.cell_laws < grid.ncells:
             order = np.argsort(law, kind="stable")
-            self._idx, self._x3c, self._laws = grid.idx[order], grid.x3c[order], cellC[first]
+            idx, self._x3c, self._laws = grid.idx[order], grid.x3c[order], cellC[first]
         else:       # a law per cell: laws numbered by first appearance are in grid order
-            self._idx, self._x3c, self._laws = grid.idx, grid.x3c, cellC
-        self._dofs = _dof_index(self._idx)
+            idx, self._x3c, self._laws = grid.idx, grid.x3c, cellC
+        self._dofs = _dof_index(idx)
         self.stiffness, self.law_rank = "grouped", None
         self.reference = Reference(cellC.mean(axis=0), MEAN_REFERENCE)
         if LAW_CELLS * self.cell_laws <= grid.ncells:
@@ -333,8 +328,7 @@ class ElementOperator:
                 self.reference = Reference(self._laws[major], MAJORITY_REFERENCE)
                 a, b = self._cuts[major:major + 2]
                 others = np.arange(self.cell_laws) != major
-                self._minor_idx = np.concatenate([self._idx[:a], self._idx[b:]])
-                self._minor_dofs = _dof_index(self._minor_idx)
+                self._minor_dofs = np.concatenate([self._dofs[:, :a], self._dofs[:, b:]], axis=1)
                 self._minor_Ke = self._Ke[others] - self._Ke[major]
                 self._minor_cuts = np.concatenate(([0], np.cumsum(self._counts[others])))
         else:
@@ -344,31 +338,30 @@ class ElementOperator:
             else:
                 coeffs, basis_laws = basis
                 self.stiffness, self.law_rank = "law-basis", len(basis_laws)
-                self._coeffs = np.ascontiguousarray(self._spread(coeffs).T)[:, :, None]
+                self._coeffs = np.ascontiguousarray(self._spread(coeffs.T))
                 self._basis_Ke = _element_matrix(grid, basis_laws)
 
-    def _gather(self, x: np.ndarray, idx=None) -> np.ndarray:
-        """Per-cell local dof vectors (cells, 24) of a nodal field on the cells of node
-        index ``idx``, by default all of them in operator order."""
-        idx = self._idx if idx is None else idx
-        nodes = np.ascontiguousarray(x, dtype=float).reshape(-1).view(_NODE)
-        return nodes.take(idx).view(float).reshape(len(idx), 24)
+    def _gather(self, x: np.ndarray, dofs=None) -> np.ndarray:
+        """Local dof vectors (24, cells) of a nodal field on the cells of the dof
+        index ``dofs``, by default ``_dofs``: one float ``take``."""
+        dofs = self._dofs if dofs is None else dofs
+        return np.asarray(x, dtype=float).reshape(-1).take(dofs)
 
     def _to_nodes(self, ylocal: np.ndarray, dofs=None) -> np.ndarray:
-        """Scatter-add per-cell local vectors (cells, 24) into a nodal vector: one
+        """Scatter-add local vectors (24, cells) into a nodal vector: one
         ``bincount`` over the dof index ``dofs``, by default ``_dofs``."""
         dofs = self._dofs if dofs is None else dofs
         return np.bincount(dofs.ravel(), weights=ylocal.ravel(), minlength=self.grid.ndofs)
 
-    def _spread(self, rows: np.ndarray) -> np.ndarray:
-        """Per-law rows repeated over each law's cells, or ``rows`` when no law repeats."""
+    def _spread(self, rows: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Per-law entries along ``axis`` repeated over their cells; ``rows`` if no law repeats."""
         repeats = self.cell_laws < self.grid.ncells
-        return np.repeat(rows, self._counts, axis=0) if repeats else rows
+        return np.repeat(rows, self._counts, axis=axis) if repeats else rows
 
     def _law_sums(self, rows: np.ndarray) -> np.ndarray:
-        """Per-cell rows summed over each law's cells, the adjoint of ``_spread``."""
+        """Per-cell columns summed over each law's cells, the adjoint of ``_spread``."""
         repeats = self.cell_laws < self.grid.ncells
-        return np.add.reduceat(rows, self._cuts[:-1]) if repeats else rows
+        return np.add.reduceat(rows, self._cuts[:-1], axis=-1) if repeats else rows
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``K x``: gather, a few large products, scatter-add.
@@ -376,45 +369,45 @@ class ElementOperator:
         The form (``stiffness``) is picked once, from the laws alone:
 
         - grouped, when ``LAW_CELLS * cell_laws <= ncells``: cells sorted
-          by law, one ``(cells of law l, 24) @ Ke_l`` product per law;
+          by law, one ``Ke_l @ u[:, a:b]`` product per law on its run a:b;
         - law-basis, else when the laws have numerical rank ``r <=
-          LAW_RANK`` (see ``_law_basis``): ``sum_k a_k * (u @ Ke_k)``, r
-          products of (ncells, 24) @ 24x24 each scaled per cell by the
-          coefficient ``a_ck`` of basis law k, with no temporary larger
-          than (ncells, 24);
-        - stacked otherwise: strains ``u @ B^T`` (24 x 48) at all 8
+          LAW_RANK`` (see ``_law_basis``): ``sum_k a_k * (Ke_k @ u)``, r
+          products of 24x24 @ (24, ncells), each scaled by the row ``a_k``
+          of the coefficients of basis law k, with no temporary larger
+          than (24, ncells);
+        - stacked otherwise: strains ``u^T @ B^T`` (24 x 48) at all 8
           points at once, one batched ``(8, 6) @ C_c^T`` per cell, then
-          ``@ w B`` (48 x 24).
+          ``(w B)^T @`` (24 x 48).
 
         The three agree to rounding on the same laws.
         """
         return self._to_nodes(self._stiffness_local(self._gather(x))).reshape(x.shape)
 
     def _stiffness_local(self, u: np.ndarray) -> np.ndarray:
-        """Per-cell local vectors (ncells, 24) of ``K x`` from its gathered ``u``, by
-        the kernel of ``stiffness``."""
+        """Local vectors (24, ncells) of ``K x`` from its gathered ``u``, by ``stiffness``."""
         if self.stiffness == "grouped":
             return _grouped_local(u, self._Ke, self._cuts)
         if self.stiffness == "law-basis":
-            y = u @ self._basis_Ke[0]
+            y = self._basis_Ke[0] @ u
             y *= self._coeffs[0]
             term = np.empty_like(u)
             for Ke, a in zip(self._basis_Ke[1:], self._coeffs[1:]):
-                np.matmul(u, Ke, out=term)
+                np.matmul(Ke, u, out=term)
                 term *= a
                 y += term
             return y
-        g = (u @ self.grid.B.reshape(48, 24).T).reshape(-1, 8, 6)
-        return (g @ self._spread(self._laws).transpose(0, 2, 1)).reshape(-1, 48) @ self._wB
+        g = (u.T @ self.grid.B.reshape(48, 24).T).reshape(-1, 8, 6)
+        s = g @ self._spread(self._laws, axis=0).transpose(0, 2, 1)
+        return self._wB.T @ s.reshape(-1, 48).T
 
     def split_product(self, p: np.ndarray, K0p: np.ndarray) -> np.ndarray:
         """``K p = K0 p + dK p`` for the majority reference, given ``K0 p``: ``dK``
         has no entry on the cells of the reference law, so ``dK p`` is one
-        ``(cells of law l, 24) @ (Ke_l - Ke_0)`` product per other law, gathered
-        and scattered over those cells only (none on a constant law)."""
-        if not len(self._minor_idx):
+        ``(Ke_l - Ke_0) @ u[:, a:b]`` product per other law, gathered and
+        scattered over those cells only (none on a constant law)."""
+        if not self._minor_dofs.size:
             return K0p.copy()
-        u = self._gather(p, self._minor_idx)
+        u = self._gather(p, self._minor_dofs)
         Ap = self._to_nodes(_grouped_local(u, self._minor_Ke, self._minor_cuts), self._minor_dofs)
         Ap += K0p
         return Ap
@@ -446,25 +439,23 @@ class ElementOperator:
                          f"a (2, 6) pair (G, A) for G + x3 A; got shape {g.shape}")
 
     def _load_local(self, G: np.ndarray, A=None) -> np.ndarray:
-        """Per-cell local load vectors (ncells, 24) of ``G + x3 A``: ``(C_l G) @ Bbar``
-        once per law and spread over its cells, with ``A`` plus ``(C_l A) @ Btilde``
-        and ``x3_c (C_l A) @ Bbar``."""
+        """Local load vectors (24, ncells) of ``G + x3 A``: ``Bbar^T (C_l G)`` once
+        per law and spread over its cells, with ``A`` plus ``Btilde^T (C_l A)``
+        and ``x3_c Bbar^T (C_l A)``."""
         C = self._laws.reshape(-1, 6)
-        stress = (C @ G).reshape(-1, 6)
+        stress = (C @ G).reshape(-1, 6).T
         if A is None:
-            return self._spread(stress @ self._Bbar)
-        stress_a = (C @ A).reshape(-1, 6)
-        local = self._spread(stress @ self._Bbar + stress_a @ self._Btilde)
-        moment = self._spread(stress_a @ self._Bbar)
-        moment *= self._x3c[:, None]
-        local += moment
+            return self._spread(self._Bbar.T @ stress)
+        stress_a = (C @ A).reshape(-1, 6).T
+        local = self._spread(self._Bbar.T @ stress + self._Btilde.T @ stress_a)
+        local += self._spread(self._Bbar.T @ stress_a) * self._x3c
         return local
 
     def rhs(self, gload) -> np.ndarray:
         """Nodal load vector ``f[v] = sum_c sum_q w_q (B_q v)^T C_c (G + x3_q A)``.
 
-        Per cell it is ``(C_c G) @ Bbar``, plus ``x3_c (C_c A) @ Bbar + (C_c
-        A) @ Btilde`` for a pair, so it needs no quadrature: these rows are
+        Per cell it is ``Bbar^T (C_c G)``, plus ``x3_c Bbar^T (C_c A) + Btilde^T
+        (C_c A)`` for a pair, so it needs no quadrature: these columns are
         formed once per law, repeated over the law's cells in the operator's
         order and scattered with its one dof index.
         """
@@ -491,21 +482,21 @@ class ElementOperator:
         G, A = self._load_parts(gload)
         absC, absB, absB_planes = self._floor_parts
         if A is None:
-            local = self._spread((absC.reshape(-1, 6) @ np.abs(G)).reshape(-1, 6) @ absB)
+            local = self._spread(absB @ (absC.reshape(-1, 6) @ np.abs(G)).reshape(-1, 6).T)
         else:
             d = GAUSS_OFFSET * self.grid.h[2]
             g = np.abs(G + (self._x3c[:, None, None] + np.array([[-d], [d]])) * A)
-            s = g @ self._spread(absC).transpose(0, 2, 1)
-            local = s.reshape(-1, 12) @ absB_planes
+            s = g @ self._spread(absC, axis=0).transpose(0, 2, 1)
+            local = absB_planes @ s.reshape(-1, 12).T
         return 1e-12 * float(np.linalg.norm(self._to_nodes(local)))
 
     @cached_property
     def _floor_parts(self):
-        """``|C|`` per law, ``sum_q w_q |B_q|`` and its lower and upper
-        Gauss-plane parts stacked (12, 24), for ``rhs_noise_floor``."""
+        """``|C|`` per law, ``(sum_q w_q |B_q|)^T`` and its lower and upper
+        Gauss-plane parts side by side (24, 12), for ``rhs_noise_floor``."""
         wabsB = self.grid.wq[:, None, None] * np.abs(self.grid.B)
-        return np.abs(self._laws), wabsB.sum(axis=0), np.vstack([wabsB[0::2].sum(axis=0),
-                                                                 wabsB[1::2].sum(axis=0)])
+        return np.abs(self._laws), wabsB.sum(axis=0).T, np.vstack([wabsB[0::2].sum(axis=0),
+                                                                   wabsB[1::2].sum(axis=0)]).T
 
     def energy_matrix(self, fields, loads) -> np.ndarray:
         """Energies ``N_ij = sum w_q g_i^T C g_j`` of total strains ``g_i = B x_i + G_i
@@ -549,22 +540,22 @@ class ElementOperator:
         integrals of the stress of the gathered field ``u`` under ``G + x3 A`` and
         of its first x3 moment (see ``energy_matrix``)."""
         v = self.grid.wq.sum()
-        e = u @ self._Bbar.T + v * G
+        e = self._Bbar @ u + v * G[:, None]
         moments = [e]
         if A is not None:
-            x3c = self._x3c[:, None]
-            e += (v * x3c) * A
-            moments.append(x3c * e + u @ self._Btilde.T + (v * self.grid.h[2] ** 2 / 12) * A)
-        return np.concatenate([self._law_sums(m).ravel() @ self._laws.reshape(-1, 6)
+            e += (v * self._x3c) * A[:, None]
+            m = self._x3c * e + self._Btilde @ u
+            moments.append(m + (v * self.grid.h[2] ** 2 / 12) * A[:, None])
+        return np.concatenate([self._law_sums(m).T.ravel() @ self._laws.reshape(-1, 6)
                                for m in moments])
 
 
 def _grouped_local(u: np.ndarray, Ke: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Local vectors ``u[a:b] @ Ke[l]`` of cells sorted by law, law l on the run
-    ``cuts[l]:cuts[l + 1]``."""
+    """Local vectors ``Ke[l] @ u[:, a:b]`` (24, cells) of cells sorted by law, law l
+    on the run ``a:b = cuts[l]:cuts[l + 1]``."""
     y = np.empty_like(u)
     for K, a, b in zip(Ke, cuts[:-1], cuts[1:]):
-        np.matmul(u[a:b], K, out=y[a:b])
+        np.matmul(K, u[:, a:b], out=y[:, a:b])
     return y
 
 
@@ -843,7 +834,7 @@ def _dft_table(n: int, k, j) -> np.ndarray:
 
 
 def _real_dft(n: int):
-    """Real tables of the half-spectrum DFT along a contiguous axis of n points.
+    """Real tables of the half-spectrum DFT along an axis of n points.
 
     ``(x.reshape(-1, n) @ R).view(complex)`` is ``rfft(x)``: R (n, 2m), m = n //
     2 + 1, interleaves the cosines and minus the sines.  ``(X.view(float) @
@@ -898,50 +889,47 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     (``_dft_table``), O(wavevectors) work with no per-wavevector phase
     table.
 
-    Both branches work component-major: ``apply`` transposes the nodal
-    vector to one contiguous scalar field per displacement component and
-    transforms it over the trailing axes.  Every transform is a product
-    with DFT tables built here once (``_real_dft``, ``_complex_dft``):
-    the real (n, 2 m) table on the contiguous last axis gives the half
-    spectrum as a complex view, and each further periodic axis takes one
-    complex (n, n) table applied as ``F @ y`` over the leading axes, with
-    no transpose.  The inverse runs the same tables back in reverse
-    order, the 1/n in each table and the Hermitian weights in the real
-    one.  It is the discrete Fourier transform of ``numpy.fft`` up to
-    rounding, with no fixed cost per grid line.  Every 3x3 block is
-    stored with its two component axes ahead of the wavevector axis, so
-    a block product is one broadcast multiply and a sum over three
-    columns for all wavevectors at once (``_bmv``).
+    Every transform is a product with DFT tables built here once
+    (``_real_dft``, ``_complex_dft``): the real (n, 2 m) table gives the
+    half spectrum, its real and imaginary parts interleaved, and each
+    further periodic axis takes one complex (n, n) table applied as ``F @
+    y`` over the leading axes.  The inverse runs the same tables back in
+    reverse order, the 1/n in each table and the Hermitian weights in the
+    real one.  It is the discrete Fourier transform of ``numpy.fft`` up to
+    rounding, with no fixed cost per grid line.
 
-    Cell grid: one 3x3 block per half-spectrum wavevector, in (n1, n2,
-    m3) order, the zero mode (the translations) mapped to 0.  The
-    transform is the real table on n3, then F2 and F1.  The symbol is
-    real symmetric: the trilinear element is point symmetric, ``Ke[7 -
-    a, 7 - b] = Ke[a, b]``, so the blocks summed per node offset are
-    even, equal at ``delta`` and ``-delta``, and the phases pair into
-    cosines.  Its imaginary part is rounding (under 1e-16 of the real
-    part on 8^3 to 32^3 grids), so the inverse is stored real, (3, 3,
-    wavevectors), and applied real by complex.
+    Cell grid: one 3x3 block per half-spectrum wavevector, in (n1, n2, m3)
+    order, the zero mode (the translations) mapped to 0.  ``apply``
+    transposes the nodal vector to one scalar field per component: the real
+    table on n3, then F2 and F1.  The symbol is real symmetric: the
+    trilinear element is point symmetric, ``Ke[7 - a, 7 - b] = Ke[a, b]``,
+    so the blocks summed per node offset are even, equal at ``delta`` and
+    ``-delta``, and the phases pair into cosines.  Its imaginary part is
+    rounding (under 1e-16 of the real part on 8^3 to 32^3 grids), so the
+    inverse is stored real, (3, 3, wavevectors), component axes first: a
+    block product is one broadcast multiply and a sum over three columns for
+    all wavevectors (``_bmv``).
 
-    Slab grid: per in-plane wavevector, a Hermitian block-tridiagonal
-    system over the node planes, factored once by block elimination
+    Slab grid: per in-plane wavevector, a Hermitian block-tridiagonal system
+    over the node planes, factored once by block elimination
     (``_slab_factors``: the inverse Schur complements ``Sinv`` and the
-    multipliers ``W = Sinv U``);
-    at the zero wavevector node plane 0 is grounded and the mean is
-    projected out of the input and the result.  The in-plane transform is
-    the real table on n2, then F1, so the wavevectors come in (n1, m2)
-    order, the order of the symbol, and the zero wavevector is index 0.
-    Point symmetry swaps the two node planes of a layer, so within one
-    block it pairs no in-plane offset ``delta`` with ``-delta``: the slab
-    symbol is complex, an isotropic law's included, and the factors stay
-    complex.
-    ``Sinv`` is stored (planes, 3, 3, F), ``W`` and the forward sweep's
-    ``W^H`` (planes - 1, 3, 3, F), and the transformed data (planes, 3,
-    F), with F the in-plane wavevectors.  ``Sinv`` is applied to every
-    plane in one batched product before the back substitution.  The
-    solve (``_slab_sweep``), the forward and back sweep with the
-    zero-wavevector mean projections, runs on arrays (..., planes, 3, F)
-    with any leading axes.
+    multipliers ``W = Sinv U``); at the zero wavevector node plane 0 is
+    grounded and the mean is projected out of the input and the result.  The
+    forward transform reads the node-major vector as (n1, n2, 3 planes),
+    with no transposed copy: the real table on n2 as one batched product
+    ``R2^T @``, one reorder of its real and imaginary rows into complex
+    values, then F1 as one complex product over (n1, m2 3 planes).  That
+    leaves the data wavevector-major, (F, 3 planes) with F the in-plane
+    wavevectors in (n1, m2) order, the order of the symbol, the zero
+    wavevector first.  The backward transform mirrors it.  Point symmetry
+    swaps the two node planes of a layer, so within one block it pairs no
+    in-plane offset ``delta`` with ``-delta``: the slab symbol is complex,
+    an isotropic law's included, and the factors stay complex.  ``Sinv`` is
+    stored (planes, 3, 3, F), ``W`` and the forward sweep's ``W^H`` (planes
+    - 1, 3, 3, F).  ``Sinv`` is applied to every plane in one batched
+    product before the back substitution.  The solve (``_slab_sweep``), the
+    forward and back sweep with the zero-wavevector mean projections, runs
+    component-major on arrays (..., planes, 3, F) with any leading axes.
 
     The factors are the only factorization; the slab apply takes one of
     two forms (``preconditioner_form``, from the shape alone):
@@ -950,12 +938,15 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
       fits in ``SLAB_DENSE_BYTES``: the inverse is built once from the
       factors, the sweep's own steps on the identity with one node
       plane's block row of every column per batched product
-      (``_slab_dense``), and kept (F, 3 planes, 3 planes).  An apply is
-      the forward transform, one batched ``np.matmul`` and the inverse
-      transform.  It agrees with the sweep to rounding (under 5e-16 of
-      the result on 1x1x1 to 12x12x6 grids).
-    - "slab-sweep" otherwise: every apply runs the solve, 2 planes + 1
-      block products in sequence, and stores only the factors.
+      (``_slab_dense``), and kept (F, 3 planes, 3 planes), the layout of
+      the transformed data.  An apply is the forward transform, one
+      batched ``np.matmul`` and the backward transform.  It agrees with
+      the sweep to rounding (under 5e-16 of the result on 1x1x1 to
+      12x12x6 grids).
+    - "slab-sweep" otherwise: every apply transposes the transformed
+      data once to component-major, runs the solve, 2 planes + 1 block
+      products in sequence, and transposes back; it stores only the
+      factors.
 
     Dense against sweep, per apply and for the build plus 120 applies (6
     loads at about 20 iterations), medians of 9 alternated pairs, one
@@ -964,17 +955,17 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     ==========  =======  =====  ================
     grid        MiB      apply  build + applies
     ==========  =======  =====  ================
-    8x8x4       0.14     0.39   0.45
-    10x10x8     0.67     0.46   0.58
-    32x32x2     0.67     0.77   0.87
-    10x10x10    1.00     0.45   0.59
-    24x24x4     1.07     0.73   0.83
-    32x32x3     1.20     0.76   0.88
-    32x32x4     1.87     0.88   0.98
-    12x12x12    1.95     0.72   0.88
-    16x16x12    3.34     0.88   1.05
-    24x24x12    7.24     0.98   1.14
-    32x32x16    21.6     1.39   1.56
+    8x8x4       0.14     0.32   0.39
+    10x10x8     0.67     0.36   0.47
+    32x32x2     0.67     0.76   0.86
+    10x10x10    1.00     0.38   0.49
+    24x24x4     1.07     0.68   0.78
+    32x32x3     1.20     0.72   0.83
+    32x32x4     1.87     0.77   0.85
+    12x12x12    1.95     0.59   0.77
+    16x16x12    3.34     0.84   1.00
+    24x24x12    7.24     0.97   1.12
+    32x32x16    21.6     1.18   1.34
     ==========  =======  =====  ================
 
     The dense build costs 0.8-3.2x the factors on these grids; the sweep
@@ -983,7 +974,8 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     1.07 MiB, on 6 of 11 from 1.2 to 2.5 MiB and on none of 10 from 3.3
     MiB up.  It lost below 2.5 MiB mostly on thin wide slabs, where many
     wavevectors cost the batched product more than a few planes cost the
-    sweep.  Hence ``SLAB_DENSE_BYTES`` = 1 MiB.
+    sweep.  Hence ``SLAB_DENSE_BYTES`` = 1 MiB; with the wavevector-major
+    transforms the crossover still lies between 1.95 and 3.34 MiB.
     """
     Ke = _element_matrix(grid, np.asarray(C0, dtype=float))
     n1, n2, n3 = grid.shape
@@ -1008,31 +1000,31 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
         return apply
 
     nplanes, m2 = n3 + 1, n2 // 2 + 1
+    n = 3 * nplanes
     Sinv, W = _slab_factors(_symbol(Ke, (n1, n2), (n1, m2)), n3)
     (R2, R2inv), (F1, F1inv) = _real_dft(n2), _complex_dft(n1)
 
     def forward(r):
-        planes = np.ascontiguousarray(r.reshape(n1, n2, nplanes, 3).transpose(2, 3, 0, 1))
-        y = (planes.reshape(-1, n2) @ R2).view(complex).reshape(3 * nplanes, n1, m2)
-        return (F1 @ y).reshape(nplanes, 3, n1 * m2)
+        y = R2.T @ r.reshape(n1, n2, n)          # (n1, 2 m2, n): real and imaginary rows
+        Y = np.empty((n1, m2, n), dtype=complex)
+        Y.real, Y.imag = y[:, 0::2], y[:, 1::2]
+        return (F1 @ Y.reshape(n1, m2 * n)).reshape(-1, n)
 
     def backward(z, shape):
-        z = F1inv @ z.reshape(3 * nplanes, n1, m2)
-        z = z.view(float).reshape(-1, 2 * m2) @ R2inv
-        return z.reshape(nplanes, 3, n1, n2).transpose(2, 3, 0, 1).reshape(shape)
+        z = (F1inv @ z.reshape(n1, m2 * n)).view(float).reshape(n1, m2, n, 2)
+        return (R2inv.T @ z.transpose(0, 1, 3, 2).reshape(n1, 2 * m2, n)).reshape(shape)
 
     if preconditioner_form(grid.kind, grid.shape) == "slab-sweep":
         solve = _slab_sweep(Sinv, W)
-        return lambda r: backward(solve(forward(r)), r.shape)
 
-    n = 3 * nplanes
+        def apply(r):
+            z = solve(np.ascontiguousarray(forward(r).T).reshape(nplanes, 3, -1))
+            return backward(np.ascontiguousarray(z.reshape(n, -1).T), r.shape)
+
+        return apply
+
     Minv = _slab_dense(Sinv, W)
-
-    def apply(r):
-        z = np.matmul(Minv, forward(r).reshape(n, -1).T[:, :, None])
-        return backward(z[:, :, 0].T, r.shape)
-
-    return apply
+    return lambda r: backward(np.matmul(Minv, forward(r)[:, :, None]), r.shape)
 
 
 def _slab_factors(E: np.ndarray, n3: int):

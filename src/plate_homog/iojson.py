@@ -48,7 +48,7 @@ def _get(obj: dict, key: str, path: str, required=True, default=None, convert=No
         _fail(path, f"expected a JSON object, got {type(obj).__name__}")
     if key not in obj:
         if required:
-            _fail(path, f"missing required field {key!r}")
+            _fail(f"{path}.{key}", f"missing required field {key!r}")
         return default
     if convert is None:
         return obj[key]
@@ -57,10 +57,16 @@ def _get(obj: dict, key: str, path: str, required=True, default=None, convert=No
 
 
 def _floats(value) -> np.ndarray:
-    """Numbers as a float array; ``null`` is refused, not read as NaN."""
-    if value is None:
+    """Numbers as a float array; ``null``, at any depth, is refused, not read as NaN."""
+    a = np.asarray(value, dtype=float)
+    if np.isnan(a).any() and _has_null(value):
         raise TypeError("expected a number or a list of numbers, got null")
-    return np.asarray(value, dtype=float)
+    return a
+
+
+def _has_null(value) -> bool:
+    """Whether ``value`` is ``null`` or a list that holds one at any depth."""
+    return value is None or isinstance(value, list) and any(map(_has_null, value))
 
 
 def _index_array(value) -> np.ndarray:
@@ -98,7 +104,7 @@ def _ints(value) -> tuple:
 
 def _matrix(value, n: int, path: str) -> np.ndarray:
     with at_key(path):
-        m = np.array(value, dtype=float)
+        m = _floats(value)
     if m.shape != (n, n):
         _fail(path, f"expected a {n}x{n} matrix, got shape {m.shape}")
     return m
@@ -107,7 +113,7 @@ def _matrix(value, n: int, path: str) -> np.ndarray:
 def check_convention(obj: dict, path: str):
     tag = _get(obj, "convention", path)
     if tag != CONVENTION:
-        _fail(path, f"convention mismatch: expected {CONVENTION!r}, got {tag!r}")
+        _fail(path + ".convention", f"convention mismatch: expected {CONVENTION!r}, got {tag!r}")
 
 
 def read_bounds(obj, path: str) -> MaterialBounds | None:
@@ -144,11 +150,11 @@ def form_to_dict(q) -> dict:
 
 def _profile_form(value, path: str):
     with at_key(path):
-        m = np.asarray(value, dtype=float)
-    if m.shape == (3, 3):
-        return QuadForm2(m)
-    if m.shape == (6, 6):
-        return QuadForm3(m)
+        m = _floats(value)
+        if m.shape == (3, 3):
+            return QuadForm2(m)
+        if m.shape == (6, 6):
+            return QuadForm3(m)
     _fail(path, f"profile forms must be 3x3 or 6x6 matrices, got shape {m.shape}")
 
 
@@ -166,7 +172,7 @@ def read_profile(obj: dict, path: str) -> ThicknessProfile:
             if abs(lo - breaks[-1]) > 1e-12:
                 _fail(lp, f"layer does not start where the previous one ends ({lo} vs {breaks[-1]})")
             breaks.append(hi)
-            forms.append(_profile_form(_get(layer, "form", lp), lp))
+            forms.append(_profile_form(_get(layer, "form", lp), lp + ".form"))
         with at_key(path):
             return ThicknessProfile(tuple(forms), rule=RULE_LAYERS, breaks=np.array(breaks))
     if "samples" in obj:
@@ -225,7 +231,8 @@ def read_cell_material(obj: dict, path: str):
     bounds = read_bounds(obj.get("bounds"), path)
     from .homog3d import CellMaterial3
 
-    return CellMaterial3(c=c, bounds=bounds)
+    with at_key(path):
+        return CellMaterial3(c=c, bounds=bounds)
 
 
 def read_slab_material(obj: dict, path: str):
@@ -256,7 +263,8 @@ def read_slab_material(obj: dict, path: str):
             _fail(path, "mu, lambda1, lambda2 must be positive")
         from .homogslab import SlabMaterial
 
-        return SlabMaterial.separable(lam1, lam2, mu, bounds=bounds)
+        with at_key(path):
+            return SlabMaterial.separable(lam1, lam2, mu, bounds=bounds)
     if kind == "slab-cells":
         fibers = _get(obj, "fibers", path, convert=lambda raw: np.stack([
             np.stack([_matrix(m, 6, f"{path}.fibers[{i}][{j}]") for j, m in enumerate(fib)])

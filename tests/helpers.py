@@ -170,7 +170,7 @@ def pointwise_load_vector(op, gload, absolute=False) -> np.ndarray:
     if absolute:
         C, B, g = np.abs(C), np.abs(B), np.abs(g)
     ylocal = np.einsum("q,qij,cik,cqk->cj", grid.wq, B, C, g)
-    return reference_scatter(op, ylocal, grid.idx)
+    return reference_scatter(op, ylocal.T, grid.idx)
 
 
 def grid_order_rhs(op, gload) -> np.ndarray:
@@ -184,15 +184,16 @@ def grid_order_rhs(op, gload) -> np.ndarray:
     Btilde = np.einsum("q,qij->ij", grid.wq * d3, grid.B)
     stress_a = op.cellC @ A
     ylocal = (op.cellC @ G + grid.x3c[:, None] * stress_a) @ Bbar + stress_a @ Btilde
-    return reference_scatter(op, ylocal, grid.idx)
+    return reference_scatter(op, ylocal.T, grid.idx)
 
 
 def reference_scatter(op, ylocal, idx) -> np.ndarray:
-    """Scatter-add (ncells, 24) local vectors into nodes, cells as in ``idx``: one
-    ``np.bincount`` per displacement component, stacked node-major."""
-    nodes = idx.ravel()
-    y = ylocal.reshape(-1, 3)
-    return np.stack([np.bincount(nodes, weights=y[:, m], minlength=op.grid.nnodes)
+    """Scatter-add local-major (24, ncells) local vectors into nodes, cells as in
+    ``idx`` (ncells, 8): one ``np.bincount`` per displacement component over the
+    (8, ncells) node index, stacked node-major."""
+    nodes = idx.T.ravel()
+    y = ylocal.reshape(8, 3, -1)
+    return np.stack([np.bincount(nodes, weights=y[:, m].ravel(), minlength=op.grid.nnodes)
                      for m in range(3)], axis=1).ravel()
 
 

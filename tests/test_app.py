@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -73,17 +74,18 @@ class TestParsing:
 
     def test_missing_convention_rejected(self, tmp_path):
         path = write_spec(tmp_path, {"command": "bending", "material": {}})
-        with pytest.raises(SpecFormatError):
+        with pytest.raises(SpecFormatError, match=re.escape(f"{path}.convention: missing")):
             parse_material_spec(path)
 
     def test_wrong_convention_rejected(self, tmp_path):
         path = write_spec(tmp_path, {"convention": "voigt", "command": "bending"})
-        with pytest.raises(SpecFormatError):
+        with pytest.raises(SpecFormatError, match=re.escape(f"{path}.convention: convention")):
             parse_material_spec(path)
 
     def test_command_mismatch_rejected(self, fixtures_dir):
-        with pytest.raises(SpecFormatError):
-            parse_material_spec(fixtures_dir / "bending_bilayer.json", "reduce")
+        path = fixtures_dir / "bending_bilayer.json"
+        with pytest.raises(SpecFormatError, match=re.escape(f"{path}.command: file declares")):
+            parse_material_spec(path, "reduce")
 
     def test_oscillate_rejects_gauss_profile(self, tmp_path):
         path = write_spec(
@@ -578,6 +580,23 @@ class TestExitCodes:
                      "material.samples", id="samples-number"),
         pytest.param("homog-regime2", dict(SLAB, lambda1=None), {}, "material.lambda1",
                      id="lambda1-null"),
+        # null at any depth, and a layer form its constructor refuses, under their own keys
+        pytest.param("homog-regime2", dict(SLAB, lambda2=[None, 2.0]), {}, "material.lambda2",
+                     id="lambda2-entry-null"),
+        pytest.param("homog-regime1", dict(FIELD, mu_grid=[None, 1.5]), {}, "material.mu_grid",
+                     id="mu-grid-entry-null"),
+        pytest.param("homog-regime1", dict(FIELD, mu_grid=[float("nan"), 1.5]), {}, "material",
+                     id="mu-grid-entry-nan"),
+        pytest.param("bending", {"kind": "profile", "layers": [
+            {"from": -0.5, "to": 0.5, "form": [[None, 0, 0], [0, 1, 0], [0, 0, 1]]}]}, {},
+                     "material.layers[0].form", id="layer-form-entry-null"),
+        pytest.param("bending", {"kind": "profile", "layers": [
+            {"from": -0.5, "to": 0.5, "form": [[1, 3, 0], [0, 1, 0], [0, 0, 1]]}]}, {},
+                     "material.layers[0].form", id="layer-form-asymmetric"),
+        pytest.param("bending", dict(PROFILE, samples=[[[1, 0, 0], [0, None, 0], [0, 0, 1]]]),
+                     {}, "material.samples[0]", id="profile-sample-entry-null"),
+        pytest.param("reduce", {"kind": "form3", "matrix": [[None] * 6] * 6}, {},
+                     "material.matrix", id="form3-entry-null"),
     ])
     def test_malformed_value_is_parse_error(self, tmp_path, capsys, command, material, settings,
                                             key):

@@ -228,13 +228,17 @@ def test_matvec_equals_reference(case):
 
 @pytest.mark.parametrize("case", list(MATVEC_CASES))
 def test_scatter_equals_per_component_bincounts(case):
-    # one bincount over 3 * node + m adds each dof's entries in the same order
-    # as a bincount per component: bit for bit, in grid and in law order
+    # one bincount over the local-major (24, cells) index of 3 * node + m adds each
+    # dof's entries in the same order as a bincount per component over the (8, cells)
+    # node index: bit for bit, in grid and in law order
     grid, laws, _, _ = MATVEC_CASES[case]
     rng = np.random.default_rng(61)
     op = ElementOperator(grid, laws(rng, grid.ncells))
-    ylocal = rng.standard_normal((grid.ncells, 24))
-    assert np.array_equal(op._to_nodes(ylocal), reference_scatter(op, ylocal, op._idx))
+    assert op._dofs.shape == (24, grid.ncells)
+    idx = op._dofs[::3].T // 3                  # the node index of the cells in law order
+    assert np.array_equal(idx, grid.idx[np.argsort(op.law_labels, kind="stable")])
+    ylocal = rng.standard_normal((24, grid.ncells))
+    assert np.array_equal(op._to_nodes(ylocal), reference_scatter(op, ylocal, idx))
 
 
 def test_law_grouping_survives_hash_collisions(monkeypatch):
@@ -446,7 +450,7 @@ def test_no_operator_builds_grid_dofs(case):
     solve_loads(op, loads, 1e-10)
     assert "dofs" not in grid.__dict__
     if op.cell_laws == grid.ncells:      # a law per cell: grid order, no copy of the laws
-        assert op._idx is grid.idx and op._laws is op.cellC
+        assert op._x3c is grid.x3c and op._laws is op.cellC
 
 
 def test_overflowing_load_is_a_solver_error():
@@ -671,6 +675,22 @@ def test_slab_preconditioner_forms(monkeypatch, shape, form):
     _check_matches_node_major_apply(op, rng)
     _check_inverts_homogeneous_operator(
         ElementOperator(grid, np.broadcast_to(law, (grid.ncells, 6, 6))), rng)
+
+
+def test_slab_forms_agree_on_a_fiber_per_cell_slab(monkeypatch):
+    # both applies, each forced by the cap, on a 12x12x6 slab with a law per cell:
+    # the same iterations per load and the same bending form
+    slab = fiber_per_cell_slab(np.random.default_rng(71), (12, 12, 6))
+    reports = {}
+    for form, cap in SLAB_FORMS.items():
+        monkeypatch.setattr(fem, "SLAB_DENSE_BYTES", cap)
+        reports[form] = bending_form_regime2(slab)
+        assert reports[form].diagnostics["preconditioner_form"] == form
+    dense, sweep = (reports[form] for form in SLAB_FORMS)
+    assert ([s["iterations"] for s in dense.diagnostics["solves"]]
+            == [s["iterations"] for s in sweep.diagnostics["solves"]])
+    scale = np.abs(sweep.form.matrix).max()
+    assert np.abs(dense.form.matrix - sweep.form.matrix).max() <= 1e-12 * scale
 
 
 def _benchmark_slab_shapes():

@@ -4,6 +4,7 @@ documented exit code, and every failure in exactly one JSON line on stderr."""
 import copy
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -44,6 +45,13 @@ def _at(obj, path):
     return obj
 
 
+def _with(spec, path, value):
+    """A copy of ``spec`` with ``value`` at ``path``."""
+    spec = copy.deepcopy(spec)
+    _at(spec, path[:-1])[path[-1]] = value
+    return spec
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -56,7 +64,8 @@ def _is_number(v):
 def mutated_specs(draw):
     """A fixture with one mutation: drop a key, swap a value's type, insert a
     NaN or inf, break a list's shape, make an integer negative, or give it
-    a malformed ``settings`` value."""
+    a malformed ``settings`` value.  Returns ``(fixture name, spec, mutated
+    key path)``, the dropped key's path for a drop."""
     name = draw(st.sampled_from(sorted(SPECS)))
     spec = copy.deepcopy(SPECS[name])
     nodes = list(_nodes(spec))
@@ -71,12 +80,13 @@ def mutated_specs(draw):
     kind = draw(st.sampled_from([k for k, paths in targets.items() if paths]))
     if kind == "settings":
         spec["settings"] = draw(st.sampled_from(SETTINGS_VALUES))
-        return name, spec
+        return name, spec, ("settings",)
     path = draw(st.sampled_from(targets[kind]))
     value = _at(spec, path)
     if kind == "drop":
-        del value[draw(st.sampled_from(sorted(value)))]
-        return name, spec
+        key = draw(st.sampled_from(sorted(value)))
+        del value[key]
+        return name, spec, path + (key,)
     if kind == "swap":
         new = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(value)]))
     elif kind == "nonfinite":
@@ -86,22 +96,30 @@ def mutated_specs(draw):
     else:
         new = -max(1, abs(int(value)))
     _at(spec, path[:-1])[path[-1]] = new
-    return name, spec
+    return name, spec, path
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutated_specs())
-@example(("reduce_isotropic.json", {**SPECS["reduce_isotropic.json"], "settings": [1, 2]}))
-@example(("energy_cylinder.json", {**SPECS["energy_cylinder.json"], "settings": "x"}))
+@example(("reduce_isotropic.json", {**SPECS["reduce_isotropic.json"], "settings": [1, 2]},
+          ("settings",)))
+@example(("energy_cylinder.json", {**SPECS["energy_cylinder.json"], "settings": "x"},
+          ("settings",)))
 @example(("energy_cylinder.json", {**SPECS["energy_cylinder.json"],
                                    "surface": {"kind": "cylinder", "radius": 1.0,
-                                               "extent": [math.nan, 1.0]}}))
+                                               "extent": [math.nan, 1.0]}}, ("surface",)))
 @example(("energy_cylinder.json", {**SPECS["energy_cylinder.json"],
                                    "surface": {"kind": "cylinder", "radius": 1.0,
-                                               "extent": [1e308, 1e308]}}))
+                                               "extent": [1e308, 1e308]}}, ("surface",)))
+@example(("bending_bilayer.json", _with(SPECS["bending_bilayer.json"],
+                                        ("material", "layers", 0, "form", 0, 0), None),
+          ("material", "layers", 0, "form", 0, 0)))
+@example(("homog_regime1_laminate.json", _with(SPECS["homog_regime1_laminate.json"],
+                                               ("material", "mu_grid", 0), None),
+          ("material", "mu_grid", 0)))
 def test_mutated_fixture_ends_in_a_documented_exit_code(capsys, mutated):
-    name, spec = mutated
+    name, spec, mutated_path = mutated
     command = SPECS[name]["command"]
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -121,3 +139,6 @@ def test_mutated_fixture_ends_in_a_documented_exit_code(capsys, mutated):
     assert payload["exit_code"] == rc
     if rc == 2:
         assert str(path) in payload["message"]
+        # a key path under the file, led by the mutated path's first key
+        assert re.match(re.escape(f"{path}.{mutated_path[0]}") + r"[.\[:]", payload["message"]), (
+            mutated_path, payload["message"])
