@@ -4,8 +4,7 @@
 scenario, validates the material eagerly, runs the requested pipeline
 and writes reports (JSON, ``<name>-<suffix>.json`` with the scenario's
 settings as the last key) and tables (CSV).  A cell or slab material is
-checked against its bounds while the file is read; the material keeps the
-result, so the pipelines do not check it again.  Commands:
+checked against its bounds when the reader builds it.  Commands:
 
 - ``reduce``         plane-stress reduction of a form or 3D profile
 - ``bending``        bending form of a thickness profile
@@ -125,10 +124,9 @@ def plate_energy(q0: QuadForm2, surface: SurfaceSpec) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Validated unit of work for one CLI invocation; a cell or slab
-    ``material`` has passed its check.  ``path`` is the key path of the
-    scenario in its spec file (``spec.json`` or ``spec.json.scenarios[1]``),
-    for the errors found when it runs."""
+    """Validated unit of work for one CLI invocation.  ``path`` is the key
+    path of the scenario in its spec file (``spec.json`` or
+    ``spec.json.scenarios[1]``), for the errors found when it runs."""
 
     command: str
     name: str
@@ -206,8 +204,7 @@ _KINDS = {
 
 
 def _read_material(obj: dict, path: str, command: str):
-    """The material of ``obj``, whose kind ``command`` must take; a cell or
-    slab material is checked here."""
+    """The material of ``obj``, whose kind ``command`` must take."""
     kind = iojson._get(obj, "kind", path)
     kinds = _KINDS[command]
     if kind not in kinds:
@@ -220,11 +217,8 @@ def _read_material(obj: dict, path: str, command: str):
     if kind == "profile":
         return iojson.read_profile(obj, path)
     if kind in ("cell", "isotropic-field"):
-        material = iojson.read_cell_material(obj, path)
-    else:
-        material = iojson.read_slab_material(obj, path)
-    material.check()
-    return material
+        return iojson.read_cell_material(obj, path)
+    return iojson.read_slab_material(obj, path)
 
 
 def _is_a(obj, module: str, cls: str) -> bool:
@@ -311,6 +305,8 @@ def parse_material_spec(path, command: str | None = None) -> Scenario:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
+    """``scenario`` under the command line's ``--tol``, ``--quadrature`` and
+    ``--grid``; a sweep passes the first two on to each of its scenarios."""
     settings = dict(scenario.settings)
     if args.tol is not None:
         settings["tol"] = args.tol
@@ -331,7 +327,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         if factor > 1:
             material = material.refine(factor)
     _read_settings(settings, "overrides")
-    return replace(scenario, settings=settings, material=material)
+    subs = tuple(_apply_overrides(sub, args) for sub in scenario.subs)
+    return replace(scenario, settings=settings, material=material, subs=subs)
 
 
 def _write_json(scenario: Scenario, out_dir: Path, suffix: str, out: dict, **result) -> dict:

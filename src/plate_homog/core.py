@@ -176,18 +176,17 @@ class MaterialBounds:
         return cls(float(lo.min()), float(hi.max()))
 
     def assess(self, samples, eig, what: str, cells=None, scale=None) -> tuple:
-        """``(lo, hi, violations)`` of a stack of material samples.
+        """The violations of a stack of material samples.
 
         ``samples`` (m, ..., k, k) holds ``m`` groups of laws and ``eig``
         their ascending eigenvalues (m, ..., k), as ``np.linalg.eigvalsh``
         gives them; only the first and last along the last axis are read, so
         each group's two extremes will do.  Sample ``j`` is group ``cells[j]``
         scaled by ``scale[j] > 0``; by default each group once, unscaled.
-        ``lo`` and ``hi`` are the smallest and largest eigenvalue over the
-        samples.  ``violations`` holds one text per failed test, in this
-        order, each naming the first offending sample as ``what.format(j)``:
-        a law not symmetric within ``1e-12 * max(1, max |entry|)``, an
-        eigenvalue below ``eta1`` or above ``eta2`` by more than ``slack``.
+        The result holds one text per failed test, in this order, each
+        naming the first offending sample as ``what.format(j)``: a law not
+        symmetric within ``1e-12 * max(1, max |entry|)``, an eigenvalue below
+        ``eta1`` or above ``eta2`` by more than ``slack``.
         ``eigvalsh`` reads one triangle only, so its bounds hold for
         symmetric laws alone.
         """
@@ -210,15 +209,13 @@ class MaterialBounds:
                 j = int(np.argmax(failed))
                 violations.append(text.format(what=what.format(j), asym=asym[j], lo=lo[j],
                                               hi=hi[j], eta1=self.eta1, eta2=self.eta2))
-        return float(lo.min()), float(hi.max()), tuple(violations)
+        return tuple(violations)
 
-    def require(self, samples, eig, what: str, cells=None, scale=None) -> tuple:
-        """``(lo, hi)`` of ``assess``, once every test passed;
-        ``AdmissibilityError`` with the first failure otherwise."""
-        lo, hi, violations = self.assess(samples, eig, what, cells, scale)
+    def require(self, samples, eig, what: str, cells=None, scale=None) -> None:
+        """``AdmissibilityError`` with the first failure of ``assess``, if any."""
+        violations = self.assess(samples, eig, what, cells, scale)
         if violations:
             raise AdmissibilityError(violations[0])
-        return lo, hi
 
 
 def _sample_extremes(eig, cells, scale):
@@ -276,7 +273,7 @@ def qf_check_class(q: QuadForm3, bounds: MaterialBounds) -> ClassCheckReport:
     bound ``|Q(G1)-Q(G2)| <= eta2*|sym G1 - sym G2|*|sym G1 + sym G2|``.
     """
     eig = np.linalg.eigvalsh(q.matrix)
-    _, _, violations = bounds.assess(q.matrix[None], eig[None], "form")
+    violations = bounds.assess(q.matrix[None], eig[None], "form")
     return ClassCheckReport(
         passed=not violations,
         eig_min=float(eig[0]),

@@ -34,8 +34,7 @@ iterations and the load it came ``from`` in ``diagnostics.solves``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 import time
 
 import numpy as np
@@ -53,10 +52,16 @@ from .reduction import plane_stress_reduce
 
 @dataclass(frozen=True, eq=False)
 class CellMaterial3:
-    """Cell-centered 6x6 Mandel matrices on a periodic n1 x n2 x n3 grid."""
+    """Cell-centered 6x6 Mandel matrices on a periodic n1 x n2 x n3 grid.
+
+    Built, ``c`` is read-only and its distinct laws have passed
+    ``MaterialBounds.require``, an error naming the first offending cell.
+    """
 
     c: np.ndarray             # (n1, n2, n3, 6, 6)
-    bounds: MaterialBounds | None = None   # None: ``inferred_bounds()``
+    bounds: MaterialBounds | None = None   # None: the laws' extreme eigenvalues
+    # ``(first, law)`` of ``fem._distinct_laws``, taken once for the check and the solves
+    law_index: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.c, dtype=float)
@@ -66,8 +71,13 @@ class CellMaterial3:
             raise ValueError("cell material contains non-finite entries")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
+        first, law = _distinct_laws(self.flat())
+        laws = self.flat()[first]
+        eig = np.linalg.eigvalsh(laws)
         if self.bounds is None:
-            object.__setattr__(self, "bounds", self.inferred_bounds())
+            object.__setattr__(self, "bounds", MaterialBounds.inferred(eig))
+        self.bounds.require(laws, eig, "cell sample {}", cells=law)
+        object.__setattr__(self, "law_index", (first, law))
 
     @property
     def grid_shape(self) -> tuple:
@@ -75,33 +85,6 @@ class CellMaterial3:
 
     def flat(self) -> np.ndarray:
         return self.c.reshape(-1, 6, 6)
-
-    @cached_property
-    def _spectrum(self):
-        """The distinct laws (laws, 6, 6), ``(first, law)`` of ``fem._distinct_laws``
-        and the laws' eigenvalues, computed once for the bounds and the check."""
-        first, law = _distinct_laws(self.flat())
-        laws = self.flat()[first]
-        return laws, (first, law), np.linalg.eigvalsh(laws)
-
-    def inferred_bounds(self) -> MaterialBounds:
-        """The tightest bounds: the extreme eigenvalues over all samples."""
-        return MaterialBounds.inferred(self._spectrum[2])
-
-    @cached_property
-    def law_index(self):
-        """The law index ``(first, law)`` of the material, once it has passed
-        its check: ``MaterialBounds.require`` on the distinct laws, an error
-        naming the first offending cell.  Kept after the first access; a
-        failed check raises every time.
-        """
-        laws, (first, law), eig = self._spectrum
-        self.bounds.require(laws, eig, "cell sample {}", cells=law)
-        return first, law
-
-    def check(self):
-        """The bounds check of ``law_index``, made once; returns the law index."""
-        return self.law_index
 
     def refine(self, factor: int = 2) -> "CellMaterial3":
         """Nested subdivision: each cell becomes factor^3 identical cells."""
@@ -124,8 +107,8 @@ class CellMaterial3:
 
 
 def _solve(material: CellMaterial3, loads, tol: float):
-    """``solve_loads`` of Mandel 6-vectors ``loads`` on a material that passes its
-    check, cut by ``solve_grid_operator``, and its operator: ``(fields, N, solves, op)``."""
+    """``solve_loads`` of Mandel 6-vectors ``loads`` on ``material``, cut by
+    ``solve_grid_operator``, and its operator: ``(fields, N, solves, op)``."""
     op = solve_grid_operator("cell", material.grid_shape, material.flat(), material.law_index)
     return (*solve_loads(op, loads, tol), op)
 

@@ -37,7 +37,6 @@ kept in ``laminate_reduced_form`` as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 import time
 
 import numpy as np
@@ -68,7 +67,8 @@ class FiberMaterial:
     """6x6 Mandel samples along the through-fiber coordinate ``y3``.
 
     ``weights`` are the layer fractions (uniform cells by default); they
-    must be positive and sum to one.
+    must be positive and sum to one.  Built, the arrays are read-only and
+    the samples have passed ``MaterialBounds.require``.
     """
 
     c: np.ndarray             # (nf, 6, 6)
@@ -84,16 +84,7 @@ class FiberMaterial:
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "weights", _layer_weights(self.weights, c.shape[0]))
-
-    @cached_property
-    def extremes(self) -> tuple:
-        """The samples' eigenvalue extremes, once they pass ``MaterialBounds.require``;
-        a failure is not kept."""
-        return self.bounds.require(self.c, np.linalg.eigvalsh(self.c), "fiber sample {}")
-
-    def check(self) -> tuple:
-        """The bounds check of ``extremes``, made once; returns the extremes."""
-        return self.extremes
+        self.bounds.require(c, np.linalg.eigvalsh(c), "fiber sample {}")
 
 
 def _layer_weights(weights, nf: int) -> np.ndarray:
@@ -194,10 +185,8 @@ def reduce_fibers(c: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def fiber_reduce(fiber: FiberMaterial) -> QuadForm3:
-    """``reduce_fibers`` on one fiber that passes its bounds check."""
-    reduced = reduce_fibers(fiber.c[None], fiber.weights)[0]   # names a singular block first
-    fiber.extremes      # the bounds check, made once per fiber
-    return QuadForm3(reduced, label="fiber-reduced")
+    """``reduce_fibers`` on one fiber."""
+    return QuadForm3(reduce_fibers(fiber.c[None], fiber.weights)[0], label="fiber-reduced")
 
 
 def laminate_reduced_form(lambda1: float, lambda2, mu: float, weights=None) -> QuadForm3:
@@ -227,12 +216,14 @@ class SlabMaterial:
     one fiber can serve many cells) and may carry a positive scalar
     ``scale`` per cell, which multiplies the whole fiber.  That covers
     separable laws ``lambda1(y', x3) * lambda2(y3) * Q_base`` without
-    duplicating fiber data.
+    duplicating fiber data.  Built, the arrays are read-only and every
+    scaled cell sample has passed ``MaterialBounds.require``, an error
+    naming the first offending cell by its flat index.
     """
 
     fibers: np.ndarray        # (nfib, nf, 6, 6)
     fiber_index: np.ndarray   # (n1, n2, n3) int
-    bounds: MaterialBounds | None = None   # None: ``inferred_bounds()``
+    bounds: MaterialBounds | None = None   # None: the scaled samples' extreme eigenvalues
     weights: np.ndarray | None = None   # (nf,) fiber layer fractions
     scale: np.ndarray | None = None     # (n1, n2, n3) positive per-cell factor
 
@@ -261,8 +252,13 @@ class SlabMaterial:
         for name, arr in (("fibers", fibers), ("fiber_index", idx), ("weights", w), ("scale", s)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # each fiber's smallest and largest eigenvalue (nfib, 2)
+        eig = np.linalg.eigvalsh(fibers)
+        spectrum = np.stack([eig[:, :, 0].min(axis=1), eig[:, :, -1].max(axis=1)], axis=1)
+        cells, scale = idx.reshape(-1), s.reshape(-1)
         if self.bounds is None:
-            object.__setattr__(self, "bounds", self.inferred_bounds())
+            object.__setattr__(self, "bounds", MaterialBounds.inferred(spectrum, cells, scale))
+        self.bounds.require(fibers, spectrum, "slab cell {}", cells, scale)
 
     @property
     def grid_shape(self) -> tuple:
@@ -276,31 +272,6 @@ class SlabMaterial:
         """Per-cell fiber sample matrices, (ncells, nf, 6, 6), scale applied."""
         stacks = self.fibers[self.fiber_index.reshape(-1)]
         return stacks * self.scale.reshape(-1, 1, 1, 1)
-
-    @cached_property
-    def _spectrum(self):
-        """Each fiber's smallest and largest eigenvalue (nfib, 2), from one
-        ``eigvalsh`` of the fibers, kept for ``inferred_bounds`` and the check."""
-        eig = np.linalg.eigvalsh(self.fibers)
-        return np.stack([eig[:, :, 0].min(axis=1), eig[:, :, -1].max(axis=1)], axis=1)
-
-    def inferred_bounds(self) -> MaterialBounds:
-        """The tightest bounds: the extreme eigenvalues over all scaled samples."""
-        return MaterialBounds.inferred(self._spectrum, self.fiber_index.reshape(-1),
-                                       self.scale.reshape(-1))
-
-    @cached_property
-    def extremes(self) -> tuple:
-        """The eigenvalue extremes, once every scaled cell sample has passed
-        ``MaterialBounds.require``, an error naming the first offending cell
-        by its flat index.  Kept after the first access; a failed check raises
-        every time."""
-        return self.bounds.require(self.fibers, self._spectrum, "slab cell {}",
-                                   self.fiber_index.reshape(-1), self.scale.reshape(-1))
-
-    def check(self) -> tuple:
-        """The bounds check of ``extremes``, made once; returns the extremes."""
-        return self.extremes
 
     def reduced_cells(self) -> np.ndarray:
         """Fiber-reduce each distinct fiber, broadcast and scale per cell."""
@@ -377,9 +348,8 @@ def _load_strain(load):
 
 
 def _solve(slab: SlabMaterial, loads, tol: float):
-    """``solve_loads`` of load specs ``loads`` (``_load_strain``) on a slab that passes
-    its check, reduced and cut by ``solve_grid_operator``: ``(fields, N, solves, op)``."""
-    slab.extremes       # the bounds check, made once per slab
+    """``solve_loads`` of load specs ``loads`` (``_load_strain``) on ``slab``, reduced
+    and cut by ``solve_grid_operator``: ``(fields, N, solves, op)``."""
     op = solve_grid_operator("slab", slab.grid_shape, slab.reduced_cells())
     return (*solve_loads(op, [_load_strain(load) for load in loads], tol), op)
 

@@ -200,7 +200,7 @@ def profile_to_dict(profile: ThicknessProfile) -> dict:
 
 
 def read_cell_material(obj: dict, path: str):
-    """A ``homog3d.CellMaterial3``, not yet checked against its bounds."""
+    """A ``homog3d.CellMaterial3``, checked against its bounds when built."""
     kind = _get(obj, "kind", path)
     grid = _get(obj, "grid", path, convert=_ints)
     if len(grid) != 3 or min(grid) < 1:
@@ -236,7 +236,7 @@ def read_cell_material(obj: dict, path: str):
 
 
 def read_slab_material(obj: dict, path: str):
-    """A ``homogslab.SlabMaterial``, not yet checked against its bounds."""
+    """A ``homogslab.SlabMaterial``, checked against its bounds when built."""
     kind = _get(obj, "kind", path)
     nx3 = _get(obj, "x3_grid", path, convert=_int)
     with at_key(path + ".inplane_grid"):
@@ -290,7 +290,7 @@ def read_slab_material(obj: dict, path: str):
     _fail(path, f"unknown slab material kind {kind!r}")
 
 
-def report_to_dict(report, settings: dict | None = None) -> dict:
+def report_to_dict(report) -> dict:
     return {
         "convention": CONVENTION,
         "kind": "effective-report",
@@ -299,7 +299,6 @@ def report_to_dict(report, settings: dict | None = None) -> dict:
         "eigenvalues": report.eigenvalues().tolist(),
         "optimal_b": report.optimal_b.tolist(),
         "diagnostics": report.diagnostics,
-        "settings": dict(settings or {}),
     }
 
 

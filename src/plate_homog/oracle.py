@@ -212,12 +212,10 @@ def assemble_regime1(material: CellMaterial3, x3_samples: int) -> DenseProblem:
     corrector form one block, the mid-plane strain is the border.  A
     node's group, [d_i (3) | corrector (ndofs - 3) | b (3)], is summed
     from the element matrices when ``solve`` asks for it, so one block is
-    held at a time.  The material must pass its bounds check
-    (``CellMaterial3.law_index``).
+    held at a time.
     """
     if x3_samples < 2:
         raise ValueError("need at least 2 thickness nodes")
-    material.law_index      # the bounds check, made once per material
     grid = build_cell_grid(*material.grid_shape)
     ndofs = grid.ndofs
     m = int(x3_samples)
@@ -265,10 +263,8 @@ def assemble_regime2(slab: SlabMaterial) -> DenseProblem:
     in an explicit zero-weighted-mean basis, so no averaging identity
     from the solver pipeline is reused.  Each (cell, quadrature point)
     element is one group: its fluctuations are one block, its mid-plane
-    strain and cell dofs its border part.  The slab must pass its bounds
-    check (``SlabMaterial.extremes``).
+    strain and cell dofs its border part.
     """
-    slab.extremes           # the bounds check, made once per slab
     grid = build_slab_grid(*slab.grid_shape)
     ndofs = grid.ndofs
     nf = slab.fiber_samples

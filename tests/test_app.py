@@ -12,14 +12,15 @@ import pytest
 
 from conftest import FIXTURES
 from plate_homog import (
-    CellMaterial3,
+    MaterialBounds,
     QuadForm2,
-    SlabMaterial,
     SolverError,
     SpecFormatError,
     mandel2,
     parse_material_spec,
+    plane_stress_reduce,
     plate_energy,
+    qf_isotropic,
 )
 from plate_homog.app import ORACLE_PROBES, SETTING_RANGES, SurfaceSpec, main, run_scenario
 from plate_homog.errors import (
@@ -211,7 +212,8 @@ class TestCommands:
         rewritten = tmp_path / "rewritten.json"
         from plate_homog.iojson import dump_json, report_to_dict
 
-        dump_json(report_to_dict(report, obj["settings"]), rewritten)
+        dump_json({**report_to_dict(report), "settings": obj["settings"]}, rewritten)
+        assert rewritten.read_bytes() == (tmp_path / "bilayer-report.json").read_bytes()
         again = read_report(load_json(rewritten))
         assert np.array_equal(report.form.matrix, again.form.matrix)
         assert np.array_equal(report.optimal_b, again.optimal_b)
@@ -353,17 +355,18 @@ class TestCommands:
         ("oracle-check", "homog_regime2_laminate.json"),
     ])
     def test_material_checked_once(self, fixtures_dir, tmp_path, monkeypatch, command, fixture):
+        # the reader builds the material, which checks it; nothing checks it again
         calls = []
-        for cls in (CellMaterial3, SlabMaterial):
-            def counted(self, *args, _check=cls.check, **kwargs):
-                calls.append(type(self).__name__)
-                return _check(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "check", counted)
+        def counted(self, samples, eig, what, *args, _require=MaterialBounds.require, **kwargs):
+            calls.append(what)
+            return _require(self, samples, eig, what, *args, **kwargs)
+
+        monkeypatch.setattr(MaterialBounds, "require", counted)
         spec = dict(load_json(fixtures_dir / fixture), command=command)
         rc = main([command, "--spec", str(write_spec(tmp_path, spec)), "--out", str(tmp_path)])
         assert rc == EXIT_OK
-        assert len(calls) == 1
+        assert calls == ["slab cell {}" if "regime2" in fixture else "cell sample {}"]
 
     def test_sweep_writes_summary(self, fixtures_dir, tmp_path, monkeypatch):
         from plate_homog import app
@@ -468,6 +471,56 @@ class TestCommands:
         rc = main(["homog-regime1", "--spec", str(fixtures_dir / "homog_regime1_laminate.json"),
                    "--out", str(tmp_path), "--grid", "3,2,2"])
         assert rc == EXIT_PARSE
+
+    def test_tol_flag_sets_the_solver_tol(self, fixtures_dir, tmp_path):
+        rc = main(["homog-regime1", "--spec", str(fixtures_dir / "homog_regime1_laminate.json"),
+                   "--out", str(tmp_path), "--tol", "1e-12"])
+        assert rc == EXIT_OK
+        report = load_json(tmp_path / "laminate-r1-report.json")
+        assert report["settings"]["tol"] == report["diagnostics"]["tol"] == 1e-12
+
+    def test_sweep_passes_tol_and_quadrature_to_each_scenario(self, fixtures_dir, tmp_path,
+                                                              capsys):
+        spec = str(fixtures_dir / "sweep_regimes.json")
+        rc = main(["sweep", "--spec", spec, "--out", str(tmp_path),
+                   "--tol", "1e-12", "--quadrature", "5"])
+        assert rc == EXIT_OK
+        for name in ("laminate-r1", "laminate-r2"):
+            report = load_json(tmp_path / f"{name}-report.json")
+            assert report["settings"]["tol"] == report["diagnostics"]["tol"] == 1e-12
+            assert report["settings"]["x3_samples"] == 5
+        capsys.readouterr()
+        # validated as for one scenario, before anything runs
+        out = tmp_path / "refused"
+        assert main(["sweep", "--spec", spec, "--out", str(out), "--tol", "1"]) == EXIT_PARSE
+        assert error_line(capsys)["message"].startswith("overrides.settings: setting tol=1.0 ")
+        assert not out.exists()
+
+    def test_reduce_profile(self, tmp_path, capsys):
+        forms = [qf_isotropic(1.0, 0.5), qf_isotropic(2.0, 0.0)]
+        path = write_spec(tmp_path, {
+            "convention": CONVENTION, "command": "reduce", "name": "layers",
+            "material": {"kind": "profile", "rule": "midpoint",
+                         "samples": [q.matrix.tolist() for q in forms]}})
+        assert main(["reduce", "--spec", str(path), "--out", str(tmp_path)]) == EXIT_OK
+        artifact = tmp_path / "layers-reduced-profile.json"
+        assert json.loads(capsys.readouterr().out)["artifact"] == str(artifact)
+        reduced = load_json(artifact)
+        assert (reduced["kind"], reduced["rule"]) == ("profile", "midpoint")
+        assert reduced["samples"] == [plane_stress_reduce(q)[0].matrix.tolist() for q in forms]
+
+    def test_unnamed_sweep_entries_are_named_by_command_and_place(self, fixtures_dir, tmp_path):
+        spec = load_json(fixtures_dir / "sweep_regimes.json")
+        for sub in spec["scenarios"]:
+            del sub["name"]
+        rc = main(["sweep", "--spec", str(write_spec(tmp_path, spec)), "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        with open(tmp_path / "regimes-summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["scenario"] for r in rows] == ["homog-regime1-0", "homog-regime2-1"]
+        for r in rows:
+            assert Path(r["artifact"]) == tmp_path / f"{r['scenario']}-report.json"
+            assert Path(r["artifact"]).exists()
 
 
 class TestExitCodes:
@@ -885,6 +938,8 @@ class TestExitCodes:
         (["nope", "--spec", "SPEC", "--out", "OUT"], "argument command: invalid choice: 'nope'"),
         (["reduce", "--spec", "SPEC"], "the following arguments are required: --out"),
         (["reduce", "--spec", "SPEC", "--out", "OUT", "--bogus"], "unrecognized arguments: --bogus"),
+        (["homog-regime1", "--spec", "SPEC", "--out", "OUT", "--grid", "2,2"],
+         "argument --grid: grid must be three comma-separated sizes"),
     ])
     def test_argument_error_is_one_json_line(self, fixtures_dir, tmp_path, capsys, argv,
                                              fragment):
@@ -895,6 +950,46 @@ class TestExitCodes:
         assert payload["error"] == "SpecFormatError" and payload["exit_code"] == EXIT_PARSE
         assert payload["message"].startswith("plate-homog: ")
         assert fragment in payload["message"]
+
+    @pytest.mark.parametrize("fixture, mutate, key, message", [
+        pytest.param("energy_cylinder.json",
+                     lambda spec: spec.update(form={"kind": "form3",
+                                                    "matrix": np.eye(6).tolist()}),
+                     "form", "energy needs a 2D bending form", id="energy-form3"),
+        pytest.param("energy_cylinder.json",
+                     lambda spec: spec.update(form={"kind": "form2",
+                                                    "matrix": np.diag([1.0, -1.0, 1.0]).tolist()}),
+                     "form", "bending form must be positive semidefinite", id="energy-indefinite"),
+        pytest.param("sweep_regimes.json",
+                     lambda spec: spec["scenarios"][0].update(command="sweep"),
+                     "scenarios[0]", "sweeps cannot nest", id="nested-sweep"),
+        pytest.param("sweep_regimes.json", lambda spec: spec["scenarios"][0].pop("command"),
+                     "scenarios[0]", "sweep entries must declare their command",
+                     id="sweep-entry-without-command"),
+        pytest.param("sweep_regimes.json",
+                     lambda spec: spec["scenarios"][1].update(name="laminate-r1"),
+                     "scenarios", "sweep scenario names must be unique",
+                     id="repeated-sweep-names"),
+    ])
+    def test_refused_scenario_is_one_json_line(self, fixtures_dir, tmp_path, capsys, fixture,
+                                               mutate, key, message):
+        spec = load_json(fixtures_dir / fixture)
+        mutate(spec)
+        path = write_spec(tmp_path, spec)
+        out = tmp_path / "out"
+        assert main([spec["command"], "--spec", str(path), "--out", str(out)]) == EXIT_PARSE
+        payload = error_line(capsys)
+        assert (payload["error"], payload["exit_code"]) == ("SpecFormatError", EXIT_PARSE)
+        assert payload["message"].startswith(f"{path}.{key}: {message}")
+        assert not out.exists()
+
+    def test_grid_override_on_a_slab_is_parse_error(self, fixtures_dir, tmp_path, capsys):
+        rc = main(["homog-regime2", "--spec", str(fixtures_dir / "homog_regime2_laminate.json"),
+                   "--out", str(tmp_path / "out"), "--grid", "2,2,2"])
+        assert rc == EXIT_PARSE
+        assert error_line(capsys) == {"error": "SpecFormatError", "exit_code": EXIT_PARSE,
+                                      "message": "--grid refinement only applies to cell materials"}
+        assert not (tmp_path / "out").exists()
 
     def test_help_is_unchanged(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -86,10 +86,7 @@ class TestCorrectorSolve:
         _, e2 = corrector_solve_3d(mat, E_BASIS[2], tol=1e-12)
         assert e1 == pytest.approx(e2, rel=1e-14)
 
-    # Every entry point on a material that nobody checked first: the identity
-    # law is positive definite, so only the bounds check can refuse it, and
-    # the asymmetric law has a symmetric part with eigenvalue -1.5 that
-    # ``eigvalsh`` cannot see: it reads the lower triangle, the identity.
+    # Every entry point takes a material that was checked when it was built.
     ENTRY_POINTS = {
         "corrector_solve_3d": lambda cell, slab, fiber: corrector_solve_3d(cell, E_BASIS[0]),
         "homogenized_form_3d": lambda cell, slab, fiber: homogenized_form_3d(cell),
@@ -101,12 +98,22 @@ class TestCorrectorSolve:
         "fiber_reduce": lambda cell, slab, fiber: fiber_reduce(fiber),
     }
 
+    MATERIALS = (
+        lambda samples, bounds: CellMaterial3(c=samples.reshape(1, 1, 2, 6, 6), bounds=bounds),
+        lambda samples, bounds: SlabMaterial(fibers=samples[None], bounds=bounds,
+                                             fiber_index=np.zeros((1, 1, 2), dtype=np.int64)),
+        lambda samples, bounds: FiberMaterial(c=samples, bounds=bounds),
+    )
+
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    def test_inadmissible_material_rejected(self, entry):
+    def test_inadmissible_material_rejected(self, entry, monkeypatch):
+        # The identity law is positive definite, so only the bounds check can
+        # refuse it, and the asymmetric law has a symmetric part with
+        # eigenvalue -1.5 that ``eigvalsh`` cannot see: it reads the lower
+        # triangle, the identity.  One text for cell, slab and fiber, which
+        # name their sample 0 "cell sample 0", "slab cell 0" and "fiber sample 0".
         asymmetric = np.eye(6)
         asymmetric[0, 1] = 5.0
-        # one text for cell, slab and fiber, which name their sample 0 "cell
-        # sample 0", "slab cell 0" and "fiber sample 0"
         for law, bounds, match in (
             (np.eye(6), MaterialBounds(2.0, 3.0),
              r" 0 violates lower bound: eigenvalue 1 < eta1=2$"),
@@ -114,13 +121,18 @@ class TestCorrectorSolve:
              r" 0 is not symmetric \(max asymmetry 5\.000e\+00\)$"),
         ):
             samples = np.stack([law, np.eye(6)])
-            cell = CellMaterial3(c=samples.reshape(1, 1, 2, 6, 6), bounds=bounds)
-            slab = SlabMaterial(fibers=samples[None], bounds=bounds,
-                                fiber_index=np.zeros((1, 1, 2), dtype=np.int64))
-            fiber = FiberMaterial(c=samples, bounds=bounds)
-            for _ in range(2):      # a failed check is not kept: the same object fails again
+            for build in self.MATERIALS:
                 with pytest.raises(AdmissibilityError, match=match):
-                    self.ENTRY_POINTS[entry](cell, slab, fiber)
+                    build(samples, bounds)
+        # so no entry point checks again: it runs with the check refusing everything
+        samples, bounds = np.stack([np.eye(6), 2.0 * np.eye(6)]), MaterialBounds(0.5, 2.0)
+        materials = [build(samples, bounds) for build in self.MATERIALS]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(MaterialBounds, "require", refuse)
+        self.ENTRY_POINTS[entry](*materials)
 
 
 class TestHomogenizedForm:
@@ -233,16 +245,15 @@ class TestMaterialBounds:
         c = random_cell(rng, grid=(2, 3, 2)).c
         eig = np.linalg.eigvalsh(c.reshape(-1, 6, 6))
         mat = CellMaterial3(c=c)
-        assert mat.bounds == mat.inferred_bounds() == MaterialBounds(
-            float(eig[:, 0].min()), float(eig[:, -1].max()))
-        mat.check()
+        assert mat.bounds == MaterialBounds(float(eig[:, 0].min()), float(eig[:, -1].max()))
         q3 = qf_isotropic(1.3, 0.4)
         eig = q3.eigenvalues()
         assert CellMaterial3.homogeneous(q3, grid=(2, 2, 3)).bounds == MaterialBounds(
             float(eig[0]), float(eig[-1]))
 
     def test_check_work_runs_once(self, monkeypatch):
-        # inferred bounds and the check of both runs share one law index
+        # inferred bounds, the check and both runs share one law index
+        c = checkerboard_cell(n=2, block=1).c
         calls = []
 
         def counted(cellC, _distinct=fem._distinct_laws):
@@ -251,7 +262,7 @@ class TestMaterialBounds:
 
         monkeypatch.setattr(homog3d, "_distinct_laws", counted)
         monkeypatch.setattr(fem, "_distinct_laws", counted)
-        mat = CellMaterial3(c=checkerboard_cell(n=2, block=1).c)
+        mat = CellMaterial3(c=c)
         first = bending_form_regime1(mat, tol=1e-12)
         again = bending_form_regime1(mat, tol=1e-12)
         assert calls == [8]
@@ -272,18 +283,17 @@ class TestCheckOverDistinctLaws:
         bounds = MaterialBounds(1.0 - 1e-9, 4.0 + 1e-9)
         for bad, side in ((random_spd(rng, 6, 0.3, 0.6), "lower"),
                           (random_spd(rng, 6, 5.0, 8.0), "upper")):
-            mat = CellMaterial3(c=self._two_laws_and(rng, bad), bounds=bounds)
-            with pytest.raises(AdmissibilityError, match=f"cell sample 5 violates {side} bound"):
-                mat.check()
+            c = self._two_laws_and(rng, bad)
+            with pytest.raises(AdmissibilityError, match=f"^cell sample 5 violates {side} bound"):
+                CellMaterial3(c=c, bounds=bounds)
 
     def test_asymmetric_law_in_one_cell_is_refused(self):
         rng = np.random.default_rng(28)
         bad = random_spd(rng, 6, 1.0, 4.0)
         bad[0, 1] += 1e-6
-        mat = CellMaterial3(c=self._two_laws_and(rng, bad, cells=(13,)),
-                            bounds=MaterialBounds(0.5, 5.0))
-        with pytest.raises(AdmissibilityError, match="not symmetric"):
-            mat.check()
+        c = self._two_laws_and(rng, bad, cells=(13,))
+        with pytest.raises(AdmissibilityError, match="^cell sample 13 is not symmetric"):
+            CellMaterial3(c=c, bounds=MaterialBounds(0.5, 5.0))
 
     def test_inferred_bounds_equal_per_cell_eigenvalues(self):
         # five random laws over 64 cells: the per-law extremes, bit for bit
@@ -292,9 +302,8 @@ class TestCheckOverDistinctLaws:
         c = laws[rng.integers(0, 5, size=64)].reshape(4, 4, 4, 6, 6)
         eig = np.linalg.eigvalsh(c.reshape(-1, 6, 6))
         mat = CellMaterial3(c=c)
-        assert mat.inferred_bounds() == MaterialBounds(float(eig[:, 0].min()),
-                                                       float(eig[:, -1].max()))
-        first, law = mat.check()
+        assert mat.bounds == MaterialBounds(float(eig[:, 0].min()), float(eig[:, -1].max()))
+        first, law = mat.law_index
         assert np.array_equal(mat.flat()[first][law], mat.flat())
 
 

@@ -109,6 +109,9 @@ class TestFiberReduce:
         m[np.ix_(list(IN_PLANE), list(IN_PLANE))] = np.eye(3)
         with pytest.raises(DegenerateMaterialError, match="fiber 0 sample 0"):
             reduce_fibers(np.stack([m, np.eye(6)])[None], np.full(2, 0.5))
+        # a fiber material of it fails its bounds first, when built: eigenvalue 0 < eta1
+        with pytest.raises(AdmissibilityError, match="^fiber sample 0 violates lower bound"):
+            FiberMaterial(c=np.stack([m, np.eye(6)]), bounds=MaterialBounds(0.5, 2.0))
 
     def test_batched_reduction_matches_one_fiber_at_a_time(self):
         rng = np.random.default_rng(39)
@@ -311,13 +314,12 @@ class TestBendingRegime2:
 class TestSlabMaterialValidation:
     def test_bounds_checked(self):
         fibers = np.broadcast_to(np.eye(6), (1, 2, 6, 6)).copy()
-        slab = SlabMaterial(
-            fibers=fibers,
-            fiber_index=np.zeros((1, 1, 1), dtype=np.int64),
-            bounds=MaterialBounds(2.0, 3.0),
-        )
-        with pytest.raises(AdmissibilityError):
-            slab.check()
+        with pytest.raises(AdmissibilityError, match="^slab cell 0 violates lower bound"):
+            SlabMaterial(
+                fibers=fibers,
+                fiber_index=np.zeros((1, 1, 1), dtype=np.int64),
+                bounds=MaterialBounds(2.0, 3.0),
+            )
 
     def test_scale_must_be_positive(self):
         fibers = np.broadcast_to(np.eye(6), (1, 2, 6, 6)).copy()
@@ -350,10 +352,9 @@ class TestSlabMaterialValidation:
         # fiber 0 is the identity, fiber 1 a quarter of it: a cell leaves the
         # bounds by its fiber or by its scale, and the text names its flat index
         fibers = np.stack([np.eye(6), 0.25 * np.eye(6)])[:, None]
-        slab = SlabMaterial(fibers=fibers, fiber_index=np.reshape(index, (1, 2, 2)),
-                            bounds=MaterialBounds(0.5, 2.0), scale=np.reshape(scale, (1, 2, 2)))
         with pytest.raises(AdmissibilityError, match=match):
-            slab.check()
+            SlabMaterial(fibers=fibers, fiber_index=np.reshape(index, (1, 2, 2)),
+                         bounds=MaterialBounds(0.5, 2.0), scale=np.reshape(scale, (1, 2, 2)))
 
     @pytest.mark.parametrize("weights, match", [
         ([1.0], "weights must be 2 layer fractions"),
@@ -385,7 +386,6 @@ class TestSlabMaterialValidation:
         )
         assert slab.bounds.eta1 == pytest.approx(2.0)
         assert slab.bounds.eta2 == pytest.approx(6.0)
-        slab.check()
 
     def test_inferred_bounds_are_the_scaled_eigenvalue_extremes(self):
         # the formula the slab reader and SlabMaterial.homogeneous used, bit for bit
@@ -398,15 +398,15 @@ class TestSlabMaterialValidation:
         lo = float((scale.ravel() * eig[:, :, 0].min(axis=1)[index.ravel()]).min())
         hi = float((scale.ravel() * eig[:, :, -1].max(axis=1)[index.ravel()]).max())
         slab = SlabMaterial(fibers=fibers, fiber_index=index, scale=scale)
-        assert slab.bounds == slab.inferred_bounds() == MaterialBounds(lo, hi)
-        slab.check()
+        assert slab.bounds == MaterialBounds(lo, hi)
         q3 = qf_isotropic(1.3, 0.4)
         eig = q3.eigenvalues()
         assert SlabMaterial.homogeneous(q3, grid=(2, 1, 2), nf=3).bounds == MaterialBounds(
             float(eig[0]), float(eig[-1]))
 
     def test_check_work_runs_once(self, monkeypatch):
-        # inferred bounds and the check of both runs share one set of extremes
+        # inferred bounds and the check share one set of extremes, and no run checks again
+        built = random_slab(np.random.default_rng(38))
         args = []
 
         def counted(a, *rest, _eigvalsh=np.linalg.eigvalsh, **kwargs):
@@ -414,15 +414,15 @@ class TestSlabMaterialValidation:
             return _eigvalsh(a, *rest, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        slab = random_slab(np.random.default_rng(38))
-        slab = SlabMaterial(fibers=slab.fibers, fiber_index=slab.fiber_index, scale=slab.scale)
+        slab = SlabMaterial(fibers=built.fibers, fiber_index=built.fiber_index, scale=built.scale)
         first = bending_form_regime2(slab, tol=1e-12)
         again = bending_form_regime2(slab, tol=1e-12)
         assert sum(a is slab.fibers for a in args) == 1
         assert np.array_equal(first.form.matrix, again.form.matrix)
 
     def test_fiber_check_runs_once(self, monkeypatch):
-        # fiber_reduce checks its fiber on first use and keeps the extremes
+        # the fiber is checked when built, and fiber_reduce does not check it again
+        built = random_fiber(np.random.default_rng(41), nf=3)
         args = []
 
         def counted(a, *rest, _eigvalsh=np.linalg.eigvalsh, **kwargs):
@@ -430,12 +430,9 @@ class TestSlabMaterialValidation:
             return _eigvalsh(a, *rest, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        fiber = random_fiber(np.random.default_rng(41), nf=3)
+        fiber = FiberMaterial(c=built.c, bounds=built.bounds)
         first, again = fiber_reduce(fiber), fiber_reduce(fiber)
         assert sum(a is fiber.c for a in args) == 1
-        assert fiber.check() == fiber.extremes
-        lo, hi = fiber.extremes
-        assert fiber.bounds.eta1 <= lo <= hi <= fiber.bounds.eta2
         assert np.array_equal(first.matrix, again.matrix)
 
 
