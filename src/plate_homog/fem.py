@@ -60,7 +60,8 @@ the cell laws onto themselves up to a periodic shift
 (``axis_symmetries``): any permutation of equal-length axes on a cell, y1
 <-> y2 on a square slab.  The other loads of an orbit take the solved
 field with its axes and components permuted and rolled, the same
-minimizer to rounding, since the gauged minimizer is unique.
+minimizer to rounding, since the gauged minimizer is unique, and their
+energy rows from the solved load's residual and stress sums mirrored alike.
 
 Corrector solves run conjugate gradients preconditioned by the exact inverse
 of the stiffness K0 of one constant reference law C0 on the same grid
@@ -75,28 +76,12 @@ PCG).  Every grid is periodic in plane, so that operator is block-circulant
 and a discrete Fourier transform diagonalizes it: one 3x3 block per
 wavevector on a cell grid, one block-tridiagonal system over the node planes
 per in-plane wavevector on a slab grid (Moulinec & Suquet 1998; Zeman,
-Vondrejc, Novak & Marek 2010).  The symbol of that operator is built by sum
-factorization: element blocks summed per node offset, by one ``np.add.at``
-over the node pairs, then one 1-D phase table per axis.  The iteration count
-then depends on the contrast of C against C0, not on the grid size.  Every
-transform is a product with a per-axis DFT table built once per
-preconditioner, with each angle taken from ``(k j) mod n``: a real (n, 2 m)
-table for the half spectrum (m = n // 2 + 1) and one complex (n, n) table
-per further periodic axis.  At 8-16 points per axis these few BLAS products
-cost a fraction of ``numpy.fft``, which pays a fixed cost for every grid
-line.  A cell's inverse works component-major, a slab's wavevector-major on
-the node-major vector as it lies (see ``reference_inverse``).  On a cell
-grid the symbol is real, because the trilinear element is point symmetric,
-so its inverse is stored real; on a slab the two node planes of a layer
-break that pairing and the block-tridiagonal factors stay complex.  Between
-the transforms a slab applies its inverse in one of two forms, picked from
-the grid shape alone (``preconditioner_form``): "slab-dense", one batched
-product with the stored (3 planes)^2 inverse per wavevector, when that fits
-in ``SLAB_DENSE_BYTES``; "slab-sweep" otherwise, the block-tridiagonal
-forward and back sweep, 2 planes + 1 small products in sequence.  At these
-grid sizes the sweep is bound by the overhead of its calls, not by
-arithmetic, so the one product is cheaper until the stored inverse grows
-large.
+Vondrejc, Novak & Marek 2010).  The iteration count then depends on the
+contrast of C against C0, not on the grid size.  The symbol is built by sum
+factorization and every transform is a product with per-axis DFT tables,
+along the periodic axes longer than one cell alone; a slab applies its
+inverse stored dense or by a block sweep, picked from the grid shape
+(``preconditioner_form``).  See ``reference_inverse``.
 
 Nodal vectors are node-major, dof ``3 * node + m``; element kernels run on
 local vectors (24, cells), a row per local dof ``3 a + m``, gathered by one
@@ -109,6 +94,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -153,7 +139,7 @@ MAJORITY_SHARE = 0.5
 # A slab's reference inverse is stored dense, one (3 planes)^2 complex block per
 # in-plane wavevector, when that takes at most this many bytes; above it the
 # apply runs the block sweep.  Set from the build plus 120 applies against the
-# sweep: the crossover table is in ``reference_inverse``.  The cap dates from the
+# sweep: the crossover is in ``reference_inverse``.  The cap dates from the
 # build by the sweep on unit vectors and was not derived again for the build from
 # the factors, and a byte count is not the right rule: thin wide slabs lose below it.
 SLAB_DENSE_BYTES = 2 ** 20
@@ -498,7 +484,7 @@ class ElementOperator:
         return np.abs(self._laws), wabsB.sum(axis=0).T, np.vstack([wabsB[0::2].sum(axis=0),
                                                                    wabsB[1::2].sum(axis=0)]).T
 
-    def energy_matrix(self, fields, loads) -> np.ndarray:
+    def energy_matrix(self, fields, loads, sources=()) -> np.ndarray:
         """Energies ``N_ij = sum w_q g_i^T C g_j`` of total strains ``g_i = B x_i + G_i
         + x3 A_i``.
 
@@ -512,19 +498,32 @@ class ElementOperator:
         load has an A) formed per cell before ``C`` is applied and summed
         per law: forms that cancel only globally (``x_i . rhs(G_j)`` plus a
         load term, or ``X^T K X`` plus cross terms) drift well past rounding,
-        most on the small entries.  The result is symmetrized.
+        most on the small entries.  A load mirrored from load k, ``sources[i] =
+        (k, p, s)`` (``solve_loads``), takes load k's residual mirrored alike and
+        its stress sums with each 6-block read through ``mandel_slots(p)``: no
+        matvec, load or gather; only a source keeps its ``f``.  The result is
+        symmetrized.
         """
         parts = padded = [self._load_parts(g) for g in loads]
         if any(A is not None for _, A in parts):      # every load takes the moment
             padded = [(G, np.zeros(6) if A is None else A) for G, A in parts]
         L = np.array([np.hstack([G] if A is None else [G, A]) for G, A in padded])
-        sums, dots = [], []
-        for x, (G, A), (_, A_moment) in zip(fields, parts, padded):
-            u = self._gather(x)
-            sums.append(self._stress_sum(u, G, A_moment))
-            f = self._residual(u, G, A)
-            dots.append([f @ xj for xj in fields])
-        N = np.array(sums) @ L.T + np.array(dots)
+        sources = sources or [None] * len(fields)
+        needed = {source[0] for source in sources if source is not None}
+        sums, rows, kept = [], [], {}
+        for i, (x, (G, A), (_, A_moment), source) in enumerate(zip(fields, parts, padded, sources)):
+            if source is None:
+                u = self._gather(x)
+                sums.append(self._stress_sum(u, G, A_moment))
+                f = self._residual(u, G, A)
+            else:
+                k, p, s = source
+                sums.append(sums[k].reshape(-1, 6)[:, mandel_slots(p)].ravel())
+                f = _mirrored(kept[k], self.grid.node_shape, p, s)
+            if i in needed:
+                kept[i] = f
+            rows.append([f @ xj for xj in fields])
+        N = np.array(sums) @ L.T + np.array(rows)
         return 0.5 * (N + N.T)
 
     def _residual(self, u: np.ndarray, G: np.ndarray, A=None) -> np.ndarray:
@@ -851,11 +850,31 @@ def _real_dft(n: int):
     return E.view(float), np.stack([D.real, -D.imag], axis=1).reshape(2 * m, n)
 
 
-def _complex_dft(n: int):
-    """Complex tables ``F`` and ``conj(F) / n`` of the DFT along an axis of n points
-    and its inverse, applied as ``F @ y`` over the leading axes of ``y`` (..., n, k)."""
-    F = _dft_table(n, np.arange(n), np.arange(n))
-    return F, F.conj() / n
+def _spectrum(ns) -> tuple:
+    """Wavevectors per periodic axis of periods ``ns``: ``n // 2 + 1`` on the last
+    axis longer than one cell, n on the others."""
+    last = max((a for a, n in enumerate(ns) if n > 1), default=None)
+    return tuple(n // 2 + 1 if a == last else n for a, n in enumerate(ns))
+
+
+def _dft_tables(ns):
+    """``(dims, real, fwd, bwd)``: the lengths ``dims`` of the axes of ``ns`` longer
+    than one cell ([1] if none), the ``_real_dft`` tables of the last, and the
+    complex tables F of the others as the ``_dft_pass`` passes of the forward
+    and (``conj(F) / n``) the inverse transform."""
+    dims = [n for n in ns if n > 1] or [1]
+    tables = [(prod(dims[:i]), _dft_table(n, np.arange(n), np.arange(n)))
+              for i, n in enumerate(dims[:-1])]
+    return (dims, _real_dft(dims[-1]), [(b, F) for b, F in reversed(tables)],
+            [(b, F.conj() / len(F)) for b, F in tables])
+
+
+def _dft_pass(y: np.ndarray, passes, lead: int) -> np.ndarray:
+    """``F @ y`` over (lead * b, n, rest) for each pass ``(b, F)`` in turn, b the
+    points before F's axis."""
+    for b, F in passes:
+        y = F @ y.reshape(lead * b, len(F), -1)
+    return y
 
 
 def _bmv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -867,12 +886,12 @@ def _bmv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 def preconditioner_form(kind: str, shape) -> str:
     """Apply form of ``reference_inverse`` on a grid of this kind and shape, from
     the shape alone: "cell", or on a slab "slab-dense" when the stored inverse,
-    F (3 nplanes)^2 complex numbers for F in-plane wavevectors, fits in
+    F (3 nplanes)^2 complex numbers for F wavevectors (``_spectrum``), fits in
     ``SLAB_DENSE_BYTES``, else "slab-sweep"."""
     if kind == "cell":
         return "cell"
     n1, n2, n3 = shape
-    dense_bytes = (n2 // 2 + 1) * n1 * (3 * (n3 + 1)) ** 2 * 16
+    dense_bytes = prod(_spectrum((n1, n2))) * (3 * (n3 + 1)) ** 2 * 16
     return "slab-dense" if dense_bytes <= SLAB_DENSE_BYTES else "slab-sweep"
 
 
@@ -882,26 +901,29 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     Returns ``apply(r)``, the zero-mean ``z`` with ``K0 z = r`` for any
     ``r`` orthogonal to the rigid translations.  It stores O(ndofs)
     numbers and the DFT tables, about n^2 per axis.  The symbol of ``K0``
-    per wavevector comes from ``_symbol`` by sum factorization: the ``Ke``
-    blocks are summed once per node offset in {-1, 0, 1}^k, by one
-    ``np.add.at`` over the 4^k node pairs in the order of a loop over
-    them, then contracted with a 1-D phase table per periodic axis
-    (``_dft_table``), O(wavevectors) work with no per-wavevector phase
-    table.
+    per wavevector comes from ``_symbol`` by sum factorization, O(wavevectors)
+    work with no per-wavevector phase table.
 
     Every transform is a product with DFT tables built here once
-    (``_real_dft``, ``_complex_dft``): the real (n, 2 m) table gives the
-    half spectrum, its real and imaginary parts interleaved, and each
-    further periodic axis takes one complex (n, n) table applied as ``F @
-    y`` over the leading axes.  The inverse runs the same tables back in
-    reverse order, the 1/n in each table and the Hermitian weights in the
-    real one.  It is the discrete Fourier transform of ``numpy.fft`` up to
-    rounding, with no fixed cost per grid line.
+    (``_dft_tables``), along the periodic axes longer than one cell: an axis
+    of one cell has the zero wavevector alone and takes no table.  The real
+    (n, 2 m) table of the last such axis gives the half spectrum, its real
+    and imaginary parts interleaved, and each other one takes a complex (n,
+    n) table applied as ``F @ y`` over the leading axes (``_dft_pass``).  The
+    inverse runs the same tables back in reverse order, the 1/n in each
+    table and the Hermitian weights in the real one.  It is the discrete
+    Fourier transform of ``numpy.fft`` up to rounding, with no fixed cost
+    per grid line.  The symbol is built on those wavevectors alone
+    (``_spectrum``): a column cut to n1 x n2 x 1 runs a 2-D transform on n1
+    (n2 // 2 + 1) blocks, a laminate cut to 1 x 1 x n3 a 1-D one, and a 1 x
+    1 x 1 cell applies zero.  Per cell apply, one BLAS thread, against tables
+    on every axis: 20 against 26 us on 10x10x1, 21 against 31 on 12x12x1, 60
+    against 151 on 32x32x1, 8 against 13 on 1x1x16.
 
-    Cell grid: one 3x3 block per half-spectrum wavevector, in (n1, n2, m3)
-    order, the zero mode (the translations) mapped to 0.  ``apply``
-    transposes the nodal vector to one scalar field per component: the real
-    table on n3, then F2 and F1.  The symbol is real symmetric: the
+    Cell grid: one 3x3 block per wavevector, in grid axis order, the zero
+    mode (the translations) mapped to 0.  ``apply`` transposes the nodal
+    vector to one scalar field per component: the real table, then the
+    complex ones, last axis first.  The symbol is real symmetric: the
     trilinear element is point symmetric, ``Ke[7 - a, 7 - b] = Ke[a, b]``,
     so the blocks summed per node offset are even, equal at ``delta`` and
     ``-delta``, and the phases pair into cosines.  Its imaginary part is
@@ -916,20 +938,16 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
     multipliers ``W = Sinv U``); at the zero wavevector node plane 0 is
     grounded and the mean is projected out of the input and the result.  The
     forward transform reads the node-major vector as (n1, n2, 3 planes),
-    with no transposed copy: the real table on n2 as one batched product
-    ``R2^T @``, one reorder of its real and imaginary rows into complex
-    values, then F1 as one complex product over (n1, m2 3 planes).  That
-    leaves the data wavevector-major, (F, 3 planes) with F the in-plane
-    wavevectors in (n1, m2) order, the order of the symbol, the zero
+    with no transposed copy: the real table as one batched product ``R^T
+    @``, one reorder of its real and imaginary rows into complex values,
+    then, when n1 and n2 both exceed 1, F1 as one complex product over (n1,
+    m2 3 planes).  That leaves the data wavevector-major, (F, 3 planes) with
+    F the in-plane wavevectors in the order of the symbol, the zero
     wavevector first.  The backward transform mirrors it.  Point symmetry
     swaps the two node planes of a layer, so within one block it pairs no
     in-plane offset ``delta`` with ``-delta``: the slab symbol is complex,
-    an isotropic law's included, and the factors stay complex.  ``Sinv`` is
-    stored (planes, 3, 3, F), ``W`` and the forward sweep's ``W^H`` (planes
-    - 1, 3, 3, F).  ``Sinv`` is applied to every plane in one batched
-    product before the back substitution.  The solve (``_slab_sweep``), the
-    forward and back sweep with the zero-wavevector mean projections, runs
-    component-major on arrays (..., planes, 3, F) with any leading axes.
+    an isotropic law's included, and the factors stay complex (see
+    ``_slab_sweep`` for their layout and solve).
 
     The factors are the only factorization; the slab apply takes one of
     two forms (``preconditioner_form``, from the shape alone):
@@ -948,71 +966,49 @@ def reference_inverse(grid: Grid, C0: np.ndarray):
       products in sequence, and transposes back; it stores only the
       factors.
 
-    Dense against sweep, per apply and for the build plus 120 applies (6
-    loads at about 20 iterations), medians of 9 alternated pairs, one
-    BLAS thread, with the dense build from the factors:
-
-    ==========  =======  =====  ================
-    grid        MiB      apply  build + applies
-    ==========  =======  =====  ================
-    8x8x4       0.14     0.32   0.39
-    10x10x8     0.67     0.36   0.47
-    32x32x2     0.67     0.76   0.86
-    10x10x10    1.00     0.38   0.49
-    24x24x4     1.07     0.68   0.78
-    32x32x3     1.20     0.72   0.83
-    32x32x4     1.87     0.77   0.85
-    12x12x12    1.95     0.59   0.77
-    16x16x12    3.34     0.84   1.00
-    24x24x12    7.24     0.97   1.12
-    32x32x16    21.6     1.18   1.34
-    ==========  =======  =====  ================
-
-    The dense build costs 0.8-3.2x the factors on these grids; the sweep
-    on the 3 planes unit vectors that it replaced cost 0.7-8.3x.  With
-    that older build the dense form won on all 12 slabs measured up to
-    1.07 MiB, on 6 of 11 from 1.2 to 2.5 MiB and on none of 10 from 3.3
-    MiB up.  It lost below 2.5 MiB mostly on thin wide slabs, where many
-    wavevectors cost the batched product more than a few planes cost the
-    sweep.  Hence ``SLAB_DENSE_BYTES`` = 1 MiB; with the wavevector-major
-    transforms the crossover still lies between 1.95 and 3.34 MiB.
+    Dense against sweep, for the build from the factors plus 120 applies (6
+    loads at about 20 iterations), medians of 9 alternated pairs, one BLAS
+    thread: 0.39-0.86 on 8 grids of 0.14-1.95 MiB (8x8x4 to 12x12x12), 1.00
+    on 16x16x12 (3.34 MiB), 1.12 on 24x24x12 (7.24) and 1.34 on 32x32x16
+    (21.6).  Hence ``SLAB_DENSE_BYTES`` = 1 MiB.  At these sizes the sweep
+    is bound by the overhead of its calls; the dense form lost mostly on
+    thin wide slabs, where many wavevectors cost the batched product more
+    than a few planes cost the sweep.
     """
     Ke = _element_matrix(grid, np.asarray(C0, dtype=float))
     n1, n2, n3 = grid.shape
+    periodic = grid.shape if grid.kind == "cell" else (n1, n2)
+    symbol = _symbol(Ke, periodic, _spectrum(periodic))
+    dims, (R, Rinv), fwd, bwd = _dft_tables(periodic)
+    before, m = prod(dims[:-1]), dims[-1] // 2 + 1
     if grid.kind == "cell":
-        K = _symbol(Ke, (n1, n2, n3), (n1, n2, n3 // 2 + 1)).real
-        K[0, 0, 0] = np.eye(3)
+        K = symbol.real.reshape(-1, 3, 3)
+        K[0] = np.eye(3)
         Kinv = np.linalg.inv(K)
-        Kinv[0, 0, 0] = 0.0
-        Kinv = np.ascontiguousarray(Kinv.reshape(-1, 3, 3).transpose(1, 2, 0))
-
-        (R3, R3inv), (F2, F2inv), (F1, F1inv) = _real_dft(n3), _complex_dft(n2), _complex_dft(n1)
-        m3 = n3 // 2 + 1
+        Kinv[0] = 0.0
+        Kinv = np.ascontiguousarray(Kinv.transpose(1, 2, 0))
 
         def apply(r):
-            fields = np.ascontiguousarray(r.reshape(-1, 3).T).reshape(-1, n3)
-            y = F2 @ (fields @ R3).view(complex).reshape(3 * n1, n2, m3)
-            y = F1 @ y.reshape(3, n1, n2 * m3)
-            z = F1inv @ _bmv(Kinv, y.reshape(3, -1)).reshape(3, n1, n2 * m3)
-            z = F2inv @ z.reshape(3 * n1, n2, m3)
-            return (z.view(float).reshape(-1, 2 * m3) @ R3inv).reshape(3, -1).T.reshape(r.shape)
+            fields = np.ascontiguousarray(r.reshape(-1, 3).T).reshape(-1, dims[-1])
+            y = _dft_pass((fields @ R).view(complex), fwd, 3)
+            z = _dft_pass(_bmv(Kinv, y.reshape(3, -1)), bwd, 3)
+            return (z.view(float).reshape(-1, 2 * m) @ Rinv).reshape(3, -1).T.reshape(r.shape)
 
         return apply
 
-    nplanes, m2 = n3 + 1, n2 // 2 + 1
+    nplanes = n3 + 1
     n = 3 * nplanes
-    Sinv, W = _slab_factors(_symbol(Ke, (n1, n2), (n1, m2)), n3)
-    (R2, R2inv), (F1, F1inv) = _real_dft(n2), _complex_dft(n1)
+    Sinv, W = _slab_factors(symbol, n3)
 
     def forward(r):
-        y = R2.T @ r.reshape(n1, n2, n)          # (n1, 2 m2, n): real and imaginary rows
-        Y = np.empty((n1, m2, n), dtype=complex)
+        y = R.T @ r.reshape(before, dims[-1], n)   # (before, 2 m, n): real and imaginary rows
+        Y = np.empty((before, m, n), dtype=complex)
         Y.real, Y.imag = y[:, 0::2], y[:, 1::2]
-        return (F1 @ Y.reshape(n1, m2 * n)).reshape(-1, n)
+        return _dft_pass(Y, fwd, 1).reshape(-1, n)
 
     def backward(z, shape):
-        z = (F1inv @ z.reshape(n1, m2 * n)).view(float).reshape(n1, m2, n, 2)
-        return (R2inv.T @ z.transpose(0, 1, 3, 2).reshape(n1, 2 * m2, n)).reshape(shape)
+        z = _dft_pass(z, bwd, 1).view(float).reshape(before, m, n, 2)
+        return (Rinv.T @ z.transpose(0, 1, 3, 2).reshape(before, 2 * m, n)).reshape(shape)
 
     if preconditioner_form(grid.kind, grid.shape) == "slab-sweep":
         solve = _slab_sweep(Sinv, W)
@@ -1255,8 +1251,9 @@ def solve_loads(op: ElementOperator, loads, tol: float):
     the same minimizer to rounding, with the zero mean kept.  The
     symmetries are looked for only when some load is such an image of
     another, so a single load pays nothing.  Returns ``(fields, N, solves)``
-    with ``N`` from ``op.energy_matrix`` on all the fields and ``solves[i]``
-    a ``LoadSolve``.
+    with ``N`` from ``op.energy_matrix`` on all the fields and the loads'
+    sources, so a mirrored load's energy row is mirrored too, and
+    ``solves[i]`` a ``LoadSolve``.
     """
     loads = [np.asarray(g, dtype=float) for g in loads]
     for gload in loads:
@@ -1281,7 +1278,7 @@ def solve_loads(op: ElementOperator, loads, tol: float):
         solves.append(LoadSolve(iters, hist))
         for p, s in symmetries:
             images.setdefault(_load_key(gload[..., mandel_slots(p)]), (len(fields) - 1, p, s))
-    return fields, op.energy_matrix(fields, loads), solves
+    return fields, op.energy_matrix(fields, loads, [s.source for s in solves]), solves
 
 
 def solver_diagnostics(op: ElementOperator, tol: float, labels, solves) -> dict:

@@ -64,6 +64,14 @@ def _floats(value) -> np.ndarray:
     return a
 
 
+def _finite(value) -> np.ndarray:
+    """``_floats`` whose entries must all be finite: NaN and infinity are refused."""
+    a = _floats(value)
+    if not np.isfinite(a).all():
+        raise ValueError(f"expected finite numbers, got {a[~np.isfinite(a)].flat[0]}")
+    return a
+
+
 def _has_null(value) -> bool:
     """Whether ``value`` is ``null`` or a list that holds one at any depth."""
     return value is None or isinstance(value, list) and any(map(_has_null, value))
@@ -248,17 +256,17 @@ def read_slab_material(obj: dict, path: str):
     ncells = n1 * n2 * nx3
     bounds = read_bounds(obj.get("bounds"), path)
     if kind == "slab":
-        lam2 = _get(obj, "lambda2", path, convert=_floats)
+        lam2 = _get(obj, "lambda2", path, convert=_finite)
         if lam2.size != nf:
             _fail(path, f"lambda2 must hold {nf} samples")
-        lam1 = _get(obj, "lambda1", path, convert=_floats)
+        lam1 = _get(obj, "lambda1", path, convert=_finite)
         if lam1.ndim == 0:
             lam1 = np.full(shape, float(lam1))
         elif lam1.size == ncells:
             lam1 = lam1.reshape(shape)
         else:
             _fail(path, f"lambda1 must be a scalar or {ncells} values")
-        mu = _get(obj, "mu", path, convert=float)
+        mu = _get(obj, "mu", path, convert=lambda v: float(_finite(float(v))))
         if mu <= 0.0 or np.any(lam1 <= 0.0) or np.any(lam2 <= 0.0):
             _fail(path, "mu, lambda1, lambda2 must be positive")
         from .homogslab import SlabMaterial

@@ -84,6 +84,22 @@ def fiber_per_cell_slab(rng, grid, nf=3, nu=0.0, contrast=30.0) -> SlabMaterial:
     return SlabMaterial(fibers=fibers, fiber_index=np.arange(ncells).reshape(grid), scale=scale)
 
 
+def two_phase_cell(n: int, contrast: float, shape: str, mu=1.0, nu=0.25) -> CellMaterial3:
+    """An n^3 two-phase cell of the kinds that the ``regime1-cells`` benchmark
+    draws, with its stiff phase, ``contrast`` times the soft one, at the origin:
+    ``box``, an (n/2)^3 inclusion of an isotropic law (shear modulus ``mu``,
+    Poisson ratio ``nu``); ``column``, an (n/2)^2 in-plane box of it through x3;
+    ``laminate``, zero-Poisson layers ``2 mu I`` with the stiff phase on the
+    lower half of them."""
+    half = np.arange(n) < n // 2
+    if shape == "laminate":
+        layers = np.where(half, contrast, 1.0) * 2.0 * mu
+        return CellMaterial3(c=np.broadcast_to(layers[:, None, None] * np.eye(6), (n, n, n, 6, 6)))
+    soft = qf_isotropic(mu, 2.0 * mu * nu / (1.0 - 2.0 * nu)).matrix
+    mask = half[:, None, None] & half[:, None] & (half if shape == "box" else np.ones(n, bool))
+    return CellMaterial3(c=np.where(mask[..., None, None], contrast * soft, soft))
+
+
 def random_profile2(rng, eta1=2.0, eta2=5.0) -> ThicknessProfile:
     """Random 2D profile with samples inside [eta1, eta2], random rule."""
     rule = rng.choice(["layers", "midpoint", "gauss"])

@@ -640,6 +640,15 @@ class TestExitCodes:
                      id="mu-grid-entry-null"),
         pytest.param("homog-regime1", dict(FIELD, mu_grid=[float("nan"), 1.5]), {}, "material",
                      id="mu-grid-entry-nan"),
+        # a separable slab's NaN or infinite value, with no bounds to check it against
+        pytest.param("homog-regime2", dict(SLAB, lambda2=[1.0, float("nan")]), {},
+                     "material.lambda2", id="lambda2-entry-nan"),
+        pytest.param("homog-regime2", dict(SLAB, lambda1=float("nan")), {}, "material.lambda1",
+                     id="lambda1-nan"),
+        pytest.param("homog-regime2", dict(SLAB, mu=float("inf")), {}, "material.mu",
+                     id="mu-infinite"),
+        pytest.param("homog-regime2", dict(SLAB, lambda2=[1.0, -float("inf")]), {},
+                     "material.lambda2", id="lambda2-entry-minus-infinity"),
         pytest.param("bending", {"kind": "profile", "layers": [
             {"from": -0.5, "to": 0.5, "form": [[None, 0, 0], [0, 1, 0], [0, 0, 1]]}]}, {},
                      "material.layers[0].form", id="layer-form-entry-null"),

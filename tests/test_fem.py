@@ -599,6 +599,10 @@ PRECONDITIONER_GRIDS = [
     (build_slab_grid, (4, 6, 2)), (build_slab_grid, (3, 4, 1)), (build_slab_grid, (3, 5, 2)),
     # long axes, where DFT tables built from unreduced angles k j miss 1e-14
     (build_cell_grid, (47, 2, 3)), (build_slab_grid, (48, 5, 2)),
+    # axes of one cell, as ``invariant_cut`` leaves them: no table runs along them,
+    # and the real one moves to the last longer axis
+    (build_cell_grid, (6, 5, 1)), (build_cell_grid, (5, 1, 6)), (build_cell_grid, (1, 6, 5)),
+    (build_cell_grid, (6, 1, 1)), (build_slab_grid, (1, 6, 2)), (build_slab_grid, (7, 1, 3)),
 ]
 SLAB_FORMS = {"slab-dense": 2 ** 62, "slab-sweep": 0}    # form: SLAB_DENSE_BYTES that picks it
 
@@ -641,6 +645,14 @@ def test_precondition_equals_node_major_complex_apply(build, shape):
     grouped = 2 * fem.LAW_CELLS <= grid.ncells
     assert op.reference.name == (MAJORITY_REFERENCE if grouped else MEAN_REFERENCE)
     _check_matches_node_major_apply(op, rng)
+
+
+def test_one_cell_grid_applies_zero():
+    # a 1x1x1 cell has the zero wavevector alone: its reference inverse is zero
+    rng = np.random.default_rng(64)
+    op = ElementOperator(build_cell_grid(1, 1, 1), _random_cellC(rng, 1))
+    _check_matches_node_major_apply(op, rng)
+    assert not op.precondition(rng.standard_normal(3)).any()
 
 
 @pytest.mark.parametrize("build, shape", PRECONDITIONER_GRIDS)
@@ -714,6 +726,10 @@ def test_preconditioner_form_from_the_shape_alone():
     for shape in [(24, 24, 12), (32, 32, 16)]:
         assert fem.preconditioner_form("slab", shape) == "slab-sweep"
     assert fem.preconditioner_form("cell", (32, 32, 32)) == "cell"
+    # an in-plane axis of one cell holds the zero wavevector alone, and the half
+    # spectrum moves to the other: 21 stored blocks on 40x1x15, 80 on 40x2x15
+    assert fem.preconditioner_form("slab", (40, 1, 15)) == "slab-dense"
+    assert fem.preconditioner_form("slab", (40, 2, 15)) == "slab-sweep"
 
 
 def _column_operator(n, n3, slab):

@@ -22,7 +22,7 @@ from plate_homog import fem, homog3d
 from plate_homog.homogslab import laminate_reduced_form
 from plate_homog.reduction import plane_stress_reduce
 
-from helpers import operator_grids, random_cell, random_spd
+from helpers import operator_grids, random_cell, random_spd, two_phase_cell
 
 E_BASIS = np.eye(6)
 
@@ -446,3 +446,19 @@ class TestSolveGrid:
         assert np.abs(corr.values - corr.values[:, :, :1]).max() <= 1e-10 * np.abs(
             corr.values).max()
         assert energy == pytest.approx(full_grid_energy(mat)[0, 0], rel=1e-12)
+
+
+@pytest.mark.parametrize("n, contrast, shape, iterations", [
+    (8, 30.0, "box", [18, 0, 0, 18, 0, 0]),
+    (10, 3.0, "column", [9, 0, 5, 5, 0, 5]),
+    (10, 30.0, "column", [10, 0, 5, 5, 0, 5]),
+    (12, 3.0, "column", [10, 0, 6, 6, 0, 6]),
+    (16, 30.0, "laminate", [0, 0, 1, 1, 0, 0]),
+])
+def test_benchmark_cell_iterations_per_load(n, contrast, shape, iterations):
+    # cells built like the five of the regime1-cells benchmark, at the default
+    # tol: the CG iterations of each load, 0 for a load mirrored from another
+    # (or, on the laminate, below its noise floor), on the cut solve grid
+    report = bending_form_regime1(two_phase_cell(n, contrast, shape))
+    assert [s["iterations"] for s in report.diagnostics["solves"]] == iterations
+    assert report.diagnostics["preconditioner"] == fem.MAJORITY_REFERENCE

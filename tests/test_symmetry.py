@@ -194,3 +194,25 @@ def test_shift_search_when_every_profile_matches(j_step, found):
     c = phases[(i + j_step * j) % 3].reshape(-1, 6, 6)
     op = ElementOperator(build_cell_grid(6, 6, 1), c)
     assert fem.axis_symmetries(op) == ((((1, 0, 2), (0, 0, 0)),) if found else ())
+
+
+@pytest.mark.parametrize("case, mirrored", [("cube box", [1, 2, 4, 5]), ("square column", [1, 4]),
+                                            ("square slab", [1, 4])])
+def test_mirrored_energy_rows_equal_direct_rows(case, mirrored):
+    # a mirrored load's energy row from its source's residual and stress sums,
+    # mirrored, against the row computed from the same field directly; on the
+    # slab, A1 and B1 are mirrored from A0 and B0
+    if case == "square slab":
+        lam1 = np.ones((6, 6, 3))
+        lam1[0:3, 2:5] = 30.0
+        slab = SlabMaterial.separable(lam1, [1.0, 3.0], 0.5)
+        op, loads = solve_grid_operator("slab", slab.grid_shape, slab.reduced_cells()), SLAB_LOADS
+    else:
+        box = ((1, 2, 0), (3, 3, 3)) if case == "cube box" else ((1, 3, 0), (3, 3, 6))
+        material = _cell(_two_phase(_box((6, 6, 6), *box), 30.0 * SOFT))
+        op = solve_grid_operator("cell", material.grid_shape, material.flat(), material.law_index)
+        loads = list(np.eye(6))
+    fields, N, solves = solve_loads(op, loads, 1e-12)
+    assert [i for i, s in enumerate(solves) if s.source is not None] == mirrored
+    direct = op.energy_matrix(fields, loads)
+    assert np.abs(N - direct).max() <= 1e-13 * np.abs(direct).max()
