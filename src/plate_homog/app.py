@@ -16,9 +16,9 @@ checked against its bounds when the reader builds it.  Commands:
 - ``sweep``          run a list of scenarios, in order
 
 Exit codes: 0 ok, 2 parse/schema, a bad command line or an output that
-cannot be written, 3 admissibility, 4 solver or oracle mismatch, 5
-dense-size cap or out of memory.  Errors are also emitted as one JSON
-object on stderr.
+cannot be written (the status line on stdout included), 3 admissibility,
+4 solver or oracle mismatch, 5 dense-size cap or out of memory.  Errors
+are also emitted as one JSON object on stderr.
 
 This module imports the thickness layer (``reduction``) and ``iojson``
 only.  ``homog3d``, ``homogslab`` and ``oracle`` (and with them ``fem``)
@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -599,6 +600,16 @@ def main(argv=None) -> int:
         scenario = parse_material_spec(args.spec, args.command)
         scenario = _apply_overrides(scenario, args)
         result = run_scenario(scenario, args.out)
+        try:
+            print(json.dumps({"status": "ok", **result}), flush=True)
+        except OSError as exc:      # a closed pipe or a full device
+            # the line stays in stdout's buffer: point its descriptor at the null
+            # device, so that Python's flush at exit cannot fail a second time
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise SpecFormatError(
+                f"stdout: cannot write the status line: {exc.strerror or exc}") from None
     except MemoryError as exc:
         err = _out_of_memory(exc)
         _emit_error(err)
@@ -606,7 +617,6 @@ def main(argv=None) -> int:
     except PlateHomogError as exc:
         _emit_error(exc)
         return exc.exit_code
-    print(json.dumps({"status": "ok", **result}))
     return EXIT_OK
 
 

@@ -8,7 +8,9 @@ Pipeline for this scaling:
    stationarity condition makes the out-of-plane stress constant along
    the fiber, which gives a closed form built from the fiber averages
    ``<P>``, ``<S^-1>``, ``<S^-1 T>`` and ``<T^T S^-1 T>`` of the
-   in-plane / out-of-plane / coupling blocks.
+   in-plane / out-of-plane / coupling blocks.  It runs component-major,
+   one array per 3x3 slot, over blocks of at most ``_BLOCK`` fiber
+   samples, so its temporaries are a few MiB whatever the slab's size.
 2. Solve six corrector problems on the slab ``I x Y^2`` (periodic
    in-plane, traction-free thickness faces) with the reduced material:
    three constant mid-plane loads ``iota(B)`` and three thickness-linear
@@ -99,39 +101,55 @@ def _layer_weights(weights, nf: int) -> np.ndarray:
 
 
 def _inverse_spd3(M: np.ndarray):
-    """Inverses of symmetric 3x3 blocks ``M`` (..., 3, 3) in closed form, and
-    the mask of the blocks that are not positive definite.
+    """Inverses of symmetric 3x3 blocks in closed form, component-major: ``M``
+    (3, 3, ...) holds one array per slot, read from its lower triangle, and the
+    inverses come back in the same form, with the mask of the blocks that are
+    not positive definite.
 
-    Each block is factored ``L D L^T`` (unit lower triangular ``L``, read
-    from the lower triangle) and inverted as ``L^-T D^-1 L^-1``.  The
-    pivots ``d_k`` are ratios of successive leading principal minors, so a
-    pivot <= 0 marks a minor <= 0 (Sylvester's criterion); a block with one,
-    or with a non-finite entry or inverse, is masked, and no floating-point
-    warning escapes.  The factors keep the accuracy of a LAPACK inverse on
-    ill-conditioned blocks, where the adjugate over the determinant loses
-    it to cancellation (1e-5 against 2e-9 relative at condition number
-    1e8), and they need no rescaling for laws of any magnitude.
+    Each block is factored ``L D L^T`` (unit lower triangular ``L``) and
+    inverted as ``L^-T D^-1 L^-1``.  The pivots ``d_k`` are ratios of
+    successive leading principal minors, so a pivot <= 0 marks a minor <= 0
+    (Sylvester's criterion); a block with one, or with a non-finite entry or
+    inverse, is masked, and no floating-point warning escapes.  The factors
+    keep the accuracy of a LAPACK inverse on ill-conditioned blocks, where the
+    adjugate over the determinant loses it to cancellation (1e-5 against 2e-9
+    relative at condition number 1e8), and they need no rescaling for laws of
+    any magnitude.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        a, b, c = M[..., 0, 0], M[..., 1, 0], M[..., 2, 0]
-        d, e, f = M[..., 1, 1], M[..., 2, 1], M[..., 2, 2]
+        a, b, c = M[0, 0], M[1, 0], M[2, 0]
+        d, e, f = M[1, 1], M[2, 1], M[2, 2]
         l21, l31 = b / a, c / a
         d2 = d - b * l21
         e2 = e - c * l21
         l32 = e2 / d2
         d3 = f - c * l31 - e2 * l32
-        bad = ~((a > 0.0) & (d2 > 0.0) & (d3 > 0.0) & np.isfinite(M).all(axis=(-2, -1)))
+        bad = ~((a > 0.0) & (d2 > 0.0) & (d3 > 0.0) & np.isfinite(M).all(axis=(0, 1)))
         m31 = l21 * l32 - l31          # L^-1 = [[1, 0, 0], [-l21, 1, 0], [m31, -l32, 1]]
         r1, r2, r3 = 1.0 / a, 1.0 / d2, 1.0 / d3
         inv = np.empty(M.shape)
-        inv[..., 0, 0] = r1 + l21 * l21 * r2 + m31 * m31 * r3
-        inv[..., 0, 1] = inv[..., 1, 0] = m31 * -l32 * r3 - l21 * r2
-        inv[..., 0, 2] = inv[..., 2, 0] = m31 * r3
-        inv[..., 1, 1] = r2 + l32 * l32 * r3
-        inv[..., 1, 2] = inv[..., 2, 1] = -l32 * r3
-        inv[..., 2, 2] = r3
-        bad |= ~np.isfinite(inv).all(axis=(-2, -1))
+        inv[0, 0] = r1 + l21 * l21 * r2 + m31 * m31 * r3
+        inv[0, 1] = inv[1, 0] = m31 * -l32 * r3 - l21 * r2
+        inv[0, 2] = inv[2, 0] = m31 * r3
+        inv[1, 1] = r2 + l32 * l32 * r3
+        inv[1, 2] = inv[2, 1] = -l32 * r3
+        inv[2, 2] = r3
+        bad |= ~np.isfinite(inv).all(axis=(0, 1))
     return inv, bad
+
+
+def _bmm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Component-major 3x3 products: ``A`` (3, 3, ...) times ``B`` (3, 3, ...)."""
+    return np.einsum("ik...,kj...->ij...", A, B)
+
+
+# Fiber samples per block of ``reduce_fibers``, whose temporaries take about 60
+# doubles per sample of a block.  On a 2-core Xeon KVM guest, one BLAS thread,
+# a 32x32x16 fiber-per-cell slab of 6 samples took 38 ms at 512 samples, 26-28
+# at 1024, 21 at 2048, 20 at 4096, 18-21 at 8192 and 19-21 at 16384, and a
+# 48x48x24 one 124-127, 89, 69-74, 64-67, 59-65 and 64-68 ms.  Past 4096 the time
+# stays flat while the temporaries grow, 1.9 MiB at 4096 and 7.5 at 16384.
+_BLOCK = 4096
 
 
 def reduce_fibers(c: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -154,34 +172,50 @@ def reduce_fibers(c: np.ndarray, weights: np.ndarray) -> np.ndarray:
     fiber (and sample).  A constant fiber is returned unchanged (the
     zero-mean constraint forces the fluctuation to zero).  Returns
     (nfib, 6, 6).
+
+    The fibers are reduced in blocks of whole fibers, at most ``_BLOCK``
+    samples each (one fiber when it alone holds more).  Each block is copied
+    component-major, the 3x3 slots on the leading axes and (fiber, sample)
+    behind them, so every 3x3 product is one contraction over whole slot
+    arrays (``_bmm``) and every fiber average one product with ``weights``.
+    The temporaries are O(block), not O(stack): besides the result, the call
+    holds about 2 MiB whatever the number of fibers.  Larger blocks are no
+    faster (the measurements at ``_BLOCK``).
     """
+    nfib, nf = c.shape[:2]
+    out = np.empty((nfib, 6, 6))
+    step = max(1, _BLOCK // nf)
+    for first in range(0, nfib, step):
+        out[first:first + step] = _reduce_block(c[first:first + step], weights, first)
+    return out
+
+
+def _reduce_block(c: np.ndarray, weights: np.ndarray, first: int) -> np.ndarray:
+    """``reduce_fibers`` of the fibers ``c`` (nb, nf, 6, 6), the first of which
+    is fiber ``first`` of the whole stack, the name errors give."""
     p, o = list(IN_PLANE), list(OUT_OF_PLANE)
-    S = c[:, :, o][:, :, :, o]
-    Top = c[:, :, o][:, :, :, p]
+    cm = c.transpose(2, 3, 0, 1)                 # (6, 6, nb, nf)
+    S, T = cm[np.ix_(o, o)], cm[np.ix_(o, p)]
     Sinv, bad = _inverse_spd3(S)
     if bad.any():
         f, k = np.argwhere(bad)[0]
-        raise DegenerateMaterialError(f"fiber {f} sample {k} has a singular out-of-plane block")
-    SinvT = Sinv @ Top
-    Pbar = np.einsum("k,fkij->fij", weights, c[:, :, p][:, :, :, p])
-    H = np.einsum("k,fkij->fij", weights, Sinv)
-    G = np.einsum("k,fkij->fij", weights, SinvT)
-    # <T^T S^-1 T> as one product per fiber, inner dimension 3 nf over (sample, slot)
-    nfib, nf = c.shape[:2]
-    W = ((weights[:, None, None] * Top).reshape(nfib, 3 * nf, 3).swapaxes(1, 2)
-         @ SinvT.reshape(nfib, 3 * nf, 3))
+        raise DegenerateMaterialError(
+            f"fiber {first + f} sample {k} has a singular out-of-plane block")
+    SinvT = _bmm(Sinv, T)
+    H, G = Sinv @ weights, SinvT @ weights      # (3, 3, nb) fiber averages
+    W = _bmm(T.swapaxes(0, 1), SinvT) @ weights
     Hinv, bad = _inverse_spd3(H)
     if bad.any():
         raise DegenerateMaterialError(
-            f"fiber {np.argmax(bad)} has a singular mean out-of-plane compliance"
-        )
-    Gt = G.swapaxes(1, 2)
-    red = np.zeros((c.shape[0], 6, 6))
-    red[(slice(None),) + np.ix_(p, p)] = Pbar - W + Gt @ Hinv @ G
-    red[(slice(None),) + np.ix_(p, o)] = Gt @ Hinv
-    red[(slice(None),) + np.ix_(o, p)] = Hinv @ G
-    red[(slice(None),) + np.ix_(o, o)] = Hinv
-    return 0.5 * (red + red.swapaxes(1, 2))
+            f"fiber {first + np.argmax(bad)} has a singular mean out-of-plane compliance")
+    HinvG = _bmm(Hinv, G)
+    red = np.empty((6, 6, c.shape[0]))
+    pp = cm[np.ix_(p, p)] @ weights - W + _bmm(G.swapaxes(0, 1), HinvG)
+    red[np.ix_(p, p)] = 0.5 * (pp + pp.swapaxes(0, 1))
+    red[np.ix_(p, o)] = HinvG.swapaxes(0, 1)     # Hinv is symmetric: G^T Hinv
+    red[np.ix_(o, p)] = HinvG
+    red[np.ix_(o, o)] = Hinv
+    return red.transpose(2, 0, 1)
 
 
 def fiber_reduce(fiber: FiberMaterial) -> QuadForm3:

@@ -72,6 +72,14 @@ def _finite(value) -> np.ndarray:
     return a
 
 
+def _positive(value) -> np.ndarray:
+    """``_finite`` whose entries must all be positive."""
+    a = _finite(value)
+    if not (a > 0.0).all():
+        raise ValueError(f"expected positive numbers, got {a[a <= 0.0].flat[0]}")
+    return a
+
+
 def _has_null(value) -> bool:
     """Whether ``value`` is ``null`` or a list that holds one at any depth."""
     return value is None or isinstance(value, list) and any(map(_has_null, value))
@@ -256,19 +264,18 @@ def read_slab_material(obj: dict, path: str):
     ncells = n1 * n2 * nx3
     bounds = read_bounds(obj.get("bounds"), path)
     if kind == "slab":
-        lam2 = _get(obj, "lambda2", path, convert=_finite)
-        if lam2.size != nf:
-            _fail(path, f"lambda2 must hold {nf} samples")
-        lam1 = _get(obj, "lambda1", path, convert=_finite)
+        lam2 = _get(obj, "lambda2", path, convert=_positive)
+        if lam2.shape != (nf,):
+            _fail(f"{path}.lambda2", f"expected a list of {nf} samples, got shape {lam2.shape}")
+        lam1 = _get(obj, "lambda1", path, convert=_positive)
         if lam1.ndim == 0:
             lam1 = np.full(shape, float(lam1))
         elif lam1.size == ncells:
             lam1 = lam1.reshape(shape)
         else:
-            _fail(path, f"lambda1 must be a scalar or {ncells} values")
-        mu = _get(obj, "mu", path, convert=lambda v: float(_finite(float(v))))
-        if mu <= 0.0 or np.any(lam1 <= 0.0) or np.any(lam2 <= 0.0):
-            _fail(path, "mu, lambda1, lambda2 must be positive")
+            _fail(f"{path}.lambda1",
+                  f"expected a number or {ncells} values, got shape {lam1.shape}")
+        mu = _get(obj, "mu", path, convert=lambda v: float(_positive(float(v))))
         from .homogslab import SlabMaterial
 
         with at_key(path):

@@ -24,6 +24,10 @@ OTHER_TYPES = ("x", [1, 2], {}, {"a": 1}, 1.5, 3, None, True)
 SETTINGS_VALUES = ([1, 2], "x", 3, None, {}, {"tol": math.nan}, {"tol": "abc"},
                    {"periods": [2, -1]}, {"periods": [math.inf]}, {"x3_samples": math.inf},
                    {"oracle_loads": -2}, {"check_tol": [1e-8]})
+# per fixture, the keys whose every refusal is named by the key itself, not
+# only by its parent: a separable slab's factors
+OWN_KEYS = {"homog_regime2_laminate.json": {("material", "mu"), ("material", "lambda1"),
+                                            ("material", "lambda2")}}
 
 
 def _nodes(obj, path=()):
@@ -118,6 +122,18 @@ def mutated_specs(draw):
 @example(("homog_regime1_laminate.json", _with(SPECS["homog_regime1_laminate.json"],
                                                ("material", "mu_grid", 0), None),
           ("material", "mu_grid", 0)))
+@example(("homog_regime2_laminate.json", _with(SPECS["homog_regime2_laminate.json"],
+                                               ("material", "lambda2", 1), -2.0),
+          ("material", "lambda2", 1)))
+@example(("homog_regime2_laminate.json", _with(SPECS["homog_regime2_laminate.json"],
+                                               ("material", "lambda1"), -1.0),
+          ("material", "lambda1")))
+@example(("homog_regime2_laminate.json", _with(SPECS["homog_regime2_laminate.json"],
+                                               ("material", "mu"), 0.0),
+          ("material", "mu")))
+@example(("homog_regime2_laminate.json", _with(SPECS["homog_regime2_laminate.json"],
+                                               ("material", "lambda2"), [[1.0, 3.0]]),
+          ("material", "lambda2")))
 def test_mutated_fixture_ends_in_a_documented_exit_code(capsys, mutated):
     name, spec, mutated_path = mutated
     command = SPECS[name]["command"]
@@ -139,6 +155,9 @@ def test_mutated_fixture_ends_in_a_documented_exit_code(capsys, mutated):
     assert payload["exit_code"] == rc
     if rc == 2:
         assert str(path) in payload["message"]
-        # a key path under the file, led by the mutated path's first key
-        assert re.match(re.escape(f"{path}.{mutated_path[0]}") + r"[.\[:]", payload["message"]), (
+        # a key path under the file, led by the mutated path's first key, or by
+        # its first two where those name one of the fixture's ``OWN_KEYS``
+        named = mutated_path[:2] if mutated_path[:2] in OWN_KEYS.get(name, ()) else mutated_path[:1]
+        key = ".".join(map(str, named))
+        assert re.match(re.escape(f"{path}.{key}") + r"[.\[:]", payload["message"]), (
             mutated_path, payload["message"])

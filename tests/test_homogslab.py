@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from plate_homog import (
     qf_isotropic,
     slab_corrector_solve,
 )
-from plate_homog import fem
+from plate_homog import fem, homogslab
 from plate_homog.core import IN_PLANE, OUT_OF_PLANE, embed2to3
 from plate_homog.homogslab import _load_strain, reduce_fibers
 from plate_homog.reduction import spd_schur
@@ -186,6 +187,69 @@ class TestFiberReduce:
     def test_closed_form_identity_at_unit_factors(self):
         red = laminate_reduced_form(1.0, np.ones(4), 1.3)
         assert np.allclose(red.matrix, qf_isotropic(1.3, 0.0).matrix, rtol=1e-14)
+
+
+def spd_stack(rng, nfib, nf):
+    """``nfib`` fibers of ``nf`` random 6x6 samples, each ``A A^T / 6 + I``."""
+    a = rng.standard_normal((nfib, nf, 6, 6))
+    return a @ a.swapaxes(2, 3) / 6.0 + np.eye(6)
+
+
+class TestBlockedReduction:
+    """``reduce_fibers`` on stacks of several ``_BLOCK``-sample blocks."""
+
+    NF = 5
+    STEP = homogslab._BLOCK // NF        # fibers per block
+    NFIB = 3 * STEP + 7                  # three whole blocks and a ragged one
+
+    def test_ragged_blocks_match_the_reference_and_one_fiber_at_a_time(self):
+        rng = np.random.default_rng(44)
+        fibers = spd_stack(rng, self.NFIB, self.NF)
+        w = rng.uniform(0.5, 1.5, self.NF)
+        w /= w.sum()
+        red = reduce_fibers(fibers, w)
+        ref = reference_reduce_fibers(fibers, w)
+        np.testing.assert_allclose(red, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+        # the fibers on either side of each block boundary, and the last one
+        for f in sorted({0, self.NFIB - 1} | {b + d for b in range(self.STEP, self.NFIB, self.STEP)
+                                              for d in (-1, 0)}):
+            np.testing.assert_allclose(red[f], reduce_fibers(fibers[f:f + 1], w)[0],
+                                       rtol=0, atol=1e-15 * np.abs(red).max())
+
+    @pytest.mark.parametrize("eigenvalues", [(0.0, 0.0, 0.0), (1.0, -2.0, 3.0)])
+    def test_singular_or_indefinite_block_in_a_later_block_is_named_globally(self, eigenvalues):
+        rng = np.random.default_rng(45)
+        fibers = spd_stack(rng, self.NFIB, self.NF)
+        f = 2 * self.STEP + 3                 # the fourth fiber of the third block
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        s = q @ np.diag(eigenvalues) @ q.T
+        fibers[f, 4][np.ix_(list(OUT_OF_PLANE), list(OUT_OF_PLANE))] = 0.5 * (s + s.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateMaterialError, match=f"^fiber {f} sample 4 "):
+                reduce_fibers(fibers, np.full(self.NF, 1.0 / self.NF))
+
+    def test_power_of_two_scaling_is_exact_across_blocks(self):
+        rng = np.random.default_rng(46)
+        fibers = spd_stack(rng, self.NFIB, self.NF)
+        w = np.full(self.NF, 1.0 / self.NF)
+        red = reduce_fibers(fibers, w)
+        for scale in (2.0 ** -600, 2.0 ** 600):
+            np.testing.assert_array_equal(reduce_fibers(scale * fibers, w), scale * red)
+
+    def test_temporaries_are_bounded_by_the_block(self):
+        # 16 blocks of 8-sample fibers, 18 MiB: the result alone is 1/8 of the
+        # stack, and the temporaries of one block are about 2 MiB (0.22 in all)
+        nf = 8
+        fibers = spd_stack(np.random.default_rng(47), 16 * (homogslab._BLOCK // nf), nf)
+        w = np.full(nf, 1.0 / nf)
+        tracemalloc.start()
+        try:
+            reduce_fibers(fibers, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * fibers.nbytes, (peak, fibers.nbytes)
 
 
 class TestSlabSolve:
