@@ -22,8 +22,6 @@ from .core import (
     QuadForm3,
     mandel2,
     mandel3,
-    qf_check_class,
-    qf_eval,
     qf_isotropic,
     unmandel2,
     unmandel3,
@@ -50,12 +48,12 @@ _LAZY = {
     ),
     **dict.fromkeys(
         ("FiberMaterial", "SlabCorrector", "SlabMaterial", "bending_form_regime2",
-         "fiber_reduce", "laminate_reduced_form", "slab_corrector_solve"),
+         "fiber_reduce", "slab_corrector_solve"),
         "homogslab",
     ),
     **dict.fromkeys(
         ("bilayer_closed_form", "brute_force_regime1", "brute_force_regime2",
-         "laminate_closed_form"),
+         "laminate_closed_form", "laminate_reduced_form"),
         "oracle",
     ),
     **dict.fromkeys(

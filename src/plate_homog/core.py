@@ -6,6 +6,8 @@ matrices as ``(a11, a22, sqrt2*a12)``.  The sqrt(2) weights make the
 coordinate 2-norm equal the Frobenius norm of the matrix, so ellipticity
 bounds of a quadratic form become an eigenvalue interval test on its
 coefficient matrix, and static condensation is a plain Schur complement.
+That test is ``MaterialBounds.assess`` (``require`` raises on its first
+failure), the one ellipticity check every material constructor runs.
 
 Quadratic forms act on Mandel coordinates: ``Q(G) = g^T C g`` with
 ``g = mandel3(G)``.  Because the encoding symmetrizes its argument,
@@ -71,15 +73,8 @@ def unmandel2(m) -> np.ndarray:
     return np.array([[m[0], c], [c, m[1]]])
 
 
-def embed2to3(a) -> np.ndarray:
-    """Mandel 6-vector of the in-plane embedding of a Mandel 3-vector."""
-    a = np.asarray(a, dtype=float)
-    g = np.zeros(6)
-    g[[0, 1, 5]] = a
-    return g
-
-
-# 6x3 matrix of embed2to3, handy when assembling loads.
+# 6x3 in-plane embedding of Mandel 3-vectors into Mandel 6-vectors:
+# ``EMBED_2_TO_3 @ a`` puts ``a`` in the ``IN_PLANE`` slots.
 EMBED_2_TO_3 = np.zeros((6, 3))
 EMBED_2_TO_3[0, 0] = EMBED_2_TO_3[1, 1] = EMBED_2_TO_3[5, 2] = 1.0
 
@@ -151,7 +146,9 @@ class QuadForm2:
 
 @dataclass(frozen=True)
 class MaterialBounds:
-    """Ellipticity interval ``0 < eta1 <= eta2`` for admissible materials."""
+    """Ellipticity interval ``0 < eta1 <= eta2`` for admissible materials:
+    ``eta1*|sym G|^2 <= Q(G) <= eta2*|sym G|^2`` for all G, which is
+    ``eta1 <= eig(C) <= eta2`` for the Mandel matrix ``C`` of ``Q``."""
 
     eta1: float
     eta2: float
@@ -229,59 +226,36 @@ def _sample_extremes(eig, cells, scale):
     return lo, hi
 
 
-def qf_eval(q: QuadForm3 | QuadForm2, G) -> float:
-    """Evaluate a quadratic form at a full matrix argument."""
-    return q.eval(G)
+def layer_weights(weights, nf: int) -> np.ndarray:
+    """Read-only layer fractions of ``nf`` fiber samples, uniform for None."""
+    w = np.full(nf, 1.0 / nf) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (nf,):
+        raise ValueError(f"weights must be {nf} layer fractions, one per fiber sample")
+    if not (np.all(w > 0.0) and abs(w.sum() - 1.0) <= 1e-12):      # NaN fails too
+        raise ValueError("weights must be positive and sum to 1")
+    w.setflags(write=False)
+    return w
+
+
+def isotropic_matrix(mu, lam) -> np.ndarray:
+    """Mandel matrix ``2*mu*I + lam*t t^T`` of the isotropic law, with
+    ``t = (1,1,1,0,0,0)``, for moduli of any shape: (..., 6, 6).
+
+    Its eigenvalues are ``2*mu`` (multiplicity 5) and ``2*mu + 3*lam``.
+    """
+    t = np.zeros(6)
+    t[:3] = 1.0
+    return (2.0 * np.asarray(mu)[..., None, None] * np.eye(6)
+            + np.asarray(lam)[..., None, None] * np.outer(t, t))
 
 
 def qf_isotropic(mu: float, lam: float, label: str = "") -> QuadForm3:
-    """Isotropic form ``G -> 2*mu*|sym G|^2 + lam*(tr G)^2``.
-
-    Mandel matrix is ``2*mu*I + lam*t t^T`` with ``t = (1,1,1,0,0,0)``,
-    whose eigenvalues are ``2*mu`` (multiplicity 5) and ``2*mu + 3*lam``.
-    """
+    """Isotropic form ``G -> 2*mu*|sym G|^2 + lam*(tr G)^2`` (``isotropic_matrix``)."""
     if not (mu > 0.0):
         raise ValueError(f"shear modulus must be positive, got {mu}")
     if lam < 0.0:
         raise ValueError(f"second parameter must be non-negative, got {lam}")
-    t = np.zeros(6)
-    t[:3] = 1.0
-    return QuadForm3(2.0 * mu * np.eye(6) + lam * np.outer(t, t), label=label)
-
-
-@dataclass(frozen=True)
-class ClassCheckReport:
-    """Result of an ellipticity-class check of a quadratic form."""
-
-    passed: bool
-    eig_min: float
-    eig_max: float
-    eta1: float
-    eta2: float
-    violations: tuple = ()
-
-    def raise_if_failed(self):
-        if not self.passed:
-            raise AdmissibilityError("; ".join(self.violations))
-
-
-def qf_check_class(q: QuadForm3, bounds: MaterialBounds) -> ClassCheckReport:
-    """Check ``eta1*|sym G|^2 <= Q(G) <= eta2*|sym G|^2`` for all G.
-
-    In the orthonormal encoding this is exactly an eigenvalue interval
-    test on the coefficient matrix, which also implies the Lipschitz-type
-    bound ``|Q(G1)-Q(G2)| <= eta2*|sym G1 - sym G2|*|sym G1 + sym G2|``.
-    """
-    eig = np.linalg.eigvalsh(q.matrix)
-    violations = bounds.assess(q.matrix[None], eig[None], "form")
-    return ClassCheckReport(
-        passed=not violations,
-        eig_min=float(eig[0]),
-        eig_max=float(eig[-1]),
-        eta1=bounds.eta1,
-        eta2=bounds.eta2,
-        violations=violations,
-    )
+    return QuadForm3(isotropic_matrix(mu, lam), label=label)
 
 
 @dataclass(frozen=True, eq=False)

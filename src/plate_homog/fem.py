@@ -1116,12 +1116,13 @@ def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float,
     ``tol`` means the same as for plain CG.  ``noise_floor`` is an
     absolute norm below which load or residual count as
     assembled-to-zero (see ``ElementOperator.rhs_noise_floor``): loads
-    under it get the zero corrector, and a CG breakdown under it counts
-    as converged.  Returns ``(x, iterations, residual_history)`` with
-    relative residuals; raises SolverError with the history on
-    breakdown, divergence, stagnation (no new residual minimum in
-    ``STALL_ITERATIONS`` iterations), the iteration cap
-    (``iteration_cap``), or a load or noise floor that is not finite.
+    under it get the zero corrector, and a residual under it ends the
+    solve as converged, before a breakdown there.  Returns ``(x,
+    iterations, residual_history)`` with relative residuals; raises
+    SolverError with the history on breakdown, divergence, stagnation
+    (no new residual minimum in ``STALL_ITERATIONS`` iterations), the
+    iteration cap (``iteration_cap``), or a load or noise floor that is
+    not finite.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -1147,11 +1148,8 @@ def conjugate_gradient(op: ElementOperator, b: np.ndarray, tol: float,
         Ap = op.matvec(p) if K0p is None else op.split_product(p, K0p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
-            # Krylov direction fell into the numerical nullspace: fine if
-            # the residual is already at assembly noise, fatal otherwise.
-            if rnorm <= noise_floor:
-                history.append(rnorm / bnorm)
-                return x, it, tuple(history)
+            # Krylov direction fell into the numerical nullspace above the
+            # noise floor: a residual at the floor has returned already
             raise SolverError(
                 f"conjugate gradients broke down at iteration {it} "
                 f"(direction energy {pAp:.3e}, residual {rnorm:.3e})",

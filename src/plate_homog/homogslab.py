@@ -33,7 +33,7 @@ Pipeline for this scaling:
 
 For a zero-Poisson isotropic laminate the fiber reduction has the
 classical closed form (arithmetic mean in plane, harmonic mean across),
-kept in ``laminate_reduced_form`` as an independent oracle.
+``oracle.laminate_reduced_form``, which the tests hold it to.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .core import (
     MaterialBounds,
     QuadForm2,
     QuadForm3,
+    layer_weights,
     qf_isotropic,
 )
 from .errors import AdmissibilityError, DegenerateMaterialError
@@ -85,19 +86,8 @@ class FiberMaterial:
             raise ValueError("fiber samples contain non-finite entries")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "weights", _layer_weights(self.weights, c.shape[0]))
+        object.__setattr__(self, "weights", layer_weights(self.weights, c.shape[0]))
         self.bounds.require(c, np.linalg.eigvalsh(c), "fiber sample {}")
-
-
-def _layer_weights(weights, nf: int) -> np.ndarray:
-    """Read-only layer fractions of ``nf`` fiber samples, uniform for None."""
-    w = np.full(nf, 1.0 / nf) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (nf,):
-        raise ValueError(f"weights must be {nf} layer fractions, one per fiber sample")
-    if not (np.all(w > 0.0) and abs(w.sum() - 1.0) <= 1e-12):      # NaN fails too
-        raise ValueError("weights must be positive and sum to 1")
-    w.setflags(write=False)
-    return w
 
 
 def _inverse_spd3(M: np.ndarray):
@@ -223,25 +213,6 @@ def fiber_reduce(fiber: FiberMaterial) -> QuadForm3:
     return QuadForm3(reduce_fibers(fiber.c[None], fiber.weights)[0], label="fiber-reduced")
 
 
-def laminate_reduced_form(lambda1: float, lambda2, mu: float, weights=None) -> QuadForm3:
-    """Closed-form fiber reduction of ``lambda1*lambda2(y3)*iso(mu, 0)``.
-
-    For a zero-Poisson isotropic law the blocks decouple: the in-plane
-    slots scale with the arithmetic mean of ``lambda2`` and the
-    out-of-plane slots with its harmonic mean.  Used only as an oracle
-    for ``fiber_reduce``.
-    """
-    lam2 = np.asarray(lambda2, dtype=float)
-    if np.any(lam2 <= 0.0) or lambda1 <= 0.0 or mu <= 0.0:
-        raise ValueError("laminate factors must be positive")
-    if weights is None:
-        weights = np.full(lam2.size, 1.0 / lam2.size)
-    arith = float(weights @ lam2)
-    harm = 1.0 / float(weights @ (1.0 / lam2))
-    d = np.array([arith, arith, harm, harm, harm, arith])
-    return QuadForm3(2.0 * mu * lambda1 * np.diag(d), label="laminate-closed-form")
-
-
 @dataclass(frozen=True, eq=False)
 class SlabMaterial:
     """Material over ``(y1, y2, x3)`` cells, each holding a fiber in ``y3``.
@@ -272,7 +243,7 @@ class SlabMaterial:
             raise ValueError("fiber_index must be a 3D cell grid")
         if idx.min() < 0 or idx.max() >= fibers.shape[0]:
             raise ValueError("fiber_index out of range")
-        w = _layer_weights(self.weights, fibers.shape[1])
+        w = layer_weights(self.weights, fibers.shape[1])
         if self.scale is None:
             s = np.ones(idx.shape)
         else:
@@ -330,7 +301,8 @@ class SlabMaterial:
         """Law ``lambda1(y', x3) * lambda2(y3) * iso(mu, 0)``.
 
         ``lambda1`` is a scalar or an (n1, n2, n3) array; ``lambda2``
-        holds the fiber samples.
+        holds the fiber samples.  Without ``bounds`` the slab infers them,
+        as every slab does.
         """
         lam2 = np.asarray(lambda2, dtype=float)
         if lam2.ndim != 1 or np.any(lam2 <= 0.0):
@@ -344,10 +316,6 @@ class SlabMaterial:
             raise ValueError("lambda1 must be positive, scalar or a 3D cell grid")
         base = qf_isotropic(mu, 0.0).matrix
         fibers = (lam2[:, None, None] * base)[None, :, :, :]
-        if bounds is None:
-            lo = 2.0 * mu * float(lam2.min()) * float(lam1.min())
-            hi = 2.0 * mu * float(lam2.max()) * float(lam1.max())
-            bounds = MaterialBounds(lo, hi)
         return cls(
             fibers=fibers,
             fiber_index=np.zeros(lam1.shape, dtype=np.int64),

@@ -19,7 +19,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .core import MaterialBounds, QuadForm2, QuadForm3, qf_isotropic
+from .core import (MaterialBounds, QuadForm2, QuadForm3, isotropic_matrix, layer_weights,
+                   qf_isotropic)
 from .errors import SpecFormatError
 from .reduction import RULE_GAUSS, RULE_LAYERS, RULE_MIDPOINT, ThicknessProfile
 
@@ -77,6 +78,14 @@ def _positive(value) -> np.ndarray:
     a = _finite(value)
     if not (a > 0.0).all():
         raise ValueError(f"expected positive numbers, got {a[a <= 0.0].flat[0]}")
+    return a
+
+
+def _non_negative(value) -> np.ndarray:
+    """``_finite`` whose entries must all be zero or positive."""
+    a = _finite(value)
+    if not (a >= 0.0).all():
+        raise ValueError(f"expected non-negative numbers, got {a[a < 0.0].flat[0]}")
     return a
 
 
@@ -230,18 +239,14 @@ def read_cell_material(obj: dict, path: str):
 
         c = _get(obj, "forms", path, convert=stack).reshape(*grid, 6, 6)
     elif kind == "isotropic-field":
-        mu = _get(obj, "mu_grid", path, convert=_floats).reshape(-1)
-        lam = _get(obj, "lambda_grid", path, convert=_floats).reshape(-1)
-        if mu.size != n or lam.size != n:
-            _fail(path, f"mu_grid and lambda_grid must each hold {n} values")
-        if np.any(mu <= 0.0) or np.any(lam < 0.0):
-            _fail(path, "mu_grid must be positive and lambda_grid non-negative")
-        t = np.zeros(6)
-        t[:3] = 1.0
-        c = (
-            2.0 * mu[:, None, None] * np.eye(6)
-            + lam[:, None, None] * np.outer(t, t)
-        ).reshape(*grid, 6, 6)
+        def moduli(key, convert):
+            values = _get(obj, key, path, convert=convert).reshape(-1)
+            if values.size != n:
+                _fail(f"{path}.{key}", f"expected {n} values for grid {grid}, got {values.size}")
+            return values
+
+        mu, lam = moduli("mu_grid", _positive), moduli("lambda_grid", _non_negative)
+        c = isotropic_matrix(mu, lam).reshape(*grid, 6, 6)
     else:
         _fail(path, f"unknown cell material kind {kind!r}")
     bounds = read_bounds(obj.get("bounds"), path)
@@ -287,16 +292,24 @@ def read_slab_material(obj: dict, path: str):
         ]))
         if fibers.shape[1] != nf:
             _fail(path, f"each fiber must hold {nf} samples")
-        index = _get(obj, "fiber_index", path, convert=_index_array)
+
+        def fiber_ids(value):
+            index = _index_array(value)
+            if index.size and not (0 <= index.min() and index.max() < len(fibers)):
+                raise ValueError(f"entries must name one of the {len(fibers)} fibers, "
+                                 f"from 0 to {len(fibers) - 1}")
+            return index
+
+        index = _get(obj, "fiber_index", path, convert=fiber_ids)
         if index.size != ncells:
-            _fail(path, f"fiber_index must hold {ncells} entries")
+            _fail(f"{path}.fiber_index", f"expected {ncells} entries, got {index.size}")
         index = index.reshape(shape)
         scale = obj.get("scale")
         if scale is not None:
-            scale = _get(obj, "scale", path, convert=lambda v: _floats(v).reshape(shape))
+            scale = _get(obj, "scale", path, convert=lambda v: _positive(v).reshape(shape))
         weights = obj.get("weights")
         if weights is not None:
-            weights = _get(obj, "weights", path, convert=_floats)
+            weights = _get(obj, "weights", path, convert=lambda v: layer_weights(_floats(v), nf))
         from .homogslab import SlabMaterial
 
         with at_key(path):

@@ -9,8 +9,10 @@ Two kinds of oracle guard the solver pipelines:
   same quadrature) but none of the code path: no stiffness operator or
   CG, no 1/12 shortcut, no fiber averaging formulas, so a pipeline bug
   has to be duplicated here to slip through;
-- closed forms for two-phase thickness profiles and zero-Poisson
-  laminates.
+- closed forms for two-phase thickness profiles (``bilayer_closed_form``)
+  and zero-Poisson laminates: the arithmetic and harmonic means of the
+  fiber samples (``laminate_closed_form``) and the fiber-reduced law they
+  give (``laminate_reduced_form``).
 
 The joint Hessian is never assembled whole (``DenseProblem``).  Its
 unknowns split into blocks that couple only through a border: in regime
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EMBED_2_TO_3, QuadForm2, mandel2
+from .core import EMBED_2_TO_3, QuadForm2, QuadForm3, layer_weights, mandel2
 from .errors import SizeCapError, SolverError
 from .fem import GAUSS_POINTS, build_cell_grid, build_slab_grid
 from .homog3d import CellMaterial3
@@ -337,8 +339,18 @@ def laminate_closed_form(lambda2, weights=None):
     lam = np.asarray(lambda2, dtype=float)
     if lam.ndim != 1 or lam.size == 0 or np.any(lam <= 0.0):
         raise ValueError("fiber samples must be a positive 1D vector")
-    if weights is None:
-        weights = np.full(lam.size, 1.0 / lam.size)
+    weights = layer_weights(weights, lam.size)
     arith = float(weights @ lam)
     harm = 1.0 / float(weights @ (1.0 / lam))
     return arith, harm
+
+
+def laminate_reduced_form(lambda1: float, lambda2, mu: float, weights=None) -> QuadForm3:
+    """Fiber reduction of the zero-Poisson law ``lambda1*lambda2(y3)*iso(mu, 0)``:
+    its in-plane slots scale with the arithmetic mean of ``lambda2``, its
+    out-of-plane ones with the harmonic mean (``laminate_closed_form``)."""
+    if lambda1 <= 0.0 or mu <= 0.0:
+        raise ValueError("laminate factors must be positive")
+    arith, harm = laminate_closed_form(lambda2, weights)
+    d = np.array([arith, arith, harm, harm, harm, arith])
+    return QuadForm3(2.0 * mu * lambda1 * np.diag(d), label="laminate-closed-form")

@@ -203,11 +203,6 @@ def profile_average(profile: ThicknessProfile) -> QuadForm2:
     return QuadForm2(moment_matrices(profile).m0)
 
 
-def _wrap_to_interval(t):
-    """Map t to [-1/2, 1/2) by 1-periodicity."""
-    return (t + 0.5) % 1.0 - 0.5
-
-
 def oscillation_experiment(base: ThicknessProfile, n: int) -> QuadForm2:
     """Bending form of the profile ``x3 -> C2(n*x3)``.
 
@@ -230,22 +225,15 @@ def oscillation_experiment(base: ThicknessProfile, n: int) -> QuadForm2:
 
     # Breakpoints of x3 -> base(wrap(n*x3)): preimages of the base layer
     # edges, i.e. (k + edge) / n for every integer shift k that lands in I.
-    edges = set()
-    interior = lo[1:]  # layer interfaces of the base, excluding the ends
-    for k in range(-(n // 2) - 1, n // 2 + 2):
-        for b in np.concatenate(([-0.5], interior, [0.5])):
-            x = (k + b) / n
-            if -0.5 - 1e-14 <= x <= 0.5 + 1e-14:
-                edges.add(min(max(x, -0.5), 0.5))
-    br = np.array(sorted(edges))
+    k = np.arange(-(n // 2) - 1, n // 2 + 2)
+    edges = np.concatenate(([-0.5], lo[1:], [0.5]))
+    x = ((k[:, None] + edges) / n).ravel()
+    br = np.unique(np.clip(x[(-0.5 - 1e-14 <= x) & (x <= 0.5 + 1e-14)], -0.5, 0.5))
     br[0], br[-1] = -0.5, 0.5
 
-    def base_value_at(t):
-        t = _wrap_to_interval(t)
-        i = int(np.searchsorted(hi, t, side="right"))
-        i = min(i, len(base.forms) - 1)
-        return base.forms[i]
-
-    forms = tuple(base_value_at(n * 0.5 * (a + b)) for a, b in zip(br[:-1], br[1:]))
+    # each new layer takes the base form at its midpoint, wrapped into [-1/2, 1/2)
+    mid = (n * 0.5 * (br[:-1] + br[1:]) + 0.5) % 1.0 - 0.5
+    layer = np.minimum(np.searchsorted(hi, mid, side="right"), len(base.forms) - 1)
+    forms = tuple(base.forms[i] for i in layer)
     scaled = ThicknessProfile(forms, rule=RULE_LAYERS, breaks=br)
     return bending_form(scaled)[0]

@@ -115,6 +115,27 @@ class TestParsing:
         with pytest.raises(SpecFormatError):
             parse_material_spec(path)
 
+    def test_spec_with_no_command_is_refused(self, tmp_path):
+        path = write_spec(tmp_path, {"convention": CONVENTION, "material": PROFILE})
+        with pytest.raises(SpecFormatError) as info:
+            parse_material_spec(path)
+        assert (str(info.value), info.value.exit_code) == (
+            f"{path}: no command given on the CLI or in the file", EXIT_PARSE)
+
+    def test_unknown_command_is_refused(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"convention": CONVENTION, "command": "nope",
+                                     "material": PROFILE})
+        with pytest.raises(SpecFormatError) as info:
+            parse_material_spec(path)
+        assert (str(info.value), info.value.exit_code) == (
+            f"{path}: unknown command 'nope'", EXIT_PARSE)
+        # on the command line argparse refuses it; a sweep entry reaches the reader
+        path = write_spec(tmp_path, {"convention": CONVENTION, "command": "sweep",
+                                     "scenarios": [{"command": "nope", "material": PROFILE}]})
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path)]) == EXIT_PARSE
+        assert error_line(capsys) == {"error": "SpecFormatError", "exit_code": EXIT_PARSE,
+                                      "message": f"{path}.scenarios[0]: unknown command 'nope'"}
+
     def test_zero_eta1_rejected_as_admissibility(self, tmp_path):
         path = write_spec(
             tmp_path,
@@ -189,6 +210,20 @@ class TestPlateEnergy:
 
 
 class TestCommands:
+    def test_reduce_layered_profile_keeps_its_layers(self, tmp_path):
+        forms = [qf_isotropic(1.0, 0.5), qf_isotropic(2.0, 0.0)]
+        layers = [{"from": lo, "to": hi, "form": q.matrix.tolist()}
+                  for (lo, hi), q in zip([(-0.5, 0.1), (0.1, 0.5)], forms)]
+        path = write_spec(tmp_path, {"convention": CONVENTION, "command": "reduce",
+                                     "material": {"kind": "profile", "layers": layers}})
+        assert main(["reduce", "--spec", str(path), "--out", str(tmp_path)]) == EXIT_OK
+        out = load_json(tmp_path / "reduce-reduced-profile.json")
+        assert (out["kind"], "rule" in out, "samples" in out) == ("profile", False, False)
+        assert [(layer["from"], layer["to"]) for layer in out["layers"]] == [(-0.5, 0.1),
+                                                                            (0.1, 0.5)]
+        for layer, q in zip(out["layers"], forms):
+            assert np.array_equal(layer["form"], plane_stress_reduce(q)[0].matrix)
+
     def test_bending_homogeneous_report(self, fixtures_dir, tmp_path):
         rc = main(["bending", "--spec", str(fixtures_dir / "bending_homogeneous.json"),
                    "--out", str(tmp_path)])
@@ -533,6 +568,23 @@ class TestExitCodes:
         assert main(["bending", "--spec", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_PARSE
 
+    def test_solver_error_reports_its_residuals_tail(self, fixtures_dir, tmp_path, monkeypatch,
+                                                     capsys):
+        # each load takes 10 iterations; the cap allows 7
+        from plate_homog import bending_form_regime2, fem
+
+        monkeypatch.setattr(fem, "iteration_cap", lambda ndofs: 7)
+        spec = fixtures_dir / "homog_regime2_cells.json"
+        with pytest.raises(SolverError) as info:
+            bending_form_regime2(parse_material_spec(spec).material)
+        assert main(["homog-regime2", "--spec", str(spec), "--out", str(tmp_path)]) == EXIT_SOLVER
+        payload = error_line(capsys)
+        assert payload == {"error": "SolverError", "exit_code": EXIT_SOLVER,
+                           "message": str(info.value),
+                           "residuals_tail": list(info.value.residuals[-5:])}
+        assert len(info.value.residuals) == 7
+        assert payload["message"].startswith("conjugate gradients did not reach tol=1e-10 in 7 ")
+
     def test_size_cap_exit_code(self, tmp_path, monkeypatch, capsys):
         # 16^3 at 8 thickness nodes: one node's block of 12,288 unknowns
         _assert_refused_before_the_pipeline(
@@ -638,8 +690,8 @@ class TestExitCodes:
                      id="lambda2-entry-null"),
         pytest.param("homog-regime1", dict(FIELD, mu_grid=[None, 1.5]), {}, "material.mu_grid",
                      id="mu-grid-entry-null"),
-        pytest.param("homog-regime1", dict(FIELD, mu_grid=[float("nan"), 1.5]), {}, "material",
-                     id="mu-grid-entry-nan"),
+        pytest.param("homog-regime1", dict(FIELD, mu_grid=[float("nan"), 1.5]), {},
+                     "material.mu_grid", id="mu-grid-entry-nan"),
         # a separable slab's NaN or infinite value, with no bounds to check it against
         pytest.param("homog-regime2", dict(SLAB, lambda2=[1.0, float("nan")]), {},
                      "material.lambda2", id="lambda2-entry-nan"),
@@ -817,8 +869,8 @@ class TestExitCodes:
                      "material", id="gauss-one-sample"),
         pytest.param("bending", dict(PROFILE, samples=[[["x", 0, 0], [0, 1, 0], [0, 0, 1]]]),
                      "material.samples[0]", id="profile-sample-string"),
-        pytest.param("homog-regime2", dict(SLAB_CELLS, fiber_index=[99] * 8), "material",
-                     id="fiber-index-out-of-range"),
+        pytest.param("homog-regime2", dict(SLAB_CELLS, fiber_index=[99] * 8),
+                     "material.fiber_index", id="fiber-index-out-of-range"),
     ])
     def test_refused_value_is_a_malformed_value_at_its_key(self, tmp_path, capsys, command,
                                                             material, key):
@@ -830,16 +882,17 @@ class TestExitCodes:
         assert (payload["error"], payload["exit_code"]) == ("SpecFormatError", EXIT_PARSE)
         assert payload["message"].startswith(f"{path}.{key}: malformed value: ")
 
-    def test_non_positive_slab_scale_is_admissibility_error(self, tmp_path, capsys):
-        # refused by the slab constructor under the same key path, but as inadmissible
+    def test_non_positive_slab_scale_is_refused_at_its_key(self, tmp_path, capsys):
+        # read like a non-positive ``lambda1``: a parse error under its own key
         material = dict(SLAB_CELLS, scale=[0.0] + [1.0] * 7)
         path = write_spec(tmp_path, {"convention": CONVENTION, "command": "homog-regime2",
                                      "material": material})
         rc = main(["homog-regime2", "--spec", str(path), "--out", str(tmp_path)])
-        assert rc == EXIT_ADMISSIBILITY
-        assert error_line(capsys) == {"error": "AdmissibilityError",
-                                      "exit_code": EXIT_ADMISSIBILITY,
-                                      "message": "cell scale factors must be positive"}
+        assert rc == EXIT_PARSE
+        assert error_line(capsys) == {
+            "error": "SpecFormatError", "exit_code": EXIT_PARSE,
+            "message": f"{path}.material.scale: malformed value: expected positive numbers, "
+                       "got 0.0"}
 
     @pytest.mark.parametrize("command", ["homog-regime2", "oracle-check"])
     def test_asymmetric_fiber_is_admissibility_error(self, tmp_path, capsys, command):

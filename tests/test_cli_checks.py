@@ -110,6 +110,15 @@ def separable_slab(lambda2_entry) -> Callable[[], dict]:
     return build
 
 
+def material_value(fixture: str, key: str, value) -> Callable[[], dict]:
+    """The fixture ``fixture`` with its material's ``key`` set to ``value``."""
+    def build():
+        spec = _fixture(fixture)
+        spec["material"][key] = value
+        return spec
+    return build
+
+
 def overflowing_schur() -> dict:
     # out-of-plane diagonal 1e-200, coupling 1e150: symmetric, Schur complement overflows
     m = [[float(i == j) for j in range(6)] for i in range(6)]
@@ -288,6 +297,32 @@ ROWS = [
     # a sign refused under its own key, not under the material's
     Row("negative-lambda2", "homog-regime2", separable_slab(-2.0), code=2,
         check=message_names(".material.lambda2")),
+    # a cell modulus, slab scale, layer weight or fiber id is refused under its own key
+    Row("negative-mu-grid", "homog-regime1",
+        material_value("homog_regime1_laminate.json", "mu_grid", [-1.0, 2.0]), code=2,
+        check=message_names(".material.mu_grid")),
+    Row("negative-lambda-grid", "homog-regime1",
+        material_value("homog_regime1_laminate.json", "lambda_grid", [-1.0, 0.0]), code=2,
+        check=message_names(".material.lambda_grid")),
+    Row("nan-mu-grid", "homog-regime1",
+        material_value("homog_regime1_laminate.json", "mu_grid", [math.nan, 1.5]), code=2,
+        check=message_names(".material.mu_grid")),
+    Row("infinite-lambda-grid", "homog-regime1",
+        material_value("homog_regime1_laminate.json", "lambda_grid", [math.inf, 0.0]), code=2,
+        check=message_names(".material.lambda_grid")),
+    Row("nan-scale", "homog-regime2",
+        material_value("homog_regime2_cells.json", "scale", [math.nan] + [1.0] * 7), code=2,
+        check=message_names(".material.scale")),
+    # read like a non-positive lambda1, not as an inadmissible material (exit 3)
+    Row("negative-scale", "homog-regime2",
+        material_value("homog_regime2_cells.json", "scale", [-1.0] + [1.0] * 7), code=2,
+        check=message_names(".material.scale")),
+    Row("weights-not-summing-to-one", "homog-regime2",
+        material_value("homog_regime2_cells.json", "weights", [0.3, 0.3]), code=2,
+        check=message_names(".material.weights")),
+    Row("fiber-index-out-of-range", "homog-regime2",
+        material_value("homog_regime2_cells.json", "fiber_index", [0] * 7 + [2]), code=2,
+        check=message_names(".material.fiber_index")),
     # no warning or traceback
     Row("overflowing-schur", "reduce", overflowing_schur, code=3),
     # a sweep runs its scenarios in order

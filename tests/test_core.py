@@ -8,8 +8,6 @@ from plate_homog import (
     QuadForm3,
     mandel2,
     mandel3,
-    qf_check_class,
-    qf_eval,
     qf_isotropic,
     unmandel2,
     unmandel3,
@@ -60,8 +58,8 @@ def test_mandel_norm_preservation_four_ulps():
 
 
 def test_qf_eval_isotropic_identity():
-    assert qf_eval(qf_isotropic(1.0, 0.0), np.eye(3)) == pytest.approx(6.0, abs=0)
-    assert qf_eval(qf_isotropic(1.0, 1.0), np.eye(3)) == pytest.approx(15.0, abs=0)
+    assert qf_isotropic(1.0, 0.0).eval(np.eye(3)) == pytest.approx(6.0, abs=0)
+    assert qf_isotropic(1.0, 1.0).eval(np.eye(3)) == pytest.approx(15.0, abs=0)
 
 
 def test_qf_eval_zero_and_scaling():
@@ -107,33 +105,40 @@ def test_qf_isotropic_rejects_bad_moduli():
         qf_isotropic(1.0, -0.5)
 
 
+def _assess(q, bounds):
+    """``MaterialBounds.assess`` of one form: its violations and its spectrum."""
+    eig = np.linalg.eigvalsh(q.matrix)
+    return bounds.assess(q.matrix[None], eig[None], "form"), eig
+
+
 def test_check_class_isotropic_tight_bounds():
-    report = qf_check_class(qf_isotropic(1.0, 0.0), MaterialBounds(2.0, 2.0))
-    assert report.passed
-    assert report.eig_min == pytest.approx(2.0, rel=1e-12)
+    violations, eig = _assess(qf_isotropic(1.0, 0.0), MaterialBounds(2.0, 2.0))
+    assert not violations
+    assert eig[0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_check_class_zero_form_fails_lower():
-    report = qf_check_class(QuadForm3(np.zeros((6, 6))), MaterialBounds(1.0, 2.0))
-    assert not report.passed
-    assert any("lower" in v for v in report.violations)
+    q = QuadForm3(np.zeros((6, 6)))
+    violations, eig = _assess(q, MaterialBounds(1.0, 2.0))
+    assert violations
+    assert any("lower" in v for v in violations)
     with pytest.raises(AdmissibilityError):
-        report.raise_if_failed()
+        MaterialBounds(1.0, 2.0).require(q.matrix[None], eig[None], "form")
 
 
 def test_check_class_lambda_eigenvalue_exceeds():
     # isotropic Mandel spectrum is {2mu x5, 2mu+3lambda}
-    report = qf_check_class(qf_isotropic(1.0, 1.0), MaterialBounds(2.0, 2.0))
-    assert not report.passed
-    assert report.eig_max == pytest.approx(5.0, rel=1e-12)
+    violations, eig = _assess(qf_isotropic(1.0, 1.0), MaterialBounds(2.0, 2.0))
+    assert violations
+    assert eig[-1] == pytest.approx(5.0, rel=1e-12)
 
 
 def test_check_class_fails_for_strictly_tighter_bounds():
     q = qf_isotropic(1.5, 0.7)
     lo, hi = 3.0, 3.0 + 3 * 0.7
-    assert qf_check_class(q, MaterialBounds(lo, hi)).passed
-    assert not qf_check_class(q, MaterialBounds(lo + 1e-6, hi)).passed
-    assert not qf_check_class(q, MaterialBounds(lo, hi - 1e-6)).passed
+    assert not _assess(q, MaterialBounds(lo, hi))[0]
+    assert _assess(q, MaterialBounds(lo + 1e-6, hi))[0]
+    assert _assess(q, MaterialBounds(lo, hi - 1e-6))[0]
 
 
 def test_material_bounds_validation():

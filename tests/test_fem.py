@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import warnings
 from itertools import product
 from pathlib import Path
@@ -492,6 +493,81 @@ def test_stalled_solve_stops_long_before_the_cap():
     history = info.value.residuals
     assert STALL_ITERATIONS < len(history) <= 70
     assert min(history[-STALL_ITERATIONS:]) >= min(history)
+
+
+class _MatrixOperator:
+    """What ``conjugate_gradient`` reads of an operator, for a dense matrix:
+    ``matvec``, an identity ``precondition`` and a reference that is not the
+    majority's."""
+
+    reference = fem.Reference(np.eye(6), MEAN_REFERENCE)
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=float)
+
+    def matvec(self, p):
+        return self.matrix @ p
+
+    def precondition(self, r):
+        return r.copy()
+
+
+def test_breakdown_above_the_noise_floor_is_a_solver_error():
+    # the first direction has zero energy while the residual is the load
+    with pytest.raises(SolverError, match=r"^conjugate gradients broke down at iteration 1 "
+                                          r"\(direction energy 0\.000e\+00, residual 1\.414e\+00\)$"
+                       ) as info:
+        conjugate_gradient(_MatrixOperator(np.diag([1.0, -1.0])), np.ones(2), 1e-10)
+    assert (info.value.exit_code, info.value.residuals) == (4, ())
+
+
+def test_residual_at_the_noise_floor_ends_the_solve_before_a_breakdown():
+    # one step leaves a residual of 2e-20, and the next direction has negative energy
+    op = _MatrixOperator(np.diag([1.0, -1.0]))
+    b = np.array([1.0, 1e-20])
+    with pytest.raises(SolverError, match="^conjugate gradients broke down at iteration 2 ") as info:
+        conjugate_gradient(op, b, 1e-30)
+    assert len(info.value.residuals) == 1
+    x, iters, history = conjugate_gradient(op, b, 1e-30, noise_floor=1e-15)
+    assert iters == 1 and history == info.value.residuals
+    assert np.array_equal(x, (b @ b) / (b @ (op.matrix @ b)) * b)
+
+
+def test_divergence_is_a_solver_error():
+    # not symmetric: one step takes the residual from 1 to 1e9
+    op = _MatrixOperator([[1.0, 1e9], [0.0, 1.0]])
+    with pytest.raises(SolverError, match=r"^conjugate gradients diverged \(residual 1\.000e\+09 "
+                                          r"at iteration 1\)$") as info:
+        conjugate_gradient(op, np.array([0.0, 1.0]), 1e-10)
+    assert (info.value.exit_code, info.value.residuals) == (4, (1e9,))
+
+
+def test_iteration_cap_is_a_solver_error(monkeypatch):
+    # five distinct eigenvalues take five steps; the cap allows two
+    monkeypatch.setattr(fem, "iteration_cap", lambda ndofs: 2)
+    with pytest.raises(SolverError, match=r"^conjugate gradients did not reach tol=1e-14 in 2 "
+                                          r"iterations \(last residual ") as info:
+        conjugate_gradient(_MatrixOperator(np.diag([1.0, 2.0, 3.0, 4.0, 5.0])), np.ones(5), 1e-14)
+    assert info.value.exit_code == 4
+    assert len(info.value.residuals) == 2 and 1e-14 < min(info.value.residuals)
+
+
+def test_traced_matvec_count_sees_a_slab_run():
+    # the benchmark's traced smoke run requires fem.matvec_calls > 0 on
+    # regime2-slabs; a rename of the method would zero it without failing
+    path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS["fem.matvec"] == [("fem", "ElementOperator", "matvec")]
+    assert "matvec" in vars(ElementOperator)
+    run = tracer.Tracer()
+    run.install()
+    try:
+        bending_form_regime2(fiber_per_cell_slab(np.random.default_rng(1), (2, 2, 2)))
+    finally:
+        run.uninstall()
+    assert run.metrics()["fem.matvec_calls"] > 0
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 6), (2, 2, 2), (3, 4, 5), (5, 4, 4)])

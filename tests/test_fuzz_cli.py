@@ -25,9 +25,12 @@ SETTINGS_VALUES = ([1, 2], "x", 3, None, {}, {"tol": math.nan}, {"tol": "abc"},
                    {"periods": [2, -1]}, {"periods": [math.inf]}, {"x3_samples": math.inf},
                    {"oracle_loads": -2}, {"check_tol": [1e-8]})
 # per fixture, the keys whose every refusal is named by the key itself, not
-# only by its parent: a separable slab's factors
+# only by its parent: a separable slab's factors, a cell's moduli grids and a
+# slab's fiber ids
 OWN_KEYS = {"homog_regime2_laminate.json": {("material", "mu"), ("material", "lambda1"),
-                                            ("material", "lambda2")}}
+                                            ("material", "lambda2")},
+            "homog_regime1_laminate.json": {("material", "mu_grid"), ("material", "lambda_grid")},
+            "homog_regime2_cells.json": {("material", "fiber_index")}}
 
 
 def _nodes(obj, path=()):
@@ -134,6 +137,15 @@ def mutated_specs(draw):
 @example(("homog_regime2_laminate.json", _with(SPECS["homog_regime2_laminate.json"],
                                                ("material", "lambda2"), [[1.0, 3.0]]),
           ("material", "lambda2")))
+@example(("homog_regime1_laminate.json", _with(SPECS["homog_regime1_laminate.json"],
+                                               ("material", "mu_grid", 0), -1),
+          ("material", "mu_grid", 0)))
+@example(("homog_regime1_laminate.json", _with(SPECS["homog_regime1_laminate.json"],
+                                               ("material", "lambda_grid"), [0.0]),
+          ("material", "lambda_grid")))
+@example(("homog_regime2_cells.json", _with(SPECS["homog_regime2_cells.json"],
+                                            ("material", "fiber_index", 0), 3),
+          ("material", "fiber_index", 0)))
 def test_mutated_fixture_ends_in_a_documented_exit_code(capsys, mutated):
     name, spec, mutated_path = mutated
     command = SPECS[name]["command"]

@@ -19,7 +19,7 @@ from plate_homog import (
     slab_corrector_solve,
 )
 from plate_homog import fem, homog3d
-from plate_homog.homogslab import laminate_reduced_form
+from plate_homog.oracle import laminate_reduced_form
 from plate_homog.reduction import plane_stress_reduce
 
 from helpers import operator_grids, random_cell, random_spd, two_phase_cell

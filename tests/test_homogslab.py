@@ -18,7 +18,7 @@ from plate_homog import (
     slab_corrector_solve,
 )
 from plate_homog import fem, homogslab
-from plate_homog.core import IN_PLANE, OUT_OF_PLANE, embed2to3
+from plate_homog.core import EMBED_2_TO_3, IN_PLANE, OUT_OF_PLANE
 from plate_homog.homogslab import _load_strain, reduce_fibers
 from plate_homog.reduction import spd_schur
 
@@ -274,7 +274,7 @@ class TestSlabSolve:
         voigt = reduced.mean(axis=0)
         reuss = np.linalg.inv(np.linalg.inv(reduced).mean(axis=0))
         a = np.array([1.0, 0.0, 0.0])
-        g = embed2to3(a)
+        g = EMBED_2_TO_3 @ a
         _, energy = slab_corrector_solve(slab, ("B", 0), tol=1e-12)
         assert float(g @ reuss @ g) - 1e-9 <= energy <= float(g @ voigt @ g) + 1e-9
 

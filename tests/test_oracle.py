@@ -74,6 +74,16 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             laminate_closed_form(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, 0.6], "^weights must be positive and sum to 1$"),
+        ([1.5, -0.5], "^weights must be positive and sum to 1$"),
+        ([1.0], "^weights must be 2 layer fractions, one per fiber sample$"),
+    ])
+    def test_laminate_refuses_weights_like_a_fiber(self, weights, message):
+        # the layer fractions of FiberMaterial and SlabMaterial, with their rule
+        with pytest.raises(ValueError, match=message):
+            laminate_closed_form(np.array([1.0, 3.0]), weights)
+
 
 class TestBruteForceRegime1:
     def test_homogeneous_matches_reduction(self):
