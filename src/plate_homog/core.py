@@ -88,6 +88,15 @@ def _asymmetry(m):
     return asym, asym > 1e-12 * np.maximum(size, 1.0)
 
 
+def group_asymmetry(samples) -> tuple:
+    """``(asym, bad)`` per group of a stack of material samples (m, ..., k, k), as
+    ``MaterialBounds.assess`` reads them: the largest ``_asymmetry`` of the
+    group's samples, and whether one of them is not symmetric."""
+    m = len(samples)
+    asym, bad = _asymmetry(samples)
+    return asym.reshape(m, -1).max(axis=1), bad.reshape(m, -1).any(axis=1)
+
+
 def _frozen_sym(matrix, n, what):
     m = np.array(matrix, dtype=float)
     if m.shape != (n, n):
@@ -172,14 +181,15 @@ class MaterialBounds:
         lo, hi = _sample_extremes(eig, cells, scale)
         return cls(float(lo.min()), float(hi.max()))
 
-    def assess(self, samples, eig, what: str, cells=None, scale=None) -> tuple:
+    def assess(self, asymmetry, eig, what: str, cells=None, scale=None) -> tuple:
         """The violations of a stack of material samples.
 
-        ``samples`` (m, ..., k, k) holds ``m`` groups of laws and ``eig``
-        their ascending eigenvalues (m, ..., k), as ``np.linalg.eigvalsh``
-        gives them; only the first and last along the last axis are read, so
-        each group's two extremes will do.  Sample ``j`` is group ``cells[j]``
-        scaled by ``scale[j] > 0``; by default each group once, unscaled.
+        The samples (m, ..., k, k) are ``m`` groups of laws, given by their
+        ``group_asymmetry`` and their ascending eigenvalues ``eig`` (m, ...,
+        k), as ``np.linalg.eigvalsh`` gives them; only the first and last
+        along the last axis are read, so each group's two extremes will do.
+        Sample ``j`` is group ``cells[j]`` scaled by ``scale[j] > 0``; by
+        default each group once, unscaled.
         The result holds one text per failed test, in this order, each
         naming the first offending sample as ``what.format(j)``: a law not
         symmetric within ``1e-12 * max(1, max |entry|)``, an eigenvalue below
@@ -187,9 +197,7 @@ class MaterialBounds:
         ``eigvalsh`` reads one triangle only, so its bounds hold for
         symmetric laws alone.
         """
-        m = len(samples)
-        asym, bad = _asymmetry(samples)
-        asym, bad = asym.reshape(m, -1).max(axis=1), bad.reshape(m, -1).any(axis=1)
+        asym, bad = asymmetry
         if cells is not None:
             asym, bad = asym[cells], bad[cells]
         lo, hi = _sample_extremes(eig, cells, scale)
@@ -208,9 +216,9 @@ class MaterialBounds:
                                               hi=hi[j], eta1=self.eta1, eta2=self.eta2))
         return tuple(violations)
 
-    def require(self, samples, eig, what: str, cells=None, scale=None) -> None:
+    def require(self, asymmetry, eig, what: str, cells=None, scale=None) -> None:
         """``AdmissibilityError`` with the first failure of ``assess``, if any."""
-        violations = self.assess(samples, eig, what, cells, scale)
+        violations = self.assess(asymmetry, eig, what, cells, scale)
         if violations:
             raise AdmissibilityError(violations[0])
 

@@ -39,7 +39,15 @@ import time
 
 import numpy as np
 
-from .core import DEFAULT_TOL, EffectiveReport, MaterialBounds, QuadForm2, QuadForm3, mandel3
+from .core import (
+    DEFAULT_TOL,
+    EffectiveReport,
+    MaterialBounds,
+    QuadForm2,
+    QuadForm3,
+    group_asymmetry,
+    mandel3,
+)
 from .fem import (
     CorrectorField as CorrectorField3,     # one class with ``homogslab.SlabCorrector``
     _distinct_laws,
@@ -76,7 +84,7 @@ class CellMaterial3:
         eig = np.linalg.eigvalsh(laws)
         if self.bounds is None:
             object.__setattr__(self, "bounds", MaterialBounds.inferred(eig))
-        self.bounds.require(laws, eig, "cell sample {}", cells=law)
+        self.bounds.require(group_asymmetry(laws), eig, "cell sample {}", cells=law)
         object.__setattr__(self, "law_index", (first, law))
 
     @property

@@ -52,6 +52,7 @@ from .core import (
     MaterialBounds,
     QuadForm2,
     QuadForm3,
+    group_asymmetry,
     layer_weights,
     qf_isotropic,
 )
@@ -87,7 +88,7 @@ class FiberMaterial:
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "weights", layer_weights(self.weights, c.shape[0]))
-        self.bounds.require(c, np.linalg.eigvalsh(c), "fiber sample {}")
+        self.bounds.require(group_asymmetry(c), np.linalg.eigvalsh(c), "fiber sample {}")
 
 
 def _inverse_spd3(M: np.ndarray):
@@ -257,13 +258,21 @@ class SlabMaterial:
         for name, arr in (("fibers", fibers), ("fiber_index", idx), ("weights", w), ("scale", s)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        # each fiber's smallest and largest eigenvalue (nfib, 2)
-        eig = np.linalg.eigvalsh(fibers)
-        spectrum = np.stack([eig[:, :, 0].min(axis=1), eig[:, :, -1].max(axis=1)], axis=1)
+        # each fiber's smallest and largest eigenvalue (nfib, 2) and its asymmetry,
+        # taken in blocks of at most ``_BLOCK`` samples, as ``reduce_fibers`` runs
+        step = max(1, _BLOCK // fibers.shape[1])
+        parts = []
+        for first in range(0, len(fibers), step):
+            block = fibers[first:first + step]
+            eig = np.linalg.eigvalsh(block)
+            parts.append((eig[:, :, 0].min(axis=1), eig[:, :, -1].max(axis=1),
+                          *group_asymmetry(block)))
+        lo, hi, asym, bad = (np.concatenate(a) for a in zip(*parts))
+        spectrum = np.stack([lo, hi], axis=1)
         cells, scale = idx.reshape(-1), s.reshape(-1)
         if self.bounds is None:
             object.__setattr__(self, "bounds", MaterialBounds.inferred(spectrum, cells, scale))
-        self.bounds.require(fibers, spectrum, "slab cell {}", cells, scale)
+        self.bounds.require((asym, bad), spectrum, "slab cell {}", cells, scale)
 
     @property
     def grid_shape(self) -> tuple:

@@ -165,12 +165,19 @@ def _forward_solve(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     numpy has no triangular solve, and a batched ``np.linalg.solve`` pays
     an LU of each L.  So substitute by row tiles: each tile's rows take
     the product with the rows solved before it, then the inverse of its
-    diagonal tile.
+    diagonal tile.  The full diagonal tiles of the whole stack are inverted
+    in one batched call, (tiles, p, 16, 16), before the substitution; only a
+    last partial tile takes its own call.
     """
+    p, m = L.shape[:2]
+    k = m // _TILE
+    tiles = L[:, :k * _TILE, :k * _TILE].reshape(p, k, _TILE, k, _TILE)
+    inverses = np.linalg.inv(tiles[:, np.arange(k), :, np.arange(k)])
     Y = np.empty(R.shape)
-    for s in range(0, L.shape[1], _TILE):
+    for s in range(0, m, _TILE):
         e = s + _TILE
-        Y[:, s:e] = np.linalg.inv(L[:, s:e, s:e]) @ (R[:, s:e] - L[:, s:e, :s] @ Y[:, :s])
+        inverse = inverses[s // _TILE] if e <= m else np.linalg.inv(L[:, s:e, s:e])
+        Y[:, s:e] = inverse @ (R[:, s:e] - L[:, s:e, :s] @ Y[:, :s])
     return Y
 
 

@@ -1,7 +1,9 @@
 """Shared generators for admissible random materials, and reference
 implementations of the stiffness operator written independently of it,
-node-major versions of its scatter-add and FFT preconditioner, and the
-fiber reduction on LAPACK inverses."""
+node-major versions of its scatter-add and FFT preconditioner, the fiber
+reduction on LAPACK inverses, the axis symmetry search one permutation at
+a time, mirroring by ``np.roll`` and the oracle's forward substitution one
+tile at a time."""
 
 from itertools import product
 
@@ -17,7 +19,7 @@ from plate_homog import (
     ThicknessProfile,
     qf_isotropic,
 )
-from plate_homog import fem
+from plate_homog import fem, oracle
 from plate_homog.core import IN_PLANE, OUT_OF_PLANE
 
 
@@ -278,3 +280,68 @@ def reference_reduce_fibers(c, weights) -> np.ndarray:
     ):
         red[(slice(None),) + np.ix_(rows, cols)] = block
     return 0.5 * (red + red.swapaxes(1, 2))
+
+
+def reference_axis_symmetries(op) -> tuple:
+    """``fem.axis_symmetries`` with one label-profile search per permutation: the
+    laws numbered again by value in every case, and each target's profiles
+    summed from its own label grid (``reference_periodic_shift``)."""
+    perms = fem._axis_permutations(op.grid)
+    if not perms:
+        return ()
+    laws = op._laws + 0.0
+    first, number = fem._distinct_rows(laws.reshape(-1, 36).view(np.uint64))
+    laws = laws[first]
+    hashes = laws.reshape(-1, 36).view(np.uint64) @ fem._LAW_HASH
+    order = np.argsort(hashes)
+    labels = number[op.law_labels].reshape(op.grid.shape)
+    periodic = 3 if op.grid.kind == "cell" else 2
+    weights = fem._label_weights(len(laws))
+    found = []
+    for p in perms:
+        q = fem.mandel_slots(p)
+        images = laws[:, q][:, :, q]
+        at = np.searchsorted(hashes, images.reshape(-1, 36).view(np.uint64) @ fem._LAW_HASH,
+                             sorter=order)
+        m = order[np.minimum(at, len(laws) - 1)]
+        if np.array_equal(laws[m], images):
+            s = reference_periodic_shift(m[labels].transpose(p), labels, periodic, weights)
+            if s is not None:
+                found.append((p, s))
+    return tuple(found)
+
+
+def reference_periodic_shift(target, labels, periodic, weights):
+    """``fem._periodic_shift`` with both grids' label profiles summed here."""
+    wt, wl = weights[target], weights[labels]
+    candidates = []
+    for a, n in enumerate(labels.shape):
+        rolls = np.arange(n if a < periodic else 1)
+        others = tuple(b for b in range(3) if b != a)
+        pt, pl = wt.sum(axis=others), wl.sum(axis=others)
+        rotated = pt[(np.arange(n) - rolls[:, None]) % n]
+        candidates.append(rolls[(rotated == pl).all(axis=1)])
+    shifts = np.array(list(product(*candidates)), dtype=int).reshape(-1, 3)
+    anchors = np.array(np.unravel_index(np.arange(0, labels.size, -(-labels.size // 8)),
+                                        labels.shape))
+    at = (anchors[:, :, None] + shifts.T[:, None, :]) % np.array(labels.shape)[:, None, None]
+    hits = (labels[tuple(at)] == target[tuple(anchors)][:, None]).all(axis=0)
+    for s in shifts[hits]:
+        if np.array_equal(np.roll(target, s, axis=(0, 1, 2)), labels):
+            return tuple(int(k) for k in s)
+    return None
+
+
+def reference_mirrored(x, node_shape, p, s) -> np.ndarray:
+    """``fem._mirrored`` with ``np.roll``."""
+    X = x.reshape(*node_shape, 3).transpose(*p, 3)[..., list(p)]
+    return np.roll(X, s, axis=(0, 1, 2)).reshape(-1)
+
+
+def reference_forward_solve(L, R) -> np.ndarray:
+    """``oracle._forward_solve`` with one ``np.linalg.inv`` call per diagonal tile."""
+    Y = np.empty(R.shape)
+    for s in range(0, L.shape[1], oracle._TILE):
+        e = s + oracle._TILE
+        Y[:, s:e] = np.linalg.inv(L[:, s:e, s:e]) @ (R[:, s:e] - L[:, s:e, :s] @ Y[:, :s])
+    return Y

@@ -12,7 +12,7 @@ from plate_homog import (
     unmandel2,
     unmandel3,
 )
-from plate_homog.core import SQRT2
+from plate_homog.core import SQRT2, group_asymmetry
 
 from helpers import random_form3
 
@@ -108,7 +108,7 @@ def test_qf_isotropic_rejects_bad_moduli():
 def _assess(q, bounds):
     """``MaterialBounds.assess`` of one form: its violations and its spectrum."""
     eig = np.linalg.eigvalsh(q.matrix)
-    return bounds.assess(q.matrix[None], eig[None], "form"), eig
+    return bounds.assess(group_asymmetry(q.matrix[None]), eig[None], "form"), eig
 
 
 def test_check_class_isotropic_tight_bounds():
@@ -123,7 +123,7 @@ def test_check_class_zero_form_fails_lower():
     assert violations
     assert any("lower" in v for v in violations)
     with pytest.raises(AdmissibilityError):
-        MaterialBounds(1.0, 2.0).require(q.matrix[None], eig[None], "form")
+        MaterialBounds(1.0, 2.0).require(group_asymmetry(q.matrix[None]), eig[None], "form")
 
 
 def test_check_class_lambda_eigenvalue_exceeds():

@@ -1,6 +1,8 @@
 import ast
+import importlib
 import importlib.util
 import warnings
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from plate_homog import (
     qf_isotropic,
 )
 from plate_homog import fem
+from plate_homog.app import parse_material_spec, run_scenario
 from plate_homog.fem import (
     MAJORITY_REFERENCE,
     MEAN_REFERENCE,
@@ -41,6 +44,7 @@ from helpers import (
     reference_matvec,
     reference_precondition,
     reference_scatter,
+    two_phase_cell,
 )
 
 
@@ -552,13 +556,18 @@ def test_iteration_cap_is_a_solver_error(monkeypatch):
     assert len(info.value.residuals) == 2 and 1e-14 < min(info.value.residuals)
 
 
-def test_traced_matvec_count_sees_a_slab_run():
-    # the benchmark's traced smoke run requires fem.matvec_calls > 0 on
-    # regime2-slabs; a rename of the method would zero it without failing
+def _perfbench_tracer():
     path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_matvec_count_sees_a_slab_run():
+    # the benchmark's traced smoke run requires fem.matvec_calls > 0 on
+    # regime2-slabs; a rename of the method would zero it without failing
+    tracer = _perfbench_tracer()
     assert tracer.TARGETS["fem.matvec"] == [("fem", "ElementOperator", "matvec")]
     assert "matvec" in vars(ElementOperator)
     run = tracer.Tracer()
@@ -568,6 +577,33 @@ def test_traced_matvec_count_sees_a_slab_run():
     finally:
         run.uninstall()
     assert run.metrics()["fem.matvec_calls"] > 0
+
+
+def test_traced_set_up_spans_see_a_cell_run_and_an_oracle_check(tmp_path):
+    # the tracer wraps these places by name, and a rename or an inline of one
+    # would zero its per-layer metric without failing
+    tracer = _perfbench_tracer()
+    places = [("fem", "ElementOperator", "__init__"), ("fem", "ElementOperator", "rhs"),
+              ("fem", "ElementOperator", "rhs_noise_floor"), ("homog3d", "plane_stress_reduce"),
+              ("oracle", "DenseProblem", "solve")]
+    targets = {place for places_ in tracer.TARGETS.values() for place in places_}
+    for module, *owner, attr in places:
+        assert (module, *owner, attr) in targets
+        found = importlib.import_module("plate_homog." + module)
+        for name in owner:
+            found = getattr(found, name)
+        assert attr in vars(found), (module, *owner, attr)
+    spec = parse_material_spec(Path(__file__).parent.parent / "fixtures" / "oracle_check_cell.json")
+    run = tracer.Tracer()
+    run.install()
+    try:
+        bending_form_regime1(two_phase_cell(4, 30.0, "box"))
+        run_scenario(spec, tmp_path)
+    finally:
+        run.uninstall()
+    spans = Counter(name for _, _, name, _, _ in run.spans)
+    for name in ("fem.operator_init", "fem.rhs", "reduction", "oracle.solve"):
+        assert spans[name] > 0, name
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 6), (2, 2, 2), (3, 4, 5), (5, 4, 4)])
@@ -664,7 +700,7 @@ def test_slab_dense_inverse_equals_the_sweep(monkeypatch, shape):
     for form, cap in SLAB_FORMS.items():
         monkeypatch.setattr(fem, "SLAB_DENSE_BYTES", cap)
         assert fem.preconditioner_form("slab", shape) == form
-        applied[form] = fem.reference_inverse(grid, _monoclinic_law())(r)
+        applied[form] = fem.reference_inverse(grid, Ke)(r)
     ref = applied["slab-sweep"]
     assert np.abs(applied["slab-dense"] - ref).max() <= 1e-13 * np.abs(ref).max()
 

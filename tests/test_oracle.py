@@ -24,9 +24,21 @@ from plate_homog import (
 )
 from plate_homog.core import EMBED_2_TO_3
 from plate_homog.fem import build_cell_grid, build_slab_grid
-from plate_homog.oracle import SIZE_CAP_BYTES, DenseProblem, assemble_regime1, assemble_regime2
+from plate_homog.oracle import (
+    SIZE_CAP_BYTES,
+    DenseProblem,
+    _forward_solve,
+    assemble_regime1,
+    assemble_regime2,
+)
 
-from helpers import fiber_per_cell_slab, quadrature_x3, random_cell, random_slab
+from helpers import (
+    fiber_per_cell_slab,
+    quadrature_x3,
+    random_cell,
+    random_slab,
+    reference_forward_solve,
+)
 
 
 class TestClosedForms:
@@ -496,3 +508,14 @@ def test_package_import_leaves_scipy_linalg_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("p, m, r", [(1, 192, 3), (216, 6, 27), (1, 960, 3), (5, 37, 4)])
+def test_forward_solve_equals_the_solve_one_tile_at_a_time(p, m, r):
+    # the stacks of a regime-1 group, regime-2 blocks, a border and ragged tiles:
+    # every full diagonal tile inverted in one call, bit for bit the tile loop
+    rng = np.random.default_rng(72)
+    A = rng.standard_normal((p, m, m))
+    L = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + m * np.eye(m))
+    R = rng.standard_normal((p, m, r))
+    np.testing.assert_array_equal(_forward_solve(L, R), reference_forward_solve(L, R))

@@ -2,6 +2,8 @@
 loads against direct solves, which ``axis_symmetries`` returning ``()`` switches
 on for every load."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,16 @@ from plate_homog import (
     slab_corrector_solve,
 )
 from plate_homog import fem
-from plate_homog.fem import ElementOperator, build_cell_grid, solve_grid_operator, solve_loads
+from plate_homog.fem import (
+    ElementOperator,
+    build_cell_grid,
+    build_slab_grid,
+    solve_grid_operator,
+    solve_loads,
+)
+
+from helpers import reference_axis_symmetries, reference_mirrored
+from test_fem import PRECONDITIONER_GRIDS
 
 SOFT = qf_isotropic(1.0, 0.5).matrix
 SLAB_LOADS = [np.stack([np.zeros(6), g]) for g in np.eye(6)[[0, 1, 5]]] + list(np.eye(6)[[0, 1, 5]])
@@ -216,3 +227,73 @@ def test_mirrored_energy_rows_equal_direct_rows(case, mirrored):
     assert [i for i, s in enumerate(solves) if s.source is not None] == mirrored
     direct = op.energy_matrix(fields, loads)
     assert np.abs(N - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+def _planted(rng, kind, shape, variant):
+    """Laws (cells, 6, 6) on a random label grid that every permutation of equal
+    periodic axes maps onto itself, rolled by a random shift along those axes.
+    ``broken`` moves one cell to another law; ``negative zero`` gives part of the
+    first law's cells a copy of it with -0.0 where it has 0.0 in slots that y1 <->
+    y2 moves; ``swap pair`` gives the second law's cells with y1 < y2 an orthotropic
+    law and their mirror images its y1 <-> y2 image."""
+    periodic = 3 if kind == "cell" else 2
+    fixed = tuple(range(periodic, 3))
+    group = [p + fixed for p in permutations(range(periodic))
+             if all(shape[a] == shape[b] for a, b in zip(p, range(periodic)))]
+    coords = np.indices(shape).reshape(3, -1)
+    canonical = np.min([np.ravel_multi_index(coords[list(p)], shape) for p in group], axis=0)
+    labels = rng.integers(0, 3, canonical.size)[canonical]
+    laws = np.stack([(1.0 + k) * SOFT for k in range(3)])[labels]
+    if variant == "broken":
+        j = rng.integers(labels.size)
+        laws[j] = (1.0 + (labels[j] + 1) % 3) * SOFT
+    elif variant == "negative zero":
+        signed = SOFT.copy()
+        signed[3, 5] = signed[5, 3] = -0.0
+        laws[(labels == 0) & (rng.random(labels.size) < 0.5)] = signed
+    elif variant == "swap pair":
+        a = SOFT + np.diag([8.0, 0.0, 0.0, 0.0, 2.0, 0.0])
+        q = fem.mandel_slots((1, 0, 2))
+        laws[(labels == 1) & (coords[0] < coords[1])] = a
+        laws[(labels == 1) & (coords[0] > coords[1])] = a[q][:, q]
+    shift = [int(rng.integers(n)) if k < periodic else 0 for k, n in enumerate(shape)]
+    return np.roll(laws.reshape(*shape, 6, 6), shift, axis=(0, 1, 2)).reshape(-1, 6, 6)
+
+
+SYMMETRY_GRIDS = [(build.__name__.split("_")[1], shape)
+                  for build, shape in PRECONDITIONER_GRIDS] + [
+    ("cell", (6, 6, 6)), ("cell", (5, 5, 5)), ("cell", (6, 6, 1)), ("cell", (4, 4, 7)),
+    ("cell", (1, 1, 7)), ("slab", (6, 6, 3)), ("slab", (5, 5, 1)),
+]
+
+
+@pytest.mark.parametrize("kind, shape", SYMMETRY_GRIDS)
+def test_symmetry_search_equals_the_search_per_permutation(kind, shape):
+    # label profiles summed once and permuted, and laws numbered again only when
+    # one holds a -0.0, against profiles summed per permutation: the same pairs
+    rng = np.random.default_rng(71)
+    build = build_cell_grid if kind == "cell" else build_slab_grid
+    equal_axes = len(set(shape[:3 if kind == "cell" else 2])) < (3 if kind == "cell" else 2)
+    for variant in ("symmetric", "broken", "negative zero", "swap pair"):
+        for _ in range(3):
+            op = ElementOperator(build(*shape), _planted(rng, kind, shape, variant))
+            found = fem.axis_symmetries(op)
+            assert found == reference_axis_symmetries(op), variant
+            if variant in ("symmetric", "negative zero") and equal_axes:
+                assert found, variant
+
+
+@pytest.mark.parametrize("kind, shape", SYMMETRY_GRIDS)
+def test_mirroring_equals_np_roll(kind, shape):
+    # one concatenation per shifted axis against np.roll, for every permutation
+    # that the grid admits and random shifts along its periodic axes
+    rng = np.random.default_rng(73)
+    grid = (build_cell_grid if kind == "cell" else build_slab_grid)(*shape)
+    periodic = 3 if kind == "cell" else 2
+    for p in [(0, 1, 2)] + fem._axis_permutations(grid):
+        for _ in range(3):
+            s = tuple(int(rng.integers(n)) if a < periodic else 0
+                      for a, n in enumerate(grid.node_shape))
+            x = rng.standard_normal(grid.ndofs)
+            np.testing.assert_array_equal(fem._mirrored(x, grid.node_shape, p, s),
+                                          reference_mirrored(x, grid.node_shape, p, s))
